@@ -32,7 +32,13 @@ Reports are emitted as canonical JSON (sorted keys, no timing data), so
 two runs of the same problem file are byte-identical; the text format
 adds timing for humans.  Exit codes: 0 clean, 1 when any FAIL entry is
 present (UNCERTIFIED is listed but does not fail a run), 2 on input
-errors.
+errors, 3 when a task hit an internal fault.
+
+A task that raises one of DOMAIN_REFUSALS gets an "error" entry: the
+question has no answer here (say, the module is not semidualizing), and
+the run goes on as usual.  Any other exception is an internal fault: its
+entry also carries "internal": true, the text report ends with
+"result: ERROR", and the exit code is 3.
 """
 
 import argparse
@@ -43,17 +49,19 @@ import time
 
 from . import __version__
 from .field import PrimeField, RationalField
-from .ring import PolyRing, GradedFree, GradedMatrix
-from .groebner import QuotientRing
+from .ring import PolyRing, GradedFree, GradedMatrix, HomogeneityError
+from .groebner import NotArtinianError, QuotientRing
 from .complexes import (FreeComplex, ChainMap, module_as_complex,
-                        shift_complex, direct_sum, cone)
+                        shift_complex, direct_sum, cone,
+                        UncertifiedDegreeError)
 from .modules import (ModulePresentation, syzygy, canonical_module,
-                      from_module)
+                      from_module, NotCohenMacaulayError)
 from .invariants import (InvariantTable, FinitenessVerdict, betti_table,
                          bass_table, depth, kdim_complex, type_of, nu,
                          residue_field, pd_verdict, id_verdict, ext_dims,
-                         tor_dims)
-from .semidualizing import (SdcCertificate, DualizingVerdict, GcdimVerdict,
+                         tor_dims, ZeroModuleError, WindowInsufficientError)
+from .semidualizing import (NotSemidualizingError,
+                            SdcCertificate, DualizingVerdict, GcdimVerdict,
                             MembershipVerdict, VerificationReport,
                             semidualizing_certificate, dualizing_verdict,
                             gcdim_module, gcdim_complex, in_auslander_class,
@@ -65,6 +73,12 @@ from .semidualizing import (SdcCertificate, DualizingVerdict, GcdimVerdict,
                             verify_generator_count_formula)
 
 SCHEMA = "homcalc-report/1"
+
+#: exceptions that refuse the question asked rather than signal a bug
+DOMAIN_REFUSALS = (NotSemidualizingError, ZeroModuleError,
+                   NotCohenMacaulayError, UncertifiedDegreeError,
+                   WindowInsufficientError, HomogeneityError,
+                   NotArtinianError)
 
 
 class InputError(ValueError):
@@ -523,7 +537,8 @@ _OPS = {
 def run_tasks(problem: Problem, default_bound: int = 10,
               seed: int = 0) -> dict:
     """Execute every task; per-task errors are recorded and the run
-    continues.  Entries appear in task order."""
+    continues.  Entries appear in task order.  An error that is not a
+    domain refusal is marked "internal"."""
     rng = random.Random(seed)
     entries = []
     t0 = time.monotonic()
@@ -536,6 +551,8 @@ def run_tasks(problem: Problem, default_bound: int = 10,
                                                    bound, rng)
         except Exception as e:
             entry["error"] = f"{type(e).__name__}: {e}"
+            if not isinstance(e, DOMAIN_REFUSALS):
+                entry["internal"] = True
         entries.append(entry)
     return {"schema": SCHEMA, "engine": __version__,
             "problem": problem.name, "field": problem.field_desc,
@@ -599,6 +616,12 @@ def has_fail(doc) -> bool:
     return False
 
 
+def has_internal_error(doc) -> bool:
+    """True when any entry records an internal fault."""
+    runs = doc["runs"] if "runs" in doc else [doc]
+    return any(e.get("internal") for run in runs for e in run["entries"])
+
+
 def _summary_line(entry):
     head = f"[{entry['index']}] {entry['op']}({', '.join(map(str, entry['args']))})" \
            f" bound={entry['bound']}"
@@ -645,9 +668,11 @@ def render_text(doc: dict) -> str:
     if "timing" in doc and "runs" in doc:
         lines.append("")
         lines.append(f"total {doc['timing']['seconds']}s")
-    fails = has_fail(doc)
     lines.append("")
-    lines.append("result: FAIL" if fails else "result: ok")
+    if has_internal_error(doc):
+        lines.append("result: ERROR")
+    else:
+        lines.append("result: FAIL" if has_fail(doc) else "result: ok")
     return "\n".join(lines) + "\n"
 
 
@@ -704,6 +729,8 @@ def main(argv=None) -> int:
         sys.stdout.write(emit_report(report))
     else:
         sys.stdout.write(render_text(report))
+    if has_internal_error(report):
+        return 3
     return 1 if has_fail(report) else 0
 
 

@@ -19,6 +19,7 @@ Fraction(1, 3)
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 DEFAULT_PRIME = 32003
 
@@ -33,13 +34,11 @@ class PrimeField:
     __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p < 2 or any(p % d == 0 for d in range(2, min(p, 1000))) and p not in (2, 3):
-            # cheap trial division screen; full primality for small p
-            if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-                raise FieldError(f"modulus {p} is not prime")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise FieldError(f"modulus {p} is not prime")
         self.p = p
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1
 
     @property
     def char(self) -> int:

@@ -16,7 +16,9 @@ original coordinates and normal-formed mod I.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+from operator import neg
 
 from .ring import (
     GradedFree, GradedMatrix, HomogeneityError, Polynomial, PolyRing,
@@ -26,53 +28,52 @@ from .ring import (
 # module term orders
 
 
-class PositionOverTerm:
-    """Component dominates; lower component index wins, then the ring order."""
+class _TermOrder:
+    """key(term) of a term (component, exponents) is memoized in _keys and
+    descends with the term order: the larger term has the smaller key, so
+    a min-heap of keys pops the leading term first and min(v, key=key)
+    is the lead of v.  Keys are negated order tuples, flat and injective.
+    """
 
-    __slots__ = ("ring",)
+    __slots__ = ("ring", "_keys")
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
+        self._keys = {}
 
-    def key(self, c, e):
-        return (-c, self.ring.mono_key(e))
+    def key(self, term):
+        k = self._keys.get(term)
+        if k is None:
+            k = self._keys[term] = self._key(*term)
+        return k
 
 
-class TermOverPosition:
+class PositionOverTerm(_TermOrder):
+    """Component dominates; lower component index wins, then the ring order."""
+
+    __slots__ = ()
+
+    def _key(self, c, e):
+        return (c,) + tuple(map(neg, self.ring.mono_key(e)))
+
+
+class TermOverPosition(_TermOrder):
     """Twisted degree, then ring order on the monomial, then component."""
 
-    __slots__ = ("ring", "twists")
+    __slots__ = ("twists",)
 
     def __init__(self, ring: PolyRing, twists):
-        self.ring = ring
+        super().__init__(ring)
         self.twists = tuple(twists)
 
-    def key(self, c, e):
-        return (self.ring.wdeg(e) + self.twists[c], self.ring.mono_key(e), -c)
-
-
-class SchreyerOrder:
-    """Order induced by the leading terms of a fixed generator list.
-
-    leads[c] is the (component, exponent) lead of the c-th generator one
-    level down; x^e e_c is compared by the base key of lead(g_c) * x^e,
-    ties broken by preferring the earlier generator.
-    """
-
-    __slots__ = ("ring", "base", "leads")
-
-    def __init__(self, ring: PolyRing, base, leads):
-        self.ring = ring
-        self.base = base
-        self.leads = list(leads)
-
-    def key(self, c, e):
-        bc, be = self.leads[c]
-        return (self.base.key(bc, self.ring.mono_mul(be, e)), -c)
+    def _key(self, c, e):
+        return ((-(self.ring.wdeg(e) + self.twists[c]),)
+                + tuple(map(neg, self.ring.mono_key(e))) + (c,))
 
 
 # ---------------------------------------------------------------------------
-# sparse vector helpers: Vec = dict {(component, exponents): coeff}
+# sparse vector helpers: Vec = dict {(component, exponents): coeff}, with
+# nonzero coefficients only
 
 
 def vec_from_column(col: dict, ring) -> dict:
@@ -115,65 +116,115 @@ def vec_term_mul(v, shift, c, ring, F):
     return out
 
 
-def vec_lead(v, okey):
-    return max(v, key=lambda ce: okey(*ce))
-
-
-def vec_degree(v, ring, twists):
-    """Twisted degree of a homogeneous vector (None for zero)."""
-    if not v:
-        return None
-    degs = {ring.wdeg(e) + twists[c] for (c, e) in v}
-    if len(degs) != 1:
-        raise HomogeneityError("inhomogeneous module element")
-    return degs.pop()
-
-
-def vec_is_homogeneous(v, ring, twists):
-    if not v:
-        return True
-    degs = {ring.wdeg(e) + twists[c] for (c, e) in v}
-    return len(degs) == 1
+def vec_lead(v, order):
+    return min(v, key=order.key)
 
 
 # ---------------------------------------------------------------------------
 # division
 
 
-def vec_divide(f, basis, leads, ring, F, okey, track=False):
-    """Divide f by basis (list of Vec with precomputed leads).
+class Reducers:
+    """The divisor list of vec_divide, with its leads indexed by component.
 
-    Returns (remainder, quotients) with f = sum_i q_i basis_i + remainder
-    and no remainder term divisible by any lead.  quotients is a list of
-    term dicts (exponent -> coeff) when track is set, else None.
+    vecs[i] is a Vec and leads[i] its ((component, exponents), coeff);
+    both are None once position i is dropped.  by_comp maps a component
+    to the (position, exponents) of its live leads in position order, so
+    the first divisor found there is the first in basis order.
     """
+
+    __slots__ = ("order", "vecs", "leads", "by_comp")
+
+    def __init__(self, order, vecs=()):
+        self.order = order
+        self.vecs = []
+        self.leads = []
+        self.by_comp = {}
+        for v in vecs:
+            self.push(v)
+
+    def push(self, v) -> int:
+        lt = vec_lead(v, self.order)
+        i = len(self.vecs)
+        self.vecs.append(v)
+        self.leads.append((lt, v[lt]))
+        self.by_comp.setdefault(lt[0], []).append((i, lt[1]))
+        return i
+
+    def replace(self, i, v):
+        """Put v at position i; v None drops the position."""
+        (c, e), _ = self.leads[i]
+        self.by_comp[c].remove((i, e))
+        if v is None:
+            self.vecs[i] = self.leads[i] = None
+            return
+        lt = vec_lead(v, self.order)
+        self.vecs[i] = v
+        self.leads[i] = (lt, v[lt])
+        bisect.insort(self.by_comp.setdefault(lt[0], []), (i, lt[1]))
+
+
+def vec_divide(f, reducers, track=False, skip=-1):
+    """Divide f by the vectors of a Reducers, leaving out position skip.
+
+    Returns (remainder, quotients) with f = sum_i q_i vecs_i + remainder
+    and no remainder term divisible by any lead.  quotients is None
+    unless track is set; then it maps each position with a nonzero
+    quotient, in increasing order, to its term dict (exponent -> coeff).
+
+    Terms are popped from a heap of order keys, largest first.  This
+    picks the same term as a scan for the maximum because of two
+    invariants: every term a reduction step adds is smaller than the
+    popped term (the reducer's lead times the shift is the popped term
+    and cancels it exactly, so it is dropped rather than computed), and
+    the reducer of a term is the first lead in basis order whose
+    component matches and whose monomial divides it.  A term cancelled
+    after it was pushed leaves a stale heap entry, skipped when popped.
+    """
+    order = reducers.order
+    ring = order.ring
+    F = ring.field
+    key = order.key
+    divides, mono_div, mono_mul = ring.mono_divides, ring.mono_div, ring.mono_mul
+    vecs, leads, by_comp = reducers.vecs, reducers.leads, reducers.by_comp
     work = dict(f)
+    heap = [(key(ce), ce) for ce in work]
+    heapq.heapify(heap)
     rem = {}
-    quots = [dict() for _ in basis] if track else None
-    kf = lambda ce: okey(*ce)
-    while work:
-        ce = max(work, key=kf)
-        c, e = ce
-        coef = work[ce]
-        hit = -1
-        for i, ((lc, le), lcoef) in enumerate(leads):
-            if lc == c and ring.mono_divides(le, e):
-                hit = i
-                break
-        if hit < 0:
-            rem[ce] = coef
-            del work[ce]
+    quots = {} if track else None
+    while heap:
+        ce = heapq.heappop(heap)[1]
+        coef = work.pop(ce, None)
+        if coef is None:
             continue
-        shift = ring.mono_div(e, leads[hit][0][1])
-        fac = F.div(coef, leads[hit][1])
-        vec_axpy(work, F.neg(fac), vec_term_mul(basis[hit], shift, F.one, ring, F), F)
-        if track:
-            q = quots[hit]
-            s = F.add(q.get(shift, F.zero), fac)
-            if F.is_zero(s):
-                q.pop(shift, None)
+        c, e = ce
+        for i, le in by_comp.get(c, ()):
+            if i != skip and divides(le, e):
+                break
+        else:
+            rem[ce] = coef
+            continue
+        shift = mono_div(e, le)
+        fac = F.div(coef, leads[i][1])
+        nfac = F.neg(fac)
+        for (bc, be), x in vecs[i].items():
+            if bc == c and be == le:
+                continue
+            t = (bc, mono_mul(be, shift))
+            old = work.get(t)
+            if old is None:
+                work[t] = F.mul(nfac, x)
+                heapq.heappush(heap, (key(t), t))
             else:
-                q[shift] = s
+                s = F.add(old, F.mul(nfac, x))
+                if F.is_zero(s):
+                    del work[t]
+                else:
+                    work[t] = s
+        if track:
+            quots.setdefault(i, {})[shift] = fac
+    if track:
+        quots = {i: quots[i] for i in sorted(quots)}
     return rem, quots
 
 
@@ -184,29 +235,37 @@ def vec_divide(f, basis, leads, ring, F, okey, track=False):
 class GBResult:
     """Reduced Groebner basis of a list of input vectors.
 
-    elements[k]: basis vectors, lead coefficient 1, sorted by lead key.
-    leads[k]: ((component, exponents), 1).
+    reducers.vecs (also elements): basis vectors, lead coefficient 1,
+        sorted by lead.
+    reducers.leads (also leads): ((component, exponents), 1).
     exprs[k]: dict input_index -> Polynomial with
         elements[k] = sum_i exprs[k][i] * inputs[i]   (over the ambient ring).
     """
 
-    __slots__ = ("ring", "field", "okey", "inputs", "elements", "leads", "exprs")
+    __slots__ = ("ring", "field", "inputs", "reducers", "exprs")
 
-    def __init__(self, ring, field, okey, inputs, elements, leads, exprs):
+    def __init__(self, ring, field, inputs, reducers, exprs):
         self.ring = ring
         self.field = field
-        self.okey = okey
         self.inputs = inputs
-        self.elements = elements
-        self.leads = leads
+        self.reducers = reducers
         self.exprs = exprs
 
+    @property
+    def elements(self):
+        return self.reducers.vecs
+
+    @property
+    def leads(self):
+        return self.reducers.leads
+
     def normal_form(self, v, track=False):
-        rem, quots = vec_divide(v, self.elements, self.leads, self.ring,
-                                self.field, self.okey, track=track)
+        """(remainder, quotients): quotients maps basis positions with a
+        nonzero quotient to it as a Polynomial, or is None untracked."""
+        rem, quots = vec_divide(v, self.reducers, track=track)
         if not track:
             return rem, None
-        return rem, [Polynomial(self.ring, dict(q)) for q in quots]
+        return rem, {k: Polynomial(self.ring, q) for k, q in quots.items()}
 
     def contains(self, v) -> bool:
         rem, _ = self.normal_form(v)
@@ -231,23 +290,20 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
     handled by the syzygy layer).
     """
     F = ring.field
-    okey = order.key
-    basis = []      # list of Vec
-    leads = []      # ((c, e), coeff)
+    red = Reducers(order)
+    basis, leads, by_comp = red.vecs, red.leads, red.by_comp
     exprs = []      # input_index -> Polynomial
 
     def push(v, expr):
-        lead = vec_lead(v, okey)
-        basis.append(v)
-        leads.append((lead, v[lead]))
         exprs.append(expr)
-        return len(basis) - 1
+        return red.push(v)
 
     for i, v in enumerate(inputs):
         if v:
             push(dict(v), {i: ring.one()} if track else {})
 
-    # pair queue keyed by the order key of the lcm term (normal strategy)
+    # pair queue keyed by the lcm term, smallest first (normal strategy):
+    # the negated order key ascends with the order
     pairs = []
     ticket = 0
     pending = set()
@@ -260,12 +316,14 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         return (ci, ring.mono_lcm(ei, ej))
 
     def queue_pairs_with(j):
+        # only leads in the same component make a pair
         nonlocal ticket
-        for i in range(j):
-            m = lcm_of(i, j)
-            if m is None:
-                continue
-            heapq.heappush(pairs, (okey(*m), ticket, i, j))
+        (cj, ej), _ = leads[j]
+        for i, ei in by_comp[cj]:
+            if i >= j:
+                break
+            m = (cj, ring.mono_lcm(ei, ej))
+            heapq.heappush(pairs, (tuple(map(neg, order.key(m))), ticket, i, j))
             pending.add((i, j))
             ticket += 1
 
@@ -291,11 +349,8 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         # chain criterion with the lcm-inequality guards that make
         # pop-time elimination safe
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            (ck, ek), _ = leads[k]
-            if ck != mc or not ring.mono_divides(ek, me):
+        for k, ek in by_comp[mc]:
+            if k == i or k == j or not ring.mono_divides(ek, me):
                 continue
             a, b = (i, k) if i < k else (k, i)
             c2, d2 = (j, k) if j < k else (k, j)
@@ -311,18 +366,15 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         sj = ring.mono_div(me, ej)
         s = vec_term_mul(basis[i], si, F.inv(lci), ring, F)
         vec_axpy(s, F.neg(F.one), vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
-        rem, quots = vec_divide(s, basis, leads, ring, F, okey, track=track)
+        rem, quots = vec_divide(s, red, track=track)
         if not rem:
             continue
+        expr = {}
         if track:
-            expr = {}
             _expr_axpy(expr, ring.monomial(si, F.neg(F.inv(lci))), exprs[i])
             _expr_axpy(expr, ring.monomial(sj, F.inv(lcj)), exprs[j])
-            for k, q in enumerate(quots):
-                if q:
-                    _expr_axpy(expr, Polynomial(ring, dict(q)), exprs[k])
-        else:
-            expr = {}
+            for k, q in quots.items():
+                _expr_axpy(expr, Polynomial(ring, q), exprs[k])
         jnew = push(rem, expr)
         queue_pairs_with(jnew)
 
@@ -333,39 +385,34 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         for idx in range(len(basis)):
             if basis[idx] is None:
                 continue
-            others = [b for t, b in enumerate(basis) if t != idx and b is not None]
-            olead = [leads[t] for t, b in enumerate(basis) if t != idx and b is not None]
-            oidx = [t for t, b in enumerate(basis) if t != idx and b is not None]
-            rem, quots = vec_divide(basis[idx], others, olead, ring, F, okey, track=track)
+            rem, quots = vec_divide(basis[idx], red, track=track, skip=idx)
             if rem == basis[idx]:
                 continue
             changed = True
             if not rem:
-                basis[idx] = None
-                leads[idx] = None
+                red.replace(idx, None)
                 exprs[idx] = None
                 continue
             if track:
                 expr = dict(exprs[idx])
-                for t, q in zip(oidx, quots):
-                    if q:
-                        _expr_axpy(expr, Polynomial(ring, dict(q)), exprs[t])
+                for t, q in quots.items():
+                    _expr_axpy(expr, Polynomial(ring, q), exprs[t])
                 exprs[idx] = expr
-            basis[idx] = rem
-            leads[idx] = (vec_lead(rem, okey), rem[vec_lead(rem, okey)])
+            red.replace(idx, rem)
 
+    # ascending by lead, as order keys descend
     final = [(b, leads[t], exprs[t]) for t, b in enumerate(basis) if b is not None]
-    final.sort(key=lambda ble: okey(*ble[1][0]))
-    out_b, out_l, out_e = [], [], []
+    final.sort(key=lambda ble: order.key(ble[1][0]), reverse=True)
+    out = Reducers(order)
+    out_e = []
     for b, (lt, lc), e in final:
         inv = F.inv(lc)
-        out_b.append(vec_scale(b, inv, F))
-        out_l.append((lt, F.one))
+        out.push(vec_scale(b, inv, F))
         if track:
             out_e.append({i: p.scale(inv) for i, p in e.items()})
         else:
             out_e.append({})
-    return GBResult(ring, F, okey, inputs, out_b, out_l, out_e)
+    return GBResult(ring, F, inputs, out, out_e)
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +426,21 @@ def schreyer_syzygies(gb: GBResult):
     Schreyer construction these generate the full syzygy module of the
     basis.
     """
-    ring, F, okey = gb.ring, gb.field, gb.okey
+    ring, F = gb.ring, gb.field
+    elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
     out = []
-    n = len(gb.elements)
-    for i in range(n):
-        (ci, ei), lci = gb.leads[i]
-        for j in range(i + 1, n):
-            (cj, ej), lcj = gb.leads[j]
-            if ci != cj:
+    for i, ((ci, ei), lci) in enumerate(leads):
+        for j, ej in by_comp[ci]:
+            if j <= i:
                 continue
+            lcj = leads[j][1]
             me = ring.mono_lcm(ei, ej)
             si = ring.mono_div(me, ei)
             sj = ring.mono_div(me, ej)
-            s = vec_term_mul(gb.elements[i], si, F.inv(lci), ring, F)
+            s = vec_term_mul(elements[i], si, F.inv(lci), ring, F)
             vec_axpy(s, F.neg(F.one),
-                     vec_term_mul(gb.elements[j], sj, F.inv(lcj), ring, F), F)
-            rem, quots = vec_divide(s, gb.elements, gb.leads, ring, F, okey, track=True)
+                     vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
+            rem, quots = vec_divide(s, gb.reducers, track=True)
             if rem:
                 raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
             syz = {}
@@ -403,7 +449,7 @@ def schreyer_syzygies(gb: GBResult):
             syz[(j, sj)] = F.sub(prev, F.inv(lcj))
             if F.is_zero(syz[(j, sj)]):
                 del syz[(j, sj)]
-            for k, q in enumerate(quots):
+            for k, q in quots.items():
                 for e, c in q.items():
                     cur = F.sub(syz.get((k, e), F.zero), c)
                     if F.is_zero(cur):
@@ -454,9 +500,7 @@ def syzygy_generators(inputs, ring: PolyRing, order):
         if rem:
             raise ArithmeticError("input does not reduce to zero against its own basis")
         t = {(i, ring.zero_exp): F.one}
-        for k, q in enumerate(quots):
-            if q.is_zero():
-                continue
+        for k, q in quots.items():
             for j, p in gb.exprs[k].items():
                 prod = q * p
                 for pe, pc in prod.terms.items():
@@ -473,6 +517,10 @@ def syzygy_generators(inputs, ring: PolyRing, order):
 
 # ---------------------------------------------------------------------------
 # quotient rings
+
+
+class NotArtinianError(ValueError):
+    """A computation that needs a finite-dimensional ring got another."""
 
 
 class QuotientRing:
@@ -658,22 +706,18 @@ def interreduce_columns(qr: QuotientRing, free: GradedFree, cols):
     """
     P = qr.ambient
     order = TermOverPosition(P, free.twists)
-    okey = order.key
     vecs = [vec_from_column(c, P) for c in cols]
     vecs = [v for v in vecs if v]
-    vecs.sort(key=lambda v: okey(*vec_lead(v, okey)))
-    pads = _padding_vectors(qr, free.rank)
-    accepted = list(pads)
-    leads = [(vec_lead(v, okey), v[vec_lead(v, okey)]) for v in accepted]
+    # ascending by lead; reverse=True keeps equal leads in input order
+    vecs.sort(key=lambda v: order.key(vec_lead(v, order)), reverse=True)
+    accepted = Reducers(order, _padding_vectors(qr, free.rank))
     out = []
     for v in vecs:
-        rem, _ = vec_divide(v, accepted, leads, P, qr.field, okey)
+        rem, _ = vec_divide(v, accepted)
         if not rem:
             continue
-        lt = vec_lead(rem, okey)
-        rem = vec_scale(rem, qr.field.inv(rem[lt]), qr.field)
-        accepted.append(rem)
-        leads.append((lt, qr.field.one))
+        rem = vec_scale(rem, qr.field.inv(rem[vec_lead(rem, order)]), qr.field)
+        accepted.push(rem)
         out.append(vec_to_column(rem, P))
     return out
 
@@ -702,9 +746,7 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
         if rem:
             return None
         acc = {}
-        for k, q in enumerate(quots):
-            if q.is_zero():
-                continue
+        for k, q in quots.items():
             for i, p in gb.exprs[k].items():
                 if i >= ncols:
                     continue
@@ -716,10 +758,6 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
             if not p.is_zero():
                 entries[(i, j)] = p
     return GradedMatrix(qr, targets.source, m.source, entries)
-
-
-def matrix_image_contains(m: GradedMatrix, targets: GradedMatrix) -> bool:
-    return lift_matrix(m, targets) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groebner import QuotientRing
+from .groebner import NotArtinianError, QuotientRing
 from .modules import ModulePresentation
-
-
-class NotArtinianError(ValueError):
-    """The oracle only realizes finite-dimensional rings."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ Conventions
   grading; (3,4,5) realizes k[t^3,t^4,t^5] as a quotient in three
   variables.
 * Orders are weighted-degree compatible: degrevlex (default) and deglex.
-  Keys are tuples so ``max(..., key=ring.mono_key)`` picks leading terms.
+  ``mono_key`` gives tuples that ascend with the order, so
+  ``max(..., key=ring.mono_key)`` picks the leading monomial.  Module
+  term orders (``groebner``) build their memoized term keys from it.
 * A graded free module is (rank, twists); generator j of F sits in
   internal degree twists[j].  A graded matrix f: source -> target is
   homogeneous when entry (i, j) is zero or homogeneous of degree
@@ -18,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+from operator import add, le, mul, neg, sub
 from typing import Iterable, NamedTuple
 
 from .field import PrimeField, RationalField
@@ -63,26 +66,26 @@ class PolyRing:
     # -- monomial helpers (exponent tuples) --------------------------------
 
     def wdeg(self, e) -> int:
-        return sum(w * x for w, x in zip(self.weights, e))
+        return sum(map(mul, self.weights, e))
 
     def mono_key(self, e):
         d = self.wdeg(e)
         if self.order == "grevlex":
-            return (d,) + tuple(-x for x in reversed(e))
+            return (d,) + tuple(map(neg, reversed(e)))
         return (d,) + tuple(e)
 
     def mono_mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def mono_divides(self, a, b) -> bool:
         """a | b componentwise."""
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(le, a, b))
 
     def mono_div(self, b, a):
-        return tuple(y - x for x, y in zip(a, b))
+        return tuple(map(sub, b, a))
 
     def mono_lcm(self, a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     def monomials_of_degree(self, d: int):
         """All exponent tuples of weighted degree exactly d (sorted by mono_key desc)."""
@@ -219,7 +222,7 @@ class Polynomial:
         small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = F.add(t.get(e, F.zero), F.mul(c1, c2))
                 if F.is_zero(s):
                     t.pop(e, None)
@@ -239,7 +242,7 @@ class Polynomial:
         F = self.ring.field
         if F.is_zero(coeff):
             return Polynomial(self.ring, {})
-        return Polynomial(self.ring, {tuple(a + b for a, b in zip(e, exps)): F.mul(c, coeff)
+        return Polynomial(self.ring, {tuple(map(add, e, exps)): F.mul(c, coeff)
                                       for e, c in self.terms.items()})
 
     def __eq__(self, other):

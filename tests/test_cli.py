@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from homcalc import cli
 from homcalc.cli import (InputError, parse_problem, build_problem, run_tasks,
                          corpus_run, emit_report, parse_report, has_fail,
                          render_text, main)
@@ -281,6 +282,36 @@ def test_main_bad_json_is_input_error(tmp_path, capsys):
 
 def test_main_bad_field_flag(capsys):
     assert main(["--field", "six"]) == 2
+
+
+def test_main_prime_one_is_input_error(tmp_path, capsys):
+    doc = _dn_doc([{"op": "betti", "args": ["k"], "bound": 3}])
+    doc["field"] = {"prime": 1}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 2
+    assert "field:" in capsys.readouterr().err
+
+
+def test_internal_fault_is_not_ok(tmp_path, capsys, monkeypatch):
+    def broken(obj):
+        raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+
+    monkeypatch.setattr(cli, "depth", broken)
+    doc = _dn_doc([{"op": "depth", "args": ["R"], "bound": 3},
+                   {"op": "gcdim", "args": ["R", "k"], "bound": 3}])
+    rep = run_tasks(build_problem(doc))
+    fault, refusal = rep["entries"]
+    assert fault["error"].startswith("ArithmeticError: S-pair")
+    assert fault["internal"] is True
+    assert "internal" not in refusal and "error" in refusal
+    assert render_text(rep).endswith("result: ERROR\n")
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["entries"][0]["internal"]
+    assert main(["--input", str(path)]) == 3
+    assert capsys.readouterr().out.endswith("result: ERROR\n")
 
 
 def test_main_field_override_runs(tmp_path, capsys):

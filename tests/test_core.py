@@ -21,8 +21,10 @@ Q = RationalField()
 # -- fields ----------------------------------------------------------------
 
 def test_prime_field_rejects_composite():
-    with pytest.raises(FieldError):
-        PrimeField(32001)  # 3 * 10667
+    # 32001 = 3 * 10667 and 1022117 = 1009 * 1013; 0, 1, -5 are below 2
+    for p in (32001, 0, 1, -5, 1022117):
+        with pytest.raises(FieldError):
+            PrimeField(p)
 
 
 @given(st.integers(), st.integers())

@@ -4,17 +4,19 @@ Reference values here were worked out by hand (and are classical
 textbook cases); they pin the engine independently of its own output.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from homcalc.field import PrimeField
+from homcalc.field import PrimeField, RationalField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix, Polynomial
 from homcalc.groebner import (
     PositionOverTerm, TermOverPosition, QuotientRing, HilbertSeries,
-    reduced_gb, syzygy_generators, schreyer_syzygies, kernel_matrix,
-    lift_matrix, hilbert_numerator, minimalize_monomials,
-    vec_from_column, vec_to_column, vec_axpy, vec_term_mul,
+    Reducers, reduced_gb, syzygy_generators, schreyer_syzygies,
+    kernel_matrix, lift_matrix, hilbert_numerator, minimalize_monomials,
+    vec_divide, vec_from_column, vec_to_column, vec_axpy, vec_term_mul,
 )
 
 F = PrimeField(32003)
@@ -117,6 +119,127 @@ def test_gb_spairs_reduce_and_tracking(raw):
             for e, c in p.terms.items():
                 vec_axpy(acc, F.one, vec_term_mul(gens[i], e, c, R, F), F)
         assert acc == v
+
+
+# -- division against the plain maximum scan --------------------------------
+
+
+def reference_vec_divide(f, basis, leads, ring, F, okey, track=False):
+    """Divide f by basis (list of Vec with precomputed leads).
+
+    Returns (remainder, quotients) with f = sum_i q_i basis_i + remainder
+    and no remainder term divisible by any lead.  quotients is a list of
+    term dicts (exponent -> coeff) when track is set, else None.
+    """
+    work = dict(f)
+    rem = {}
+    quots = [dict() for _ in basis] if track else None
+    kf = lambda ce: okey(*ce)
+    while work:
+        ce = max(work, key=kf)
+        c, e = ce
+        coef = work[ce]
+        hit = -1
+        for i, ((lc, le), lcoef) in enumerate(leads):
+            if lc == c and ring.mono_divides(le, e):
+                hit = i
+                break
+        if hit < 0:
+            rem[ce] = coef
+            del work[ce]
+            continue
+        shift = ring.mono_div(e, leads[hit][0][1])
+        fac = F.div(coef, leads[hit][1])
+        vec_axpy(work, F.neg(fac), vec_term_mul(basis[hit], shift, F.one, ring, F), F)
+        if track:
+            q = quots[hit]
+            s = F.add(q.get(shift, F.zero), fac)
+            if F.is_zero(s):
+                q.pop(shift, None)
+            else:
+                q[shift] = s
+    return rem, quots
+
+
+def _reference_key(ring, twists):
+    """The module orders' ascending keys: position over term when twists
+    is None, else twisted degree, ring order, component."""
+    if twists is None:
+        return lambda c, e: (-c, ring.mono_key(e))
+    return lambda c, e: (ring.wdeg(e) + twists[c], ring.mono_key(e), -c)
+
+
+_NONZERO = {
+    "p": st.integers(1, 32002),
+    "q": st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+}
+
+
+@pytest.mark.parametrize("field", ["p", "q"])
+@pytest.mark.parametrize("kind", ["pot", "top"])
+@seed(20260)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_vec_divide_matches_max_scan(field, kind, data):
+    Fld = PrimeField(32003) if field == "p" else RationalField()
+    R = PolyRing(Fld, ["x", "y", "z"],
+                 order=data.draw(st.sampled_from(["grevlex", "lex"])))
+    rank = data.draw(st.integers(1, 3))
+    twists = data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    order = PositionOverTerm(R) if kind == "pot" else TermOverPosition(R, twists)
+    okey = _reference_key(R, None if kind == "pot" else twists)
+
+    def monomial(d):
+        monos = R.monomials_of_degree(d)
+        return monos[data.draw(st.integers(0, len(monos) - 1))]
+
+    def vector(deg, max_terms):
+        """Random vector, homogeneous of twisted degree deg."""
+        v = {}
+        for _ in range(data.draw(st.integers(1, max_terms))):
+            c = data.draw(st.integers(0, rank - 1))
+            if deg - twists[c] >= 0:
+                term = {(c, monomial(deg - twists[c])): Fld.normalize(
+                    data.draw(_NONZERO[field]))}
+                vec_axpy(v, Fld.one, term, Fld)
+        return v
+
+    basis = [vector(data.draw(st.integers(1, 3)), 4) for _ in range(data.draw(st.integers(1, 6)))]
+    basis = [b for b in basis if b]
+    D = data.draw(st.integers(2, 5))
+    f = vector(D, 3)
+    # multiples of basis vectors, so that division has work to do
+    for b in basis:
+        (c, e) = next(iter(b))
+        d = D - R.wdeg(e) - twists[c]
+        if d >= 0 and data.draw(st.booleans()):
+            vec_axpy(f, Fld.normalize(data.draw(_NONZERO[field])),
+                     vec_term_mul(b, monomial(d), Fld.one, R, Fld), Fld)
+    skip = data.draw(st.integers(-1, len(basis) - 1))
+    keep = [i for i in range(len(basis)) if i != skip]
+    ref_basis = [basis[i] for i in keep]
+    ref_leads = []
+    for b in ref_basis:
+        lt = max(b, key=lambda ce: okey(*ce))
+        ref_leads.append((lt, b[lt]))
+    red = Reducers(order, basis)
+    assert [red.leads[i] for i in keep] == ref_leads
+
+    for track in (False, True):
+        rem, quots = vec_divide(f, red, track=track, skip=skip)
+        ref_rem, ref_quots = reference_vec_divide(f, ref_basis, ref_leads,
+                                                 R, Fld, okey, track=track)
+        # equal term for term, in the same order
+        assert list(rem.items()) == list(ref_rem.items())
+        if track:
+            assert quots == {keep[k]: q for k, q in enumerate(ref_quots) if q}
+            assert list(quots) == sorted(quots)
+        else:
+            assert quots is None
+    # dropping a position from the index is the same as skipping it
+    if skip >= 0:
+        red.replace(skip, None)
+        assert vec_divide(f, red, track=True) == (rem, quots)
 
 
 # -- syzygies ---------------------------------------------------------------
