@@ -115,6 +115,28 @@ def parse_problem(text: str, field_override=None,
                          default_bound=default_bound)
 
 
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: expected an integer, got {value!r}") \
+            from None
+
+
+def _bound(value, where):
+    b = _int(value, where)
+    if b < 1:
+        raise InputError(f"{where}: bound must be at least 1, got {b}")
+    return b
+
+
+def _pair(payload, where):
+    if not isinstance(payload, (list, tuple)) or len(payload) != 2:
+        raise InputError(f"{where}: expected a two-element list, "
+                         f"got {payload!r}")
+    return payload
+
+
 def _parse_poly(qr, text, where):
     try:
         p = qr.ambient.from_string(str(text))
@@ -147,16 +169,20 @@ def _build_module(qr, modules, name, spec):
         polys = [_parse_poly(qr, s, f"module '{name}'") for s in payload]
         return ModulePresentation.cyclic(qr, polys)
     if form == "free":
-        return ModulePresentation.free(qr, [int(t) for t in payload])
+        return ModulePresentation.free(
+            qr, [_int(t, f"module '{name}'") for t in payload])
     if form == "canonical":
         return canonical_module(qr)
     if form == "syzygy":
-        base, g = payload
+        base, g = _pair(payload, f"module '{name}'")
         if base not in modules:
             raise InputError(f"module '{name}': undefined name '{base}'")
-        return syzygy(modules[base], int(g))
+        g = _int(g, f"module '{name}'")
+        if g < 0:
+            raise InputError(f"module '{name}': syzygy index {g} is negative")
+        return syzygy(modules[base], g)
     if form == "presentation":
-        twists = [int(t) for t in payload["gens"]]
+        twists = [_int(t, f"module '{name}'") for t in payload["gens"]]
         gens = GradedFree.of(twists)
         cols = payload["columns"]
         entries, src = {}, []
@@ -185,7 +211,7 @@ def _build_map(qr, spec, name):
     if not isinstance(spec, dict) or "multiply" not in spec:
         raise InputError(f"map '{name}': expected {{\"multiply\": poly}}")
     p = _parse_poly(qr, spec["multiply"], f"map '{name}'")
-    twists = [int(t) for t in spec.get("twists", [0])]
+    twists = [_int(t, f"map '{name}'") for t in spec.get("twists", [0])]
     d = p.degree() if not p.is_zero() else 0
     tgt = module_as_complex(qr, GradedFree.of(twists))
     srcf = GradedFree.of([t + d for t in twists])
@@ -203,14 +229,15 @@ def _build_complex(qr, modules, complexes, maps, name, spec, default_bound):
         base = spec["module"]
         if base not in modules:
             raise InputError(f"complex '{name}': undefined name '{base}'")
-        return from_module(modules[base], int(spec.get("bound", default_bound)))
+        return from_module(modules[base], _bound(
+            spec.get("bound", default_bound), f"complex '{name}'"))
     if "shift" in spec:
-        base, n = spec["shift"]
+        base, n = _pair(spec["shift"], f"complex '{name}'")
         if base not in complexes:
             raise InputError(f"complex '{name}': undefined name '{base}'")
-        return shift_complex(complexes[base], int(n))
+        return shift_complex(complexes[base], _int(n, f"complex '{name}'"))
     if "sum" in spec:
-        a, b = spec["sum"]
+        a, b = _pair(spec["sum"], f"complex '{name}'")
         for ref in (a, b):
             if ref not in complexes:
                 raise InputError(f"complex '{name}': undefined name '{ref}'")
@@ -234,7 +261,8 @@ def build_problem(doc: dict, field_override=None,
     if not isinstance(ring_spec, dict) or "variables" not in ring_spec:
         raise InputError("ring: expected variables/weights/relations")
     variables = [str(v) for v in ring_spec["variables"]]
-    weights = [int(w) for w in ring_spec.get("weights", [1] * len(variables))]
+    weights = [_int(w, "ring: weights")
+               for w in ring_spec.get("weights", [1] * len(variables))]
     try:
         ambient = PolyRing(field, variables, weights=weights)
     except Exception as e:
@@ -264,14 +292,16 @@ def build_problem(doc: dict, field_override=None,
                                           cname, spec, default_bound)
     tasks = []
     for idx, t in enumerate(doc.get("tasks", [])):
+        if not isinstance(t, dict):
+            raise InputError(f"task {idx}: expected an object, got {t!r}")
         op = t.get("op")
         if op not in _OPS:
             raise InputError(f"task {idx}: unknown operation '{op}'")
         args = list(t.get("args", []))
         _OPS[op].check(modules, complexes, args, idx)
         bound = t.get("bound")
-        tasks.append({"op": op, "args": args,
-                      "bound": None if bound is None else int(bound)})
+        tasks.append({"op": op, "args": args, "bound": None if bound is None
+                      else _bound(bound, f"task {idx}")})
     return Problem(doc.get("name", ""), field_desc, qr, modules, complexes,
                    maps, tasks)
 
@@ -708,6 +738,10 @@ def main(argv=None) -> int:
                 print(f"error: --field expects a prime or 'rational', "
                       f"got {args.field!r}", file=sys.stderr)
                 return 2
+    if args.bound < 1:
+        print(f"error: --bound must be at least 1, got {args.bound}",
+              file=sys.stderr)
+        return 2
 
     try:
         if args.input:

@@ -713,18 +713,6 @@ def homology_slice_total(X: FreeComplex, t: int, vrange) -> int:
     return sum(homology_slice_dim(X, t, v) for v in vrange)
 
 
-def internal_degree_range(X: FreeComplex, t: int):
-    """Internal degrees where the degree-t term can be nonzero (artinian ring)."""
-    qr = X.ring
-    f = X.term(t)
-    if f.rank == 0:
-        return range(0, 0)
-    top = qr.top_degree()
-    lo = min(f.twists)
-    hi = max(f.twists) + top
-    return range(lo, hi + 1)
-
-
 def artinian_homology_dims(X: FreeComplex, t: int) -> int:
     """Total homology dimension at t over an artinian ring, all slices."""
     qr = X.ring
@@ -1074,15 +1062,3 @@ class ComplexFamily:
 
 def family_hom(P: ComplexFamily, Y: ComplexFamily, name="") -> ComplexFamily:
     return ComplexFamily(lambda b: hom_complex(P.realize(b), Y.realize(b)), name)
-
-
-def family_tensor(F: ComplexFamily, Y: ComplexFamily, name="") -> ComplexFamily:
-    return ComplexFamily(lambda b: tensor_complex(F.realize(b), Y.realize(b)), name)
-
-
-def family_shift(X: ComplexFamily, n: int, name="") -> ComplexFamily:
-    return X.map(lambda cx: shift_complex(cx, n), name)
-
-
-def family_cone_of_scalar(X: ComplexFamily, c, name="") -> ComplexFamily:
-    return ComplexFamily(lambda b: cone(scalar_chain_map(X.realize(b), c)), name)

@@ -557,6 +557,9 @@ class QuotientRing:
         self._lead_exps = tuple(lt[1] for (lt, _) in gb.leads)
         if any(all(x == 0 for x in e) for e in self._lead_exps):
             raise ValueError("unit ideal: quotient ring is zero")
+        # derived objects over this ring, filled by modules.ring_memo;
+        # owned here so they die with the ring
+        self.memo = {}
 
     # -- element layer -----------------------------------------------------
 

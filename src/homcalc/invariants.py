@@ -15,7 +15,8 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         resolve_complex, minimize_complex,
                         UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
-                      from_module, ext_module, homology_presentation)
+                      from_module, ext_module, homology_presentation,
+                      ring_memo)
 
 
 class ZeroModuleError(ValueError):
@@ -28,15 +29,12 @@ class WindowInsufficientError(RuntimeError):
 
 _HARD_CAP = 64
 
-_residue_fields = {}
-
-
+@ring_memo
 def residue_field(qr: QuotientRing) -> ModulePresentation:
-    """Shared k = R/m presentation per ring, so resolution caches build up."""
-    if qr not in _residue_fields:
-        _residue_fields[qr] = minimal_presentation(
-            ModulePresentation.residue_field(qr))
-    return _residue_fields[qr]
+    """The residue field k = R/m, minimally presented.  It is kept in the
+    ring's memo, so every caller gets one object whose resolution grows
+    in place."""
+    return minimal_presentation(ModulePresentation.residue_field(qr))
 
 
 def _is_module(x) -> bool:

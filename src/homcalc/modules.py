@@ -16,6 +16,9 @@ asserted.
 
 from __future__ import annotations
 
+import functools
+import inspect
+
 from .ring import GradedFree, GradedMatrix, ZERO_FREE, hstack
 from .groebner import (QuotientRing, kernel_matrix, lift_matrix,
                        interreduce_columns, reduced_gb, TermOverPosition,
@@ -43,7 +46,7 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "gens", "relations", "minimal",
-                 "_min", "_leads", "_hs", "_res", "_res_complete")
+                 "_min", "_leads", "_hs", "_res", "_res_complete", "_key")
 
     def __init__(self, ring: QuotientRing, relations: GradedMatrix,
                  minimal=False):
@@ -57,6 +60,7 @@ class ModulePresentation:
         self._hs = None
         self._res = None
         self._res_complete = False
+        self._key = None
 
     # -- constructors ------------------------------------------------------
 
@@ -223,6 +227,72 @@ def minimal_presentation(m: ModulePresentation) -> ModulePresentation:
 
 
 # ---------------------------------------------------------------------------
+# the ring memo
+
+
+def _matrix_key(m: GradedMatrix):
+    return (m.source.twists, m.target.twists,
+            tuple(sorted((k, tuple(sorted(p.terms.items())))
+                         for k, p in m.entries.items())))
+
+
+def _arg_key(x):
+    """Structural key of one argument: equal keys mean equal inputs.
+    The ring itself keys as a constant, since the memo is its own."""
+    if x is None or isinstance(x, int):
+        return x
+    if isinstance(x, QuotientRing):
+        return "ring"
+    if isinstance(x, ModulePresentation):
+        if x._key is None:
+            x._key = ("module", x.minimal, _matrix_key(x.relations))
+        return x._key
+    if isinstance(x, FreeComplex):
+        return ("complex",
+                tuple(sorted((i, f.twists) for i, f in x.terms.items())),
+                tuple(sorted((i, _matrix_key(d)) for i, d in x.diffs.items())),
+                x.window.parts, x.true_lo, x.true_hi, x.complete)
+    raise TypeError(f"no structural key for {type(x).__name__}")
+
+
+def _ring_of(x):
+    return x if isinstance(x, QuotientRing) else getattr(x, "ring", None)
+
+
+_MISSING = object()
+
+
+def ring_memo(fn):
+    """Memoize fn in the memo of the ring its arguments live over.
+
+    The key is fn's name plus the structural key of every argument after
+    binding, so equal inputs built separately share an entry and keyword
+    and positional calls agree.  A call that raises stores nothing.  A
+    call whose arguments live over more than one ring object runs
+    unmemoized, so fn's own ring check decides it.  Results are shared
+    between callers, who must not mutate them beyond their lazily filled
+    caches (_min, _leads, _hs, _res, _res_complete, _key).
+    """
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoized(*args, **kwargs):
+        call = sig.bind(*args, **kwargs)
+        call.apply_defaults()
+        values = call.arguments.values()
+        rings = {id(r): r for r in map(_ring_of, values) if r is not None}
+        if len(rings) != 1:
+            return fn(*args, **kwargs)
+        memo = next(iter(rings.values())).memo
+        key = (fn.__name__,) + tuple(map(_arg_key, values))
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = memo[key] = fn(*args, **kwargs)
+        return out
+    return memoized
+
+
+# ---------------------------------------------------------------------------
 # minimal free resolutions
 
 
@@ -287,7 +357,7 @@ def resolution(m: ModulePresentation, length: int) -> Resolution:
     mats = mm._res[:length]
     complete = mm._res_complete and length >= len(mm._res)
     if not mats:
-        return Resolution(mm, module_as_complex(qr, mm.gens), True, length)
+        return Resolution(mm, module_as_complex(qr, mm.gens), complete, length)
     cx = minimize_complex(from_resolution(qr, mats, complete))
     return Resolution(mm, cx, complete, len(mats))
 
@@ -454,6 +524,7 @@ class HomPresentation(ModulePresentation):
                          self.target_module, mat)
 
 
+@ring_memo
 def hom_modules(m: ModulePresentation, n: ModulePresentation) -> HomPresentation:
     """Presentation of Hom_R(M, N) as the kernel of the induced map
     Hom(F0, N) -> Hom(F1, N), with the universal pairing attached."""
@@ -502,6 +573,7 @@ def tensor_modules(m: ModulePresentation,
     return ModulePresentation(qr, rel)
 
 
+@ring_memo
 def ext_module(m: ModulePresentation, n: ModulePresentation, i: int,
                bound=None) -> ModulePresentation:
     """Ext^i_R(M, N) as the subquotient ker/im of Hom(F_i, N) maps along

@@ -20,7 +20,8 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, minimal_presentation, from_module,
                       syzygy, hom_modules, tensor_modules, ext_module,
-                      evaluation_map, homothety_map, homology_presentation)
+                      evaluation_map, homothety_map, homology_presentation,
+                      ring_memo)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
@@ -123,6 +124,7 @@ class SdcCertificate:
         return f"SdcCertificate({self.verdict()})"
 
 
+@ring_memo
 def semidualizing_certificate(c, bound: int) -> SdcCertificate:
     """Certify that the homothety map is an isomorphism and that all
     checkable self-Ext in nonzero degrees vanish."""

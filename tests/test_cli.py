@@ -293,6 +293,45 @@ def test_main_prime_one_is_input_error(tmp_path, capsys):
     assert "field:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", [-1, 0])
+def test_main_bound_below_one_is_input_error(tmp_path, capsys, bound):
+    # at bound -1 ext(k, k) used to report {}, and at 0 or -1 pd(k) over
+    # the dual numbers read finite-certified 0
+    path = tmp_path / "p.json"
+    for task in ({"op": "ext", "args": ["k", "k"], "bound": bound},
+                 {"op": "pd", "args": ["k"], "bound": bound}):
+        path.write_text(json.dumps(_dn_doc([task])))
+        assert main(["--input", str(path)]) == 2
+        assert f"task 0: bound must be at least 1, got {bound}" \
+            in capsys.readouterr().err
+    path.write_text(json.dumps(_dn_doc([{"op": "pd", "args": ["k"]}])))
+    assert main(["--input", str(path), "--bound", str(bound)]) == 2
+
+
+def _malformed(key, value):
+    doc = _dn_doc([])
+    if key == "weights":
+        doc["ring"]["weights"] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_malformed("weights", ["a"]), "ring: weights: expected an integer"),
+    (_malformed("modules", {"S": {"syzygy": ["M"]}}),
+     "module 'S': expected a two-element list"),
+    (_malformed("tasks", [5]), "task 0: expected an object"),
+    (_malformed("complexes", {"X": {"module": "k", "bound": 0}}),
+     "complex 'X': bound must be at least 1"),
+])
+def test_main_malformed_file_is_input_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_internal_fault_is_not_ok(tmp_path, capsys, monkeypatch):
     def broken(obj):
         raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")

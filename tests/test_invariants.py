@@ -174,6 +174,16 @@ def test_pd_residue_field_infinite_resolution():
     assert v.status == "unknown" and v.bound == 6
 
 
+def test_pd_not_certified_at_length_zero():
+    v = pd_verdict(residue_field(DN), 0)
+    assert not v.is_finite_certified()
+    # the cached resolution of a pd-1 module is complete, yet a length-0
+    # truncation of it must not read pd 0
+    m = ModulePresentation.cyclic(QuotientRing(P1, []), ["x"])
+    assert pd_verdict(m, 4).n == 1
+    assert not pd_verdict(m, 0).is_finite_certified()
+
+
 def test_id_gorenstein_ring():
     v = id_verdict(ModulePresentation.free(CI, [0]), 6)
     assert v.is_finite_certified() and v.n == 0

@@ -1,9 +1,13 @@
 """Presentations, resolutions, Hom/tensor/Ext, canonical modules and maps."""
 
+import gc
+import weakref
+
 import pytest
 
 from homcalc.field import PrimeField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix
+from homcalc import modules
 from homcalc.groebner import QuotientRing
 from homcalc.complexes import UncertifiedDegreeError
 from homcalc.modules import (
@@ -365,3 +369,77 @@ def test_homology_presentation_of_resolution():
     assert kdim(homology_presentation(X, 0)) == 1
     for i in (1, 2):
         assert homology_presentation(X, i).is_zero_module()
+
+
+# -- the ring memo ----------------------------------------------------------
+# Each test builds its own ring, so no entry is left over from another test.
+
+
+def test_memo_shares_equal_presentations(monkeypatch):
+    ring = QuotientRing(P2, ["x^2", "x*y", "y^2"])
+    first = ext_module(ModulePresentation.cyclic(ring, ["x"]),
+                       ModulePresentation.free(ring, [0]), 1)
+    calls = []
+    real = modules.kernel_matrix
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(modules, "kernel_matrix", counting)
+    again = ext_module(ModulePresentation.cyclic(ring, ["x"]),
+                       ModulePresentation.free(ring, [0]), 1)
+    assert again is first
+    assert calls == []
+    ext_module(ModulePresentation.cyclic(ring, ["x"]),
+               ModulePresentation.free(ring, [0]), 2)
+    assert calls    # a new index does reach kernel_matrix
+
+
+def test_memo_keyword_and_positional_calls_agree():
+    ring = QuotientRing(P1, ["x^2"])
+    k = ModulePresentation.residue_field(ring)
+    e = ext_module(k, k, 2, 4)
+    assert ext_module(k, k, 2, bound=4) is e
+    assert ext_module(k, n=k, i=2, bound=4) is e
+    assert ext_module(k, k, 2) is ext_module(k, k, 2, None)
+
+
+def test_memo_stores_no_failed_call():
+    ring = QuotientRing(P1, ["x^2"])
+    k = ModulePresentation.residue_field(ring)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ext_module(k, k, 5, bound=4)
+    assert ring.memo == {}
+    # k over k[x]/(x^3) keys like k here, yet must not hit this entry
+    ext_module(k, k, 1)
+    other = ModulePresentation.residue_field(QuotientRing(P1, ["x^3"]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different rings"):
+            ext_module(k, other, 1)
+
+
+def test_memo_is_per_ring():
+    r1, r2 = QuotientRing(P1, ["x^2"]), QuotientRing(P1, ["x^2"])
+    e1 = ext_module(ModulePresentation.residue_field(r1),
+                    ModulePresentation.free(r1, [0]), 0)
+    e2 = ext_module(ModulePresentation.residue_field(r2),
+                    ModulePresentation.free(r2, [0]), 0)
+    assert e1 is not e2
+    assert e1.ring is r1 and e2.ring is r2
+    assert len(r1.memo) == len(r2.memo) == 1
+
+
+def test_memo_dies_with_its_problem():
+    from homcalc.cli import build_problem, run_tasks
+    doc = {"field": {"prime": 7},
+           "ring": {"variables": ["x"], "relations": ["x^2"]},
+           "tasks": [{"op": "ext", "args": ["k", "k"], "bound": 2},
+                     {"op": "semidualizing", "args": ["R"], "bound": 2}]}
+    problem = build_problem(doc)
+    run_tasks(problem)
+    ref = weakref.ref(problem.qr)
+    del problem
+    gc.collect()
+    assert ref() is None
