@@ -51,7 +51,7 @@ from . import __version__
 from .field import PrimeField, RationalField
 from .ring import PolyRing, GradedFree, GradedMatrix, HomogeneityError
 from .groebner import NotArtinianError, QuotientRing
-from .complexes import (FreeComplex, ChainMap, module_as_complex,
+from .complexes import (ChainMap, module_as_complex,
                         shift_complex, direct_sum, cone,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, syzygy, canonical_module,
@@ -64,7 +64,7 @@ from .semidualizing import (NotSemidualizingError,
                             SdcCertificate, DualizingVerdict, GcdimVerdict,
                             MembershipVerdict, VerificationReport,
                             semidualizing_certificate, dualizing_verdict,
-                            gcdim_module, gcdim_complex, in_auslander_class,
+                            gcdim, in_auslander_class,
                             verify_type_formula, verify_dualizing_criteria,
                             verify_finite_injective_from_homology,
                             verify_ext_vanishing_descent,
@@ -130,6 +130,27 @@ def _bound(value, where):
     return b
 
 
+_EXPECTED = {dict: "an object", list: "a list", str: "a name"}
+
+
+def _expect(value, kind, where):
+    """value when it is an object (kind dict), a list (list; a tuple
+    also passes) or a name (str); else a located InputError."""
+    ok = isinstance(value, (list, tuple) if kind is list else kind)
+    if not ok:
+        raise InputError(f"{where}: expected {_EXPECTED[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def _ref(value, declared, where, what="name"):
+    """value when it is a name declared in `declared`; else a located
+    InputError."""
+    if _expect(value, str, where) not in declared:
+        raise InputError(f"{where}: undefined {what} '{value}'")
+    return value
+
+
 def _pair(payload, where):
     if not isinstance(payload, (list, tuple)) or len(payload) != 2:
         raise InputError(f"{where}: expected a two-element list, "
@@ -162,39 +183,42 @@ def _build_field(spec):
 
 
 def _build_module(qr, modules, name, spec):
+    where = f"module '{name}'"
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise InputError(f"module '{name}': expected a single-key form")
+        raise InputError(f"{where}: expected a single-key form")
     form, payload = next(iter(spec.items()))
     if form == "cyclic":
-        polys = [_parse_poly(qr, s, f"module '{name}'") for s in payload]
+        polys = [_parse_poly(qr, s, where)
+                 for s in _expect(payload, list, where)]
         return ModulePresentation.cyclic(qr, polys)
     if form == "free":
         return ModulePresentation.free(
-            qr, [_int(t, f"module '{name}'") for t in payload])
+            qr, [_int(t, where) for t in _expect(payload, list, where)])
     if form == "canonical":
         return canonical_module(qr)
     if form == "syzygy":
-        base, g = _pair(payload, f"module '{name}'")
-        if base not in modules:
-            raise InputError(f"module '{name}': undefined name '{base}'")
-        g = _int(g, f"module '{name}'")
+        base, g = _pair(payload, where)
+        _ref(base, modules, where)
+        g = _int(g, where)
         if g < 0:
-            raise InputError(f"module '{name}': syzygy index {g} is negative")
+            raise InputError(f"{where}: syzygy index {g} is negative")
         return syzygy(modules[base], g)
     if form == "presentation":
-        twists = [_int(t, f"module '{name}'") for t in payload["gens"]]
+        _expect(payload, dict, where)
+        twists = [_int(t, where)
+                  for t in _expect(payload.get("gens"), list, f"{where} gens")]
         gens = GradedFree.of(twists)
-        cols = payload["columns"]
+        cols = _expect(payload.get("columns"), list, f"{where} columns")
         entries, src = {}, []
         for j, col in enumerate(cols):
-            if len(col) != len(twists):
-                raise InputError(f"module '{name}': column {j} has "
+            if len(_expect(col, list, f"{where} column {j}")) != len(twists):
+                raise InputError(f"{where}: column {j} has "
                                  f"{len(col)} entries, expected {len(twists)}")
-            parsed = [(_parse_poly(qr, s, f"module '{name}' column {j}"), i)
+            parsed = [(_parse_poly(qr, s, f"{where} column {j}"), i)
                       for i, s in enumerate(col)]
             nz = [(p, i) for p, i in parsed if not p.is_zero()]
             if not nz:
-                raise InputError(f"module '{name}': column {j} is zero")
+                raise InputError(f"{where}: column {j} is zero")
             src.append(nz[0][0].degree() + twists[nz[0][1]])
             for p, i in nz:
                 entries[(i, j)] = p
@@ -202,16 +226,17 @@ def _build_module(qr, modules, name, spec):
         try:
             m.validate_homogeneous()
         except ValueError as e:
-            raise InputError(f"module '{name}': {e}") from None
+            raise InputError(f"{where}: {e}") from None
         return ModulePresentation(qr, m)
-    raise InputError(f"module '{name}': unknown form '{form}'")
+    raise InputError(f"{where}: unknown form '{form}'")
 
 
 def _build_map(qr, spec, name):
     if not isinstance(spec, dict) or "multiply" not in spec:
         raise InputError(f"map '{name}': expected {{\"multiply\": poly}}")
     p = _parse_poly(qr, spec["multiply"], f"map '{name}'")
-    twists = [_int(t, f"map '{name}'") for t in spec.get("twists", [0])]
+    twists = [_int(t, f"map '{name}'")
+              for t in _expect(spec.get("twists", [0]), list, f"map '{name}'")]
     d = p.degree() if not p.is_zero() else 0
     tgt = module_as_complex(qr, GradedFree.of(twists))
     srcf = GradedFree.of([t + d for t in twists])
@@ -223,31 +248,23 @@ def _build_map(qr, spec, name):
 
 
 def _build_complex(qr, modules, complexes, maps, name, spec, default_bound):
-    if not isinstance(spec, dict):
-        raise InputError(f"complex '{name}': expected an object")
+    where = f"complex '{name}'"
+    _expect(spec, dict, where)
     if "module" in spec:
-        base = spec["module"]
-        if base not in modules:
-            raise InputError(f"complex '{name}': undefined name '{base}'")
+        base = _ref(spec["module"], modules, where)
         return from_module(modules[base], _bound(
-            spec.get("bound", default_bound), f"complex '{name}'"))
+            spec.get("bound", default_bound), where))
     if "shift" in spec:
-        base, n = _pair(spec["shift"], f"complex '{name}'")
-        if base not in complexes:
-            raise InputError(f"complex '{name}': undefined name '{base}'")
-        return shift_complex(complexes[base], _int(n, f"complex '{name}'"))
+        base, n = _pair(spec["shift"], where)
+        return shift_complex(complexes[_ref(base, complexes, where)],
+                             _int(n, where))
     if "sum" in spec:
-        a, b = _pair(spec["sum"], f"complex '{name}'")
-        for ref in (a, b):
-            if ref not in complexes:
-                raise InputError(f"complex '{name}': undefined name '{ref}'")
-        return direct_sum(complexes[a], complexes[b])
+        a, b = _pair(spec["sum"], where)
+        return direct_sum(complexes[_ref(a, complexes, where)],
+                          complexes[_ref(b, complexes, where)])
     if "cone" in spec:
-        ref = spec["cone"]
-        if ref not in maps:
-            raise InputError(f"complex '{name}': undefined name '{ref}'")
-        return cone(maps[ref])
-    raise InputError(f"complex '{name}': unknown form {sorted(spec)}")
+        return cone(maps[_ref(spec["cone"], maps, where)])
+    raise InputError(f"{where}: unknown form {sorted(spec)}")
 
 
 def build_problem(doc: dict, field_override=None,
@@ -260,15 +277,17 @@ def build_problem(doc: dict, field_override=None,
     ring_spec = doc.get("ring")
     if not isinstance(ring_spec, dict) or "variables" not in ring_spec:
         raise InputError("ring: expected variables/weights/relations")
-    variables = [str(v) for v in ring_spec["variables"]]
+    variables = [str(v) for v in
+                 _expect(ring_spec["variables"], list, "ring: variables")]
     weights = [_int(w, "ring: weights")
-               for w in ring_spec.get("weights", [1] * len(variables))]
+               for w in _expect(ring_spec.get("weights", [1] * len(variables)),
+                                list, "ring: weights")]
     try:
         ambient = PolyRing(field, variables, weights=weights)
     except Exception as e:
         raise InputError(f"ring: {e}") from None
     rels = []
-    for s in ring_spec.get("relations", []):
+    for s in _expect(ring_spec.get("relations", []), list, "ring: relations"):
         # parse in the ambient ring: quotient reduction needs the ideal
         try:
             p = ambient.from_string(str(s))
@@ -281,23 +300,24 @@ def build_problem(doc: dict, field_override=None,
         rels.append(p)
     qr = QuotientRing(ambient, rels)
     modules = {"k": residue_field(qr), "R": ModulePresentation.free(qr, [0])}
-    for mname, spec in doc.get("modules", {}).items():
+    for mname, spec in _expect(doc.get("modules", {}), dict,
+                               "modules").items():
         modules[mname] = _build_module(qr, modules, mname, spec)
     maps = {}
-    for fname, spec in doc.get("maps", {}).items():
+    for fname, spec in _expect(doc.get("maps", {}), dict, "maps").items():
         maps[fname] = _build_map(qr, spec, fname)
     complexes = {}
-    for cname, spec in doc.get("complexes", {}).items():
+    for cname, spec in _expect(doc.get("complexes", {}), dict,
+                               "complexes").items():
         complexes[cname] = _build_complex(qr, modules, complexes, maps,
                                           cname, spec, default_bound)
     tasks = []
-    for idx, t in enumerate(doc.get("tasks", [])):
-        if not isinstance(t, dict):
-            raise InputError(f"task {idx}: expected an object, got {t!r}")
-        op = t.get("op")
+    for idx, t in enumerate(_expect(doc.get("tasks", []), list, "tasks")):
+        _expect(t, dict, f"task {idx}")
+        op = _expect(t.get("op"), str, f"task {idx} op")
         if op not in _OPS:
             raise InputError(f"task {idx}: unknown operation '{op}'")
-        args = list(t.get("args", []))
+        args = list(_expect(t.get("args", []), list, f"task {idx} args"))
         _OPS[op].check(modules, complexes, args, idx)
         bound = t.get("bound")
         tasks.append({"op": op, "args": args, "bound": None if bound is None
@@ -356,158 +376,81 @@ def _jsonable(x):
 
 
 class _Op:
-    __slots__ = ("run", "arity", "kinds")
+    """One row of the operation table.
 
-    def __init__(self, run, kinds):
-        self.run = run
+    fn names the function to call; it is looked up among this module's
+    globals at call time, so a rebinding of that name (say, by a tracer
+    or a test) is seen.  kinds gives each argument's kind: "obj" (a
+    module or a complex), "module", "complex", "mode" or "int".  shape
+    says what is done with the arguments and the result:
+      "verdict"  fn(*args, bound), serialized by _jsonable;
+      "value"    fn(*args) as a value;
+      "check"    fn(*args) against the trailing integer argument;
+      "dims"     fn(*args, 0, bound), a table of dimensions;
+      "body"     fn(*args, bound, rng), already a result.
+    """
+
+    __slots__ = ("fn", "kinds", "shape", "what")
+
+    def __init__(self, fn, kinds, shape="verdict", what=None):
+        self.fn = fn
         self.kinds = kinds
-        self.arity = len(kinds)
+        self.shape = shape
+        self.what = what
 
     def check(self, modules, complexes, args, idx):
-        if len(args) != self.arity:
-            raise InputError(f"task {idx}: expected {self.arity} argument(s), "
-                             f"got {len(args)}")
+        if len(args) != len(self.kinds):
+            raise InputError(f"task {idx}: expected {len(self.kinds)} "
+                             f"argument(s), got {len(args)}")
+        declared = {"obj": modules.keys() | complexes.keys(),
+                    "module": modules, "complex": complexes}
         for a, kind in zip(args, self.kinds):
-            if kind == "obj" and a not in modules and a not in complexes:
-                raise InputError(f"task {idx}: undefined name '{a}'")
-            if kind == "module" and a not in modules:
-                raise InputError(f"task {idx}: undefined module '{a}'")
+            if kind in declared:
+                _ref(a, declared[kind], f"task {idx}",
+                     "name" if kind == "obj" else kind)
             if kind == "mode" and a not in ("hom-MR", "hom-MM"):
                 raise InputError(f"task {idx}: unknown mode '{a}'")
             if kind == "int":
-                try:
-                    int(a)
-                except (TypeError, ValueError):
-                    raise InputError(f"task {idx}: expected an integer, "
-                                     f"got {a!r}") from None
+                _int(a, f"task {idx}")
+
+    def run(self, p, args, bound, rng):
+        vals = [_argument(p, kind, a) for kind, a in zip(self.kinds, args)]
+        fn = globals()[self.fn]
+        if self.shape == "value":
+            return {"kind": "value", "value": fn(*vals)}
+        if self.shape == "check":
+            *objs, expected = vals
+            value = fn(*objs)
+            return {"kind": "check", "what": self.what,
+                    "value": _jsonable(value), "expected": expected,
+                    "status": "PASS" if value == expected else "FAIL"}
+        if self.shape == "dims":
+            return {"kind": "dims", "values": _jsonable(fn(*vals, 0, bound))}
+        if self.shape == "body":
+            return fn(*vals, bound, rng)
+        return _jsonable(fn(*vals, bound))
 
 
-def _get(p, name):
-    return p.modules[name] if name in p.modules else p.complexes[name]
+def _argument(p, kind, a):
+    if kind == "obj":
+        return p.modules[a] if a in p.modules else p.complexes[a]
+    if kind == "module":
+        return p.modules[a]
+    if kind == "complex":
+        return p.complexes[a]
+    if kind == "int":
+        return int(a)
+    return a
 
 
-def _check(what, value, expected):
-    return {"kind": "check", "what": what, "value": _jsonable(value),
-            "expected": _jsonable(expected),
-            "status": "PASS" if value == expected else "FAIL"}
+def _hilbert(m, b, rng):
+    return {"kind": "series", "coefficients": m.hilbert_series().coeffs(0, b)}
 
 
-def _op_betti(p, a, b, rng):
-    return _jsonable(betti_table(_get(p, a[0]), b))
-
-
-def _op_bass(p, a, b, rng):
-    return _jsonable(bass_table(_get(p, a[0]), b))
-
-
-def _op_depth(p, a, b, rng):
-    return {"kind": "value", "value": depth(_get(p, a[0]))}
-
-
-def _op_dim(p, a, b, rng):
-    return {"kind": "value", "value": kdim_complex(_get(p, a[0]))}
-
-
-def _op_type(p, a, b, rng):
-    return {"kind": "value", "value": type_of(_get(p, a[0]))}
-
-
-def _op_nu(p, a, b, rng):
-    return {"kind": "value", "value": nu(p.modules[a[0]])}
-
-
-def _op_check_depth(p, a, b, rng):
-    return _check("depth", depth(_get(p, a[0])), int(a[1]))
-
-
-def _op_check_dim(p, a, b, rng):
-    return _check("dim", kdim_complex(_get(p, a[0])), int(a[1]))
-
-
-def _op_check_type(p, a, b, rng):
-    return _check("type", type_of(_get(p, a[0])), int(a[1]))
-
-
-def _op_hilbert(p, a, b, rng):
-    hs = p.modules[a[0]].hilbert_series()
-    return {"kind": "series", "coefficients": hs.coeffs(0, b)}
-
-
-def _op_pd(p, a, b, rng):
-    return _jsonable(pd_verdict(_get(p, a[0]), b))
-
-
-def _op_id(p, a, b, rng):
-    return _jsonable(id_verdict(_get(p, a[0]), b))
-
-
-def _op_ext(p, a, b, rng):
-    return {"kind": "dims", "values": _jsonable(
-        ext_dims(p.modules[a[0]], p.modules[a[1]], 0, b))}
-
-
-def _op_tor(p, a, b, rng):
-    return {"kind": "dims", "values": _jsonable(
-        tor_dims(p.modules[a[0]], p.modules[a[1]], 0, b))}
-
-
-def _op_gcdim(p, a, b, rng):
-    x, c = _get(p, a[0]), p.modules[a[1]]
-    if isinstance(x, ModulePresentation):
-        return _jsonable(gcdim_module(x, c, b))
-    return _jsonable(gcdim_complex(x, c, b))
-
-
-def _op_semidualizing(p, a, b, rng):
-    return _jsonable(semidualizing_certificate(_get(p, a[0]), b))
-
-
-def _op_dualizing(p, a, b, rng):
-    return _jsonable(dualizing_verdict(_get(p, a[0]), b))
-
-
-def _op_membership(p, a, b, rng):
-    return _jsonable(in_auslander_class(_get(p, a[0]), p.modules[a[1]], b))
-
-
-def _op_v_type(p, a, b, rng):
-    return _jsonable(verify_type_formula(_get(p, a[0]), _get(p, a[1]), b))
-
-
-def _op_v_dualizing(p, a, b, rng):
-    return _jsonable(verify_dualizing_criteria(_get(p, a[0]),
-                                               p.modules[a[1]], b))
-
-
-def _op_v_fin_inj(p, a, b, rng):
-    return _jsonable(verify_finite_injective_from_homology(
-        p.complexes[a[0]], b))
-
-
-def _op_v_descent(p, a, b, rng):
-    return _jsonable(verify_ext_vanishing_descent(p.modules[a[0]],
-                                                  p.modules[a[1]], b))
-
-
-def _op_v_ar(p, a, b, rng):
-    return _jsonable(verify_auslander_reiten(p.modules[a[0]], a[1], b))
-
-
-def _op_v_conv(p, a, b, rng):
-    return _jsonable(verify_betti_bass_convolution(_get(p, a[0]),
-                                                   _get(p, a[1]), b))
-
-
-def _op_v_gencount(p, a, b, rng):
-    return _jsonable(verify_generator_count_formula(p.modules[a[0]],
-                                                    p.modules[a[1]], b))
-
-
-def _op_shift_spot(p, a, b, rng):
+def _shift_spot(m, b, rng):
     """Seeded spot-check of the shift identities on a module's resolution
     complex: beta and mu indices translate with the shift, depth drops by
     it.  Comparison stays inside the intersection of certified windows."""
-    m = p.modules[a[0]]
     n = rng.choice([-2, -1, 1, 2])
     S = shift_complex(from_module(m, b + abs(n) + 2), n)
     bt_m = betti_table(m, b)
@@ -531,32 +474,37 @@ def _op_shift_spot(p, a, b, rng):
 
 
 _OPS = {
-    "betti": _Op(_op_betti, ("obj",)),
-    "bass": _Op(_op_bass, ("obj",)),
-    "depth": _Op(_op_depth, ("obj",)),
-    "dim": _Op(_op_dim, ("obj",)),
-    "type": _Op(_op_type, ("obj",)),
-    "nu": _Op(_op_nu, ("module",)),
-    "check-depth": _Op(_op_check_depth, ("obj", "int")),
-    "check-dim": _Op(_op_check_dim, ("obj", "int")),
-    "check-type": _Op(_op_check_type, ("obj", "int")),
-    "hilbert": _Op(_op_hilbert, ("module",)),
-    "pd": _Op(_op_pd, ("obj",)),
-    "id": _Op(_op_id, ("obj",)),
-    "ext": _Op(_op_ext, ("module", "module")),
-    "tor": _Op(_op_tor, ("module", "module")),
-    "gcdim": _Op(_op_gcdim, ("obj", "module")),
-    "semidualizing": _Op(_op_semidualizing, ("obj",)),
-    "dualizing": _Op(_op_dualizing, ("obj",)),
-    "auslander-membership": _Op(_op_membership, ("obj", "module")),
-    "verify-type-formula": _Op(_op_v_type, ("obj", "obj")),
-    "verify-dualizing-criteria": _Op(_op_v_dualizing, ("obj", "module")),
-    "verify-finite-injective": _Op(_op_v_fin_inj, ("obj",)),
-    "verify-descent": _Op(_op_v_descent, ("module", "module")),
-    "verify-auslander-reiten": _Op(_op_v_ar, ("module", "mode")),
-    "verify-convolution": _Op(_op_v_conv, ("obj", "obj")),
-    "verify-generator-count": _Op(_op_v_gencount, ("module", "module")),
-    "shift-identity-spot": _Op(_op_shift_spot, ("module",)),
+    "betti": _Op("betti_table", ("obj",)),
+    "bass": _Op("bass_table", ("obj",)),
+    "depth": _Op("depth", ("obj",), "value"),
+    "dim": _Op("kdim_complex", ("obj",), "value"),
+    "type": _Op("type_of", ("obj",), "value"),
+    "nu": _Op("nu", ("module",), "value"),
+    "check-depth": _Op("depth", ("obj", "int"), "check", "depth"),
+    "check-dim": _Op("kdim_complex", ("obj", "int"), "check", "dim"),
+    "check-type": _Op("type_of", ("obj", "int"), "check", "type"),
+    "hilbert": _Op("_hilbert", ("module",), "body"),
+    "pd": _Op("pd_verdict", ("obj",)),
+    "id": _Op("id_verdict", ("obj",)),
+    "ext": _Op("ext_dims", ("module", "module"), "dims"),
+    "tor": _Op("tor_dims", ("module", "module"), "dims"),
+    "gcdim": _Op("gcdim", ("obj", "module")),
+    "semidualizing": _Op("semidualizing_certificate", ("obj",)),
+    "dualizing": _Op("dualizing_verdict", ("obj",)),
+    "auslander-membership": _Op("in_auslander_class", ("obj", "module")),
+    "verify-type-formula": _Op("verify_type_formula", ("obj", "obj")),
+    "verify-dualizing-criteria": _Op("verify_dualizing_criteria",
+                                     ("obj", "module")),
+    "verify-finite-injective": _Op("verify_finite_injective_from_homology",
+                                   ("complex",)),
+    "verify-descent": _Op("verify_ext_vanishing_descent",
+                          ("module", "module")),
+    "verify-auslander-reiten": _Op("verify_auslander_reiten",
+                                   ("module", "mode")),
+    "verify-convolution": _Op("verify_betti_bass_convolution", ("obj", "obj")),
+    "verify-generator-count": _Op("verify_generator_count_formula",
+                                  ("module", "module")),
+    "shift-identity-spot": _Op("_shift_spot", ("module",), "body"),
 }
 
 

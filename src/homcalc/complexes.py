@@ -79,9 +79,6 @@ class TrustWindow:
     def contains(self, d) -> bool:
         return any(lo <= d <= hi for lo, hi in self.parts)
 
-    def contains_range(self, lo, hi) -> bool:
-        return any(plo <= lo and hi <= phi for plo, phi in self.parts)
-
     def shift(self, n) -> "TrustWindow":
         return TrustWindow([(lo + n, hi + n) for lo, hi in self.parts])
 
@@ -122,18 +119,6 @@ class TrustWindow:
             if hi < phi:
                 out.append((hi + 1, phi))
         return TrustWindow(out)
-
-    def prefix_top(self):
-        """Largest w with (-inf, w] inside the window; None if no such prefix."""
-        if not self.parts:
-            return None
-        lo, hi = self.parts[0]
-        if lo != NEG_INF:
-            return None
-        return hi
-
-    def is_all(self) -> bool:
-        return self.parts == ((NEG_INF, INF),)
 
     def __eq__(self, other):
         return isinstance(other, TrustWindow) and other.parts == self.parts

@@ -129,12 +129,3 @@ class RationalField:
 
     def __repr__(self):
         return "RationalField()"
-
-
-def field_from_spec(kind: str, p: int | None = None):
-    """Build a field from a problem-file spec: 'prime' (with p) or 'rational'."""
-    if kind == "prime":
-        return PrimeField(p if p is not None else DEFAULT_PRIME)
-    if kind == "rational":
-        return RationalField()
-    raise FieldError(f"unknown field kind {kind!r}")

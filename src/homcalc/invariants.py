@@ -16,7 +16,7 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       from_module, ext_module, homology_presentation,
-                      ring_memo)
+                      ring_memo, is_module, as_complex, resolved)
 
 
 class ZeroModuleError(ValueError):
@@ -35,10 +35,6 @@ def residue_field(qr: QuotientRing) -> ModulePresentation:
     ring's memo, so every caller gets one object whose resolution grows
     in place."""
     return minimal_presentation(ModulePresentation.residue_field(qr))
-
-
-def _is_module(x) -> bool:
-    return isinstance(x, ModulePresentation)
 
 
 def _mu(qr: QuotientRing, m: ModulePresentation, i: int) -> int:
@@ -126,7 +122,7 @@ class FinitenessVerdict:
 def betti_table(x, bound: int) -> InvariantTable:
     """beta_i = rank of the i-th term of the minimized resolution
     representative."""
-    if _is_module(x):
+    if is_module(x):
         res = resolution(x, bound)
         hi = bound if res.complete else bound - 1
         vals = {}
@@ -151,7 +147,7 @@ def betti_table(x, bound: int) -> InvariantTable:
 def bass_table(x, bound: int) -> InvariantTable:
     """mu^i = dim_k Ext^i(k, x), read from the module route for modules
     and from Hom(resolution of k, x) for complexes."""
-    if _is_module(x):
+    if is_module(x):
         qr = x.ring
         vals = {i: _mu(qr, x, i) for i in range(0, bound + 1)}
         return InvariantTable("bass", vals, (None, bound))
@@ -194,7 +190,7 @@ def _trusted_homology(x: FreeComplex):
 
 
 def inf_of(x) -> int:
-    if _is_module(x):
+    if is_module(x):
         if x.is_zero_module():
             raise ZeroModuleError("inf of the zero module")
         return 0
@@ -206,7 +202,7 @@ def inf_of(x) -> int:
 
 
 def sup_of(x) -> int:
-    if _is_module(x):
+    if is_module(x):
         if x.is_zero_module():
             raise ZeroModuleError("sup of the zero module")
         return 0
@@ -254,14 +250,14 @@ def _complex_bass_scan(x: FreeComplex):
 
 def depth(x) -> int:
     """Smallest i with mu^i != 0."""
-    if _is_module(x):
+    if is_module(x):
         return _module_depth(x)
     return _complex_bass_scan(x)[0]
 
 
 def kdim_complex(x) -> int:
     """Krull dimension: sup_i (dim H_i - i) over trusted homology."""
-    if _is_module(x):
+    if is_module(x):
         d = x.hilbert_series().dimension()
         if d < 0:
             raise ZeroModuleError("dimension of the zero module")
@@ -288,7 +284,7 @@ def nu(m: ModulePresentation) -> int:
 
 def type_of(x) -> int:
     """r(X) = mu^{depth X}."""
-    if _is_module(x):
+    if is_module(x):
         qr = x.ring
         return _mu(qr, x, _module_depth(x))
     return _complex_bass_scan(x)[1]
@@ -305,7 +301,7 @@ def is_cohen_macaulay(x) -> bool:
 def pd_verdict(x, bound: int) -> FinitenessVerdict:
     """Finite projective dimension is certified by a zero Betti number
     past sup: a minimal resolution that hits zero stays zero."""
-    if _is_module(x):
+    if is_module(x):
         res = resolution(x, bound)
         if res.complete:
             _, top = res.complex.term_range()
@@ -341,7 +337,7 @@ def id_verdict(x, bound: int, run_width=None) -> FinitenessVerdict:
     number past the depth is a certificate (Bass numbers have no gaps
     between depth and id).  For genuine complexes only a long zero run is
     reported, as FiniteLikely."""
-    if _is_module(x):
+    if is_module(x):
         qr = x.ring
         d = _module_depth(x)
         last = None
@@ -379,23 +375,15 @@ def id_verdict(x, bound: int, run_width=None) -> FinitenessVerdict:
 # Ext / Tor dimension tables and grade
 
 
-def _as_representative(x, bound: int) -> FreeComplex:
-    if _is_module(x):
-        return from_module(x, bound)
-    return resolve_complex(x, bound)
-
-
 def ext_dims(x, y, lo: int, hi: int) -> dict:
     """dim_k Ext^i(x, y) for lo <= i <= hi; exact within windows."""
-    if _is_module(x) and _is_module(y):
+    if is_module(x) and is_module(y):
         if lo < 0:
             raise ValueError("module Ext vanishes in negative degrees")
         return {i: minimal_presentation(ext_module(x, y, i)).k_dimension()
                 for i in range(lo, hi + 1)}
     b = hi + 4
-    P = _as_representative(x, b)
-    Y = _as_representative(y, b)
-    H = hom_complex(P, Y)
+    H = hom_complex(resolved(x, b), resolved(y, b))
     out = {}
     for i in range(lo, hi + 1):
         if not H.window.contains(-i):
@@ -404,12 +392,21 @@ def ext_dims(x, y, lo: int, hi: int) -> dict:
     return out
 
 
+def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
+    """Ext^e(x, c) as a presentation: by ext_module when both are
+    modules, else as the homology of Hom(resolution of x, c) at -e."""
+    if is_module(x) and is_module(c):
+        return ext_module(x, c, e)
+    H = hom_complex(resolved(x, bound), as_complex(c, bound))
+    if not H.window.contains(-e):
+        raise WindowInsufficientError(f"Ext^{e} outside window")
+    return homology_presentation(H, -e)
+
+
 def tor_dims(x, y, lo: int, hi: int) -> dict:
     """dim_k Tor_i(x, y) for lo <= i <= hi; exact within windows."""
     b = max(hi + 4, 4)
-    P = _as_representative(x, b)
-    Y = _as_representative(y, b)
-    T = tensor_complex(P, Y)
+    T = tensor_complex(resolved(x, b), resolved(y, b))
     out = {}
     for i in range(lo, hi + 1):
         if not T.window.contains(i):
@@ -420,14 +417,14 @@ def tor_dims(x, y, lo: int, hi: int) -> dict:
 
 def grade_wrt(x, c, bound: int) -> int:
     """gr_C(X) = inf { i : Ext^i(X, C) != 0 } = -sup RHom(X, C)."""
-    if _is_module(x) and _is_module(c):
+    if is_module(x) and is_module(c):
         for i in range(0, bound + 1):
             if not ext_module(x, c, i).is_zero_module():
                 return i
         raise WindowInsufficientError(
             f"no nonzero Ext against C through degree {bound}")
-    P = _as_representative(x, bound)
-    C = _as_representative(c, bound) if _is_module(c) else c
+    P = resolved(x, bound)
+    C = as_complex(c, bound)
     H = hom_complex(P, C)
     tlo, thi = H.term_range()
     t_start = thi

@@ -88,73 +88,3 @@ def rank(rows, field) -> int:
     if not rows or not rows[0]:
         return 0
     return len(rref(rows, field)[1])
-
-
-def nullspace(rows, field):
-    """Basis of the right nullspace of the matrix (list of vectors).
-
-    rows: m x n matrix; returns vectors v of length n with A v = 0,
-    one per free column, in column order (deterministic).
-    """
-    if not rows:
-        return []
-    n = len(rows[0])
-    if n == 0:
-        return []
-    red, pivots = rref(rows, field)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            # pivot row r: x_pc = -sum over free cols of red[r][fc]
-            val = red[r][fc]
-            if isinstance(field, PrimeField):
-                v[pc] = (-int(val)) % field.p
-            else:
-                v[pc] = field.neg(val)
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs, field):
-    """One solution of A x = b, or None if inconsistent.
-
-    rows: m x n, rhs: length m. Deterministic particular solution with
-    free variables set to zero.
-    """
-    if not rows:
-        return [] if all(field.is_zero(b) for b in rhs) else None
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    for r in range(len(red)):
-        lead = next((c for c in range(n + 1) if not field.is_zero(field.normalize(red[r][c]))), None)
-        if lead == n:
-            return None
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        if pc < n:
-            x[pc] = field.normalize(red[r][n])
-    return x
-
-
-def row_space_basis(rows, field):
-    """Rows of the RREF restricted to nonzero rows (a basis of the row space)."""
-    if not rows:
-        return []
-    red, pivots = rref(rows, field)
-    return [list(red[r]) for r in range(len(pivots))]
-
-
-def in_row_space(rows_rref, pivots, vec, field):
-    """Membership test against a precomputed RREF basis."""
-    v = [field.normalize(x) for x in vec]
-    for r, pc in enumerate(pivots):
-        if not field.is_zero(v[pc]):
-            f = v[pc]
-            row = rows_rref[r]
-            v = [field.sub(x, field.mul(f, field.normalize(y))) for x, y in zip(v, row)]
-    return all(field.is_zero(x) for x in v)

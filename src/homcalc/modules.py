@@ -25,7 +25,8 @@ from .groebner import (QuotientRing, kernel_matrix, lift_matrix,
                        vec_from_column, _padding_vectors, minimalize_monomials,
                        hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
-                        module_as_complex, zero_complex, UncertifiedDegreeError)
+                        module_as_complex, zero_complex, resolve_complex,
+                        UncertifiedDegreeError)
 
 
 class NotCohenMacaulayError(ValueError):
@@ -323,16 +324,6 @@ class Resolution:
                 f"Betti number {i} not certified at length {self.length}")
         return self.complex.term(i).rank
 
-    def graded_betti(self):
-        out = {}
-        lo, hi = self.complex.term_range()
-        for i in range(lo, hi + 1):
-            if not self.certified(i):
-                continue
-            for tw in self.complex.term(i).twists:
-                out[(i, tw)] = out.get((i, tw), 0) + 1
-        return out
-
     def differential(self, i: int) -> GradedMatrix:
         return self.complex.diff(i)
 
@@ -368,6 +359,21 @@ def from_module(m: ModulePresentation, bound: int) -> FreeComplex:
     if bound < 1:
         raise ValueError("resolution bound must be at least 1")
     return resolution(m, bound).complex
+
+
+def is_module(x) -> bool:
+    """Whether a module-or-complex argument is a module presentation."""
+    return isinstance(x, ModulePresentation)
+
+
+def as_complex(x, bound: int) -> FreeComplex:
+    """A module as its truncated resolution; a complex as itself."""
+    return from_module(x, bound) if is_module(x) else x
+
+
+def resolved(x, bound: int) -> FreeComplex:
+    """A free resolution truncated at `bound`, of a module or a complex."""
+    return from_module(x, bound) if is_module(x) else resolve_complex(x, bound)
 
 
 def syzygy(m: ModulePresentation, g: int) -> ModulePresentation:
@@ -627,15 +633,6 @@ class ModuleMap:
         kappa = self.kernel_generators()
         rels = _sub_rels(kappa, [self.source.relations])
         return ModulePresentation(self.source.ring, rels)
-
-    def cokernel_presentation(self) -> ModulePresentation:
-        qr = self.source.ring
-        mats = [m for m in (self.matrix, self.target.relations)
-                if m.source.rank]
-        if not mats:
-            return ModulePresentation(
-                qr, GradedMatrix.zero(qr, ZERO_FREE, self.target.gens))
-        return ModulePresentation(qr, hstack(qr, mats))
 
     def is_injective(self) -> bool:
         kappa = self.kernel_generators()

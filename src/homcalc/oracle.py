@@ -12,44 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .groebner import NotArtinianError, QuotientRing
+from .linalg import fp_rref
 from .modules import ModulePresentation
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra mod p; int64 is safe since p <= 32003 keeps every
-# intermediate product below 2^63
-
-
-def _rref(a, p):
-    """Row-reduce a copy of a mod p; returns (reduced rows, pivot columns)."""
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        piv.append(c)
-        r += 1
-    return a[:r], piv
+# exact linear algebra mod p, by linalg.fp_rref; int64 is safe since
+# p <= 32003 keeps every intermediate product below 2^63
 
 
 def _rank(a, p) -> int:
     if a.size == 0:
         return 0
-    return _rref(a, p)[0].shape[0]
+    return len(fp_rref(np.asarray(a, dtype=np.int64), p)[1])
 
 
 def _nullspace(a, p):
@@ -59,7 +34,7 @@ def _nullspace(a, p):
         return np.zeros((0, 0), dtype=np.int64)
     if rows == 0 or not a.any():
         return np.eye(cols, dtype=np.int64)
-    red, piv = _rref(a, p)
+    red, piv = fp_rref(np.asarray(a, dtype=np.int64), p)
     free = [c for c in range(cols) if c not in piv]
     out = np.zeros((cols, len(free)), dtype=np.int64)
     for j, fc in enumerate(free):

@@ -258,21 +258,6 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Ring arithmetic with explicit op name ('add', 'sub', 'mul').
-
-    Raises MixedRingError when the operands disagree on the ring.
-    """
-    _check_same_ring(a, b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
@@ -515,12 +500,6 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def transpose_dual(self) -> "GradedMatrix":
-        """Matrix of Hom(-, R): swaps source/target and negates twists."""
-        src = GradedFree(self.target.rank, tuple(-t for t in self.target.twists))
-        tgt = GradedFree(self.source.rank, tuple(-t for t in self.source.twists))
-        return GradedMatrix(self.ring, src, tgt, {(j, i): p for (i, j), p in self.entries.items()})
-
     # algebra --------------------------------------------------------------
 
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
@@ -591,20 +570,6 @@ class GradedMatrix:
     def __repr__(self):
         return (f"GradedMatrix({self.target.rank}x{self.source.rank}, "
                 f"{len(self.entries)} entries)")
-
-
-def block_diagonal(ring, blocks):
-    """Block diagonal matrix from a list of GradedMatrix."""
-    src_tw, tgt_tw, entries = [], [], {}
-    ri = ci = 0
-    for b in blocks:
-        for (i, j), p in b.entries.items():
-            entries[(ri + i, ci + j)] = p
-        src_tw.extend(b.source.twists)
-        tgt_tw.extend(b.target.twists)
-        ri += b.target.rank
-        ci += b.source.rank
-    return GradedMatrix(ring, GradedFree.of(src_tw), GradedFree.of(tgt_tw), entries)
 
 
 def hstack(ring, mats):

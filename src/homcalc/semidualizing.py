@@ -21,11 +21,12 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
 from .modules import (ModulePresentation, minimal_presentation, from_module,
                       syzygy, hom_modules, tensor_modules, ext_module,
                       evaluation_map, homothety_map, homology_presentation,
-                      ring_memo)
+                      ring_memo, is_module, as_complex, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
-                         amplitude, ZeroModuleError, WindowInsufficientError)
+                         amplitude, ext_presentation, ZeroModuleError,
+                         WindowInsufficientError)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -37,30 +38,12 @@ class NotSemidualizingError(ValueError):
     """The coefficient object failed its semidualizing certificate."""
 
 
-def _is_module(x) -> bool:
-    return isinstance(x, ModulePresentation)
-
-
 def _ring_module(qr: QuotientRing) -> ModulePresentation:
     return ModulePresentation.free(qr, [0])
 
 
 def _ring_depth(qr: QuotientRing) -> int:
     return depth(_ring_module(qr))
-
-
-def _rep(x, bound: int) -> FreeComplex:
-    """Free-complex representative: resolve modules, pass complexes."""
-    if _is_module(x):
-        return from_module(x, bound)
-    return x
-
-
-def _resolved(x, bound: int) -> FreeComplex:
-    from .complexes import resolve_complex
-    if _is_module(x):
-        return from_module(x, bound)
-    return resolve_complex(x, bound)
 
 
 def _scan_up(H: FreeComplex):
@@ -128,7 +111,7 @@ class SdcCertificate:
 def semidualizing_certificate(c, bound: int) -> SdcCertificate:
     """Certify that the homothety map is an isomorphism and that all
     checkable self-Ext in nonzero degrees vanish."""
-    if _is_module(c):
+    if is_module(c):
         hok = homothety_map(c).is_isomorphism()
         bad = None
         for i in range(1, bound + 1):
@@ -183,10 +166,8 @@ def dualizing_verdict(c, bound: int) -> DualizingVerdict:
     idv = id_verdict(c, bound)
     gk = None
     if cert.ok:
-        if _is_module(c):
-            gk = gcdim_module(residue_field(qr), c, bound)
-        else:
-            gk = gcdim_complex(from_module(residue_field(qr), bound), c, bound)
+        k = residue_field(qr)
+        gk = gcdim(k if is_module(c) else from_module(k, bound), c, bound)
     if not cert.ok:
         return DualizingVerdict(False, cert.verdict(), cert, idv.status, gk)
     if not idv.is_finite_certified():
@@ -281,8 +262,8 @@ def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
     trivial in the window."""
     _require_semidualizing(c, bound)
     qr = z.ring
-    P = _resolved(z, bound)
-    C = _rep(c, bound)
+    P = resolved(z, bound)
+    C = as_complex(c, bound)
     delta = biduality_rep(P, C, bound)
     ok, t = _cone_clear(cone(delta))
     if not ok:
@@ -294,8 +275,7 @@ def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
         return GcdimVerdict.uncertified(bound, "RHom window bottom untrusted")
     if inf_rhom is None:
         return GcdimVerdict.uncertified(bound, "RHom has no homology in window")
-    inf_c = 0 if _is_module(c) else inf_of(c)
-    g = inf_c - inf_rhom
+    g = inf_of(c) - inf_rhom
     dr = _ring_depth(qr)
     dz = depth(z)
     dc = depth(c)
@@ -306,6 +286,14 @@ def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
         raise RuntimeError(
             f"inf RHom {inf_rhom} violates the depth difference {dz} - {dc}")
     return GcdimVerdict.finite(g, bound, inf_rhom)
+
+
+def gcdim(x, c, bound: int) -> GcdimVerdict:
+    """G-dimension by the module route when both arguments are modules,
+    else by the complex route."""
+    if is_module(x) and is_module(c):
+        return gcdim_module(x, c, bound)
+    return gcdim_complex(x, c, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +320,8 @@ def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
     in the window and the derived tensor with C stays homologically
     bounded there."""
     _require_semidualizing(c, bound)
-    F = _resolved(x, bound)
-    Pc = _rep(c, bound)
+    F = resolved(x, bound)
+    Pc = as_complex(c, bound)
     gamma = gamma_rep(F, Pc)
     ok, t = _cone_clear(cone(gamma))
     if not ok:
@@ -356,15 +344,6 @@ def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
                 "uncertified",
                 f"tensor homology reaches the window top at {top}", bound)
     return MembershipVerdict("member", "", bound)
-
-
-def is_g_perfect(m: ModulePresentation, c: ModulePresentation,
-                 bound: int) -> bool:
-    """Grade equals G-dimension."""
-    v = gcdim_module(m, c, bound)
-    if not v.is_finite():
-        raise ValueError(f"G-dimension not certified finite: {v}")
-    return grade_wrt(m, c, bound) == v.g
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +376,28 @@ def _conclude(hyps, conclusion_ok, windows_ok=True):
     return PASS if conclusion_ok else FAIL
 
 
+def _coefficient_unmet(name, hyps, c, bound):
+    """The HYPOTHESES-NOT-MET report of a verifier whose coefficient C
+    fails its semidualizing certificate; None when C passes."""
+    cert = semidualizing_certificate(c, bound)
+    if cert.ok:
+        return None
+    hyps["semidualizing"] = "failed"
+    return VerificationReport(name, hyps, None, None, HYPOTHESES_NOT_MET,
+                              bound, [cert.verdict()])
+
+
+def _gcdim_unmet(name, hyps, v, bound):
+    """The HYPOTHESES-NOT-MET report of a verifier that needs a finite
+    G-dimension when the verdict v is not finite; None when it is."""
+    if v.is_finite():
+        return None
+    hyps["finite-gcdim"] = \
+        "failed" if v.status == "infinite" else "uncertified"
+    return VerificationReport(name, hyps, None, None, HYPOTHESES_NOT_MET,
+                              bound, [repr(v)])
+
+
 def _window_guarded(fn):
     """Convert window shortfalls inside a verifier into an UNCERTIFIED
     report instead of an exception; a truncated computation must never
@@ -421,37 +422,17 @@ def verify_type_formula(z, c, bound: int) -> VerificationReport:
     """type(Z) = nu(Ext^{g - inf C}(Z, C)) * mu^{depth C}(C) whenever the
     G-dimension of Z with respect to C is finite."""
     name = "type-formula"
-    qr = z.ring
     hyps = {"semidualizing": "met", "finite-gcdim": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, [cert.verdict()])
-    if _is_module(z) and _is_module(c):
-        v = gcdim_module(z, c, bound)
-    else:
-        v = gcdim_complex(z, c, bound)
-    if not v.is_finite():
-        hyps["finite-gcdim"] = \
-            "failed" if v.status == "infinite" else "uncertified"
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, [repr(v)])
+    if unmet := _coefficient_unmet(name, hyps, c, bound):
+        return unmet
+    v = gcdim(z, c, bound)
+    if unmet := _gcdim_unmet(name, hyps, v, bound):
+        return unmet
     g = v.g
-    inf_c = 0 if _is_module(c) else inf_of(c)
-    e = g - inf_c
+    e = g - inf_of(c)
     left = type_of(z)
-    if _is_module(z) and _is_module(c):
-        ext = ext_module(z, c, e)
-    else:
-        P = _resolved(z, bound)
-        H = hom_complex(P, _rep(c, bound))
-        if not H.window.contains(-e):
-            return VerificationReport(name, hyps, left, None, UNCERTIFIED,
-                                      bound, [f"Ext^{e} outside window"])
-        ext = homology_presentation(H, -e)
     try:
-        nu_ext = nu(ext)
+        nu_ext = nu(ext_presentation(z, c, e, bound))
     except ZeroModuleError:
         nu_ext = 0
     mu_c = type_of(c)
@@ -473,33 +454,16 @@ def verify_dualizing_criteria(x, c, bound: int) -> VerificationReport:
     hyps = {"semidualizing": "met", "cohen-macaulay": "met",
             "finite-gcdim": "met", "type-bound": "met",
             "amplitude-zero-or-dimension-equality": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, [cert.verdict()])
+    if unmet := _coefficient_unmet(name, hyps, c, bound):
+        return unmet
     if not is_cohen_macaulay(x):
         hyps["cohen-macaulay"] = "failed"
-    if _is_module(x) and _is_module(c):
-        v = gcdim_module(x, c, bound)
-    else:
-        v = gcdim_complex(x, c, bound)
-    if not v.is_finite():
-        hyps["finite-gcdim"] = \
-            "failed" if v.status == "infinite" else "uncertified"
-        notes.append(repr(v))
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, notes)
-    g = v.g
-    inf_c = 0 if _is_module(c) else inf_of(c)
-    e = g - inf_c
-    if _is_module(x) and _is_module(c):
-        ext = ext_module(x, c, e)
-    else:
-        H = hom_complex(_resolved(x, bound), _rep(c, bound))
-        ext = homology_presentation(H, -e)
+    v = gcdim(x, c, bound)
+    if unmet := _gcdim_unmet(name, hyps, v, bound):
+        return unmet
+    e = v.g - inf_of(c)
     try:
-        nu_ext = nu(ext)
+        nu_ext = nu(ext_presentation(x, c, e, bound))
     except ZeroModuleError:
         nu_ext = 0
     r_x = type_of(x)
@@ -684,13 +648,10 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     name = "betti-bass-convolution"
     notes = []
     hyps = {"semidualizing": "met", "finite-id-of-tensor": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, [cert.verdict()])
-    Pc = _rep(c, bound)
-    Fx = _resolved(x, bound)
+    if unmet := _coefficient_unmet(name, hyps, c, bound):
+        return unmet
+    Pc = as_complex(c, bound)
+    Fx = resolved(x, bound)
     T = tensor_complex(Pc, Fx)
     # locate trusted homology of the tensor
     hs = []
@@ -757,16 +718,13 @@ def verify_generator_count_formula(m: ModulePresentation,
     C-flatness (Tor vanishing) and finite injective dimension of the
     tensor; generator count 1 additionally forces C dualizing."""
     name = "generator-count-formula"
-    if not _is_module(c):
+    if not is_module(c):
         raise ValueError("the coefficient must be a module presentation")
     notes = []
     hyps = {"semidualizing": "met", "tor-vanishes": "met",
             "finite-id-of-tensor": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, [cert.verdict()])
+    if unmet := _coefficient_unmet(name, hyps, c, bound):
+        return unmet
     td = tor_dims(c, m, 1, bound)
     bad = [i for i, v in td.items() if v]
     if bad:

@@ -310,8 +310,8 @@ def test_main_bound_below_one_is_input_error(tmp_path, capsys, bound):
 
 def _malformed(key, value):
     doc = _dn_doc([])
-    if key == "weights":
-        doc["ring"]["weights"] = value
+    if key in ("variables", "weights", "relations"):
+        doc["ring"][key] = value
     else:
         doc[key] = value
     return doc
@@ -324,12 +324,53 @@ def _malformed(key, value):
     (_malformed("tasks", [5]), "task 0: expected an object"),
     (_malformed("complexes", {"X": {"module": "k", "bound": 0}}),
      "complex 'X': bound must be at least 1"),
+    (_malformed("modules", []), "modules: expected an object"),
+    (_malformed("maps", []), "maps: expected an object"),
+    (_malformed("complexes", []), "complexes: expected an object"),
+    (_malformed("relations", 5), "ring: relations: expected a list"),
+    (_malformed("variables", 5), "ring: variables: expected a list"),
+    (_malformed("weights", 5), "ring: weights: expected a list"),
+    (_malformed("modules", {"M": {"cyclic": 5}}),
+     "module 'M': expected a list"),
+    (_malformed("modules", {"M": {"free": 5}}),
+     "module 'M': expected a list"),
+    (_malformed("modules", {"P": {"presentation": {"columns": []}}}),
+     "module 'P' gens: expected a list, got None"),
+    (_malformed("modules", {"P": {"presentation": {"gens": [0],
+                                                   "columns": 5}}}),
+     "module 'P' columns: expected a list"),
+    (_malformed("maps", {"f": {"multiply": "x", "twists": 3}}),
+     "map 'f': expected a list"),
+    (_malformed("tasks", [{"op": "betti", "args": 5}]),
+     "task 0 args: expected a list"),
+    (_malformed("tasks", [{"op": "ext", "args": "kk"}]),
+     "task 0 args: expected a list, got 'kk'"),
+    (_malformed("tasks", [{"op": ["betti"], "args": ["k"]}]),
+     "task 0 op: expected a name"),
+    (_malformed("modules", {"S": {"syzygy": [["k"], 1]}}),
+     "module 'S': expected a name"),
+    (_malformed("complexes", {"X": {"module": ["k"]}}),
+     "complex 'X': expected a name"),
+    (_malformed("tasks", [{"op": "betti", "args": [["k"]]}]),
+     "task 0: expected a name"),
 ])
 def test_main_malformed_file_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
     assert main(["--input", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_complex_argument_kind_is_checked(tmp_path, capsys):
+    # verify-finite-injective takes a complex; a module name used to end
+    # in KeyError: 'k' and exit 3
+    doc = _dn_doc([{"op": "verify-finite-injective", "args": ["k"]}])
+    with pytest.raises(InputError, match="task 0: undefined complex 'k'"):
+        build_problem(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 2
+    assert "task 0: undefined complex 'k'" in capsys.readouterr().err
 
 
 def test_internal_fault_is_not_ok(tmp_path, capsys, monkeypatch):

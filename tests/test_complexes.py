@@ -31,11 +31,17 @@ def kres(qr, B, complete=False):
 
 # -- trust windows ----------------------------------------------------------
 
+
+def _covers(w, lo, hi):
+    """Whether every degree in [lo, hi] is trusted."""
+    return all(w.contains(d) for d in range(lo, hi + 1))
+
+
 def test_window_merge_and_contains():
     w = TrustWindow([(0, 2), (3, 5), (9, 9)])
     assert w.parts == ((0, 5), (9, 9))
     assert w.contains(4) and w.contains(9) and not w.contains(7)
-    assert w.contains_range(1, 5) and not w.contains_range(4, 9)
+    assert _covers(w, 1, 5) and not _covers(w, 4, 9)
 
 
 def test_window_complement_roundtrip():
@@ -43,7 +49,7 @@ def test_window_complement_roundtrip():
     c = w.complement()
     assert c.parts == ((3, 4), (8, INF))
     assert c.complement() == w
-    assert TrustWindow.empty().complement().is_all()
+    assert TrustWindow.empty().complement() == TrustWindow.all()
 
 
 def test_window_set_algebra():
@@ -54,12 +60,6 @@ def test_window_set_algebra():
     assert a.minus_band(3, 7).parts == ((0, 2), (8, 10))
     assert a.minus_band(-5, 50).parts == ()
     assert a.shift(2).parts == ((2, 12),)
-
-
-def test_window_prefix_top():
-    assert TrustWindow.all().prefix_top() == INF
-    assert TrustWindow([(NEG_INF, 4), (6, INF)]).prefix_top() == 4
-    assert TrustWindow([(0, 4)]).prefix_top() is None
 
 
 # -- construction and validation --------------------------------------------
@@ -167,7 +167,7 @@ def test_hom_complete_resolution_full_window():
     # Hom(R-res, R-res) is fully trusted
     free = module_as_complex(DN, GradedFree.of([0]))
     H = hom_complex(free, free)
-    assert H.window.is_all()
+    assert H.window == TrustWindow.all()
     assert artinian_homology_dims(H, 0) == 2  # dim_k R = 2
 
 
@@ -192,7 +192,7 @@ def test_hom_unproven_floor_collapses_window():
     ok = FreeComplex(DN, dict(Pk.terms), dict(Pk.diffs),
                      TrustWindow([(0, 2)]), 0, 0, complete=False)
     H2 = hom_complex(ok, module_as_complex(DN, GradedFree.of([0])))
-    assert H2.window.contains_range(-2, 0)
+    assert _covers(H2.window, -2, 0)
 
 
 def test_index_layouts_match_ranks():
@@ -382,7 +382,7 @@ def test_family_memoizes_and_windows_grow():
     assert fam.realize(3) is a
     w3 = fam.realize(3).window
     w5 = fam.realize(5).window
-    assert w3.contains_range(-10, 2) and w5.contains_range(-10, 4)
+    assert _covers(w3, -10, 2) and _covers(w5, -10, 4)
 
 
 def test_family_hom_window_stability():

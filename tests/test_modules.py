@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from homcalc.field import PrimeField
-from homcalc.ring import PolyRing, GradedFree, GradedMatrix
+from homcalc.ring import PolyRing, GradedFree, GradedMatrix, hstack
 from homcalc import modules
 from homcalc.groebner import QuotientRing
 from homcalc.complexes import UncertifiedDegreeError
@@ -101,7 +101,12 @@ def test_graded_betti_koszul():
     k = ModulePresentation.residue_field(S2)
     res = resolution(k, 5)
     assert res.complete
-    assert res.graded_betti() == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
+    graded = {}
+    lo, hi = res.complex.term_range()
+    for i in range(lo, hi + 1):
+        for tw in res.complex.term(i).twists:
+            graded[(i, tw)] = graded.get((i, tw), 0) + 1
+    assert graded == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     assert res.betti(7) == 0
 
 
@@ -122,7 +127,7 @@ def test_resolution_cache_extends():
 def test_from_module_window():
     k = ModulePresentation.residue_field(DN)
     X = from_module(k, 4)
-    assert X.window.contains_range(-5, 3)
+    assert all(X.window.contains(d) for d in range(-5, 4))
     assert not X.window.contains(4)
     assert X.term(2).twists == (2,)
 
@@ -267,7 +272,8 @@ def test_map_kernel_cokernel():
     x.validate()
     assert not x.is_injective() and not x.is_surjective()
     assert kdim(x.kernel_presentation()) == 1
-    assert kdim(x.cokernel_presentation()) == 1
+    coker = ModulePresentation(DN, hstack(DN, [x.matrix, r.relations]))
+    assert kdim(coker) == 1
 
 
 def test_map_must_respect_relations():

@@ -11,10 +11,13 @@ from homcalc.complexes import (module_as_complex, shift_complex, direct_sum,
                                cone, ChainMap)
 from homcalc.modules import (ModulePresentation, canonical_module,
                              from_module, minimal_presentation)
-from homcalc.invariants import residue_field, depth, ZeroModuleError
+from homcalc.invariants import (residue_field, depth, grade_wrt,
+                                ext_presentation, ZeroModuleError,
+                                WindowInsufficientError)
 from homcalc.semidualizing import (
-    semidualizing_certificate, dualizing_verdict, gcdim_module, gcdim_complex,
-    in_auslander_class, is_g_perfect, verify_type_formula,
+    semidualizing_certificate, dualizing_verdict, gcdim, gcdim_module,
+    gcdim_complex,
+    in_auslander_class, verify_type_formula,
     verify_dualizing_criteria, verify_finite_injective_from_homology,
     verify_ext_vanishing_descent, verify_auslander_reiten,
     verify_betti_bass_convolution, verify_generator_count_formula,
@@ -186,6 +189,70 @@ def test_gcdim_routes_agree():
         assert vm.g == vc.g
 
 
+def _fields(v):
+    return v.status, v.g, v.witness, v.bound, v.inf_rhom
+
+
+def test_gcdim_dispatch_takes_each_route():
+    # two modules take the module route; a complex argument on either
+    # side takes the complex route
+    pairs = [(ModulePresentation.cyclic(HY, ["x"]), R_HY),
+             (residue_field(DN), R_DN)]
+    for m, c in pairs:
+        assert _fields(gcdim(m, c, 5)) == _fields(gcdim_module(m, c, 5))
+        z = from_module(m, 5)
+        assert _fields(gcdim(z, c, 5)) == _fields(gcdim_complex(z, c, 5))
+        cx = from_module(c, 5)
+        assert _fields(gcdim(m, cx, 5)) == _fields(gcdim_complex(m, cx, 5))
+
+
+def test_ext_presentation_routes_and_window():
+    k = residue_field(DN)
+    z = from_module(k, 3)
+    for e in range(3):
+        via_complex = minimal_presentation(ext_presentation(z, R_DN, e, 3))
+        via_module = minimal_presentation(ext_presentation(k, R_DN, e, 3))
+        assert via_complex.gens.rank == via_module.gens.rank
+    # Hom(resolution of k truncated at 3, R) is trusted only down to -2
+    for e in (3, 5):
+        with pytest.raises(WindowInsufficientError, match=f"Ext\\^{e} outside"):
+            ext_presentation(z, R_DN, e, 3)
+
+
+# -- complex-route truncation defects, recorded unfixed ---------------------
+
+S_PLANE = QuotientRing(PolyRing(PrimeField(32003), ["x", "y"]), [])
+R_PLANE = ModulePresentation.free(S_PLANE, [0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the complex route decides 'infinite' from a "
+                          "biduality cone truncated at bound 2")
+def test_gcdim_truncated_resolution_of_k_not_infinite():
+    # every G-dimension over a regular ring is finite; at bound 3 the
+    # complex route and at bound 2 the module route both read g = 2
+    k2 = from_module(residue_field(S_PLANE), 2)
+    assert gcdim(k2, R_PLANE, 2).status != "infinite"
+    rep = verify_type_formula(k2, R_PLANE, 2)
+    assert rep.hypotheses.get("finite-gcdim") != "failed"
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="resolve_complex at bound 1 trusts only degrees "
+                          "<= 0, so _scan_up skips the untrusted degree -1 "
+                          "and certifies inf RHom = 0")
+def test_gcdim_cone_at_bound_one_is_no_internal_fault():
+    x = DN.from_string("x")
+    mult = ChainMap(module_as_complex(DN, GradedFree.of([1])),
+                    module_as_complex(DN, GradedFree.of([0])),
+                    {0: GradedMatrix(DN, GradedFree.of([1]),
+                                     GradedFree.of([0]), {(0, 0): x})})
+    cn = cone(mult)
+    v = gcdim(cn, R_DN, 1)     # bound 2 reads finite g = 1
+    assert v.status == "uncertified" or (v.is_finite() and v.g == 1)
+    assert verify_type_formula(cn, R_DN, 1).verdict in (PASS, UNCERTIFIED)
+
+
 # -- Auslander class --------------------------------------------------------
 
 def test_auslander_ring_is_member():
@@ -215,6 +282,15 @@ def test_auslander_k_over_gorenstein_member():
 
 
 # -- G-perfection -----------------------------------------------------------
+
+
+def is_g_perfect(m, c, bound):
+    """Grade equals G-dimension."""
+    v = gcdim_module(m, c, bound)
+    if not v.is_finite():
+        raise ValueError(f"G-dimension not certified finite: {v}")
+    return grade_wrt(m, c, bound) == v.g
+
 
 def test_g_perfect_fixtures():
     assert is_g_perfect(ModulePresentation.cyclic(HY, ["x + y"]), R_HY, 4)
