@@ -1016,34 +1016,3 @@ def gamma_rep(F: FreeComplex, Pc: FreeComplex) -> ChainMap:
         if not m.is_zero():
             comps[v] = m
     return ChainMap(F, H, comps)
-
-
-# ---------------------------------------------------------------------------
-# bound-parametrized families
-
-
-class ComplexFamily:
-    """Thunk producing representatives at increasing resolution bounds.
-
-    realize(bound) is memoized; window stability checks re-realize at a
-    higher bound and compare trusted homology.
-    """
-
-    __slots__ = ("_fn", "_cache", "name")
-
-    def __init__(self, fn, name=""):
-        self._fn = fn
-        self._cache = {}
-        self.name = name
-
-    def realize(self, bound: int) -> FreeComplex:
-        if bound not in self._cache:
-            self._cache[bound] = self._fn(bound)
-        return self._cache[bound]
-
-    def map(self, op, name=""):
-        return ComplexFamily(lambda b: op(self.realize(b)), name or self.name)
-
-
-def family_hom(P: ComplexFamily, Y: ComplexFamily, name="") -> ComplexFamily:
-    return ComplexFamily(lambda b: hom_complex(P.realize(b), Y.realize(b)), name)

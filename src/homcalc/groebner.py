@@ -520,7 +520,8 @@ def syzygy_generators(inputs, ring: PolyRing, order):
 
 
 class NotArtinianError(ValueError):
-    """A computation that needs a finite-dimensional ring got another."""
+    """A computation that needs a finite-dimensional ring or module (finite
+    length over k) got one of positive dimension."""
 
 
 class QuotientRing:

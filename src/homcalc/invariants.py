@@ -32,8 +32,7 @@ _HARD_CAP = 64
 @ring_memo
 def residue_field(qr: QuotientRing) -> ModulePresentation:
     """The residue field k = R/m, minimally presented.  It is kept in the
-    ring's memo, so every caller gets one object whose resolution grows
-    in place."""
+    ring's memo, so every caller gets the same object."""
     return minimal_presentation(ModulePresentation.residue_field(qr))
 
 

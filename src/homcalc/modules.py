@@ -20,10 +20,10 @@ import functools
 import inspect
 
 from .ring import GradedFree, GradedMatrix, ZERO_FREE, hstack
-from .groebner import (QuotientRing, kernel_matrix, lift_matrix,
-                       interreduce_columns, reduced_gb, TermOverPosition,
-                       vec_from_column, _padding_vectors, minimalize_monomials,
-                       hilbert_numerator, HilbertSeries)
+from .groebner import (QuotientRing, NotArtinianError, kernel_matrix,
+                       lift_matrix, interreduce_columns, reduced_gb,
+                       TermOverPosition, vec_from_column, _padding_vectors,
+                       minimalize_monomials, hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
                         module_as_complex, zero_complex, resolve_complex,
                         UncertifiedDegreeError)
@@ -46,8 +46,7 @@ class ModulePresentation:
     generators by graded Nakayama.
     """
 
-    __slots__ = ("ring", "gens", "relations", "minimal",
-                 "_min", "_leads", "_hs", "_res", "_res_complete", "_key")
+    __slots__ = ("ring", "gens", "relations", "minimal", "_key")
 
     def __init__(self, ring: QuotientRing, relations: GradedMatrix,
                  minimal=False):
@@ -56,11 +55,6 @@ class ModulePresentation:
         self.gens = relations.target
         self.relations.validate_homogeneous()
         self.minimal = minimal
-        self._min = None
-        self._leads = None
-        self._hs = None
-        self._res = None
-        self._res_complete = False
         self._key = None
 
     # -- constructors ------------------------------------------------------
@@ -105,36 +99,14 @@ class ModulePresentation:
     def is_zero_module(self) -> bool:
         return minimal_presentation(self).gens.rank == 0
 
-    def _component_leads(self):
-        """Per-generator lead ideals of relations + ring ideal padding."""
-        if self._leads is None:
-            qr = self.ring
-            P = qr.ambient
-            cols = [vec_from_column(c, P) for c in self.relations.columns()]
-            pads = _padding_vectors(qr, self.gens.rank)
-            gb = reduced_gb(cols + pads, P,
-                            TermOverPosition(P, self.gens.twists))
-            per = [[] for _ in range(self.gens.rank)]
-            for (comp, e), _ in gb.leads:
-                per[comp].append(e)
-            self._leads = [minimalize_monomials(es, P) for es in per]
-        return self._leads
-
     def hilbert_series(self) -> HilbertSeries:
-        if self._hs is None:
-            P = self.ring.ambient
-            total = HilbertSeries(P.weights, {})
-            for a, leads in enumerate(self._component_leads()):
-                hs = HilbertSeries(P.weights, hilbert_numerator(leads, P))
-                total = total.plus(hs.shifted(self.gens.twists[a]))
-            self._hs = total
-        return self._hs
+        return _hilbert_series(self)
 
     def graded_piece_dim(self, d: int) -> int:
         """dim_k of the degree-d piece, by counting standard monomials."""
         P = self.ring.ambient
         count = 0
-        for a, leads in enumerate(self._component_leads()):
+        for a, leads in enumerate(_component_leads(self)):
             dd = d - self.gens.twists[a]
             if dd < 0:
                 continue
@@ -154,77 +126,13 @@ class ModulePresentation:
         if not hs.numer:
             return 0
         if hs.dimension() != 0:
-            raise ValueError("module has positive dimension")
+            raise NotArtinianError("module has positive dimension")
         lo, hi = min(hs.numer), max(hs.numer)
         return sum(hs.coeffs(lo, hi))
 
     def __repr__(self):
         return (f"ModulePresentation({self.gens.rank} gens, "
                 f"{self.relations.source.rank} relations)")
-
-
-def minimal_presentation(m: ModulePresentation) -> ModulePresentation:
-    """Isomorphic presentation with every relation entry in the maximal
-    ideal, found by Gaussian contraction of degree-matching constants."""
-    if m.minimal:
-        return m
-    if m._min is not None:
-        return m._min
-    qr = m.ring
-    F = qr.field
-    rows = list(range(m.gens.rank))
-    cols = []
-    for j in range(m.relations.source.rank):
-        col = {i: p for (i, jj), p in m.relations.entries.items() if jj == j}
-        cols.append({i: p for i, p in col.items() if not p.is_zero()})
-
-    while True:
-        hit = None
-        for cj, col in enumerate(cols):
-            for r, p in col.items():
-                if p.is_constant():
-                    hit = (cj, r, p.constant_value())
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        cj, r, u = hit
-        uinv = F.inv(u)
-        pivot = cols[cj]
-        for ck, col in enumerate(cols):
-            if ck == cj or r not in col:
-                continue
-            c = col.pop(r)
-            for rr, prr in pivot.items():
-                if rr == r:
-                    continue
-                delta = qr.reduce(c.scale(uinv) * prr)
-                cur = col.get(rr)
-                new = delta.scale(F.normalize(-1)) if cur is None else cur - delta
-                new = qr.reduce(new)
-                if new.is_zero():
-                    col.pop(rr, None)
-                else:
-                    col[rr] = new
-        del cols[cj]
-        rows.remove(r)
-
-    remap = {old: new for new, old in enumerate(rows)}
-    tgt = GradedFree.of([m.gens.twists[r] for r in rows])
-    keep = [c for c in cols if c]
-    src_tw = []
-    entries = {}
-    for j, col in enumerate(keep):
-        deg = None
-        for r, p in col.items():
-            entries[(remap[r], j)] = p
-            deg = p.degree() + m.gens.twists[r]
-        src_tw.append(deg)
-    rel = GradedMatrix(qr, GradedFree.of(src_tw), tgt, entries)
-    out = ModulePresentation(qr, rel, minimal=True)
-    m._min = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +180,18 @@ def ring_memo(fn):
     call whose arguments live over more than one ring object runs
     unmemoized, so fn's own ring check decides it.  Results are shared
     between callers, who must not mutate them beyond their lazily filled
-    caches (_min, _leads, _hs, _res, _res_complete, _key).
+    structural key (_key).
     """
     sig = inspect.signature(fn)
+    arity = len(sig.parameters)
 
     @functools.wraps(fn)
     def memoized(*args, **kwargs):
-        call = sig.bind(*args, **kwargs)
-        call.apply_defaults()
-        values = call.arguments.values()
+        values = args    # every argument positional: bound as given
+        if kwargs or len(args) != arity:
+            call = sig.bind(*args, **kwargs)
+            call.apply_defaults()
+            values = call.arguments.values()
         rings = {id(r): r for r in map(_ring_of, values) if r is not None}
         if len(rings) != 1:
             return fn(*args, **kwargs)
@@ -291,6 +202,53 @@ def ring_memo(fn):
             out = memo[key] = fn(*args, **kwargs)
         return out
     return memoized
+
+
+# ---------------------------------------------------------------------------
+# minimal presentations and Hilbert data
+
+
+def minimal_presentation(m: ModulePresentation) -> ModulePresentation:
+    """Isomorphic presentation with every relation entry in the maximal
+    ideal, found by minimize_complex's contraction of unit entries."""
+    return m if m.minimal else _minimal_presentation(m)
+
+
+@ring_memo
+def _minimal_presentation(m: ModulePresentation) -> ModulePresentation:
+    # F1 -> F0 as a two-term complex: contracting its unit entries drops
+    # redundant generators, and the zero columns left are no relations
+    qr = m.ring
+    cx = minimize_complex(FreeComplex(
+        qr, {1: m.relations.source, 0: m.gens}, {1: m.relations}))
+    gens = cx.term(0)
+    cols = [c for c in cx.diff(1).columns() if c]
+    return ModulePresentation(
+        qr, GradedMatrix.from_columns(qr, gens, cols), minimal=True)
+
+
+@ring_memo
+def _component_leads(m: ModulePresentation):
+    """Per-generator lead ideals of relations + ring ideal padding."""
+    qr = m.ring
+    P = qr.ambient
+    cols = [vec_from_column(c, P) for c in m.relations.columns()]
+    pads = _padding_vectors(qr, m.gens.rank)
+    gb = reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists))
+    per = [[] for _ in range(m.gens.rank)]
+    for (comp, e), _ in gb.leads:
+        per[comp].append(e)
+    return [minimalize_monomials(es, P) for es in per]
+
+
+@ring_memo
+def _hilbert_series(m: ModulePresentation) -> HilbertSeries:
+    P = m.ring.ambient
+    total = HilbertSeries(P.weights, {})
+    for a, leads in enumerate(_component_leads(m)):
+        hs = HilbertSeries(P.weights, hilbert_numerator(leads, P))
+        total = total.plus(hs.shifted(m.gens.twists[a]))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +286,35 @@ class Resolution:
         return self.complex.diff(i)
 
 
+@ring_memo
+def _resolution_steps(mm: ModulePresentation, length: int):
+    """(d_1, ..., d_n) with n <= length of the resolution of the minimal
+    presentation mm, and whether it ended: a kernel came out zero, or mm
+    has no relations.  Each length extends the entry for length - 1 by at
+    most one kernel."""
+    if length <= 0:
+        return (), length == 0 and mm.relations.source.rank == 0
+    mats, ended = _resolution_steps(mm, length - 1)
+    if ended:
+        return mats, True
+    if not mats:
+        return (mm.relations,), False
+    K = kernel_matrix(mats[-1])
+    if K.source.rank == 0:
+        return mats, True
+    return mats + (K,), False
+
+
 def resolution(m: ModulePresentation, length: int) -> Resolution:
     """Minimal free resolution of m out to homological degree `length`."""
     mm = minimal_presentation(m)
     qr = mm.ring
     if mm.gens.rank == 0:
         return Resolution(mm, zero_complex(qr), True, length)
-    if mm._res is None:
-        mm._res = []
-        mm._res_complete = mm.relations.source.rank == 0
-        if not mm._res_complete:
-            mm._res.append(mm.relations)
-    while len(mm._res) < length and not mm._res_complete:
-        K = kernel_matrix(mm._res[-1])
-        if K.source.rank == 0:
-            mm._res_complete = True
-        else:
-            mm._res.append(K)
-    mats = mm._res[:length]
-    complete = mm._res_complete and length >= len(mm._res)
+    mats, complete = _resolution_steps(mm, length)
     if not mats:
         return Resolution(mm, module_as_complex(qr, mm.gens), complete, length)
-    cx = minimize_complex(from_resolution(qr, mats, complete))
+    cx = minimize_complex(from_resolution(qr, list(mats), complete))
     return Resolution(mm, cx, complete, len(mats))
 
 

@@ -18,10 +18,10 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
                         hom_complex, tensor_complex, hom_index, INF,
                         resolve_complex_with_map, biduality_rep, gamma_rep,
                         UncertifiedDegreeError)
-from .modules import (ModulePresentation, minimal_presentation, from_module,
-                      syzygy, hom_modules, tensor_modules, ext_module,
-                      evaluation_map, homothety_map, homology_presentation,
-                      ring_memo, is_module, as_complex, resolved)
+from .modules import (ModulePresentation, minimal_presentation, syzygy,
+                      hom_modules, tensor_modules, ext_module, evaluation_map,
+                      homothety_map, homology_presentation, ring_memo,
+                      is_module, as_complex, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
@@ -167,7 +167,7 @@ def dualizing_verdict(c, bound: int) -> DualizingVerdict:
     gk = None
     if cert.ok:
         k = residue_field(qr)
-        gk = gcdim(k if is_module(c) else from_module(k, bound), c, bound)
+        gk = gcdim(k, c, bound)
     if not cert.ok:
         return DualizingVerdict(False, cert.verdict(), cert, idv.status, gk)
     if not idv.is_finite_certified():

@@ -177,6 +177,24 @@ def test_run_default_bound_applies():
     assert rep["entries"][0]["result"]["certified"] == [None, 3]
 
 
+def test_answers_do_not_depend_on_earlier_tasks():
+    # a longer resolution of k computed first used to certify pd 2 and
+    # betti [null, 2] at bound 2, where a run of its own reads [null, 1]
+    def entries(tasks):
+        doc = {"field": {"prime": 7},
+               "ring": {"variables": ["x", "y"], "relations": []},
+               "tasks": tasks}
+        return [{k: v for k, v in e.items() if k != "index"}
+                for e in run_tasks(build_problem(doc))["entries"]]
+
+    pd2 = {"op": "pd", "args": ["k"], "bound": 2}
+    betti2 = {"op": "betti", "args": ["k"], "bound": 2}
+    after = entries([{"op": "pd", "args": ["k"], "bound": 3}, pd2, betti2])
+    alone = entries([pd2, betti2])
+    assert after[1:] == alone
+    assert alone[1]["result"]["certified"] == [None, 1]
+
+
 def test_shift_spot_seeded_deterministic():
     doc = _dn_doc([{"op": "shift-identity-spot", "args": ["k"], "bound": 4}])
     p = build_problem(doc)
@@ -392,6 +410,22 @@ def test_internal_fault_is_not_ok(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["entries"][0]["internal"]
     assert main(["--input", str(path)]) == 3
     assert capsys.readouterr().out.endswith("result: ERROR\n")
+
+
+@pytest.mark.parametrize("op", ["ext", "tor"])
+def test_infinite_length_is_a_refusal(tmp_path, capsys, op):
+    # over F_7[x] Ext and Tor of R with itself have positive dimension;
+    # this used to end as an internal fault with exit 3
+    doc = {"field": {"prime": 7},
+           "ring": {"variables": ["x"], "relations": []},
+           "tasks": [{"op": op, "args": ["R", "R"], "bound": 2}]}
+    (entry,) = run_tasks(build_problem(doc))["entries"]
+    assert entry["error"].startswith("NotArtinianError: ")
+    assert "internal" not in entry
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 0
+    assert not capsys.readouterr().out.endswith("result: ERROR\n")
 
 
 def test_main_field_override_runs(tmp_path, capsys):

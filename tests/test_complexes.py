@@ -12,7 +12,7 @@ from homcalc.complexes import (
     hom_complex, tensor_complex, hom_index, tensor_index,
     slice_basis, slice_matrix, homology_slice_dim, artinian_homology_dims,
     minimize_complex, resolve_complex, resolve_complex_with_map,
-    biduality_rep, gamma_rep, ComplexFamily, family_hom,
+    biduality_rep, gamma_rep,
 )
 
 F = PrimeField(32003)
@@ -374,23 +374,17 @@ def test_gamma_with_free_coefficient_is_quasi_iso():
     assert all(artinian_homology_dims(cg, t) == 0 for t in degs)
 
 
-# -- families ---------------------------------------------------------------
+# -- raising the bound -------------------------------------------------------
 
-def test_family_memoizes_and_windows_grow():
-    fam = ComplexFamily(lambda b: kres(DN, b), "k")
-    a = fam.realize(3)
-    assert fam.realize(3) is a
-    w3 = fam.realize(3).window
-    w5 = fam.realize(5).window
+def test_windows_grow_with_the_bound():
+    w3 = kres(DN, 3).window
+    w5 = kres(DN, 5).window
     assert _covers(w3, -10, 2) and _covers(w5, -10, 4)
 
 
-def test_family_hom_window_stability():
-    famP = ComplexFamily(lambda b: kres(DN, b))
-    famM = ComplexFamily(lambda b: kres(DN, b + 2))
-    fh = family_hom(famP, famM)
-    lowb = fh.realize(3)
-    highb = fh.realize(5)
+def test_hom_window_stability():
+    lowb = hom_complex(kres(DN, 3), kres(DN, 5))
+    highb = hom_complex(kres(DN, 5), kres(DN, 7))
     # on the shared trusted range the homology must agree
     for t in (-2, -1, 0, 1):
         if lowb.window.contains(t) and highb.window.contains(t):

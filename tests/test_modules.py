@@ -8,7 +8,7 @@ import pytest
 from homcalc.field import PrimeField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix, hstack
 from homcalc import modules
-from homcalc.groebner import QuotientRing
+from homcalc.groebner import NotArtinianError, QuotientRing
 from homcalc.complexes import UncertifiedDegreeError
 from homcalc.modules import (
     ModulePresentation, ModuleMap, NotCohenMacaulayError,
@@ -62,7 +62,7 @@ def test_free_module_hilbert_data():
 
 def test_kdim_rejects_positive_dimension():
     r = ModulePresentation.free(S2, [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NotArtinianError):
         r.k_dimension()
 
 
@@ -122,6 +122,13 @@ def test_resolution_cache_extends():
     a = resolution(k, 2)
     b = resolution(k, 4)
     assert [a.betti(i) for i in range(2)] == [b.betti(i) for i in range(2)]
+
+
+def test_free_module_resolution_is_complete_at_every_length():
+    r = ModulePresentation.free(NG, [0, 1])
+    for length in (0, 1, 2):
+        res = resolution(r, length)
+        assert res.complete and res.betti(0) == 2 and res.betti(1) == 0
 
 
 def test_from_module_window():
@@ -402,6 +409,25 @@ def test_memo_shares_equal_presentations(monkeypatch):
     assert calls    # a new index does reach kernel_matrix
 
 
+def test_memo_shares_resolutions(monkeypatch):
+    ring = QuotientRing(P2, ["x^2", "x*y", "y^2"])
+    first = resolution(ModulePresentation.cyclic(ring, ["x"]), 3)
+    calls = []
+    real = modules.kernel_matrix
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(modules, "kernel_matrix", counting)
+    again = resolution(ModulePresentation.cyclic(ring, ["x"]), 3)
+    assert calls == []
+    assert [again.betti(i) for i in range(3)] == \
+        [first.betti(i) for i in range(3)]
+    resolution(ModulePresentation.cyclic(ring, ["x"]), 4)
+    assert len(calls) == 1  # one more length, one more kernel
+
+
 def test_memo_keyword_and_positional_calls_agree():
     ring = QuotientRing(P1, ["x^2"])
     k = ModulePresentation.residue_field(ring)
@@ -434,7 +460,8 @@ def test_memo_is_per_ring():
                     ModulePresentation.free(r2, [0]), 0)
     assert e1 is not e2
     assert e1.ring is r1 and e2.ring is r2
-    assert len(r1.memo) == len(r2.memo) == 1
+    for memo in (r1.memo, r2.memo):
+        assert [key[0] for key in memo].count("ext_module") == 1
 
 
 def test_memo_dies_with_its_problem():

@@ -101,6 +101,16 @@ def test_dualizing_fails_non_gorenstein():
     assert dv.gcdim_of_k.status == "infinite"
 
 
+def test_dualizing_complex_coefficient_takes_module_route_for_k():
+    # C = R as a one-term complex: the G-dimension of k used to go through
+    # from_module(k, 2), whose depth raised WindowInsufficientError
+    c = module_as_complex(DN, GradedFree.of([0]))
+    dv = dualizing_verdict(c, 2)
+    gk = gcdim(residue_field(DN), c, 2)
+    assert dv.gcdim_of_k.is_finite() and dv.gcdim_of_k.g == 0
+    assert (dv.gcdim_of_k.status, dv.gcdim_of_k.g) == (gk.status, gk.g)
+
+
 def test_dualizing_agrees_with_gcdim_of_k():
     # dualizing iff the residue field has finite G-dimension wrt C
     for c in (R_DN, R_CI, R_NG, R_SG):
