@@ -579,10 +579,6 @@ def emit_report(doc: dict, include_timing: bool = False) -> str:
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def has_fail(doc) -> bool:
     """True when any FAIL verdict or status appears anywhere."""
     if isinstance(doc, dict):

@@ -189,9 +189,6 @@ class FreeComplex:
     def is_zero_complex(self) -> bool:
         return not self.terms
 
-    def total_rank(self) -> int:
-        return sum(f.rank for f in self.terms.values())
-
     def validate(self):
         """Shapes, homogeneity, d composed with d equals zero."""
         qr = self.ring
@@ -328,19 +325,6 @@ class ChainMap:
             if not diffm.is_zero():
                 raise ValueError(f"not a chain map at degree {i}")
         return self
-
-
-def identity_chain_map(X: FreeComplex) -> ChainMap:
-    return ChainMap(X, X, {i: GradedMatrix.identity(X.ring, f)
-                           for i, f in X.terms.items()})
-
-
-def scalar_chain_map(X: FreeComplex, c) -> ChainMap:
-    """Multiplication by the ring constant c as a chain self-map."""
-    F = X.ring.field
-    cc = F.normalize(c)
-    return ChainMap(X, X, {i: GradedMatrix.identity(X.ring, f).scale(cc)
-                           for i, f in X.terms.items()})
 
 
 def cone(f: ChainMap) -> FreeComplex:

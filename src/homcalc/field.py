@@ -19,7 +19,6 @@ Fraction(1, 3)
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 DEFAULT_PRIME = 32003
 
@@ -28,13 +27,55 @@ class FieldError(ArithmeticError):
     pass
 
 
+#: Miller-Rabin with these bases decides primality for every n below
+#: _MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10**24.
+
+    >>> is_prime(2**61 - 1), is_prime(1009 * 1013)
+    (True, False)
+    """
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise FieldError(f"modulus {n} is too large to certify as prime")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p with elements stored as ints in [0, p)."""
+    """F_p with elements stored as ints in [0, p).
+
+    The modulus is checked by deterministic Miller-Rabin (``is_prime``),
+    so a large prime is accepted at once:
+
+    >>> PrimeField(2**61 - 1).inv(2)
+    1152921504606846976
+    """
 
     __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if not is_prime(p):
             raise FieldError(f"modulus {p} is not prime")
         self.p = p
         self.zero = 0

@@ -283,11 +283,22 @@ def _expr_axpy(target: dict, coeff: Polynomial, src: dict):
             target[i] = upd
 
 
-def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
-    """Buchberger with normal selection, then full inter-reduction.
+def reduced_gb(inputs, ring: PolyRing, order, track=False,
+               padded=0) -> GBResult:
+    """Buchberger with normal selection, then one inter-reduction pass.
 
     inputs: list of Vec (zero entries allowed; they are ignored here and
-    handled by the syzygy layer).
+    handled by the syzygy layer).  The last `padded` inputs are the ideal
+    padding (``_padding_vectors``): they already form a Groebner basis in
+    each component, under the ring order the ideal's basis was computed
+    in, so no pair of two of them is queued.  Such a pair has a standard
+    representation in the padding, which keeps the chain criterion sound.
+
+    The inter-reduction first drops every element whose lead another live
+    lead divides (of equal leads the last stays, as a division pass in
+    index order would leave it), then divides each element once by the
+    others.  The leads left never change, so that one pass leaves every
+    non-lead term irreducible: the reduced basis.
     """
     F = ring.field
     red = Reducers(order)
@@ -301,6 +312,8 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
     for i, v in enumerate(inputs):
         if v:
             push(dict(v), {i: ring.one()} if track else {})
+    # first basis position of the padding (padding vectors are nonzero)
+    pad_from = len(basis) - padded
 
     # pair queue keyed by the lcm term, smallest first (normal strategy):
     # the negated order key ascends with the order
@@ -315,12 +328,13 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
             return None
         return (ci, ring.mono_lcm(ei, ej))
 
-    def queue_pairs_with(j):
-        # only leads in the same component make a pair
+    def queue_pairs_with(j, below):
+        # pairs (i, j) with i < below; only leads in the same component
+        # make a pair
         nonlocal ticket
         (cj, ej), _ = leads[j]
         for i, ei in by_comp[cj]:
-            if i >= j:
+            if i >= below:
                 break
             m = (cj, ring.mono_lcm(ei, ej))
             heapq.heappush(pairs, (tuple(map(neg, order.key(m))), ticket, i, j))
@@ -328,7 +342,7 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
             ticket += 1
 
     for j in range(len(basis)):
-        queue_pairs_with(j)
+        queue_pairs_with(j, min(j, pad_from))
 
     # the product criterion needs every vector confined to one component
     # (leads alone are not enough: coprime-lead S-pairs can leave
@@ -376,29 +390,30 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
             for k, q in quots.items():
                 _expr_axpy(expr, Polynomial(ring, q), exprs[k])
         jnew = push(rem, expr)
-        queue_pairs_with(jnew)
+        queue_pairs_with(jnew, jnew)
 
-    # inter-reduce to the reduced basis, keeping expressions consistent
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            if basis[idx] is None:
-                continue
-            rem, quots = vec_divide(basis[idx], red, track=track, skip=idx)
-            if rem == basis[idx]:
-                continue
-            changed = True
-            if not rem:
+    # inter-reduce to the reduced basis, keeping expressions consistent:
+    # drop the non-minimal leads, then reduce each tail once
+    for idx, ((c, e), _) in enumerate(leads):
+        for k, ek in by_comp[c]:
+            if k != idx and ring.mono_divides(ek, e) and (k > idx or ek != e):
                 red.replace(idx, None)
                 exprs[idx] = None
-                continue
-            if track:
-                expr = dict(exprs[idx])
-                for t, q in quots.items():
-                    _expr_axpy(expr, Polynomial(ring, q), exprs[t])
-                exprs[idx] = expr
-            red.replace(idx, rem)
+                break
+    for idx in range(len(basis)):
+        if basis[idx] is None:
+            continue
+        rem, quots = vec_divide(basis[idx], red, track=track, skip=idx)
+        if rem == basis[idx]:
+            continue
+        if not rem:
+            continue
+        if track:
+            expr = dict(exprs[idx])
+            for t, q in quots.items():
+                _expr_axpy(expr, Polynomial(ring, q), exprs[t])
+            exprs[idx] = expr
+        red.replace(idx, rem)
 
     # ascending by lead, as order keys descend
     final = [(b, leads[t], exprs[t]) for t, b in enumerate(basis) if b is not None]
@@ -420,23 +435,33 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
 
 
 def schreyer_syzygies(gb: GBResult):
-    """Syzygies of gb.elements from all same-component S-pairs.
+    """Generators of the syzygy module of gb.elements, from S-pairs.
 
-    Each syzygy is a Vec over the index space of gb.elements.  By the
-    Schreyer construction these generate the full syzygy module of the
-    basis.
+    Each syzygy is a Vec over the index space of gb.elements.  For i < j
+    with leads in one component, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j
+    minus the quotients of the S-pair's standard expression, where m_ij
+    is the lcm of the leading monomials m_i, m_j.  By Schreyer's theorem
+    (Eisenbud, *Commutative Algebra*, Thm 15.10) the tau_ij form a
+    Groebner basis of the syzygies, with lead (m_ij/m_i) e_i in the
+    order that breaks ties by the smaller index.  So for each i only the
+    tau_ij whose m_ij/m_i is a minimal generator of {m_ij/m_i}_j are kept
+    (of equal ones, the lowest j): their leads generate the same lead
+    module, so they still generate every syzygy.
     """
     ring, F = gb.ring, gb.field
     elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
+    divides = ring.mono_divides
     out = []
     for i, ((ci, ei), lci) in enumerate(leads):
+        first = {}      # m_ij/m_i -> lowest j, in position order
         for j, ej in by_comp[ci]:
-            if j <= i:
+            if j > i:
+                first.setdefault(ring.mono_div(ring.mono_lcm(ei, ej), ei), j)
+        for si, j in first.items():
+            if any(t != si and divides(t, si) for t in first):
                 continue
             lcj = leads[j][1]
-            me = ring.mono_lcm(ei, ej)
-            si = ring.mono_div(me, ei)
-            sj = ring.mono_div(me, ej)
+            sj = ring.mono_div(ring.mono_mul(ei, si), leads[j][0][1])
             s = vec_term_mul(elements[i], si, F.inv(lci), ring, F)
             vec_axpy(s, F.neg(F.one),
                      vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
@@ -461,17 +486,20 @@ def schreyer_syzygies(gb: GBResult):
     return out
 
 
-def syzygy_generators(inputs, ring: PolyRing, order):
+def syzygy_generators(inputs, ring: PolyRing, order, padded=0):
     """Generators of the syzygy module of the input vectors.
 
     Returns Vecs over the input index space: transported Schreyer
     syzygies of the reduced basis plus the columns of I - U V, where U, V
     express the basis in the inputs and back.  Zero inputs contribute
-    unit syzygies.
+    unit syzygies.  An input that is a basis element up to a scalar (its
+    basis expression is {i: constant}) has a zero I - U V column, so it
+    is not divided again.  The last `padded` inputs are the ideal padding
+    (see reduced_gb).
     """
     F = ring.field
     zero_idx = [i for i, v in enumerate(inputs) if not v]
-    gb = reduced_gb(inputs, ring, order, track=True)
+    gb = reduced_gb(inputs, ring, order, track=True, padded=padded)
 
     out = []
     for i in zero_idx:
@@ -493,8 +521,10 @@ def syzygy_generators(inputs, ring: PolyRing, order):
             out.append(t)
 
     # inputs re-expressed through the basis: columns of I - U V
+    in_basis = {i for ex in gb.exprs if len(ex) == 1
+                for i, p in ex.items() if p.terms.keys() == {ring.zero_exp}}
     for i, v in enumerate(inputs):
-        if not v:
+        if not v or i in in_basis:
             continue
         rem, quots = gb.normal_form(v, track=True)
         if rem:
@@ -683,7 +713,7 @@ def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
     cols = [vec_from_column(c, P) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
-    syz = syzygy_generators(cols + pads, P, order)
+    syz = syzygy_generators(cols + pads, P, order, padded=len(pads))
     ncols = len(cols)
     raw = []
     for s in syz:
@@ -691,12 +721,10 @@ def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
         for (idx, e), c in s.items():
             if idx < ncols:
                 col.setdefault(idx, {})[e] = c
-        if not col:
-            continue
-        red = {i: qr.reduce(Polynomial(P, t)) for i, t in col.items()}
-        red = {i: p for i, p in red.items() if not p.is_zero()}
-        if red:
-            raw.append(red)
+        if col:
+            raw.append({i: Polynomial(P, t) for i, t in col.items()})
+    # interreduce_columns divides by the padding: its columns are normal
+    # forms mod I, and a column zero mod I drops there
     raw = interreduce_columns(qr, m.source, raw)
     return GradedMatrix.from_columns(qr, m.source, raw)
 
@@ -741,7 +769,7 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
     cols = [vec_from_column(c, P) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
-    gb = reduced_gb(cols + pads, P, order, track=True)
+    gb = reduced_gb(cols + pads, P, order, track=True, padded=len(pads))
     ncols = len(cols)
     entries = {}
     for j, col in enumerate(targets.columns()):

@@ -1,9 +1,11 @@
 """Dense exact linear algebra over a field.
 
 Matrices are lists of rows of field elements.  For prime fields the
-kernels are vectorized with numpy int64 (safe: p < 2**15.5 so a*b < 2**63
-and every row operation reduces mod p immediately).  The rational path is
-a plain fraction Gaussian elimination.
+kernels are vectorized with numpy.  A row operation computes a - b*c for
+residues a, b, c and reduces mod p at once, so int64 is exact while
+p*p < 2**63 (p <= INT64_MAX_P); above that the same elimination runs on
+Python ints (numpy dtype object).  The rational path is a plain fraction
+Gaussian elimination.
 
 This module is deliberately self-contained: it knows nothing about
 polynomials, Groebner bases, or complexes.  Both the main pipeline's
@@ -16,19 +18,30 @@ import numpy as np
 
 from .field import PrimeField
 
+#: the largest modulus whose residue products fit in int64
+INT64_MAX_P = 3037000499
+
+
+def _dtype(p):
+    return np.int64 if p <= INT64_MAX_P else object
+
 
 def _to_np(rows, p):
     if len(rows) == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    a = np.array(rows, dtype=np.int64)
+    a = np.array(rows, dtype=_dtype(p))
     if a.ndim == 1:
         a = a.reshape(len(rows), -1)
     return a % p
 
 
 def fp_rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p. Returns (rref_matrix, pivot_columns)."""
-    a = a % p
+    """Reduced row echelon form mod p. Returns (rref_matrix, pivot_columns).
+
+    For p above INT64_MAX_P the elimination runs on Python ints, and the
+    result has dtype object.
+    """
+    a = a.astype(_dtype(p), copy=False) % p
     m, n = a.shape
     pivots = []
     r = 0

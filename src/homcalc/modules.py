@@ -234,7 +234,8 @@ def _component_leads(m: ModulePresentation):
     P = qr.ambient
     cols = [vec_from_column(c, P) for c in m.relations.columns()]
     pads = _padding_vectors(qr, m.gens.rank)
-    gb = reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists))
+    gb = reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists),
+                    padded=len(pads))
     per = [[] for _ in range(m.gens.rank)]
     for (comp, e), _ in gb.leads:
         per[comp].append(e)
@@ -593,11 +594,6 @@ class ModuleMap:
 
     def kernel_generators(self) -> GradedMatrix:
         return kernel_into_quotient(self.matrix, self.target.relations)
-
-    def kernel_presentation(self) -> ModulePresentation:
-        kappa = self.kernel_generators()
-        rels = _sub_rels(kappa, [self.source.relations])
-        return ModulePresentation(self.source.ring, rels)
 
     def is_injective(self) -> bool:
         kappa = self.kernel_generators()

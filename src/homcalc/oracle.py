@@ -17,8 +17,8 @@ from .modules import ModulePresentation
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra mod p, by linalg.fp_rref; int64 is safe since
-# p <= 32003 keeps every intermediate product below 2^63
+# exact linear algebra mod p, by linalg.fp_rref, which runs on Python ints
+# for p above linalg.INT64_MAX_P
 
 
 def _rank(a, p) -> int:

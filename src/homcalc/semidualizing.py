@@ -308,9 +308,6 @@ class MembershipVerdict:
         self.witness = witness
         self.bound = bound
 
-    def is_member(self):
-        return self.status == "member"
-
     def __repr__(self):
         return f"MembershipVerdict({self.status}{self.witness and ': ' + self.witness})"
 

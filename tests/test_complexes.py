@@ -8,7 +8,7 @@ from homcalc.groebner import QuotientRing
 from homcalc.complexes import (
     TrustWindow, FreeComplex, ChainMap, UncertifiedDegreeError,
     INF, NEG_INF, zero_complex, module_as_complex, from_resolution,
-    shift_complex, direct_sum, cone, identity_chain_map, scalar_chain_map,
+    shift_complex, direct_sum, cone,
     hom_complex, tensor_complex, hom_index, tensor_index,
     slice_basis, slice_matrix, homology_slice_dim, artinian_homology_dims,
     minimize_complex, resolve_complex, resolve_complex_with_map,
@@ -108,6 +108,18 @@ def test_direct_sum_homology_adds():
         if s.window.contains(t):
             assert artinian_homology_dims(s, t) == (
                 artinian_homology_dims(a, t) + artinian_homology_dims(b, t))
+
+
+def identity_chain_map(X: FreeComplex) -> ChainMap:
+    return ChainMap(X, X, {i: GradedMatrix.identity(X.ring, f)
+                           for i, f in X.terms.items()})
+
+
+def scalar_chain_map(X: FreeComplex, c) -> ChainMap:
+    """Multiplication by the ring constant c as a chain self-map."""
+    cc = X.ring.field.normalize(c)
+    return ChainMap(X, X, {i: GradedMatrix.identity(X.ring, f).scale(cc)
+                           for i, f in X.terms.items()})
 
 
 def test_cone_of_identity_is_contractible():

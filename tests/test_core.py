@@ -2,13 +2,14 @@
 graded matrices."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcalc.field import PrimeField, RationalField, FieldError
-from homcalc.linalg import rref, rank
+from homcalc.linalg import rref, rank, _generic_rref
 from homcalc.ring import (
     PolyRing, GradedFree, GradedMatrix, PolyParseError, HomogeneityError,
     MixedRingError, hstack,
@@ -36,6 +37,21 @@ def test_prime_field_ring_axioms(a, b):
     assert F.add(a, F.neg(a)) == F.zero
     if not F.is_zero(a):
         assert F.mul(a, F.inv(a)) == F.one
+
+
+def test_prime_field_accepts_large_prime_quickly():
+    # trial division up to sqrt(p) took minutes here; Miller-Rabin is instant
+    t0 = time.perf_counter()
+    G = PrimeField(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert G.mul(2, G.inv(2)) == 1
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    for n in (3215031751, 3825123056546413051):
+        with pytest.raises(FieldError):
+            PrimeField(n)
+    # a prime beyond the deterministic bound is refused, not guessed
+    with pytest.raises(FieldError, match="too large"):
+        PrimeField(2**89 - 1)
 
 
 def test_prime_field_inverse_small():
@@ -130,6 +146,18 @@ def test_solve_recovers_combination():
         for i in range(3):
             got[i] = F.add(got[i], F.mul(rows[j][i], c))
     assert got == rhs
+
+
+def test_rref_large_prime_is_exact():
+    # p * p > 2**63: int64 row operations would overflow
+    p = 4294967311
+    G = PrimeField(p)
+    assert rref([[p - 1, 2], [3, p - 11]], G) == ([[1, 0], [0, 1]], [0, 1])
+    rng = random.Random(5)
+    rows = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
+    rows.append([G.add(a, b) for a, b in zip(rows[0], rows[1])])
+    assert rref(rows, G) == _generic_rref(rows, G)
+    assert rank(rows, G) == 3
 
 
 def test_rational_rref_no_precision_loss():

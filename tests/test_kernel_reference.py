@@ -1,0 +1,419 @@
+"""The kernel path against its previous full-Schreyer form.
+
+kernel_matrix keeps only the Schreyer syzygies with a minimal lead,
+inter-reduces in one pass, queues no pair of two padding vectors, skips
+the zero I - UV columns and leaves the reduction mod I to
+interreduce_columns.  Each step is exact, so the code before those steps,
+copied verbatim below (only the function names are prefixed with old_),
+is the reference: on seeded random matrices over F_32003 and Q, over a
+polynomial ring and a quotient ring, the reduced bases are equal and the
+two kernels generate the same module.
+"""
+
+import heapq
+from fractions import Fraction
+from operator import neg
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from homcalc.field import PrimeField, RationalField
+from homcalc.ring import GradedFree, GradedMatrix, Polynomial, PolyRing
+from homcalc.groebner import (
+    GBResult, PositionOverTerm, QuotientRing, Reducers, TermOverPosition,
+    _expr_axpy, _padding_vectors, interreduce_columns, kernel_matrix,
+    lift_matrix, reduced_gb, schreyer_syzygies, vec_axpy, vec_divide,
+    vec_from_column, vec_scale, vec_term_mul,
+)
+
+
+# -- the previous code, verbatim --------------------------------------------
+
+
+def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
+    """Buchberger with normal selection, then full inter-reduction.
+
+    inputs: list of Vec (zero entries allowed; they are ignored here and
+    handled by the syzygy layer).
+    """
+    F = ring.field
+    red = Reducers(order)
+    basis, leads, by_comp = red.vecs, red.leads, red.by_comp
+    exprs = []      # input_index -> Polynomial
+
+    def push(v, expr):
+        exprs.append(expr)
+        return red.push(v)
+
+    for i, v in enumerate(inputs):
+        if v:
+            push(dict(v), {i: ring.one()} if track else {})
+
+    # pair queue keyed by the lcm term, smallest first (normal strategy):
+    # the negated order key ascends with the order
+    pairs = []
+    ticket = 0
+    pending = set()
+
+    def lcm_of(i, j):
+        (ci, ei), _ = leads[i]
+        (cj, ej), _ = leads[j]
+        if ci != cj:
+            return None
+        return (ci, ring.mono_lcm(ei, ej))
+
+    def queue_pairs_with(j):
+        # only leads in the same component make a pair
+        nonlocal ticket
+        (cj, ej), _ = leads[j]
+        for i, ei in by_comp[cj]:
+            if i >= j:
+                break
+            m = (cj, ring.mono_lcm(ei, ej))
+            heapq.heappush(pairs, (tuple(map(neg, order.key(m))), ticket, i, j))
+            pending.add((i, j))
+            ticket += 1
+
+    for j in range(len(basis)):
+        queue_pairs_with(j)
+
+    # the product criterion needs every vector confined to one component
+    # (leads alone are not enough: coprime-lead S-pairs can leave
+    # uncancelled residue in other components)
+    rank1 = len({c for v in basis for (c, _) in v}) <= 1
+
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        m = lcm_of(i, j)
+        (ci, ei), lci = leads[i]
+        (cj, ej), lcj = leads[j]
+        mc, me = m
+        # product criterion: in a rank-one ambient module a pair with
+        # coprime leading monomials reduces to zero
+        if rank1 and ring.mono_mul(ei, ej) == me:
+            continue
+        # chain criterion with the lcm-inequality guards that make
+        # pop-time elimination safe
+        skip = False
+        for k, ek in by_comp[mc]:
+            if k == i or k == j or not ring.mono_divides(ek, me):
+                continue
+            a, b = (i, k) if i < k else (k, i)
+            c2, d2 = (j, k) if j < k else (k, j)
+            if (a, b) in pending or (c2, d2) in pending:
+                continue
+            if lcm_of(a, b) == m or lcm_of(c2, d2) == m:
+                continue
+            skip = True
+            break
+        if skip:
+            continue
+        si = ring.mono_div(me, ei)
+        sj = ring.mono_div(me, ej)
+        s = vec_term_mul(basis[i], si, F.inv(lci), ring, F)
+        vec_axpy(s, F.neg(F.one), vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
+        rem, quots = vec_divide(s, red, track=track)
+        if not rem:
+            continue
+        expr = {}
+        if track:
+            _expr_axpy(expr, ring.monomial(si, F.neg(F.inv(lci))), exprs[i])
+            _expr_axpy(expr, ring.monomial(sj, F.inv(lcj)), exprs[j])
+            for k, q in quots.items():
+                _expr_axpy(expr, Polynomial(ring, q), exprs[k])
+        jnew = push(rem, expr)
+        queue_pairs_with(jnew)
+
+    # inter-reduce to the reduced basis, keeping expressions consistent
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(basis)):
+            if basis[idx] is None:
+                continue
+            rem, quots = vec_divide(basis[idx], red, track=track, skip=idx)
+            if rem == basis[idx]:
+                continue
+            changed = True
+            if not rem:
+                red.replace(idx, None)
+                exprs[idx] = None
+                continue
+            if track:
+                expr = dict(exprs[idx])
+                for t, q in quots.items():
+                    _expr_axpy(expr, Polynomial(ring, q), exprs[t])
+                exprs[idx] = expr
+            red.replace(idx, rem)
+
+    # ascending by lead, as order keys descend
+    final = [(b, leads[t], exprs[t]) for t, b in enumerate(basis) if b is not None]
+    final.sort(key=lambda ble: order.key(ble[1][0]), reverse=True)
+    out = Reducers(order)
+    out_e = []
+    for b, (lt, lc), e in final:
+        inv = F.inv(lc)
+        out.push(vec_scale(b, inv, F))
+        if track:
+            out_e.append({i: p.scale(inv) for i, p in e.items()})
+        else:
+            out_e.append({})
+    return GBResult(ring, F, inputs, out, out_e)
+
+
+def old_schreyer_syzygies(gb: GBResult):
+    """Syzygies of gb.elements from all same-component S-pairs.
+
+    Each syzygy is a Vec over the index space of gb.elements.  By the
+    Schreyer construction these generate the full syzygy module of the
+    basis.
+    """
+    ring, F = gb.ring, gb.field
+    elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
+    out = []
+    for i, ((ci, ei), lci) in enumerate(leads):
+        for j, ej in by_comp[ci]:
+            if j <= i:
+                continue
+            lcj = leads[j][1]
+            me = ring.mono_lcm(ei, ej)
+            si = ring.mono_div(me, ei)
+            sj = ring.mono_div(me, ej)
+            s = vec_term_mul(elements[i], si, F.inv(lci), ring, F)
+            vec_axpy(s, F.neg(F.one),
+                     vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
+            rem, quots = vec_divide(s, gb.reducers, track=True)
+            if rem:
+                raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+            syz = {}
+            syz[(i, si)] = F.inv(lci)
+            prev = syz.get((j, sj), F.zero)
+            syz[(j, sj)] = F.sub(prev, F.inv(lcj))
+            if F.is_zero(syz[(j, sj)]):
+                del syz[(j, sj)]
+            for k, q in quots.items():
+                for e, c in q.items():
+                    cur = F.sub(syz.get((k, e), F.zero), c)
+                    if F.is_zero(cur):
+                        syz.pop((k, e), None)
+                    else:
+                        syz[(k, e)] = cur
+            if syz:
+                out.append(syz)
+    return out
+
+
+def old_syzygy_generators(inputs, ring: PolyRing, order):
+    """Generators of the syzygy module of the input vectors.
+
+    Returns Vecs over the input index space: transported Schreyer
+    syzygies of the reduced basis plus the columns of I - U V, where U, V
+    express the basis in the inputs and back.  Zero inputs contribute
+    unit syzygies.
+    """
+    F = ring.field
+    zero_idx = [i for i, v in enumerate(inputs) if not v]
+    gb = old_reduced_gb(inputs, ring, order, track=True)
+
+    out = []
+    for i in zero_idx:
+        out.append({(i, ring.zero_exp): F.one})
+
+    # transported Schreyer syzygies: s over GB indices -> U s over inputs
+    for s in old_schreyer_syzygies(gb):
+        t = {}
+        for (k, e), c in s.items():
+            for i, p in gb.exprs[k].items():
+                for pe, pc in p.terms.items():
+                    key = (i, ring.mono_mul(pe, e))
+                    cur = F.add(t.get(key, F.zero), F.mul(c, pc))
+                    if F.is_zero(cur):
+                        t.pop(key, None)
+                    else:
+                        t[key] = cur
+        if t:
+            out.append(t)
+
+    # inputs re-expressed through the basis: columns of I - U V
+    for i, v in enumerate(inputs):
+        if not v:
+            continue
+        rem, quots = gb.normal_form(v, track=True)
+        if rem:
+            raise ArithmeticError("input does not reduce to zero against its own basis")
+        t = {(i, ring.zero_exp): F.one}
+        for k, q in quots.items():
+            for j, p in gb.exprs[k].items():
+                prod = q * p
+                for pe, pc in prod.terms.items():
+                    key = (j, pe)
+                    cur = F.sub(t.get(key, F.zero), pc)
+                    if F.is_zero(cur):
+                        t.pop(key, None)
+                    else:
+                        t[key] = cur
+        if t:
+            out.append(t)
+    return out
+
+
+def old_kernel_matrix(m: GradedMatrix) -> GradedMatrix:
+    """Generators of ker(m) for m over a QuotientRing (or PolyRing)."""
+    qr = m.ring
+    if isinstance(qr, PolyRing):
+        qr = QuotientRing(qr, [])
+    P = qr.ambient
+    cols = [vec_from_column(c, P) for c in m.columns()]
+    pads = _padding_vectors(qr, m.target.rank)
+    order = TermOverPosition(P, m.target.twists)
+    syz = old_syzygy_generators(cols + pads, P, order)
+    ncols = len(cols)
+    raw = []
+    for s in syz:
+        col = {}
+        for (idx, e), c in s.items():
+            if idx < ncols:
+                col.setdefault(idx, {})[e] = c
+        if not col:
+            continue
+        red = {i: qr.reduce(Polynomial(P, t)) for i, t in col.items()}
+        red = {i: p for i, p in red.items() if not p.is_zero()}
+        if red:
+            raw.append(red)
+    raw = interreduce_columns(qr, m.source, raw)
+    return GradedMatrix.from_columns(qr, m.source, raw)
+
+
+# -- seeded random matrices -------------------------------------------------
+
+
+_NONZERO = {
+    "p": st.integers(1, 32002),
+    "q": st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+}
+
+
+def draw_matrix(data, field, quotient):
+    """A homogeneous matrix over F[x,y,z] or a quotient of it by one to
+    three random quadrics, with 1-2 rows and 2-5 columns."""
+    Fld = PrimeField(32003) if field == "p" else RationalField()
+    P = PolyRing(Fld, ["x", "y", "z"])
+
+    def poly(d):
+        monos = P.monomials_of_degree(d)
+        out = P.zero()
+        for _ in range(data.draw(st.integers(1, 4))):
+            e = monos[data.draw(st.integers(0, len(monos) - 1))]
+            out = out + P.monomial(e, Fld.normalize(data.draw(_NONZERO[field])))
+        return out
+
+    R = P
+    if quotient:
+        R = QuotientRing(P, [poly(2) for _ in range(data.draw(st.integers(1, 3)))])
+    rows = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    cols = [min(rows) + data.draw(st.integers(1, 3))
+            for _ in range(data.draw(st.integers(2, 5)))]
+    entries = {}
+    for j, s in enumerate(cols):
+        for i, t in enumerate(rows):
+            if s >= t and data.draw(st.integers(0, 3)):
+                p = poly(s - t)
+                entries[(i, j)] = R.reduce(p) if quotient else p
+    return R, GradedMatrix(R, GradedFree.of(cols), GradedFree.of(rows), entries)
+
+
+def gb_inputs(R, m):
+    """The columns of m plus the ideal padding, as reduced_gb sees them."""
+    qr = R if isinstance(R, QuotientRing) else QuotientRing(R, [])
+    P = qr.ambient
+    cols = [vec_from_column(c, P) for c in m.columns()]
+    pads = _padding_vectors(qr, m.target.rank)
+    return P, cols + pads, len(pads)
+
+
+def combo(inputs, s, ring):
+    """sum_(i,e) s_(i,e) x^e * inputs[i]."""
+    F = ring.field
+    acc = {}
+    for (i, e), c in s.items():
+        vec_axpy(acc, F.one, vec_term_mul(inputs[i], e, c, ring, F), F)
+    return acc
+
+
+def schreyer_lead(s, gb, order):
+    """(i, e) of the Schreyer lead of a syzygy s: the term whose image
+    x^e * lead(g_i) is largest, ties to the smaller index."""
+    ring = gb.ring
+
+    def key(term):
+        (i, e), _ = term
+        (c, le), _ = gb.leads[i]
+        return order.key((c, ring.mono_mul(le, e))), i
+
+    return min(s.items(), key=key)[0]
+
+
+CASES = pytest.mark.parametrize("field,quotient", [
+    ("p", False), ("p", True), ("q", False), ("q", True)])
+
+
+@CASES
+@seed(20260)
+@settings(max_examples=13, deadline=None)
+@given(data=st.data())
+def test_reduced_gb_one_pass_matches_loop(field, quotient, data):
+    R, m = draw_matrix(data, field, quotient)
+    P, inputs, npad = gb_inputs(R, m)
+    order = (TermOverPosition(P, m.target.twists) if data.draw(st.booleans())
+             else PositionOverTerm(P))
+    old = old_reduced_gb(inputs, P, order)
+    for track in (False, True):
+        new = reduced_gb(inputs, P, order, track=track, padded=npad)
+        assert new.elements == old.elements
+        assert new.leads == old.leads
+    # elements[k] = sum_i exprs[k][i] * inputs[i]
+    for v, expr in zip(new.elements, new.exprs):
+        s = {(i, e): c for i, p in expr.items() for e, c in p.terms.items()}
+        assert combo(inputs, s, P) == v
+
+
+@CASES
+@seed(20260)
+@settings(max_examples=13, deadline=None)
+@given(data=st.data())
+def test_schreyer_keeps_minimal_leads(field, quotient, data):
+    R, m = draw_matrix(data, field, quotient)
+    P, inputs, npad = gb_inputs(R, m)
+    order = TermOverPosition(P, m.target.twists)
+    gb = reduced_gb(inputs, P, order, track=True, padded=npad)
+    kept = schreyer_syzygies(gb)
+    by_i = {}
+    for s in kept:
+        assert combo(gb.elements, s, P) == {}
+        i, e = schreyer_lead(s, gb, order)
+        by_i.setdefault(i, []).append(e)
+    # within each e_i the kept leads are pairwise non-dividing
+    for es in by_i.values():
+        for a in es:
+            assert sum(P.mono_divides(b, a) for b in es) == 1
+    # and they generate the lead module of every tau_ij
+    for s in old_schreyer_syzygies(gb):
+        i, e = schreyer_lead(s, gb, order)
+        assert any(P.mono_divides(b, e) for b in by_i.get(i, ()))
+
+
+@CASES
+@seed(20260)
+@settings(max_examples=13, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_full_schreyer(field, quotient, data):
+    R, m = draw_matrix(data, field, quotient)
+    new = kernel_matrix(m)
+    old = old_kernel_matrix(m)
+    prod = m.compose(new)
+    assert (R.reduce_matrix(prod) if quotient else prod).is_zero()
+    # each kernel's columns lift through the other: the same module
+    assert lift_matrix(new, old) is not None
+    assert lift_matrix(old, new) is not None

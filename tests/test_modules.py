@@ -271,6 +271,12 @@ def test_ext_socle_dimension_reads_type():
 
 # -- module maps ------------------------------------------------------------
 
+def kernel_presentation(f: ModuleMap) -> ModulePresentation:
+    """ker f as a presentation: its generators modulo the source's relations."""
+    rels = modules._sub_rels(f.kernel_generators(), [f.source.relations])
+    return ModulePresentation(f.source.ring, rels)
+
+
 def test_map_kernel_cokernel():
     r = ModulePresentation.free(DN, [0])
     x = ModuleMap(r.shifted(1), r,
@@ -278,7 +284,7 @@ def test_map_kernel_cokernel():
                                {(0, 0): DN.from_string("x")}))
     x.validate()
     assert not x.is_injective() and not x.is_surjective()
-    assert kdim(x.kernel_presentation()) == 1
+    assert kdim(kernel_presentation(x)) == 1
     coker = ModulePresentation(DN, hstack(DN, [x.matrix, r.relations]))
     assert kdim(coker) == 1
 
@@ -302,7 +308,7 @@ def test_map_composition():
                                           {(0, 0): DN.from_string("x")})))
     # x^2 = 0 in the dual numbers, so the composite is the zero map
     assert sq.matrix.is_zero()
-    assert kdim(sq.kernel_presentation()) == 2
+    assert kdim(kernel_presentation(sq)) == 2
 
 
 # -- evaluation and homothety -----------------------------------------------

@@ -10,7 +10,8 @@ from homcalc.groebner import QuotientRing
 from homcalc.modules import ModulePresentation, syzygy, canonical_module
 from homcalc.invariants import (betti_table, bass_table, ext_dims, tor_dims,
                                 residue_field, type_of, nu)
-from homcalc.oracle import (NotArtinianError, realize, residue_module,
+from homcalc.oracle import (NotArtinianError, _nullspace, _rank, realize,
+                            residue_module,
                             free_module, from_presentation,
                             oracle_minimal_resolution, oracle_betti,
                             oracle_bass, oracle_ext_dim, oracle_tor_dim,
@@ -77,6 +78,21 @@ def test_weighted_realization_degrees():
 
 
 # ---------------------------------------------------------------- resolutions
+
+def test_linear_algebra_large_prime_is_exact():
+    # p * p > 2**63, so int64 row operations would overflow
+    p = 4294967311
+    a = np.array([[p - 1, 2], [3, p - 11]])
+    assert _rank(a, p) == 2
+    assert _nullspace(a, p).shape == (2, 0)
+    s = np.array([[p - 1, 2, 5], [2 * (p - 1) % p, 4, 10]])
+    assert _rank(s, p) == 1
+    ker = _nullspace(s, p)
+    assert ker.shape == (3, 2)
+    for col in ker.T:
+        assert all(sum(int(x) * int(y) for x, y in zip(row, col)) % p == 0
+                   for row in s.tolist())
+
 
 def test_residue_resolution_hypersurface():
     k = residue_module(A_DN)
