@@ -17,7 +17,8 @@ from the hypercohomology spectral sequences: an untrusted band appears
 wherever a garbage homology degree of one factor can pair with a cell of
 the other, and wherever cells missing from a truncated resolution can
 pair with true homology.  Degrees never silently leave the window;
-consumers must check membership before reading homology.
+consumers must check membership before reading homology, which
+modules.trusted_homology does for them.
 
 Floor proviso.  The resolution-shaped factor of a Hom or tensor must be
 trusted at its bottom cell; the window part containing that cell sets
@@ -37,7 +38,7 @@ d_Y f_i - (-1)^t f_{i-1} d_X; d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
 
 from __future__ import annotations
 
-from .ring import GradedFree, GradedMatrix, Polynomial, ZERO_FREE
+from .ring import GradedFree, GradedMatrix, ZERO_FREE
 from .groebner import QuotientRing, kernel_matrix, lift_matrix, interreduce_columns
 from . import linalg
 
@@ -413,52 +414,29 @@ def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if P.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
 
-    # layout: for each hom degree t, blocks i ascending; within a block,
-    # pairs (a, b) flattened as b * rank(P_i) + a
-    def blocks(t):
-        out = []
-        for i in range(pb, pt + 1):
-            if P.term(i).rank and Y.term(i + t).rank:
-                out.append(i)
-        return out
-
-    def free_of(t):
-        tw = []
-        for i in blocks(t):
-            sp, sy = P.term(i).twists, Y.term(i + t).twists
-            for b in range(len(sy)):
-                for a in range(len(sp)):
-                    tw.append(sy[b] - sp[a])
-        return GradedFree.of(tw)
-
-    def offset_map(t):
-        offs = {}
-        off = 0
-        for i in blocks(t):
-            offs[i] = off
-            off += P.term(i).rank * Y.term(i + t).rank
-        return offs
-
-    terms, diffs = {}, {}
+    # layout (hom_index): blocks i ascending; within a block, pairs
+    # (a, b) flattened as b * rank(P_i) + a
+    terms, offsets, diffs = {}, {}, {}
     tmin, tmax = yb - pt, yt - pb
     for t in range(tmin, tmax + 1):
-        f = free_of(t)
-        if f.rank:
-            terms[t] = f
+        idx = hom_index(P, Y, t)
+        if idx:
+            terms[t] = GradedFree.of([Y.terms[i + t].twists[b]
+                                      - P.terms[i].twists[a]
+                                      for i, a, b in idx])
+            offsets[t] = _block_offsets(idx)
     for t in range(tmin, tmax + 1):
         if t not in terms or (t - 1) not in terms:
             continue
-        src_off = offset_map(t)
-        tgt_off = offset_map(t - 1)
+        src_off = offsets[t]
+        tgt_off = offsets[t - 1]
         entries = {}
         sgn = Fld.normalize(-1 if t % 2 == 0 else 1)  # -(-1)^t
-        for i in blocks(t):
+        for i, base in src_off.items():
             rp = P.term(i).rank
             ry = Y.term(i + t).rank
-            base = src_off[i]
             # postcompose with dY: block i of degree t-1, pair (a, c)
             if i in tgt_off:
-                ry2 = Y.term(i + t - 1).rank
                 for (c, b), p in Y.diff(i + t).entries.items():
                     for a in range(rp):
                         entries[(tgt_off[i] + c * rp + a, base + b * rp + a)] = p
@@ -516,52 +494,31 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if F.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
 
-    def blocks(t):
-        out = []
-        for i in range(fb, ft + 1):
-            if F.term(i).rank and Y.term(t - i).rank:
-                out.append(i)
-        return out
-
-    def free_of(t):
-        tw = []
-        for i in blocks(t):
-            sf, sy = F.term(i).twists, Y.term(t - i).twists
-            for a in range(len(sf)):
-                for b in range(len(sy)):
-                    tw.append(sf[a] + sy[b])
-        return GradedFree.of(tw)
-
-    def offset_map(t):
-        offs = {}
-        off = 0
-        for i in blocks(t):
-            offs[i] = off
-            off += F.term(i).rank * Y.term(t - i).rank
-        return offs
-
-    terms, diffs = {}, {}
+    # layout (tensor_index): blocks i ascending; within a block, pairs
+    # (a, b) flattened as a * rank(Y_{t-i}) + b
+    terms, offsets, diffs = {}, {}, {}
     tmin, tmax = fb + yb, ft + yt
     for t in range(tmin, tmax + 1):
-        fr = free_of(t)
-        if fr.rank:
-            terms[t] = fr
+        idx = tensor_index(F, Y, t)
+        if idx:
+            terms[t] = GradedFree.of([F.terms[i].twists[a]
+                                      + Y.terms[t - i].twists[b]
+                                      for i, a, b in idx])
+            offsets[t] = _block_offsets(idx)
     for t in range(tmin, tmax + 1):
         if t not in terms or (t - 1) not in terms:
             continue
-        src_off = offset_map(t)
-        tgt_off = offset_map(t - 1)
+        src_off = offsets[t]
+        tgt_off = offsets[t - 1]
         entries = {}
-        for i in blocks(t):
+        for i, base in src_off.items():
             rf = F.term(i).rank
             ry = Y.term(t - i).rank
-            base = src_off[i]
             # dF (x) id: block i-1
             if (i - 1) in tgt_off:
-                ry2 = Y.term(t - i).rank
                 for (c, a), p in F.diff(i).entries.items():
                     for b in range(ry):
-                        entries[(tgt_off[i - 1] + c * ry2 + b, base + a * ry + b)] = p
+                        entries[(tgt_off[i - 1] + c * ry + b, base + a * ry + b)] = p
             # (-1)^i id (x) dY: block i of degree t-1
             if i in tgt_off:
                 sgn = Fld.normalize(-1 if i % 2 else 1)
@@ -594,6 +551,14 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     true_hi = (ft + Y.true_hi) if F.complete else INF
     return FreeComplex(qr, terms, diffs, win, true_lo, true_hi,
                        complete=F.complete and Y.complete)
+
+
+def _block_offsets(idx):
+    """Flat offset of each block i of an index layout, in ascending i."""
+    offs = {}
+    for pos, (i, _, _) in enumerate(idx):
+        offs.setdefault(i, pos)
+    return offs
 
 
 def hom_index(P: FreeComplex, Y: FreeComplex, t: int):

@@ -16,7 +16,8 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       from_module, ext_module, homology_presentation,
-                      ring_memo, is_module, as_complex, resolved)
+                      trusted_homology, ring_memo, is_module, as_complex,
+                      resolved)
 
 
 class ZeroModuleError(ValueError):
@@ -178,25 +179,13 @@ def bass_table(x, bound: int) -> InvariantTable:
 # homology extremes
 
 
-def _trusted_homology(x: FreeComplex):
-    """(degree, presentation) pairs for every trusted degree with terms."""
-    lo, hi = x.term_range()
-    out = []
-    for i in range(lo, hi + 1):
-        if x.window.contains(i):
-            out.append((i, homology_presentation(x, i)))
-    return out
-
-
 def inf_of(x) -> int:
     if is_module(x):
         if x.is_zero_module():
             raise ZeroModuleError("inf of the zero module")
         return 0
-    lo, hi = x.term_range()
-    for i in range(lo, hi + 1):
-        if x.window.contains(i) and not homology_presentation(x, i).is_zero_module():
-            return i
+    for t, _ in trusted_homology(x):
+        return t
     raise ZeroModuleError("no nonzero homology in window")
 
 
@@ -205,10 +194,8 @@ def sup_of(x) -> int:
         if x.is_zero_module():
             raise ZeroModuleError("sup of the zero module")
         return 0
-    lo, hi = x.term_range()
-    for i in range(hi, lo - 1, -1):
-        if x.window.contains(i) and not homology_presentation(x, i).is_zero_module():
-            return i
+    for t, _ in trusted_homology(x, reverse=True):
+        return t
     raise ZeroModuleError("no nonzero homology in window")
 
 
@@ -261,16 +248,11 @@ def kdim_complex(x) -> int:
         if d < 0:
             raise ZeroModuleError("dimension of the zero module")
         return d
-    best = None
-    for i, h in _trusted_homology(x):
-        hm = minimal_presentation(h)
-        if hm.gens.rank == 0:
-            continue
-        d = hm.hilbert_series().dimension() - i
-        best = d if best is None else max(best, d)
-    if best is None:
+    dims = [minimal_presentation(h).hilbert_series().dimension() - i
+            for i, h in trusted_homology(x)]
+    if not dims:
         raise ZeroModuleError("dimension of a homologically trivial complex")
-    return best
+    return max(dims)
 
 
 def nu(m: ModulePresentation) -> int:
@@ -317,7 +299,7 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
         return FinitenessVerdict.finite_certified(
             top, f"minimal resolution ends at degree {top}")
     s = sup_of(x)
-    pb, pt = P.term_range()
+    pb, _ = P.term_range()
     last = None
     for i in range(pb, bound + 1):
         if not P.window.contains(i):

@@ -92,28 +92,11 @@ class ModulePresentation:
                          self.gens.shifted(n), dict(self.relations.entries))
         return ModulePresentation(self.ring, m, minimal=self.minimal)
 
-    def element_is_zero(self, column: GradedMatrix) -> bool:
-        """Whether a column in the generator free lies in the relations."""
-        return lift_matrix(self.relations, column) is not None
-
     def is_zero_module(self) -> bool:
         return minimal_presentation(self).gens.rank == 0
 
     def hilbert_series(self) -> HilbertSeries:
         return _hilbert_series(self)
-
-    def graded_piece_dim(self, d: int) -> int:
-        """dim_k of the degree-d piece, by counting standard monomials."""
-        P = self.ring.ambient
-        count = 0
-        for a, leads in enumerate(_component_leads(self)):
-            dd = d - self.gens.twists[a]
-            if dd < 0:
-                continue
-            for e in P.monomials_of_degree(dd):
-                if not any(P.mono_divides(g, e) for g in leads):
-                    count += 1
-        return count
 
     def k_dimension(self) -> int:
         """Total k-dimension; requires a finite-length module.
@@ -372,35 +355,34 @@ def _clean_columns(qr, free: GradedFree, m: GradedMatrix) -> GradedMatrix:
     return GradedMatrix.from_columns(qr, free, cols)
 
 
-def kernel_into_quotient(phi: GradedMatrix,
-                         target_rels: GradedMatrix) -> GradedMatrix:
-    """Generators of {v in source(phi) : phi(v) in im(target_rels)}."""
-    qr = phi.ring
-    if phi.source.rank == 0:
-        return GradedMatrix.zero(qr, ZERO_FREE, phi.source)
-    if phi.target.rank == 0:
-        return GradedMatrix.identity(qr, phi.source)
-    mats = [phi]
-    if target_rels.source.rank:
-        mats.append(target_rels)
-    K = kernel_matrix(hstack(qr, mats))
-    return _clean_columns(qr, phi.source, _restrict_rows(K, phi.source))
-
-
 def _sub_rels(kappa: GradedMatrix, denominators) -> GradedMatrix:
-    """Relations on the kappa generators modulo the given images: the
-    kernel of [kappa | denominators] restricted to the kappa block."""
+    """Generators of {v in source(kappa) : kappa(v) lies in the images of
+    the denominators}: the kernel of [kappa | denominators] restricted to
+    the kappa block, cleaned.  Read as relations on the kappa generators
+    modulo those images, or as the kernel of kappa into their quotient."""
     qr = kappa.ring
     if kappa.source.rank == 0:
-        return GradedMatrix.zero(qr, ZERO_FREE, ZERO_FREE)
+        return GradedMatrix.zero(qr, ZERO_FREE, kappa.source)
+    if kappa.target.rank == 0:
+        return GradedMatrix.identity(qr, kappa.source)
     mats = [kappa] + [d for d in denominators if d.source.rank]
     K = kernel_matrix(hstack(qr, mats))
     return _clean_columns(qr, kappa.source, _restrict_rows(K, kappa.source))
 
 
 def homology_presentation(X: FreeComplex, i: int) -> ModulePresentation:
-    """H_i of a free complex as a presented module (representative-level;
-    callers consult X.window for trust)."""
+    """H_i of a free complex as a presented module.  Representative-level:
+    it ignores X.window, so read trusted homology by trusted_homology.
+    Ring-memoized on the stretch X_{i+1} -> X_i -> X_{i-1} it depends on,
+    so equal stretches of complexes built separately share H_i, and a
+    large complex is never keyed whole."""
+    stretch = FreeComplex(X.ring, {j: X.term(j) for j in (i - 1, i, i + 1)},
+                          {i: X.diff(i), i + 1: X.diff(i + 1)})
+    return _homology(stretch, i)
+
+
+@ring_memo
+def _homology(X: FreeComplex, i: int) -> ModulePresentation:
     qr = X.ring
     Xi = X.term(i)
     if Xi.rank == 0:
@@ -411,6 +393,18 @@ def homology_presentation(X: FreeComplex, i: int) -> ModulePresentation:
         kappa = kernel_matrix(X.diff(i))
     rels = _sub_rels(kappa, [X.diff(i + 1)])
     return ModulePresentation(qr, rels)
+
+
+def trusted_homology(X: FreeComplex, reverse=False):
+    """Yield (t, H_t) for each degree t of X's term range that X.window
+    trusts and where H_t is nonzero, ascending, or descending when
+    reverse is set."""
+    lo, hi = X.term_range()
+    for t in (range(hi, lo - 1, -1) if reverse else range(lo, hi + 1)):
+        if X.window.contains(t):
+            h = homology_presentation(X, t)
+            if not h.is_zero_module():
+                yield t, h
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +503,7 @@ def hom_modules(m: ModulePresentation, n: ModulePresentation) -> HomPresentation
         return HomPresentation(qr, z, GradedMatrix.zero(qr, ZERO_FREE, H0),
                                m, n)
     A = _hom_induced(m.relations, n)
-    kappa = kernel_into_quotient(A, _hom_rel_block(m.relations.source, n))
+    kappa = _sub_rels(A, [_hom_rel_block(m.relations.source, n)])
     rels = _sub_rels(kappa, [_hom_rel_block(m.gens, n)])
     return HomPresentation(qr, rels, kappa, m, n)
 
@@ -527,7 +521,6 @@ def tensor_modules(m: ModulePresentation,
     tgt = GradedFree.of(tw)
     src_tw = []
     entries = {}
-    col = 0
     for r in range(m.relations.source.rank):
         for b in range(g0n):
             src_tw.append(m.relations.source.twists[r] + n.gens.twists[b])
@@ -562,7 +555,7 @@ def ext_module(m: ModulePresentation, n: ModulePresentation, i: int,
     if Fi.rank == 0:
         return ModulePresentation.free(qr, [])
     A = _hom_induced(res.complex.diff(i + 1), n)
-    kappa = kernel_into_quotient(A, _hom_rel_block(res.complex.term(i + 1), n))
+    kappa = _sub_rels(A, [_hom_rel_block(res.complex.term(i + 1), n)])
     dens = [_hom_rel_block(Fi, n)]
     if i >= 1:
         dens.append(_hom_induced(res.complex.diff(i), n))
@@ -593,7 +586,7 @@ class ModuleMap:
                 raise ValueError("map does not respect relations")
 
     def kernel_generators(self) -> GradedMatrix:
-        return kernel_into_quotient(self.matrix, self.target.relations)
+        return _sub_rels(self.matrix, [self.target.relations])
 
     def is_injective(self) -> bool:
         kappa = self.kernel_generators()

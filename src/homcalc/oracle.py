@@ -5,15 +5,23 @@ forms; from that point on resolutions, Ext, Tor, Bass and Betti data are
 computed purely by dense exact linear algebra over F_p, with none of the
 Groebner or complex machinery in the loop.  Agreement between this path
 and the main pipeline is the repository's master cross-validation.
+
+The arithmetic runs in int64, so realize refuses p >= 2^20 (ORACLE_MAX_P)
+with a FieldError: below it a sum of n products (p - 1)^2 stays under
+2^63 for every inner dimension n < 2^23, which covers any matrix the
+oracle can hold.  Larger primes would overflow matrix products silently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .field import FieldError
 from .groebner import NotArtinianError, QuotientRing
 from .linalg import fp_rref
 from .modules import ModulePresentation
+
+ORACLE_MAX_P = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +125,9 @@ def realize(qr: QuotientRing) -> FiniteAlgebra:
     if not hasattr(field, "p"):
         raise NotArtinianError("oracle requires a prime field")
     p = field.p
+    if p >= ORACLE_MAX_P:
+        raise FieldError(f"oracle requires p < 2^20 for exact int64 "
+                         f"arithmetic; got p = {p}")
     basis = qr.std_monomials()
     degrees = [qr.ambient.wdeg(e) for e in basis]
     index = {e: i for i, e in enumerate(basis)}
@@ -225,7 +236,6 @@ def from_presentation(alg: FiniteAlgebra, m: ModulePresentation) -> FiniteModule
                 queue.append(span.rows[-1].copy())
     free_pos = [c for c in range(F.dim) if c not in span.pivots]
     n = len(free_pos)
-    pos_index = {c: j for j, c in enumerate(free_pos)}
 
     def project(v):
         red = span.reduce(v)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from operator import add, le, mul, neg, sub
 from typing import Iterable, NamedTuple
 
-from .field import PrimeField, RationalField
-
 
 class HomogeneityError(ValueError):
     pass

@@ -20,8 +20,9 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, minimal_presentation, syzygy,
                       hom_modules, tensor_modules, ext_module, evaluation_map,
-                      homothety_map, homology_presentation, ring_memo,
-                      is_module, as_complex, resolved)
+                      homothety_map, homology_presentation,
+                      trusted_homology, ring_memo, is_module, as_complex,
+                      resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
@@ -69,13 +70,8 @@ def _scan_up(H: FreeComplex):
 
 def _cone_clear(c: FreeComplex):
     """(all trusted homology zero, witness degree or None)."""
-    if c.is_zero_complex():
-        return True, None
-    lo, hi = c.term_range()
-    for t in range(lo, hi + 1):
-        if c.window.contains(t) and \
-                not homology_presentation(c, t).is_zero_module():
-            return False, t
+    for t, _ in trusted_homology(c):
+        return False, t
     return True, None
 
 
@@ -497,13 +493,7 @@ def verify_finite_injective_from_homology(x: FreeComplex,
     notes = []
     hyps = {}
     ceilings = []
-    lo, hi = x.term_range()
-    for i in range(lo, hi + 1):
-        if not x.window.contains(i):
-            continue
-        h = homology_presentation(x, i)
-        if h.is_zero_module():
-            continue
+    for i, h in trusted_homology(x):
         v = id_verdict(h, bound)
         key = f"finite-id-H{i}"
         if v.is_finite_certified():
@@ -650,16 +640,7 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     Pc = as_complex(c, bound)
     Fx = resolved(x, bound)
     T = tensor_complex(Pc, Fx)
-    # locate trusted homology of the tensor
-    hs = []
-    if not T.is_zero_complex():
-        tlo, thi = T.term_range()
-        for t in range(tlo, thi + 1):
-            if not T.window.contains(t):
-                continue
-            h = homology_presentation(T, t)
-            if not h.is_zero_module():
-                hs.append((t, h))
+    hs = list(trusted_homology(T))
     if len(hs) == 1:
         # quasi-isomorphic to a shifted module: Bass data certify there
         s, ht = hs[0]

@@ -8,14 +8,15 @@ import pytest
 from homcalc.field import PrimeField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix, hstack
 from homcalc import modules
-from homcalc.groebner import NotArtinianError, QuotientRing
-from homcalc.complexes import UncertifiedDegreeError
+from homcalc.groebner import NotArtinianError, QuotientRing, lift_matrix
+from homcalc.complexes import (FreeComplex, UncertifiedDegreeError,
+                               direct_sum, shift_complex)
 from homcalc.modules import (
     ModulePresentation, ModuleMap, NotCohenMacaulayError,
     minimal_presentation, resolution, from_module, syzygy,
     hom_modules, tensor_modules, ext_module,
     evaluation_map, homothety_map, canonical_module,
-    homology_presentation,
+    homology_presentation, trusted_homology,
 )
 
 F = PrimeField(7)
@@ -33,6 +34,23 @@ SG = QuotientRing(P3, ["b^2 - a*c", "b*c - a^3", "c^2 - a^2*b"])  # k[t^3,t^4,t^
 
 def kdim(m):
     return minimal_presentation(m).k_dimension()
+
+
+def graded_piece_dim(m, d):
+    """dim_k of the degree-d piece of m, by counting standard monomials."""
+    P = m.ring.ambient
+    count = 0
+    for a, leads in enumerate(modules._component_leads(m)):
+        dd = d - m.gens.twists[a]
+        if dd >= 0:
+            count += sum(1 for e in P.monomials_of_degree(dd)
+                         if not any(P.mono_divides(g, e) for g in leads))
+    return count
+
+
+def element_is_zero(m, column):
+    """Whether a column in m's generator free lies in its relations."""
+    return lift_matrix(m.relations, column) is not None
 
 
 # -- presentations and minimality -------------------------------------------
@@ -57,7 +75,7 @@ def test_residue_field_presentation():
 def test_free_module_hilbert_data():
     r = ModulePresentation.free(NG, [0])
     assert r.k_dimension() == 3
-    assert [r.graded_piece_dim(d) for d in (0, 1, 2)] == [1, 2, 0]
+    assert [graded_piece_dim(r, d) for d in (0, 1, 2)] == [1, 2, 0]
 
 
 def test_kdim_rejects_positive_dimension():
@@ -72,8 +90,8 @@ def test_element_membership():
                          {(0, 0): DN.from_string("x")})
     one_col = GradedMatrix(DN, GradedFree.of([0]), m.gens,
                            {(0, 0): DN.one()})
-    assert m.element_is_zero(x_col)
-    assert not m.element_is_zero(one_col)
+    assert element_is_zero(m, x_col)
+    assert not element_is_zero(m, one_col)
 
 
 # -- resolutions and Betti numbers ------------------------------------------
@@ -289,6 +307,19 @@ def test_map_kernel_cokernel():
     assert kdim(coker) == 1
 
 
+def test_kernel_of_map_into_zero_module_is_identity(monkeypatch):
+    r = ModulePresentation.free(DN, [0, 1])
+    zero = ModulePresentation.free(DN, [])
+    f = ModuleMap(r, zero, GradedMatrix.zero(DN, r.gens, zero.gens))
+    calls = []
+    monkeypatch.setattr(modules, "kernel_matrix", calls.append)
+    kappa = f.kernel_generators()
+    assert calls == []    # answered by the early exit, with no kernel
+    assert kappa.source == kappa.target == r.gens
+    assert kappa.entries == GradedMatrix.identity(DN, r.gens).entries
+    assert not f.is_injective()
+
+
 def test_map_must_respect_relations():
     k = ModulePresentation.residue_field(DN)
     r = ModulePresentation.free(DN, [0])
@@ -363,7 +394,7 @@ def test_canonical_of_artinian_is_graded_dual():
     w = canonical_module(NG)
     assert w.gens.rank == 2
     assert w.k_dimension() == 3
-    assert [w.graded_piece_dim(d) for d in (0, 1)] == [2, 1]
+    assert [graded_piece_dim(w, d) for d in (0, 1)] == [2, 1]
     k = ModulePresentation.residue_field(NG)
     assert kdim(hom_modules(k, w)) == 1
 
@@ -388,6 +419,21 @@ def test_homology_presentation_of_resolution():
     assert kdim(homology_presentation(X, 0)) == 1
     for i in (1, 2):
         assert homology_presentation(X, i).is_zero_module()
+
+
+def test_trusted_homology_matches_brute_loop():
+    k = ModulePresentation.residue_field(DN)
+    Kc = from_module(k, 3)
+    X = direct_sum(Kc, shift_complex(Kc, 2))
+    assert len(X.window.parts) > 1    # the window has a gap
+    lo, hi = X.term_range()
+    brute = [(t, kdim(homology_presentation(X, t)))
+             for t in range(lo, hi + 1) if X.window.contains(t)
+             and not homology_presentation(X, t).is_zero_module()]
+    assert brute == [(0, 1), (2, 1)]
+    assert [(t, kdim(h)) for t, h in trusted_homology(X)] == brute
+    assert [(t, kdim(h)) for t, h in trusted_homology(X, reverse=True)] \
+        == brute[::-1]
 
 
 # -- the ring memo ----------------------------------------------------------
@@ -432,6 +478,25 @@ def test_memo_shares_resolutions(monkeypatch):
         [first.betti(i) for i in range(3)]
     resolution(ModulePresentation.cyclic(ring, ["x"]), 4)
     assert len(calls) == 1  # one more length, one more kernel
+
+
+def test_memo_shares_homology():
+    ring = QuotientRing(P1, ["x^2"])
+
+    def multiplication_by_x():
+        x = GradedMatrix(ring, GradedFree.of([1]), GradedFree.of([0]),
+                         {(0, 0): ring.from_string("x")})
+        return FreeComplex(ring, {1: x.source, 0: x.target}, {1: x})
+
+    first, again = multiplication_by_x(), multiplication_by_x()
+    for t in (0, 1):
+        assert homology_presentation(again, t) is \
+            homology_presentation(first, t)
+    # the key is the stretch X_1 -> X_0 -> X_-1, not the whole complex
+    longer = FreeComplex(ring, {**first.terms, 5: GradedFree.of([0])},
+                         first.diffs)
+    assert homology_presentation(longer, 0) is \
+        homology_presentation(first, 0)
 
 
 def test_memo_keyword_and_positional_calls_agree():

@@ -4,7 +4,7 @@ against the main pipeline on artinian rings."""
 import numpy as np
 import pytest
 
-from homcalc.field import PrimeField, RationalField
+from homcalc.field import FieldError, PrimeField, RationalField
 from homcalc.ring import PolyRing
 from homcalc.groebner import QuotientRing
 from homcalc.modules import ModulePresentation, syzygy, canonical_module
@@ -63,6 +63,25 @@ def test_realize_rejects_rational_field():
     r = QuotientRing(Q1, [Q1.from_string("x^2")])
     with pytest.raises(NotArtinianError):
         realize(r)
+
+
+OVERFLOW_IDEAL = ["x^2 + 12345*x*y", "y^3 - 777*x*y^2", "x*y^2"]
+
+
+@pytest.mark.parametrize("p", [4294967311, 2147483647])
+def test_realize_rejects_large_prime(p):
+    # int64 matrix products would sum n products near p^2 > 2^63 / n
+    Pp = PolyRing(PrimeField(p), ["x", "y"])
+    with pytest.raises(FieldError, match=r"p < 2\^20"):
+        realize(QuotientRing(Pp, OVERFLOW_IDEAL))
+
+
+def test_realize_below_prime_bound_matches_pipeline():
+    Pp = PolyRing(PrimeField(32003), ["x", "y"])
+    r = QuotientRing(Pp, OVERFLOW_IDEAL)
+    got = oracle_betti(residue_module(realize(r)), 4)
+    t = betti_table(residue_field(r), 5)
+    assert got == [t.value(i) for i in range(5)] == [1, 2, 4, 8, 16]
 
 
 def test_variable_actions_commute_and_satisfy_relations():
