@@ -56,13 +56,11 @@ from .complexes import (ChainMap, module_as_complex,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, syzygy, canonical_module,
                       from_module, NotCohenMacaulayError)
-from .invariants import (InvariantTable, FinitenessVerdict, betti_table,
-                         bass_table, depth, kdim_complex, type_of, nu,
-                         residue_field, pd_verdict, id_verdict, ext_dims,
-                         tor_dims, ZeroModuleError, WindowInsufficientError)
+from .invariants import (betti_table, bass_table, depth, kdim_complex,
+                         type_of, nu, residue_field, pd_verdict, id_verdict,
+                         ext_dims, tor_dims, ZeroModuleError,
+                         WindowInsufficientError)
 from .semidualizing import (NotSemidualizingError,
-                            SdcCertificate, DualizingVerdict, GcdimVerdict,
-                            MembershipVerdict, VerificationReport,
                             semidualizing_certificate, dualizing_verdict,
                             gcdim, in_auslander_class,
                             verify_type_formula, verify_dualizing_criteria,
@@ -331,6 +329,8 @@ def build_problem(doc: dict, field_override=None,
 
 
 def _jsonable(x):
+    """Plain JSON data of a value: a result (see invariants.Result) maps
+    to its KIND and FIELDS, containers map element by element."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, float):
@@ -340,34 +340,9 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in sorted(x.items(),
                                                         key=lambda kv: str(kv[0]))}
-    if isinstance(x, InvariantTable):
-        lo, hi = x.certified_range
-        return {"kind": "table", "table": x.kind,
-                "values": {str(i): v for i, v in sorted(x.values.items())},
-                "certified": [lo, hi]}
-    if isinstance(x, FinitenessVerdict):
-        return {"kind": "finiteness", "status": x.status, "n": x.n,
-                "bound": x.bound, "witness": x.witness}
-    if isinstance(x, VerificationReport):
-        return {"kind": "report", "name": x.name, "verdict": x.verdict,
-                "hypotheses": _jsonable(dict(x.hypotheses)),
-                "left": _jsonable(x.left), "right": _jsonable(x.right),
-                "bound": x.bound, "notes": list(x.notes)}
-    if isinstance(x, SdcCertificate):
-        return {"kind": "semidualizing", "ok": x.ok, "bound": x.bound,
-                "homothety_ok": x.homothety_ok,
-                "ext_vanishing_ok": x.ext_vanishing_ok, "reason": x.reason}
-    if isinstance(x, DualizingVerdict):
-        return {"kind": "dualizing", "dualizing": x.dualizing,
-                "reason": x.reason, "id_status": x.id_status,
-                "gcdim_of_k": _jsonable(x.gcdim_of_k)}
-    if isinstance(x, GcdimVerdict):
-        return {"kind": "gcdim", "status": x.status, "g": x.g,
-                "witness": x.witness, "bound": x.bound,
-                "inf_rhom": _jsonable(x.inf_rhom)}
-    if isinstance(x, MembershipVerdict):
-        return {"kind": "membership", "status": x.status,
-                "witness": x.witness, "bound": x.bound}
+    if hasattr(x, "FIELDS"):
+        return {"kind": x.KIND,
+                **{f: _jsonable(getattr(x, f)) for f in x.FIELDS}}
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -459,12 +434,10 @@ def _shift_spot(m, b, rng):
     mu_s = bass_table(S, b)
     ok = depth(S) == depth(m) - n
     checked = 0
-    for j in range(n, min(bt_s.certified_range[1],
-                          bt_m.certified_range[1] + n) + 1):
+    for j in range(n, min(bt_s.certified[1], bt_m.certified[1] + n) + 1):
         ok = ok and bt_s.value(j) == bt_m.value(j - n)   # beta_j(S) = beta_{j-n}
         checked += 1
-    for j in range(-n, min(mu_s.certified_range[1],
-                           mu_m.certified_range[1] - n) + 1):
+    for j in range(-n, min(mu_s.certified[1], mu_m.certified[1] - n) + 1):
         ok = ok and mu_s.value(j) == mu_m.value(j + n)   # mu^j(S) = mu^{j+n}
         checked += 1
     if checked == 0:
@@ -573,10 +546,9 @@ def _strip_timing(doc):
     return doc
 
 
-def emit_report(doc: dict, include_timing: bool = False) -> str:
+def emit_report(doc: dict) -> str:
     """Canonical machine form: sorted keys, timing stripped."""
-    body = doc if include_timing else _strip_timing(doc)
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_strip_timing(doc), sort_keys=True, indent=2) + "\n"
 
 
 def has_fail(doc) -> bool:
@@ -616,8 +588,11 @@ def _summary_line(entry):
     if kind == "report":
         return f"{head}  {r['verdict']} left={r['left']} right={r['right']}"
     if kind == "finiteness":
-        n = r["n"] if r["n"] is not None else f">={r['bound']}"
-        return f"{head}  {r['status']} {n}"
+        if r["n"] is not None:
+            return f"{head}  {r['status']} {r['n']}"
+        if r["status"] == "unknown":
+            return f"{head}  unknown >={r['bound']}"
+        return f"{head}  {r['status']} ({r['witness']})"
     if kind in ("gcdim", "membership"):
         return f"{head}  {r['status']}"
     if kind == "semidualizing":

@@ -70,10 +70,6 @@ class TrustWindow:
         return TrustWindow([(NEG_INF, INF)])
 
     @staticmethod
-    def empty():
-        return TrustWindow([])
-
-    @staticmethod
     def interval(lo, hi):
         return TrustWindow([(lo, hi)])
 
@@ -145,7 +141,9 @@ class FreeComplex:
     """Bounded complex of graded free modules over a QuotientRing.
 
     terms: dict i -> GradedFree (only nonzero ranks stored)
-    diffs: dict i -> GradedMatrix, the map terms[i] -> terms[i-1]
+    diffs: dict i -> GradedMatrix, the map terms[i] -> terms[i-1], with
+    entries in normal form (every construction here keeps them so, and
+    hom_complex/tensor_complex rely on it)
     window, true_lo, true_hi: see module docstring
     complete: the representative is the intended object on the nose (all
     homology everywhere is the true homology and nothing was truncated).
@@ -230,7 +228,7 @@ def module_as_complex(ring, free: GradedFree, at=0) -> FreeComplex:
     return FreeComplex(ring, {at: free}, {}, TrustWindow.all(), at, at, complete=True)
 
 
-def from_resolution(ring, matrices, complete, module_degree=0) -> FreeComplex:
+def from_resolution(ring, matrices, complete) -> FreeComplex:
     """Complex from resolution data d_1, d_2, ..., d_B (d_i: F_i -> F_{i-1}).
 
     If complete, the resolution terminated (the last kernel was zero) and
@@ -249,10 +247,7 @@ def from_resolution(ring, matrices, complete, module_degree=0) -> FreeComplex:
         window = TrustWindow.all()
     else:
         window = TrustWindow.all().minus_band(B, B)
-    cx = FreeComplex(ring, terms, diffs, window, 0, 0, complete=complete)
-    if module_degree:
-        cx = shift_complex(cx, module_degree)
-    return cx
+    return FreeComplex(ring, terms, diffs, window, 0, 0, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +445,6 @@ def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
                         q = p.scale(sgn)
                         entries[key] = q if cur is None else cur.__add__(q)
         m = GradedMatrix(qr, terms[t], terms[t - 1], entries)
-        m = qr.reduce_matrix(m)
         if not m.is_zero():
             diffs[t] = m
 
@@ -530,7 +524,6 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
                         q = p.scale(sgn)
                         entries[key] = q if cur is None else cur.__add__(q)
         m = GradedMatrix(qr, terms[t], terms[t - 1], entries)
-        m = qr.reduce_matrix(m)
         if not m.is_zero():
             diffs[t] = m
 

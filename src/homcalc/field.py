@@ -81,10 +81,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1
 
-    @property
-    def char(self) -> int:
-        return self.p
-
     def normalize(self, a) -> int:
         return int(a) % self.p
 
@@ -129,10 +125,6 @@ class RationalField:
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
-
-    @property
-    def char(self) -> int:
-        return 0
 
     def normalize(self, a) -> Fraction:
         return Fraction(a)

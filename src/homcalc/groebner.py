@@ -886,9 +886,6 @@ class HilbertSeries:
             raise ValueError("mixed denominators")
         return HilbertSeries(self.weights, _poly_add_int(self.numer, other.numer))
 
-    def coeff(self, d: int) -> int:
-        return self.coeffs(d, d)[0]
-
     def coeffs(self, lo: int, hi: int):
         """Series coefficients for degrees lo..hi inclusive."""
         if not self.numer:

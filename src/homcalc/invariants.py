@@ -50,34 +50,52 @@ def _hdim(x: FreeComplex, i: int) -> int:
 # tables and verdicts
 
 
-class InvariantTable:
-    """Map index -> value, valid only inside the certified range.
+class Result:
+    """A table or verdict that a report carries.
 
-    certified_range is (lo, hi); lo may be None when every index below hi
-    is certified (the value there is zero unless stored).  Zero values
-    inside the range are omitted from the map, never guessed outside it.
+    KIND names it in the report, and its JSON form is that kind plus the
+    attributes named in FIELDS.  The constructor takes the slots in
+    order.
     """
 
-    __slots__ = ("kind", "values", "certified_range")
+    __slots__ = ()
+    KIND = None
+    FIELDS = ()
 
-    def __init__(self, kind, values, certified_range):
-        self.kind = kind
-        self.values = {i: v for i, v in values.items() if v}
-        self.certified_range = certified_range
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+
+class InvariantTable(Result):
+    """Map index -> value, valid only inside the certified range.
+
+    table names the invariant ("betti" or "bass").  certified is (lo,
+    hi); lo may be None when every index below hi is certified (the value
+    there is zero unless stored).  Zero values inside the range are
+    omitted from the map, never guessed outside it.
+    """
+
+    __slots__ = FIELDS = ("table", "values", "certified")
+    KIND = "table"
+
+    def __init__(self, table, values, certified):
+        super().__init__(table, {i: v for i, v in values.items() if v},
+                         certified)
 
     def value(self, i: int) -> int:
-        lo, hi = self.certified_range
+        lo, hi = self.certified
         if (lo is not None and i < lo) or i > hi:
             raise UncertifiedDegreeError(
-                f"{self.kind} number {i} outside certified range {self.certified_range}")
+                f"{self.table} number {i} outside certified range {self.certified}")
         return self.values.get(i, 0)
 
     def nonzero_indices(self):
         return sorted(self.values)
 
     def __repr__(self):
-        return (f"InvariantTable({self.kind}, {self.values}, "
-                f"certified={self.certified_range})")
+        return (f"InvariantTable({self.table}, {self.values}, "
+                f"certified={self.certified})")
 
 
 FINITE_CERTIFIED = "finite-certified"
@@ -85,14 +103,9 @@ FINITE_LIKELY = "finite-likely"
 UNKNOWN = "unknown"
 
 
-class FinitenessVerdict:
-    __slots__ = ("status", "n", "bound", "witness")
-
-    def __init__(self, status, n, bound, witness):
-        self.status = status
-        self.n = n
-        self.bound = bound
-        self.witness = witness
+class FinitenessVerdict(Result):
+    __slots__ = FIELDS = ("status", "n", "bound", "witness")
+    KIND = "finiteness"
 
     @staticmethod
     def finite_certified(n, witness):
@@ -313,11 +326,11 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
         bound, f"no zero Betti number past sup {s} through {bound}")
 
 
-def id_verdict(x, bound: int, run_width=None) -> FinitenessVerdict:
+def id_verdict(x, bound: int) -> FinitenessVerdict:
     """Finite injective dimension.  For modules the vanishing of one Bass
     number past the depth is a certificate (Bass numbers have no gaps
-    between depth and id).  For genuine complexes only a long zero run is
-    reported, as FiniteLikely."""
+    between depth and id).  For genuine complexes only a zero run of width
+    dim R + amp X + 2 is reported, as FiniteLikely."""
     if is_module(x):
         qr = x.ring
         d = _module_depth(x)
@@ -333,15 +346,13 @@ def id_verdict(x, bound: int, run_width=None) -> FinitenessVerdict:
         return FinitenessVerdict.unknown_at_least(
             bound, f"Bass numbers nonzero through degree {bound}")
     t = bass_table(x, bound)
-    qr = x.ring
-    if run_width is None:
-        run_width = qr.krull_dim() + amplitude(x) + 2
+    run_width = x.ring.krull_dim() + amplitude(x) + 2
     idxs = t.nonzero_indices()
     if not idxs:
         return FinitenessVerdict.unknown_at_least(
             bound, "no nonzero Bass number seen")
     last = idxs[0]
-    _, hi = t.certified_range
+    _, hi = t.certified
     for i in range(idxs[0], hi + 1):
         if t.value(i):
             last = i

@@ -266,9 +266,6 @@ class Resolution:
                 f"Betti number {i} not certified at length {self.length}")
         return self.complex.term(i).rank
 
-    def differential(self, i: int) -> GradedMatrix:
-        return self.complex.diff(i)
-
 
 @ring_memo
 def _resolution_steps(mm: ModulePresentation, length: int):
@@ -452,8 +449,7 @@ class HomPresentation(ModulePresentation):
     """Presentation of Hom(M, N) carrying its universal pairing.
 
     pairing maps the abstract generator free onto honest elements of
-    N^rank(F0_M); generator_as_map unflattens one column to the matrix of
-    an actual module map M -> N.
+    N^rank(F0_M).
     """
 
     __slots__ = ("pairing", "source_module", "target_module")
@@ -474,20 +470,6 @@ class HomPresentation(ModulePresentation):
         if sol is None:
             raise ArithmeticError("element does not lie in the hom module")
         return _restrict_rows(sol, self.gens)
-
-    def generator_as_map(self, j: int) -> "ModuleMap":
-        g0 = self.target_module.gens.rank
-        entries = {}
-        for a in range(self.source_module.gens.rank):
-            for b in range(g0):
-                p = self.pairing.entry(a * g0 + b, j)
-                if not p.is_zero():
-                    entries[(b, a)] = p
-        tw = self.gens.twists[j]
-        mat = GradedMatrix(self.ring, self.source_module.gens.shifted(tw),
-                           self.target_module.gens, entries)
-        return ModuleMap(self.source_module.shifted(tw),
-                         self.target_module, mat)
 
 
 @ring_memo

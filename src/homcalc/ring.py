@@ -1,4 +1,4 @@
-"""Core graded algebra: weighted polynomial rings, monomial orders,
+"""Core graded algebra: weighted polynomial rings, the monomial order,
 polynomials, graded free modules, and graded matrices.
 
 Conventions
@@ -8,8 +8,8 @@ Conventions
   x^e is sum(w_i * e_i).  Weight vector (1,...,1) recovers the standard
   grading; (3,4,5) realizes k[t^3,t^4,t^5] as a quotient in three
   variables.
-* Orders are weighted-degree compatible: degrevlex (default) and deglex.
-  ``mono_key`` gives tuples that ascend with the order, so
+* The monomial order is weighted degree, then reverse lexicographic
+  (grevlex).  ``mono_key`` gives tuples that ascend with the order, so
   ``max(..., key=ring.mono_key)`` picks the leading monomial.  Module
   term orders (``groebner``) build their memoized term keys from it.
 * A graded free module is (rank, twists); generator j of F sits in
@@ -38,13 +38,10 @@ def _check_same_ring(a, b):
 
 
 class PolyRing:
-    """Ambient weighted polynomial ring k[x_1..x_n].
+    """Ambient weighted polynomial ring k[x_1..x_n], ordered by grevlex
+    on weighted degree."""
 
-    order: 'grevlex' or 'lex', both compared by weighted degree first.
-    """
-
-    def __init__(self, field, names: Iterable[str], weights: Iterable[int] | None = None,
-                 order: str = "grevlex"):
+    def __init__(self, field, names: Iterable[str], weights: Iterable[int] | None = None):
         self.field = field
         self.names = tuple(names)
         self.n = len(self.names)
@@ -55,9 +52,6 @@ class PolyRing:
         self.weights = tuple(int(w) for w in weights)
         if len(self.weights) != self.n or any(w < 1 for w in self.weights):
             raise ValueError("need one positive integer weight per variable")
-        if order not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order {order!r}")
-        self.order = order
         self.zero_exp = (0,) * self.n
         self._var_index = {nm: i for i, nm in enumerate(self.names)}
 
@@ -67,10 +61,7 @@ class PolyRing:
         return sum(map(mul, self.weights, e))
 
     def mono_key(self, e):
-        d = self.wdeg(e)
-        if self.order == "grevlex":
-            return (d,) + tuple(map(neg, reversed(e)))
-        return (d,) + tuple(e)
+        return (self.wdeg(e),) + tuple(map(neg, reversed(e)))
 
     def mono_mul(self, a, b):
         return tuple(map(add, a, b))
@@ -133,11 +124,10 @@ class PolyRing:
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.field == self.field
-                and other.names == self.names and other.weights == self.weights
-                and other.order == self.order)
+                and other.names == self.names and other.weights == self.weights)
 
     def __hash__(self):
-        return hash((self.field, self.names, self.weights, self.order))
+        return hash((self.field, self.names, self.weights))
 
     def __repr__(self):
         ws = "" if all(w == 1 for w in self.weights) else f", weights={self.weights}"
@@ -147,26 +137,16 @@ class PolyRing:
 class Polynomial:
     """Element of a PolyRing: dict from exponent tuple to nonzero coefficient."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def lead(self):
-        """(exponent, coeff) of the leading term under the ring order."""
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading term")
-            e = max(self.terms, key=self.ring.mono_key)
-            self._lead = (e, self.terms[e])
-        return self._lead
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
@@ -451,15 +431,15 @@ class GradedMatrix:
 
     @classmethod
     def identity(cls, ring, free: GradedFree) -> "GradedMatrix":
-        one = ring.one() if hasattr(ring, "one") else ring.ambient.one()
+        one = ring.one()
         return cls(ring, free, free, {(i, i): one for i in range(free.rank)})
 
     @classmethod
-    def from_columns(cls, ring, target: GradedFree, columns, twists=None) -> "GradedMatrix":
-        """columns: list of dicts {row_index: Polynomial}. Twists inferred
-        from homogeneity when not given."""
+    def from_columns(cls, ring, target: GradedFree, columns) -> "GradedMatrix":
+        """columns: list of dicts {row_index: Polynomial}.  Source twists
+        are inferred from homogeneity; a zero column gets twist 0."""
         entries = {}
-        inferred = []
+        twists = []
         for j, col in enumerate(columns):
             deg = None
             for i, p in col.items():
@@ -471,20 +451,14 @@ class GradedMatrix:
                     deg = d
                 elif deg != d:
                     raise HomogeneityError(f"column {j} is not homogeneous")
-            inferred.append(deg)
-        if twists is None:
-            twists = [0 if d is None else d for d in inferred]
-        source = GradedFree.of(twists)
-        return cls(ring, source, target, entries)
+            twists.append(0 if deg is None else deg)
+        return cls(ring, GradedFree.of(twists), target, entries)
 
     # access ---------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Polynomial:
         p = self.entries.get((i, j))
-        if p is None:
-            ring = self.ring if isinstance(self.ring, PolyRing) else self.ring.ambient
-            return ring.zero()
-        return p
+        return self.ring.zero() if p is None else p
 
     def column(self, j: int) -> dict:
         return {i: p for (i, jj), p in self.entries.items() if jj == j}

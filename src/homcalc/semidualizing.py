@@ -26,8 +26,8 @@ from .modules import (ModulePresentation, minimal_presentation, syzygy,
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
-                         amplitude, ext_presentation, ZeroModuleError,
-                         WindowInsufficientError)
+                         amplitude, ext_presentation, Result,
+                         ZeroModuleError, WindowInsufficientError)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -79,16 +79,10 @@ def _cone_clear(c: FreeComplex):
 # semidualizing and dualizing certification
 
 
-class SdcCertificate:
-    __slots__ = ("object", "bound", "homothety_ok", "ext_vanishing_ok",
-                 "reason")
-
-    def __init__(self, obj, bound, homothety_ok, ext_vanishing_ok, reason=""):
-        self.object = obj
-        self.bound = bound
-        self.homothety_ok = homothety_ok
-        self.ext_vanishing_ok = ext_vanishing_ok
-        self.reason = reason
+class SdcCertificate(Result):
+    __slots__ = ("bound", "homothety_ok", "ext_vanishing_ok", "reason")
+    KIND = "semidualizing"
+    FIELDS = ("ok",) + __slots__
 
     @property
     def ok(self) -> bool:
@@ -117,7 +111,7 @@ def semidualizing_certificate(c, bound: int) -> SdcCertificate:
         eok = bad is None
         reason = "" if hok and eok else \
             ("homothety" if not hok else f"self-ext nonzero at {bad}")
-        return SdcCertificate(c, bound, hok, eok, reason)
+        return SdcCertificate(bound, hok, eok, reason)
     qr = c.ring
     P, q = resolve_complex_with_map(c, bound)
     H = hom_complex(P, c)
@@ -132,21 +126,14 @@ def semidualizing_certificate(c, bound: int) -> SdcCertificate:
         qr, GradedFree.of([0]), H.term(0), col)})
     ok, t = _cone_clear(cone(chi))
     if ok:
-        return SdcCertificate(c, bound, True, True)
+        return SdcCertificate(bound, True, True, "")
     reason = "homothety" if t in (0, 1) else f"self-ext nonzero at {-t}"
-    return SdcCertificate(c, bound, t not in (0, 1), t in (0, 1), reason)
+    return SdcCertificate(bound, t not in (0, 1), t in (0, 1), reason)
 
 
-class DualizingVerdict:
-    __slots__ = ("dualizing", "reason", "certificate", "id_status",
-                 "gcdim_of_k")
-
-    def __init__(self, dualizing, reason, certificate, id_status, gcdim_of_k):
-        self.dualizing = dualizing
-        self.reason = reason
-        self.certificate = certificate
-        self.id_status = id_status
-        self.gcdim_of_k = gcdim_of_k
+class DualizingVerdict(Result):
+    __slots__ = FIELDS = ("dualizing", "reason", "id_status", "gcdim_of_k")
+    KIND = "dualizing"
 
     def __repr__(self):
         tag = "dualizing" if self.dualizing else f"not-dualizing({self.reason})"
@@ -165,29 +152,23 @@ def dualizing_verdict(c, bound: int) -> DualizingVerdict:
         k = residue_field(qr)
         gk = gcdim(k, c, bound)
     if not cert.ok:
-        return DualizingVerdict(False, cert.verdict(), cert, idv.status, gk)
+        return DualizingVerdict(False, cert.verdict(), idv.status, gk)
     if not idv.is_finite_certified():
         return DualizingVerdict(
             False, f"injective dimension {idv.status} at bound {bound}",
-            cert, idv.status, gk)
-    return DualizingVerdict(True, "", cert, idv.status, gk)
+            idv.status, gk)
+    return DualizingVerdict(True, "", idv.status, gk)
 
 
 # ---------------------------------------------------------------------------
 # G-dimension
 
 
-class GcdimVerdict:
+class GcdimVerdict(Result):
     """FiniteEquals(g) / Infinite(witness) / UncertifiedUpTo(bound)."""
 
-    __slots__ = ("status", "g", "witness", "bound", "inf_rhom")
-
-    def __init__(self, status, g, witness, bound, inf_rhom=None):
-        self.status = status
-        self.g = g
-        self.witness = witness
-        self.bound = bound
-        self.inf_rhom = inf_rhom
+    __slots__ = FIELDS = ("status", "g", "witness", "bound", "inf_rhom")
+    KIND = "gcdim"
 
     @staticmethod
     def finite(g, bound, inf_rhom=None):
@@ -195,11 +176,11 @@ class GcdimVerdict:
 
     @staticmethod
     def infinite(witness, bound):
-        return GcdimVerdict("infinite", None, witness, bound)
+        return GcdimVerdict("infinite", None, witness, bound, None)
 
     @staticmethod
     def uncertified(bound, witness=""):
-        return GcdimVerdict("uncertified", None, witness, bound)
+        return GcdimVerdict("uncertified", None, witness, bound, None)
 
     def is_finite(self):
         return self.status == "finite"
@@ -296,13 +277,9 @@ def gcdim(x, c, bound: int) -> GcdimVerdict:
 # Auslander class
 
 
-class MembershipVerdict:
-    __slots__ = ("status", "witness", "bound")
-
-    def __init__(self, status, witness, bound):
-        self.status = status
-        self.witness = witness
-        self.bound = bound
+class MembershipVerdict(Result):
+    __slots__ = FIELDS = ("status", "witness", "bound")
+    KIND = "membership"
 
     def __repr__(self):
         return f"MembershipVerdict({self.status}{self.witness and ': ' + self.witness})"
@@ -343,19 +320,10 @@ def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
 # verification reports
 
 
-class VerificationReport:
-    __slots__ = ("name", "hypotheses", "left", "right", "verdict", "bound",
-                 "notes")
-
-    def __init__(self, name, hypotheses, left, right, verdict, bound,
-                 notes=()):
-        self.name = name
-        self.hypotheses = dict(hypotheses)
-        self.left = left
-        self.right = right
-        self.verdict = verdict
-        self.bound = bound
-        self.notes = list(notes)
+class VerificationReport(Result):
+    __slots__ = FIELDS = ("name", "hypotheses", "left", "right", "verdict",
+                          "bound", "notes")
+    KIND = "report"
 
     def __repr__(self):
         return f"VerificationReport({self.name}: {self.verdict})"
@@ -394,14 +362,12 @@ def _gcdim_unmet(name, hyps, v, bound):
 def _window_guarded(fn):
     """Convert window shortfalls inside a verifier into an UNCERTIFIED
     report instead of an exception; a truncated computation must never
-    decide an identity."""
+    decide an identity.  Every verifier takes the bound last."""
     name = fn.__name__.replace("verify_", "").replace("_", "-")
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
-        bound = kwargs.get("bound")
-        if bound is None and args and isinstance(args[-1], int):
-            bound = args[-1]
+        bound = kwargs["bound"] if "bound" in kwargs else args[-1]
         try:
             return fn(*args, **kwargs)
         except (WindowInsufficientError, UncertifiedDegreeError) as e:
@@ -521,13 +487,13 @@ def verify_finite_injective_from_homology(x: FreeComplex,
 
 @_window_guarded
 def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
-                                 bound: int, tail=None) -> VerificationReport:
+                                 bound: int) -> VerificationReport:
     """Eventual Ext vanishing plus finite injective dimension of the
     nonvanishing Ext modules forces pd M and id N finite (and Gorenstein
-    when M = N)."""
+    when M = N).  The Ext tail checked for vanishing starts at
+    max(1, bound // 2)."""
     name = "ext-vanishing-descent"
-    if tail is None:
-        tail = max(1, bound // 2)
+    tail = max(1, bound // 2)
     notes = []
     hyps = {"ext-tail-vanishes": "met", "finite-id-of-ext": "met"}
     for i in range(tail, bound + 1):
@@ -605,9 +571,9 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
         hb = bass_table(hmr, bound)
         bt = betti_table(m, bound)
         rb = bass_table(r, bound)
-        _, bhi = bt.certified_range
-        _, rhi = rb.certified_range
-        _, hhi = hb.certified_range
+        _, bhi = bt.certified
+        _, rhi = rb.certified
+        _, hhi = hb.certified
         conv = True
         for t in range(0, min(hhi, rhi, bhi) + 1):
             rhs = sum(bt.value(i) * rb.value(t - i) for i in range(0, t + 1))
@@ -665,8 +631,8 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
                                   HYPOTHESES_NOT_MET, bound, notes)
     bt = betti_table(x, bound)
     bc = bass_table(c, bound)
-    blo, bhi = bt.certified_range
-    _, chi = bc.certified_range
+    blo, bhi = bt.certified
+    _, chi = bc.certified
     umax = max(support) if support else 0
     t_hi = min(bhi, chi - umax)
     nz = bt.nonzero_indices()

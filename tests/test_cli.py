@@ -233,6 +233,14 @@ def test_render_text_mentions_result():
     assert "depth(R)" in out
 
 
+def test_text_summary_of_zero_module_pd_names_its_witness():
+    doc = _dn_doc([{"op": "pd", "args": ["Z"], "bound": 3}])
+    doc["modules"] = {"Z": {"cyclic": ["1"]}}
+    out = render_text(run_tasks(build_problem(doc)))
+    assert "pd(Z) bound=3  finite-certified (zero module)\n" in out
+    assert "None" not in out
+
+
 def test_has_fail_spots_nested_fail():
     assert has_fail({"runs": [{"entries": [
         {"result": {"kind": "check", "status": "FAIL"}}]}]})

@@ -187,11 +187,6 @@ def test_grevlex_standard_cases():
     assert k((0, 2, 0)) > k((1, 0, 1))  # y^2 > xz, classic grevlex vs lex split
 
 
-def test_lex_disagrees_with_grevlex_on_y2_vs_xz():
-    R = PolyRing(F, ["x", "y", "z"], order="lex")
-    assert R.mono_key((1, 0, 1)) > R.mono_key((0, 2, 0))  # xz > y^2 in lex
-
-
 def test_weighted_degree():
     R = PolyRing(F, ["a", "b", "c"], weights=(3, 4, 5))
     assert R.wdeg((1, 1, 0)) == 7
@@ -249,7 +244,6 @@ def test_poly_arith_basic():
     assert (x + y) * (x - y) == x * x - y * y
     p = x * x + y
     assert (p - p).is_zero()
-    assert p.lead() == ((2, 0), 1)
 
 
 def test_poly_mixed_ring_rejected():

@@ -43,7 +43,7 @@ def test_betti_table_of_ring_is_trivial():
 def test_betti_table_k_dual_numbers():
     t = betti_table(residue_field(DN), 6)
     assert t.values == {i: 1 for i in range(6)}
-    assert t.certified_range == (None, 5)
+    assert t.certified == (None, 5)
     with pytest.raises(UncertifiedDegreeError):
         t.value(6)
 
@@ -76,7 +76,7 @@ def test_bass_table_routes_agree():
     k = residue_field(NG)
     a = bass_table(k, 3)
     b = bass_table(from_module(k, 6), 3)
-    _, hi = b.certified_range
+    _, hi = b.certified
     assert hi >= 2
     assert all(a.value(i) == b.value(i) for i in range(0, hi + 1))
 
@@ -236,7 +236,7 @@ def test_betti_shift_identity():
     base = betti_table(X, 5)
     for n in (1, 3):
         sh = betti_table(shift_complex(X, n), 5)
-        _, hi = sh.certified_range
+        _, hi = sh.certified
         for i in range(n, hi + 1):
             assert sh.value(i) == base.value(i - n)
 
@@ -244,10 +244,10 @@ def test_betti_shift_identity():
 def test_bass_shift_identity():
     X = from_module(residue_field(CI), 6)
     base = bass_table(X, 5)
-    _, bhi = base.certified_range
+    _, bhi = base.certified
     for n in (1, 2):
         sh = bass_table(shift_complex(X, n), 5)
-        _, hi = sh.certified_range
+        _, hi = sh.certified
         for i in range(-n, min(hi, bhi - n) + 1):
             assert sh.value(i) == base.value(i + n)
 

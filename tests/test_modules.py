@@ -213,12 +213,28 @@ def test_hom_from_ring_identity_witness():
     assert wit.is_isomorphism()
 
 
+def generator_as_map(h, j):
+    """Generator j of the Hom presentation h, unflattened from its
+    pairing column to the matrix of a module map M -> N."""
+    g0 = h.target_module.gens.rank
+    entries = {}
+    for a in range(h.source_module.gens.rank):
+        for b in range(g0):
+            p = h.pairing.entry(a * g0 + b, j)
+            if not p.is_zero():
+                entries[(b, a)] = p
+    tw = h.gens.twists[j]
+    mat = GradedMatrix(h.ring, h.source_module.gens.shifted(tw),
+                       h.target_module.gens, entries)
+    return ModuleMap(h.source_module.shifted(tw), h.target_module, mat)
+
+
 def test_hom_generators_are_maps():
     k = ModulePresentation.residue_field(NG)
     h = hom_modules(k, ModulePresentation.free(NG, [0]))
     assert h.gens.rank == 2
     for j in range(h.gens.rank):
-        h.generator_as_map(j).validate()
+        generator_as_map(h, j).validate()
 
 
 # -- tensor -----------------------------------------------------------------

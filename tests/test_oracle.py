@@ -191,7 +191,7 @@ def test_slice_dimensions_match_hilbert_series():
         f = free_module(alg, [0])
         hs = qr.hilbert_series()
         for d in range(0, 8):
-            assert f.slice_dimension(d) == hs.coeff(d)
+            assert f.slice_dimension(d) == hs.coeffs(d, d)[0]
 
 
 def test_oracle_invariants_shape():
