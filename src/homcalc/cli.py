@@ -512,14 +512,13 @@ def run_tasks(problem: Problem, default_bound: int = 10,
 
 
 def corpus_run(filter_expr=None, default_bound: int = 10, seed: int = 0,
-               field_override=None, problems=None) -> dict:
+               field_override=None) -> dict:
     """Run the shipped fixture suite; filter keeps tasks whose operation
     name contains the given substring."""
     from .corpus import corpus_problems
-    docs = problems if problems is not None else corpus_problems()
     runs = []
     t0 = time.monotonic()
-    for doc in docs:
+    for doc in corpus_problems():
         if filter_expr:
             doc = dict(doc)
             doc["tasks"] = [t for t in doc["tasks"]

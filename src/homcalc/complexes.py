@@ -223,9 +223,9 @@ def zero_complex(ring) -> FreeComplex:
     return FreeComplex(ring, {}, {}, TrustWindow.all(), 0, -1, complete=True)
 
 
-def module_as_complex(ring, free: GradedFree, at=0) -> FreeComplex:
-    """A single free module placed in homological degree `at`."""
-    return FreeComplex(ring, {at: free}, {}, TrustWindow.all(), at, at, complete=True)
+def module_as_complex(ring, free: GradedFree) -> FreeComplex:
+    """A single free module placed in homological degree 0."""
+    return FreeComplex(ring, {0: free}, {}, TrustWindow.all(), 0, 0, complete=True)
 
 
 def from_resolution(ring, matrices, complete) -> FreeComplex:
@@ -824,18 +824,6 @@ def resolve_complex(X: FreeComplex, bound: int) -> FreeComplex:
     return resolve_complex_with_map(X, bound)[0]
 
 
-def with_true_bounds(X: FreeComplex, lo=None, hi=None) -> FreeComplex:
-    """Copy of X with strengthened certified truth bounds.
-
-    Callers must hold an actual justification (a vanishing theorem or an
-    independently certified invariant); this function just records it.
-    """
-    tl = X.true_lo if lo is None else max(X.true_lo, lo)
-    th = X.true_hi if hi is None else min(X.true_hi, hi)
-    return FreeComplex(X.ring, dict(X.terms), dict(X.diffs), X.window,
-                       tl, th, complete=X.complete)
-
-
 # ---------------------------------------------------------------------------
 # canonical chain maps: biduality and tensor-evaluation
 
@@ -865,7 +853,9 @@ def biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
                 floor = lo if lo != NEG_INF else None
                 break
     if floor is not None:
-        D = with_true_bounds(D, lo=floor)
+        # record the floor as a certified truth bound of D
+        D = FreeComplex(qr, dict(D.terms), dict(D.diffs), D.window,
+                        max(D.true_lo, floor), D.true_hi, complete=D.complete)
     Q, q = resolve_complex_with_map(D, bound)
     H = hom_complex(Q, C)
     dflat = {}

@@ -267,10 +267,6 @@ class GBResult:
             return rem, None
         return rem, {k: Polynomial(self.ring, q) for k, q in quots.items()}
 
-    def contains(self, v) -> bool:
-        rem, _ = self.normal_form(v)
-        return not rem
-
 
 def _expr_axpy(target: dict, coeff: Polynomial, src: dict):
     """target -= coeff * src for expression dicts (index -> Polynomial)."""

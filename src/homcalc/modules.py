@@ -25,8 +25,7 @@ from .groebner import (QuotientRing, NotArtinianError, kernel_matrix,
                        TermOverPosition, vec_from_column, _padding_vectors,
                        minimalize_monomials, hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
-                        module_as_complex, zero_complex, resolve_complex,
-                        UncertifiedDegreeError)
+                        module_as_complex, zero_complex, resolve_complex)
 
 
 class NotCohenMacaulayError(ValueError):
@@ -244,27 +243,15 @@ class Resolution:
 
     complex holds the minimized truncation; ranks in certified degrees
     are the Betti numbers.  Without the complete flag the top term is a
-    construction artifact and reading it raises.
+    construction artifact, not a Betti number.
     """
 
-    __slots__ = ("module", "complex", "complete", "length")
+    __slots__ = ("module", "complex", "complete")
 
-    def __init__(self, module, complex, complete, length):
+    def __init__(self, module, complex, complete):
         self.module = module
         self.complex = complex
         self.complete = complete
-        self.length = length
-
-    def certified(self, i: int) -> bool:
-        return self.complete or i <= self.length - 1
-
-    def betti(self, i: int) -> int:
-        if i < 0:
-            return 0
-        if not self.certified(i):
-            raise UncertifiedDegreeError(
-                f"Betti number {i} not certified at length {self.length}")
-        return self.complex.term(i).rank
 
 
 @ring_memo
@@ -291,12 +278,12 @@ def resolution(m: ModulePresentation, length: int) -> Resolution:
     mm = minimal_presentation(m)
     qr = mm.ring
     if mm.gens.rank == 0:
-        return Resolution(mm, zero_complex(qr), True, length)
+        return Resolution(mm, zero_complex(qr), True)
     mats, complete = _resolution_steps(mm, length)
     if not mats:
-        return Resolution(mm, module_as_complex(qr, mm.gens), complete, length)
+        return Resolution(mm, module_as_complex(qr, mm.gens), complete)
     cx = minimize_complex(from_resolution(qr, list(mats), complete))
-    return Resolution(mm, cx, complete, len(mats))
+    return Resolution(mm, cx, complete)
 
 
 def from_module(m: ModulePresentation, bound: int) -> FreeComplex:
@@ -521,14 +508,12 @@ def tensor_modules(m: ModulePresentation,
 
 
 @ring_memo
-def ext_module(m: ModulePresentation, n: ModulePresentation, i: int,
-               bound=None) -> ModulePresentation:
+def ext_module(m: ModulePresentation, n: ModulePresentation,
+               i: int) -> ModulePresentation:
     """Ext^i_R(M, N) as the subquotient ker/im of Hom(F_i, N) maps along
     a minimal free resolution of M."""
     if i < 0:
         raise ValueError("ext index must be non-negative")
-    if bound is not None and i > bound:
-        raise ValueError("ext index exceeds the stated bound")
     if m.ring != n.ring:
         raise ValueError("ext over different rings")
     qr = m.ring
@@ -590,10 +575,6 @@ class ModuleMap:
 
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(other.source, self.target,
-                         self.matrix.compose(other.matrix))
 
 
 def homothety_map(c: ModulePresentation) -> ModuleMap:

@@ -460,9 +460,6 @@ class GradedMatrix:
         p = self.entries.get((i, j))
         return self.ring.zero() if p is None else p
 
-    def column(self, j: int) -> dict:
-        return {i: p for (i, jj), p in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.source.rank)]
         for (i, j), p in self.entries.items():

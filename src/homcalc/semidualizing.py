@@ -5,7 +5,11 @@ numerical identities relating type, Betti, and Bass data.
 Every verifier returns a four-valued report: PASS and FAIL are only
 issued when all inputs sat inside certified windows; hypothesis
 shortfalls give HYPOTHESES-NOT-MET and window shortfalls UNCERTIFIED, so
-a truncated computation can never masquerade as a counterexample.
+a truncated computation can never masquerade as a counterexample.  The
+reports have one path: the _verifier decorator builds every
+VerificationReport, from the conclusion a verifier returns, the
+hypothesis shortfall it raises through _require, or the window
+shortfall it meets.
 """
 
 from __future__ import annotations
@@ -329,102 +333,99 @@ class VerificationReport(Result):
         return f"VerificationReport({self.name}: {self.verdict})"
 
 
-def _conclude(hyps, conclusion_ok, windows_ok=True):
+class _Unmet(Exception):
+    """A hypothesis shortfall, carrying (hypotheses, left, right, notes)
+    out of a verifier to its HYPOTHESES-NOT-MET report."""
+
+
+def _require(hyps, notes, left=None, right=None):
+    """Abort the verifier with HYPOTHESES-NOT-MET unless every hypothesis
+    is met."""
     if any(v != "met" for v in hyps.values()):
-        return HYPOTHESES_NOT_MET
-    if not windows_ok:
-        return UNCERTIFIED
-    return PASS if conclusion_ok else FAIL
+        raise _Unmet(hyps, left, right, notes)
 
 
-def _coefficient_unmet(name, hyps, c, bound):
-    """The HYPOTHESES-NOT-MET report of a verifier whose coefficient C
-    fails its semidualizing certificate; None when C passes."""
-    cert = semidualizing_certificate(c, bound)
-    if cert.ok:
-        return None
-    hyps["semidualizing"] = "failed"
-    return VerificationReport(name, hyps, None, None, HYPOTHESES_NOT_MET,
-                              bound, [cert.verdict()])
+def _verifier(fn):
+    """The one place a VerificationReport is built.
 
-
-def _gcdim_unmet(name, hyps, v, bound):
-    """The HYPOTHESES-NOT-MET report of a verifier that needs a finite
-    G-dimension when the verdict v is not finite; None when it is."""
-    if v.is_finite():
-        return None
-    hyps["finite-gcdim"] = \
-        "failed" if v.status == "infinite" else "uncertified"
-    return VerificationReport(name, hyps, None, None, HYPOTHESES_NOT_MET,
-                              bound, [repr(v)])
-
-
-def _window_guarded(fn):
-    """Convert window shortfalls inside a verifier into an UNCERTIFIED
-    report instead of an exception; a truncated computation must never
-    decide an identity.  Every verifier takes the bound last."""
+    The verifier returns (hypotheses, left, right, conclusion, notes)
+    once every hypothesis is met: conclusion True gives PASS, False gives
+    FAIL, None UNCERTIFIED.  A hypothesis shortfall aborts it through
+    _require and gives HYPOTHESES-NOT-MET; a window shortfall gives
+    UNCERTIFIED, so a truncated computation never decides an identity.
+    The report is named after the function, and the bound is its last
+    argument."""
     name = fn.__name__.replace("verify_", "").replace("_", "-")
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         bound = kwargs["bound"] if "bound" in kwargs else args[-1]
         try:
-            return fn(*args, **kwargs)
+            hyps, left, right, ok, notes = fn(*args, **kwargs)
+            verdict = UNCERTIFIED if ok is None else PASS if ok else FAIL
+        except _Unmet as e:
+            hyps, left, right, notes = e.args
+            verdict = HYPOTHESES_NOT_MET
         except (WindowInsufficientError, UncertifiedDegreeError) as e:
-            return VerificationReport(name, {}, None, None, UNCERTIFIED,
-                                      bound, [str(e)])
+            hyps, left, right, notes = {}, None, None, [str(e)]
+            verdict = UNCERTIFIED
+        return VerificationReport(name, hyps, left, right, verdict, bound,
+                                  notes)
     return wrapped
 
 
-@_window_guarded
+def _top_ext(x, c, hyps, bound):
+    """(g, e, nu(Ext^e(X, C))) for the G-dimension g of X with respect to
+    C and e = g - inf C, a zero Ext^e counting as nu = 0.  Aborts with
+    HYPOTHESES-NOT-MET when g is not certified finite."""
+    v = gcdim(x, c, bound)
+    if not v.is_finite():
+        hyps["finite-gcdim"] = \
+            "failed" if v.status == "infinite" else "uncertified"
+        _require(hyps, [repr(v)])
+    e = v.g - inf_of(c)
+    try:
+        nu_ext = nu(ext_presentation(x, c, e, bound))
+    except ZeroModuleError:
+        nu_ext = 0
+    return v.g, e, nu_ext
+
+
+@_verifier
 def verify_type_formula(z, c, bound: int) -> VerificationReport:
     """type(Z) = nu(Ext^{g - inf C}(Z, C)) * mu^{depth C}(C) whenever the
     G-dimension of Z with respect to C is finite."""
-    name = "type-formula"
     hyps = {"semidualizing": "met", "finite-gcdim": "met"}
-    if unmet := _coefficient_unmet(name, hyps, c, bound):
-        return unmet
-    v = gcdim(z, c, bound)
-    if unmet := _gcdim_unmet(name, hyps, v, bound):
-        return unmet
-    g = v.g
-    e = g - inf_of(c)
+    cert = semidualizing_certificate(c, bound)
+    if not cert.ok:
+        hyps["semidualizing"] = "failed"
+        _require(hyps, [cert.verdict()])
+    g, e, nu_ext = _top_ext(z, c, hyps, bound)
     left = type_of(z)
-    try:
-        nu_ext = nu(ext_presentation(z, c, e, bound))
-    except ZeroModuleError:
-        nu_ext = 0
     mu_c = type_of(c)
     right = nu_ext * mu_c
-    return VerificationReport(
-        name, hyps, left, right, _conclude(hyps, left == right), bound,
-        [f"g={g}, nu(Ext^{e})={nu_ext}, mu^depth(C)={mu_c}"])
+    return hyps, left, right, left == right, \
+        [f"g={g}, nu(Ext^{e})={nu_ext}, mu^depth(C)={mu_c}"]
 
 
-@_window_guarded
+@_verifier
 def verify_dualizing_criteria(x, c, bound: int) -> VerificationReport:
     """A Cohen-Macaulay object of finite G-dimension whose type is
     bounded by the generator count of its top Ext against C forces C to
     be dualizing (amplitude-zero proviso, or the dimension equality
     dim X = dim C - grade); conversely a dualizing C passes the same
     hypotheses with X = C."""
-    name = "dualizing-criteria"
     notes = []
     hyps = {"semidualizing": "met", "cohen-macaulay": "met",
             "finite-gcdim": "met", "type-bound": "met",
             "amplitude-zero-or-dimension-equality": "met"}
-    if unmet := _coefficient_unmet(name, hyps, c, bound):
-        return unmet
+    cert = semidualizing_certificate(c, bound)
+    if not cert.ok:
+        hyps["semidualizing"] = "failed"
+        _require(hyps, [cert.verdict()])
     if not is_cohen_macaulay(x):
         hyps["cohen-macaulay"] = "failed"
-    v = gcdim(x, c, bound)
-    if unmet := _gcdim_unmet(name, hyps, v, bound):
-        return unmet
-    e = v.g - inf_of(c)
-    try:
-        nu_ext = nu(ext_presentation(x, c, e, bound))
-    except ZeroModuleError:
-        nu_ext = 0
+    _, e, nu_ext = _top_ext(x, c, hyps, bound)
     r_x = type_of(x)
     if r_x > nu_ext:
         hyps["type-bound"] = "failed"
@@ -433,29 +434,25 @@ def verify_dualizing_criteria(x, c, bound: int) -> VerificationReport:
     dim_eq = kdim_complex(x) == kdim_complex(c) - grade_wrt(x, c, bound)
     if not (amp0 or dim_eq):
         hyps["amplitude-zero-or-dimension-equality"] = "failed"
-    if any(vv != "met" for vv in hyps.values()):
-        return VerificationReport(name, hyps, r_x, nu_ext,
-                                  HYPOTHESES_NOT_MET, bound, notes)
+    _require(hyps, notes, r_x, nu_ext)
     dv = dualizing_verdict(c, bound)
     notes.append(f"conclusion: {dv!r}")
+    conclusion = False
     if dv.dualizing:
         # converse direction with X = C: the coefficient itself must
         # satisfy the same numerical bound with equality at type 1
-        notes.append(f"converse: type(C) = {type_of(c)}")
-        conclusion = type_of(c) == 1
-    else:
-        conclusion = False
-    return VerificationReport(name, hyps, r_x, nu_ext,
-                              _conclude(hyps, conclusion), bound, notes)
+        r_c = type_of(c)
+        notes.append(f"converse: type(C) = {r_c}")
+        conclusion = r_c == 1
+    return hyps, r_x, nu_ext, conclusion, notes
 
 
-@_window_guarded
+@_verifier
 def verify_finite_injective_from_homology(x: FreeComplex,
                                           bound: int) -> VerificationReport:
     """If every homology module has certified finite injective dimension
     then the complex does too, with the Bass table truncating at
     max(id H_i - i)."""
-    name = "finite-injective-from-homology"
     notes = []
     hyps = {}
     ceilings = []
@@ -470,29 +467,21 @@ def verify_finite_injective_from_homology(x: FreeComplex,
             notes.append(f"H_{i}: {v!r}")
     if not hyps:
         hyps["finite-id-homology"] = "met"   # exact complex: vacuous
-    if any(v != "met" for v in hyps.values()):
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, notes)
-    ceiling = max(ceilings) if ceilings else None
-    t = bass_table(x, bound)
-    observed = max(t.nonzero_indices()) if t.nonzero_indices() else None
-    if ceiling is None:
-        ok = observed is None
-    else:
-        ok = observed is None or observed <= ceiling
+    _require(hyps, notes)
+    ceiling = max(ceilings, default=None)
+    observed = max(bass_table(x, bound).nonzero_indices(), default=None)
+    ok = observed is None or (ceiling is not None and observed <= ceiling)
     notes.append(f"Bass ceiling {ceiling}, last nonzero {observed}")
-    return VerificationReport(name, hyps, ceiling, observed,
-                              _conclude(hyps, ok), bound, notes)
+    return hyps, ceiling, observed, ok, notes
 
 
-@_window_guarded
+@_verifier
 def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
                                  bound: int) -> VerificationReport:
     """Eventual Ext vanishing plus finite injective dimension of the
     nonvanishing Ext modules forces pd M and id N finite (and Gorenstein
     when M = N).  The Ext tail checked for vanishing starts at
     max(1, bound // 2)."""
-    name = "ext-vanishing-descent"
     tail = max(1, bound // 2)
     notes = []
     hyps = {"ext-tail-vanishes": "met", "finite-id-of-ext": "met"}
@@ -511,31 +500,22 @@ def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
                 hyps["finite-id-of-ext"] = "uncertified"
                 notes.append(f"id of Ext^{i}(M, N): {v!r}")
                 break
-    if any(v != "met" for v in hyps.values()):
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, notes)
+    _require(hyps, notes)
     pv = pd_verdict(m, bound)
     iv = id_verdict(n, bound)
     ok = pv.is_finite_certified() and iv.is_finite_certified()
     notes.append(f"pd M: {pv!r}; id N: {iv!r}")
-    same = m is n or (m.ring == n.ring and _same_presentation(m, n))
+    same = m is n or (m.ring == n.ring and m.gens == n.gens
+                      and m.relations == n.relations)
     if same and ok:
-        qr = m.ring
-        gor = type_of(_ring_module(qr)) == 1 and \
-            id_verdict(_ring_module(qr), bound).is_finite_certified()
+        r = _ring_module(m.ring)
+        gor = type_of(r) == 1 and id_verdict(r, bound).is_finite_certified()
         notes.append(f"Gorenstein conclusion: {gor}")
-        ok = ok and gor
-    left = pv.status
-    right = iv.status
-    return VerificationReport(name, hyps, left, right,
-                              _conclude(hyps, ok), bound, notes)
+        ok = gor
+    return hyps, pv.status, iv.status, ok, notes
 
 
-def _same_presentation(a: ModulePresentation, b: ModulePresentation) -> bool:
-    return a.gens == b.gens and a.relations == b.relations
-
-
-@_window_guarded
+@_verifier
 def verify_auslander_reiten(m: ModulePresentation, mode: str,
                             bound: int) -> VerificationReport:
     """Vanishing self-Ext and Ext against R, plus finite injective
@@ -544,9 +524,7 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
     mu^j(R) is checked independently whenever Ext^{>0}(M, R) vanishes."""
     if mode not in ("hom-MR", "hom-MM"):
         raise ValueError("mode must be hom-MR or hom-MM")
-    name = "auslander-reiten"
-    qr = m.ring
-    r = _ring_module(qr)
+    r = _ring_module(m.ring)
     notes = []
     hyps = {"self-ext-vanishes": "met", "ext-against-ring-vanishes": "met",
             "finite-id-of-hom": "met"}
@@ -567,15 +545,12 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
     # independent convolution check, meaningful once Ext^{>0}(M, R) = 0
     conv = None
     if hyps["ext-against-ring-vanishes"] == "met":
-        hmr = hom_modules(m, r)
-        hb = bass_table(hmr, bound)
+        hb = bass_table(hom_modules(m, r), bound)
         bt = betti_table(m, bound)
         rb = bass_table(r, bound)
-        _, bhi = bt.certified
-        _, rhi = rb.certified
-        _, hhi = hb.certified
         conv = True
-        for t in range(0, min(hhi, rhi, bhi) + 1):
+        for t in range(0, min(hb.certified[1], rb.certified[1],
+                              bt.certified[1]) + 1):
             rhs = sum(bt.value(i) * rb.value(t - i) for i in range(0, t + 1))
             if hb.value(t) != rhs:
                 conv = False
@@ -583,26 +558,23 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
                              f"{hb.value(t)} != {rhs}")
                 break
         notes.append(f"convolution identity holds: {conv}")
-    if any(v != "met" for v in hyps.values()):
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, notes)
+    _require(hyps, notes)
     free = minimal_presentation(m).relations.source.rank == 0
     gor = type_of(r) == 1 and id_verdict(r, bound).is_finite_certified()
     notes.append(f"M free: {free}; R Gorenstein: {gor}")
-    ok = free and gor and (conv is not False)
-    return VerificationReport(name, hyps, free, gor,
-                              _conclude(hyps, ok), bound, notes)
+    return hyps, free, gor, free and gor and conv is not False, notes
 
 
-@_window_guarded
+@_verifier
 def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     """beta_t(X) = sum_{i+j=t} mu^i(C) mu^{-j}(C tensor X) when the
     derived tensor has certified finite injective dimension."""
-    name = "betti-bass-convolution"
     notes = []
     hyps = {"semidualizing": "met", "finite-id-of-tensor": "met"}
-    if unmet := _coefficient_unmet(name, hyps, c, bound):
-        return unmet
+    cert = semidualizing_certificate(c, bound)
+    if not cert.ok:
+        hyps["semidualizing"] = "failed"
+        _require(hyps, [cert.verdict()])
     Pc = as_complex(c, bound)
     Fx = resolved(x, bound)
     T = tensor_complex(Pc, Fx)
@@ -624,53 +596,40 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
         hyps["finite-id-of-tensor"] = "uncertified"
         notes.append("tensor homology spread across degrees "
                      f"{sorted(t for t, _ in hs)}; no module-route certificate")
-        tensor_mu = None
-        support = []
-    if any(v != "met" for v in hyps.values()):
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, notes)
+    _require(hyps, notes)
     bt = betti_table(x, bound)
     bc = bass_table(c, bound)
     blo, bhi = bt.certified
-    _, chi = bc.certified
-    umax = max(support) if support else 0
-    t_hi = min(bhi, chi - umax)
-    nz = bt.nonzero_indices()
-    t_lo = min(nz) if nz else 0
+    t_hi = min(bhi, bc.certified[1] - max(support, default=0))
+    t_lo = min(bt.nonzero_indices(), default=0)
     if blo is not None:
         t_lo = max(t_lo, blo)
     if t_hi < t_lo:
-        return VerificationReport(name, hyps, None, None, UNCERTIFIED,
-                                  bound, ["no comparable degrees in window"])
-    lhs, rhs = {}, {}
-    ok = True
-    for t in range(t_lo, t_hi + 1):
-        lhs[t] = bt.value(t)
-        rhs[t] = sum(tensor_mu(u) * bc.value(t + u) for u in support)
-        if lhs[t] != rhs[t]:
-            ok = False
+        return hyps, None, None, None, ["no comparable degrees in window"]
+    lhs = {t: bt.value(t) for t in range(t_lo, t_hi + 1)}
+    rhs = {t: sum(tensor_mu(u) * bc.value(t + u) for u in support)
+           for t in range(t_lo, t_hi + 1)}
     notes.append(f"compared degrees {t_lo}..{t_hi}")
-    return VerificationReport(name, hyps, lhs, rhs,
-                              _conclude(hyps, ok), bound, notes)
+    return hyps, lhs, rhs, lhs == rhs, notes
 
 
-@_window_guarded
+@_verifier
 def verify_generator_count_formula(m: ModulePresentation,
                                    c: ModulePresentation,
                                    bound: int) -> VerificationReport:
     """nu(M) = mu^d(C) * mu^d(C tensor M) with d = dim R, under derived
     C-flatness (Tor vanishing) and finite injective dimension of the
     tensor; generator count 1 additionally forces C dualizing."""
-    name = "generator-count-formula"
     if not is_module(c):
         raise ValueError("the coefficient must be a module presentation")
     notes = []
     hyps = {"semidualizing": "met", "tor-vanishes": "met",
             "finite-id-of-tensor": "met"}
-    if unmet := _coefficient_unmet(name, hyps, c, bound):
-        return unmet
-    td = tor_dims(c, m, 1, bound)
-    bad = [i for i, v in td.items() if v]
+    cert = semidualizing_certificate(c, bound)
+    if not cert.ok:
+        hyps["semidualizing"] = "failed"
+        _require(hyps, [cert.verdict()])
+    bad = [i for i, v in tor_dims(c, m, 1, bound).items() if v]
     if bad:
         hyps["tor-vanishes"] = "failed"
         notes.append(f"Tor_{min(bad)}(C, M) != 0")
@@ -679,11 +638,8 @@ def verify_generator_count_formula(m: ModulePresentation,
     if not tv.is_finite_certified():
         hyps["finite-id-of-tensor"] = "uncertified"
         notes.append(f"id of C tensor M: {tv!r}")
-    if any(v != "met" for v in hyps.values()):
-        return VerificationReport(name, hyps, None, None,
-                                  HYPOTHESES_NOT_MET, bound, notes)
-    qr = m.ring
-    d = qr.krull_dim()
+    _require(hyps, notes)
+    d = m.ring.krull_dim()
     left = nu(m)
     right = bass_table(c, max(d, bound)).value(d) * \
         bass_table(t, max(d, bound)).value(d)
@@ -693,5 +649,4 @@ def verify_generator_count_formula(m: ModulePresentation,
         dv = dualizing_verdict(c, bound)
         notes.append(f"generator count 1 forces dualizing: {dv!r}")
         ok = dv.dualizing
-    return VerificationReport(name, hyps, left, right,
-                              _conclude(hyps, ok), bound, notes)
+    return hyps, left, right, ok, notes

@@ -268,12 +268,13 @@ def test_corpus_filter_keeps_matching_ops():
     assert not has_fail(doc)
 
 
-def test_corpus_broken_fixture_surfaces_fail(tmp_path):
+def test_corpus_broken_fixture_surfaces_fail(tmp_path, monkeypatch):
     broken = {"name": "broken", "field": {"prime": 7},
               "ring": {"variables": ["x"], "weights": [1],
                        "relations": ["x^2"]},
               "tasks": [{"op": "check-type", "args": ["R", 3], "bound": 3}]}
-    doc = corpus_run(problems=[broken])
+    monkeypatch.setattr("homcalc.corpus.corpus_problems", lambda: [broken])
+    doc = corpus_run()
     assert has_fail(doc)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(broken))

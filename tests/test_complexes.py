@@ -220,7 +220,7 @@ def test_index_layouts_match_ranks():
 
 def test_hom_twists():
     # Hom(R(-1)[at 1], R) sits in degree -1 with twist +1
-    P = module_as_complex(DN, GradedFree.of([1]), at=1)
+    P = shift_complex(module_as_complex(DN, GradedFree.of([1])), 1)
     Y = module_as_complex(DN, GradedFree.of([0]))
     H = hom_complex(P, Y)
     assert sorted(H.terms) == [-1]

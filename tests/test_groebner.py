@@ -27,6 +27,12 @@ def ring_vec(p):
     return {(0, e): c for e, c in p.terms.items()}
 
 
+def contains(gb, v):
+    """Whether v lies in the span of the Groebner basis gb."""
+    rem, _ = gb.normal_form(v)
+    return not rem
+
+
 def combo(inputs, s, ring):
     """Evaluate a syzygy candidate: sum_i s_(i,e) x^e * inputs[i]."""
     Fld = ring.field
@@ -73,8 +79,8 @@ def test_gb_membership_and_normal_form():
     gens = [ring_vec(R.from_string(s)) for s in ("y - x^2", "z - x^3")]
     gb = reduced_gb(gens, R, PositionOverTerm(R))
     # y*z - x^5 = y(z - x^3) + x^3(y - x^2) is in the ideal
-    assert gb.contains(ring_vec(R.from_string("y*z - x^5")))
-    assert not gb.contains(ring_vec(R.from_string("x*y - 1")))
+    assert contains(gb, ring_vec(R.from_string("y*z - x^5")))
+    assert not contains(gb, ring_vec(R.from_string("x*y - 1")))
 
 
 def test_gb_deterministic():
@@ -106,7 +112,7 @@ def test_gb_spairs_reduce_and_tracking(raw):
     gb = reduced_gb(gens, R, PositionOverTerm(R), track=True)
     # every input reduces to zero
     for v in gens:
-        assert gb.contains(v)
+        assert contains(gb, v)
     # S-pairs of the basis reduce to zero (Buchberger criterion)
     for k, (lt, lc) in enumerate(gb.leads):
         assert lc == F.one
@@ -253,7 +259,7 @@ def test_koszul_syzygy_two_variables():
     # the Koszul relation (y, -x) lies in the span of the output
     kos = {(0, (0, 1)): F.one, (1, (1, 0)): F.normalize(-1)}
     sgb = reduced_gb(syz, R, PositionOverTerm(R))
-    assert sgb.contains(kos)
+    assert contains(sgb, kos)
 
 
 def test_koszul_syzygies_three_variables():
@@ -266,7 +272,7 @@ def test_koszul_syzygies_three_variables():
     for i, j in ((0, 1), (0, 2), (1, 2)):
         kos = {(i, tuple(1 if t == j else 0 for t in range(3))): F.one,
                (j, tuple(1 if t == i else 0 for t in range(3))): F.normalize(-1)}
-        assert sgb.contains(kos)
+        assert contains(sgb, kos)
 
 
 def test_zero_input_gets_unit_syzygy():
@@ -285,7 +291,7 @@ def test_redundant_generator_syzygy():
         assert combo(inputs, s, R) == {}
     sgb = reduced_gb(syz, R, PositionOverTerm(R))
     target = {(1, (0,)): F.one, (0, (1,)): F.normalize(-1)}
-    assert sgb.contains(target)
+    assert contains(sgb, target)
 
 
 # -- quotient rings ---------------------------------------------------------

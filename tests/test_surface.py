@@ -1,12 +1,27 @@
 """No dead surface: every function, class and method that src/ defines is
-used somewhere in src/ or perfbench/ outside its own definition.
+used somewhere in src/ or perfbench/ outside its own definition, and
+every defaulted parameter is set by some call there.
 
 A use is a read of a name (``ast.Name``), of an attribute
 (``ast.Attribute``), or a string constant that is an identifier, since
-the CLI's operation table names its functions by string.  Dunders are
-exempt, as are the independent routes kept to cross-check the engine
-(the oracle's public names and artinian_homology_dims) and the entry
-point.  Code that only tests call belongs next to those tests.
+the CLI's operation table names its functions by string.  A parameter is
+set by a call to a function of its name that passes it by keyword, passes
+enough positional arguments to reach it, or unpacks ``*``/``**``
+arguments; a constructor's parameters are set through calls to its
+class.  Dunders are exempt, as are the independent routes kept to
+cross-check the engine (the oracle's public names and parameters, and
+artinian_homology_dims), the entry point, and the parameters in
+KEPT_PARAMS.  Code that only tests call belongs next to those tests.
+
+Blind spot: both checks match by name, not by object.  A method counts
+as used when any read of its name occurs, so one whose name another
+definition, a variable or an operation shares goes unseen: that is how
+``GradedMatrix.column`` (read as ``ParseError``'s ``column`` argument),
+``GBResult.contains`` (as ``TrustWindow.contains``), ``ModuleMap.compose``
+(as ``GradedMatrix.compose``) and ``Resolution.certified``/``betti`` (as
+``InvariantTable.certified`` and the "betti" operation) outlived their
+last caller.  Likewise a parameter counts as set when a call to any
+function of that name sets it.
 """
 
 import ast
@@ -18,10 +33,23 @@ SRC = ROOT / "src" / "homcalc"
 
 KEPT = {("complexes", "artinian_homology_dims"), ("cli", "main")}
 
+KEPT_PARAMS = {
+    # a certified floor makes the biduality windows unconditional;
+    # tests/test_complexes.py::test_biduality_pinned_floor_is_stable pins
+    # the stability contract (raising the bound never changes a trusted
+    # reading) through it
+    ("complexes", "biduality_rep", "floor"),
+}
+
 
 def _kept(module, name):
     return (module, name) in KEPT or (module == "oracle"
                                       and not name.startswith("_"))
+
+
+def _trees():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return {f: ast.parse(f.read_text(), str(f)) for f in files}
 
 
 def _uses(tree):
@@ -47,8 +75,7 @@ def _definitions(tree):
 
 
 def unused_definitions():
-    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {f: ast.parse(f.read_text(), str(f)) for f in files}
+    trees = _trees()
     total = Counter()
     for tree in trees.values():
         total += _uses(tree)
@@ -72,3 +99,77 @@ def test_kept_names_exist():
         defined |= {(f.stem, n.name)
                     for n in _definitions(ast.parse(f.read_text()))}
     assert KEPT <= defined
+
+
+# ---------------------------------------------------------------------------
+# defaulted parameters
+
+
+def _functions(tree):
+    """(names a call reaches it by, def node, whether a bound method)."""
+    for owner in ast.walk(tree):
+        if not isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        for fn in owner.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            in_class = isinstance(owner, ast.ClassDef)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            names = {fn.name}
+            if in_class and fn.name == "__init__":
+                names.add(owner.name)
+            yield names, fn, in_class and not static
+
+
+def _defaulted(fn, method):
+    """(name, index among a caller's positional arguments or None) of
+    every parameter of fn with a default."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i in range(first, len(pos)):
+        yield pos[i].arg, i - method
+    for p, d in zip(a.kwonlyargs, a.kw_defaults):
+        if d is not None:
+            yield p.arg, None
+
+
+def _sets(call, param, index):
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred)
+                                         for a in call.args)
+
+
+def unset_parameters():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    found = []
+    for f, tree in trees.items():
+        if f.parent != SRC:
+            continue
+        for names, fn, method in _functions(tree):
+            for param, index in _defaulted(fn, method):
+                if not any(_sets(c, param, index)
+                           for n in names for c in calls.get(n, [])):
+                    found.append((f.stem, fn.name, param))
+    return found
+
+
+def test_every_defaulted_parameter_is_set():
+    assert [p for p in unset_parameters()
+            if p not in KEPT_PARAMS and p[0] != "oracle"] == []
+
+
+def test_kept_parameters_are_defaulted_and_unset():
+    assert KEPT_PARAMS <= set(unset_parameters())
