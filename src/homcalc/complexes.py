@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from .ring import GradedFree, GradedMatrix, ZERO_FREE
 from .groebner import QuotientRing, kernel_matrix, lift_matrix, interreduce_columns
-from . import linalg
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -578,79 +577,6 @@ def tensor_index(F: FreeComplex, Y: FreeComplex, t: int):
                 for b in range(ry):
                     out.append((i, a, b))
     return out
-
-
-# ---------------------------------------------------------------------------
-# graded-slice homology (exact, linear algebra over the field)
-
-
-def slice_basis(qr: QuotientRing, free: GradedFree, v: int):
-    """Basis of the degree-v piece of the free module: (index, exponent)."""
-    out = []
-    for j, tw in enumerate(free.twists):
-        d = v - tw
-        if d < 0:
-            continue
-        for e in qr.std_monomials_of_degree(d):
-            out.append((j, e))
-    return out
-
-
-def slice_matrix(m: GradedMatrix, v: int):
-    """Matrix of the degree-v slice of m in std-monomial bases.
-
-    Returns (rows, src_basis, tgt_basis) with rows a list of lists of
-    field elements (rows indexed by target basis).
-    """
-    qr = m.ring
-    if not isinstance(qr, QuotientRing):
-        raise TypeError("slice extraction needs a QuotientRing matrix")
-    Fld = qr.field
-    src = slice_basis(qr, m.source, v)
-    tgt = slice_basis(qr, m.target, v)
-    tpos = {key: r for r, key in enumerate(tgt)}
-    rows = [[Fld.zero] * len(src) for _ in tgt]
-    cols_by_j = {}
-    for (i, j), p in m.entries.items():
-        cols_by_j.setdefault(j, []).append((i, p))
-    for cidx, (j, e) in enumerate(src):
-        for i, p in cols_by_j.get(j, ()):
-            prod = qr.reduce(p.term_mul(e, Fld.one))
-            for me, c in prod.terms.items():
-                r = tpos.get((i, me))
-                if r is None:
-                    continue
-                rows[r][cidx] = Fld.add(rows[r][cidx], c)
-    return rows, src, tgt
-
-
-def homology_slice_dim(X: FreeComplex, t: int, v: int) -> int:
-    """dim_k of the internal-degree-v piece of H_t(X) (of the representative)."""
-    Fld = X.ring.field
-    d_in, src_in, _ = slice_matrix(X.diff(t + 1), v)
-    d_out, src_out, _ = slice_matrix(X.diff(t), v)
-    n = len(src_out)
-    rk_out = linalg.rank(d_out, Fld) if d_out and n else 0
-    rk_in = linalg.rank(d_in, Fld) if d_in and src_in else 0
-    return (n - rk_out) - rk_in
-
-
-def homology_slice_total(X: FreeComplex, t: int, vrange) -> int:
-    """Total dim_k of H_t(X) over internal degrees in vrange (iterable)."""
-    return sum(homology_slice_dim(X, t, v) for v in vrange)
-
-
-def artinian_homology_dims(X: FreeComplex, t: int) -> int:
-    """Total homology dimension at t over an artinian ring, all slices."""
-    qr = X.ring
-    if not qr.is_artinian():
-        raise ValueError("artinian slice scan needs an artinian ring")
-    f_lo, f_mid, f_hi = X.term(t + 1), X.term(t), X.term(t - 1)
-    tws = [tw for f in (f_lo, f_mid, f_hi) for tw in f.twists]
-    if not tws:
-        return 0
-    top = qr.top_degree()
-    return homology_slice_total(X, t, range(min(tws), max(tws) + top + 1))
 
 
 # ---------------------------------------------------------------------------

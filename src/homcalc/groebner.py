@@ -657,16 +657,6 @@ class QuotientRing:
         out.sort(key=lambda e: (self.ambient.wdeg(e), self.ambient.mono_key(e)))
         return out
 
-    def std_monomials_of_degree(self, d: int):
-        gens = self.lead_ideal_min_gens()
-        return [e for e in self.ambient.monomials_of_degree(d)
-                if not any(self.ambient.mono_divides(g, e) for g in gens)]
-
-    def top_degree(self):
-        """Largest degree of a nonzero graded piece (artinian only)."""
-        ms = self.std_monomials()
-        return max(self.ambient.wdeg(e) for e in ms)
-
     def hilbert_series(self):
         numer = hilbert_numerator(self.lead_ideal_min_gens(), self.ambient)
         return HilbertSeries(self.ambient.weights, numer)

@@ -3,13 +3,15 @@ depth, Krull dimension, type, Cohen-Macaulayness, grade, and finiteness
 detectors for projective and injective dimension.
 
 Tables never report outside their certified range.  Modules get the
-cheap exact routes (minimal resolutions for Betti, Ext against k for
-Bass); genuine complexes go through resolution representatives and
+cheap exact routes (minimal resolutions for Betti; Ext against k for
+Bass, over R/xR after cutting by each regular linear form x found);
+genuine complexes go through resolution representatives and
 windowed Hom/tensor complexes, with trust tracked degree by degree.
 """
 
 from __future__ import annotations
 
+from .ring import PolyRing, Polynomial, GradedMatrix
 from .groebner import QuotientRing
 from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         resolve_complex, minimize_complex,
@@ -37,9 +39,104 @@ def residue_field(qr: QuotientRing) -> ModulePresentation:
     return minimal_presentation(ModulePresentation.residue_field(qr))
 
 
-def _mu(qr: QuotientRing, m: ModulePresentation, i: int) -> int:
+def _mu(m: ModulePresentation, i: int) -> int:
+    """mu^i(m, M) = dim_k Ext^i(k, M).
+
+    When a homogeneous x in m is regular on both R and M, Rees's lemma
+    (Bruns & Herzog, Cohen-Macaulay Rings, Lemma 3.1.16) gives
+    Ext^{i+1}_R(k, M) = Ext^i_{R/xR}(k, M/xM) and Hom_R(k, M) = 0, so
+    mu^0 = 0 and mu^i is mu^{i-1} of M/xM over R/xR, a ring with one
+    variable fewer (see _module_cut).  Otherwise it is read from Ext.
+    """
+    cut = _module_cut(m)
+    if cut is None:
+        return _ext_mu(m, i)
+    return 0 if i == 0 else _mu(cut, i - 1)
+
+
+def _ext_mu(m: ModulePresentation, i: int) -> int:
     # Ext^i(k, M) is a k-vector space, so generator count = dimension
-    return minimal_presentation(ext_module(residue_field(qr), m, i)).gens.rank
+    return minimal_presentation(
+        ext_module(residue_field(m.ring), m, i)).gens.rank
+
+
+# ---------------------------------------------------------------------------
+# ring cuts: R/xR for a linear form x, presented without one variable
+
+
+def _substitute(p: Polynomial, ring: PolyRing, j: int, l) -> Polynomial:
+    """p with x_j -> 0 (l None) or x_j -> -x_l, over ring, the ambient
+    ring without x_j."""
+    F = ring.field
+    out = {}
+    for e, c in p.terms.items():
+        a = e[j]
+        if a and l is None:
+            continue
+        e2 = list(e[:j] + e[j + 1:])
+        if a:
+            e2[l - (l > j)] += a
+            if a % 2:
+                c = F.neg(c)
+        e2 = tuple(e2)
+        s = F.add(out.get(e2, F.zero), c)
+        if F.is_zero(s):
+            out.pop(e2, None)
+        else:
+            out[e2] = s
+    return Polynomial(ring, out)
+
+
+def _candidates(qr: QuotientRing):
+    """Linear forms tried as cuts, as (j, l): x_j alone (l None), then
+    x_j + x_l for each pair of variables of equal weight."""
+    n, w = qr.ambient.n, qr.weights
+    yield from ((j, None) for j in range(n))
+    yield from ((j, l) for j in range(n) for l in range(j + 1, n)
+                if w[j] == w[l])
+
+
+@ring_memo
+def _ring_cut(qr: QuotientRing, j: int, l) -> QuotientRing | None:
+    """R/xR for x = x_j (l None) or x_j + x_l, presented over the ambient
+    ring without x_j, when x is R-regular; else None.
+
+    x has degree d = w_j, and HS(R/xR) = (1 - t^d) HS(R) + t^d HS(0 :_R x);
+    the cut ring's denominator lacks exactly the factor (1 - t^d), so x
+    is R-regular iff both Hilbert numerators are equal.
+    """
+    P = qr.ambient
+    keep = [v for v in range(P.n) if v != j]
+    P2 = PolyRing(P.field, [P.names[v] for v in keep],
+                  [P.weights[v] for v in keep])
+    cut = QuotientRing(P2, [_substitute(g, P2, j, l) for g in qr.ideal_basis])
+    if cut.hilbert_series().numer != qr.hilbert_series().numer:
+        return None
+    return cut
+
+
+@ring_memo
+def _module_cut(m: ModulePresentation) -> ModulePresentation | None:
+    """M/xM over R/xR for the first candidate x regular on both R and M,
+    or None.  x is M-regular iff the Hilbert numerators of M/xM (over the
+    cut ring) and of M are equal, as for the ring in _ring_cut.  Artinian
+    rings and modules of dimension 0 (depth 0) have no such x."""
+    qr = m.ring
+    if qr.is_artinian() or m.hilbert_series().dimension() <= 0:
+        return None
+    rels = m.relations
+    for j, l in _candidates(qr):
+        cut = _ring_cut(qr, j, l)
+        if cut is None:
+            continue
+        P2 = cut.ambient
+        mbar = ModulePresentation(cut, GradedMatrix(
+            cut, rels.source, rels.target,
+            {k: _substitute(p, P2, j, l) for k, p in rels.entries.items()}),
+            minimal=m.minimal)
+        if mbar.hilbert_series().numer == m.hilbert_series().numer:
+            return mbar
+    return None
 
 
 def _hdim(x: FreeComplex, i: int) -> int:
@@ -158,14 +255,14 @@ def betti_table(x, bound: int) -> InvariantTable:
 
 
 def bass_table(x, bound: int) -> InvariantTable:
-    """mu^i = dim_k Ext^i(k, x), read from the module route for modules
-    and from Hom(resolution of k, x) for complexes."""
+    """mu^i = dim_k Ext^i(k, x).  For modules each mu^i comes from _mu,
+    which cuts by a regular element (Rees's lemma, Bruns & Herzog, Lemma
+    3.1.16, tested by Hilbert series) while one exists, then reads Ext;
+    for complexes it is read from Hom(resolution of k, x)."""
     if is_module(x):
-        qr = x.ring
-        vals = {i: _mu(qr, x, i) for i in range(0, bound + 1)}
+        vals = {i: _mu(x, i) for i in range(0, bound + 1)}
         return InvariantTable("bass", vals, (None, bound))
-    qr = x.ring
-    K = from_module(residue_field(qr), bound)
+    K = from_module(residue_field(x.ring), bound)
     H = hom_complex(K, x)
     if H.is_zero_complex():
         return InvariantTable("bass", {}, (None, bound - 1))
@@ -223,9 +320,8 @@ def amplitude(x) -> int:
 def _module_depth(m: ModulePresentation) -> int:
     if m.is_zero_module():
         raise ZeroModuleError("depth of the zero module")
-    qr = m.ring
-    for i in range(0, qr.krull_dim() + 1):
-        if _mu(qr, m, i):
+    for i in range(0, m.ring.krull_dim() + 1):
+        if _mu(m, i):
             return i
     raise WindowInsufficientError(
         "no nonzero Bass number up to dim R for a nonzero module")
@@ -279,8 +375,7 @@ def nu(m: ModulePresentation) -> int:
 def type_of(x) -> int:
     """r(X) = mu^{depth X}."""
     if is_module(x):
-        qr = x.ring
-        return _mu(qr, x, _module_depth(x))
+        return _mu(x, _module_depth(x))
     return _complex_bass_scan(x)[1]
 
 
@@ -329,14 +424,15 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
 def id_verdict(x, bound: int) -> FinitenessVerdict:
     """Finite injective dimension.  For modules the vanishing of one Bass
     number past the depth is a certificate (Bass numbers have no gaps
-    between depth and id).  For genuine complexes only a zero run of width
-    dim R + amp X + 2 is reported, as FiniteLikely."""
+    between depth and id); they come from _mu, by Rees's lemma (Bruns &
+    Herzog, Lemma 3.1.16) over R/xR while some x is regular on R and M,
+    which equal Hilbert numerators test.  For genuine complexes only a
+    zero run of width dim R + amp X + 2 is reported, as FiniteLikely."""
     if is_module(x):
-        qr = x.ring
         d = _module_depth(x)
         last = None
         for i in range(d, bound + 1):
-            v = _mu(qr, x, i)
+            v = _mu(x, i)
             if v:
                 last = i
             else:

@@ -76,24 +76,6 @@ class PolyRing:
     def mono_lcm(self, a, b):
         return tuple(map(max, a, b))
 
-    def monomials_of_degree(self, d: int):
-        """All exponent tuples of weighted degree exactly d (sorted by mono_key desc)."""
-        out = []
-
-        def rec(i, rem, acc):
-            if i == self.n - 1:
-                w = self.weights[i]
-                if rem % w == 0:
-                    out.append(tuple(acc + [rem // w]))
-                return
-            w = self.weights[i]
-            for e in range(rem // w + 1):
-                rec(i + 1, rem - e * w, acc + [e])
-
-        if d >= 0:
-            rec(0, d, []) if self.n else (out.append(()) if d == 0 else None)
-        return sorted(out, key=self.mono_key, reverse=True)
-
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "Polynomial":
@@ -214,14 +196,6 @@ class Polynomial:
         if F.is_zero(c):
             return Polynomial(self.ring, {})
         return Polynomial(self.ring, {e: F.mul(c, v) for e, v in self.terms.items()})
-
-    def term_mul(self, exps, coeff):
-        """Multiply by coeff * x^exps."""
-        F = self.ring.field
-        if F.is_zero(coeff):
-            return Polynomial(self.ring, {})
-        return Polynomial(self.ring, {tuple(map(add, e, exps)): F.mul(c, coeff)
-                                      for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -538,6 +538,11 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
             hyps["ext-against-ring-vanishes"] = "failed"
             notes.append(f"Ext^{i}(M, R) != 0")
     hom = hom_modules(m, r if mode == "hom-MR" else m)
+    if hom.is_zero_module():
+        # no injective dimension to read on Hom = 0; a failed Ext
+        # hypothesis decides the report first
+        notes.append("Hom is zero")
+        _require(hyps, notes)
     hv = id_verdict(hom, bound)
     if not hv.is_finite_certified():
         hyps["finite-id-of-hom"] = "uncertified"
@@ -568,7 +573,9 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
 @_verifier
 def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     """beta_t(X) = sum_{i+j=t} mu^i(C) mu^{-j}(C tensor X) when the
-    derived tensor has certified finite injective dimension."""
+    derived tensor has certified finite injective dimension.  A window
+    holding only zeros on both sides decides nothing for a nonzero X, and
+    reads UNCERTIFIED."""
     notes = []
     hyps = {"semidualizing": "met", "finite-id-of-tensor": "met"}
     cert = semidualizing_certificate(c, bound)
@@ -610,6 +617,12 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     rhs = {t: sum(tensor_mu(u) * bc.value(t + u) for u in support)
            for t in range(t_lo, t_hi + 1)}
     notes.append(f"compared degrees {t_lo}..{t_hi}")
+    if not any(lhs.values()) and not any(rhs.values()) and (
+            not x.is_zero_module() if is_module(x)
+            else next(trusted_homology(x), None) is not None):
+        # zeros on both sides of a nonzero X compare nothing
+        return hyps, None, None, None, notes + [
+            "every compared number is zero; X is nonzero"]
     return hyps, lhs, rhs, lhs == rhs, notes
 
 

@@ -1,0 +1,115 @@
+"""Bass numbers by a ring cut (Rees's lemma) against the Ext route.
+
+invariants._mu reads mu^i(m, M) over R/xR, one variable fewer, while a
+linear form x is regular on R and M; invariants._ext_mu reads it from
+Ext^i(k, M) over R itself and is kept as the reference.  The two must
+agree wherever a cut applies: on the corpus over F_7 and over Q, and on
+the benchmark's ring templates in random coordinates.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from homcalc.cli import build_problem
+from homcalc.corpus import corpus_problems
+from homcalc.field import PrimeField
+from homcalc.groebner import QuotientRing
+from homcalc.invariants import (_mu, _ext_mu, _module_cut, _ring_cut,
+                                bass_table)
+from homcalc.modules import ModulePresentation, canonical_module
+from homcalc.ring import PolyRing
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+F = PrimeField(7)
+P2 = PolyRing(F, ["x", "y"])
+
+CORPUS = {doc["name"]: doc for doc in corpus_problems()}
+
+# (ring, module) pairs of the corpus that a cut applies to; every other
+# module of the corpus (k, finite-length modules, anything over an
+# artinian ring or over non-cm-line) keeps the Ext route
+CUT = {("regular-line", "R"), ("regular-plane", "R"), ("regular-plane", "M"),
+       ("regular-plane", "S"), ("hypersurface-xy", "R"),
+       ("hypersurface-xy", "M"), ("hypersurface-xy", "F2"),
+       ("semigroup-345", "R"), ("semigroup-345", "omega"),
+       ("det-curve", "R"), ("rational-node", "R"), ("rational-node", "M")}
+
+
+def _routes(m, top):
+    return [_mu(m, i) for i in range(top + 1)], \
+        [_ext_mu(m, i) for i in range(top + 1)]
+
+
+@pytest.mark.parametrize("field", [{"prime": 7}, "rational"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_cut_and_ext_routes_agree_on_corpus(name, field):
+    doc = CORPUS[name]
+    p = build_problem(doc, field_override=field)
+    bound = next(t["bound"] for t in doc["tasks"] if t["op"] == "bass")
+    # twice the corpus bound over F_7; the Ext route over Q costs
+    # several times more, so Q stays at the corpus bound
+    top = 2 * bound if field != "rational" else bound
+    cut = set()
+    for mod, m in p.modules.items():
+        if _module_cut(m) is not None:
+            cut.add((name, mod))
+            via_cut, via_ext = _routes(m, top)
+            assert via_cut == via_ext, (mod, via_cut, via_ext)
+    assert cut == {c for c in CUT if c[0] == name}
+
+
+def test_hypersurface_xy_cuts_by_x_plus_y_only():
+    HY = QuotientRing(P2, ["x*y"])
+    assert _ring_cut(HY, 0, None) is None       # x is a zero divisor
+    assert _ring_cut(HY, 1, None) is None       # so is y
+    cut = _ring_cut(HY, 0, 1)                   # x + y is regular
+    assert cut.ambient.names == ("y",)
+    assert cut.hilbert_series().numer == {0: 1, 2: -1}
+
+
+def test_non_cm_line_has_no_cut():
+    NC = QuotientRing(P2, ["x^2", "x*y"])
+    assert all(_ring_cut(NC, j, l) is None
+               for j, l in ((0, None), (1, None), (0, 1)))
+    assert _module_cut(ModulePresentation.free(NC, [0])) is None
+
+
+@pytest.mark.parametrize("rels", [["x^2", "y^2"], ["x^2", "x*y", "y^2"],
+                                  ["x^3", "y^2"]])
+def test_artinian_rings_are_never_cut(rels):
+    A = QuotientRing(P2, rels)
+    assert _module_cut(ModulePresentation.free(A, [0])) is None
+    assert _module_cut(canonical_module(A)) is None
+
+
+def test_det_curve_bass_at_bound_eight():
+    p = build_problem(CORPUS["det-curve"])
+    t = bass_table(p.modules["R"], 8)
+    assert t.values == {1: 2, 2: 3, 3: 6, 4: 12, 5: 24, 6: 48, 7: 96,
+                        8: 192}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(workloads.TEMPLATES), st.integers(-3, 3),
+       st.integers(-3, 3))
+def test_cut_and_ext_routes_agree_on_templates(template, a, c):
+    # u = x + a*y, v = c*x + y; a or c = 0 keeps a variable a factor of
+    # some relations, where only x + y may cut
+    assume(a * c != 1)
+    u, v = {(1, 0): 1, (0, 1): a}, {(1, 0): c, (0, 1): 1}
+    p = build_problem(workloads.template_doc(template, u, v))
+    R = p.modules["R"]
+    # of x, y and x + y at most two lie on the zero-divisor lines of
+    # these curves, so a ring of positive depth is always cut
+    positive_depth = p.qr.krull_dim() > 0 and _ext_mu(R, 0) == 0
+    assert (_module_cut(R) is not None) == positive_depth
+    if positive_depth:
+        for m in (R, canonical_module(p.qr)):
+            via_cut, via_ext = _routes(m, 2 * template[5])
+            assert via_cut == via_ext, (m, via_cut, via_ext)

@@ -10,11 +10,13 @@ from homcalc.complexes import (
     INF, NEG_INF, zero_complex, module_as_complex, from_resolution,
     shift_complex, direct_sum, cone,
     hom_complex, tensor_complex, hom_index, tensor_index,
-    slice_basis, slice_matrix, homology_slice_dim, artinian_homology_dims,
     minimize_complex, resolve_complex, resolve_complex_with_map,
     biduality_rep, gamma_rep,
 )
 from homcalc.modules import ModulePresentation, from_module
+
+from slice_homology import (slice_basis, slice_matrix, homology_slice_dim,
+                            artinian_homology_dims)
 
 F = PrimeField(32003)
 R1 = PolyRing(F, ["x"])

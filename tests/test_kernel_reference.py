@@ -27,6 +27,8 @@ from homcalc.groebner import (
     vec_from_column, vec_scale, vec_term_mul,
 )
 
+from slice_homology import monomials_of_degree
+
 
 # -- the previous code, verbatim --------------------------------------------
 
@@ -302,7 +304,7 @@ def draw_matrix(data, field, quotient):
     P = PolyRing(Fld, ["x", "y", "z"])
 
     def poly(d):
-        monos = P.monomials_of_degree(d)
+        monos = monomials_of_degree(P, d)
         out = P.zero()
         for _ in range(data.draw(st.integers(1, 4))):
             e = monos[data.draw(st.integers(0, len(monos) - 1))]

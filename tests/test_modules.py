@@ -19,6 +19,8 @@ from homcalc.modules import (
     homology_presentation, trusted_homology,
 )
 
+from slice_homology import monomials_of_degree
+
 F = PrimeField(7)
 P1 = PolyRing(F, ["x"])
 P2 = PolyRing(F, ["x", "y"])
@@ -43,7 +45,7 @@ def graded_piece_dim(m, d):
     for a, leads in enumerate(modules._component_leads(m)):
         dd = d - m.gens.twists[a]
         if dd >= 0:
-            count += sum(1 for e in P.monomials_of_degree(dd)
+            count += sum(1 for e in monomials_of_degree(P, dd)
                          if not any(P.mono_divides(g, e) for g in leads))
     return count
 

@@ -445,6 +445,16 @@ def test_auslander_reiten_non_gorenstein_not_met():
     assert any("convolution identity holds: True" in n for n in r.notes)
 
 
+def test_auslander_reiten_zero_hom_not_met():
+    # Hom(k, R) = 0 over k[x, y]: the failed Ext hypotheses decide the
+    # report before an injective dimension is asked of the zero module
+    PL = QuotientRing(P2, [])
+    r = verify_auslander_reiten(residue_field(PL), "hom-MR", 2)
+    assert r.verdict == HYPOTHESES_NOT_MET
+    assert r.hypotheses["self-ext-vanishes"] == "failed"
+    assert "Hom is zero" in r.notes
+
+
 def test_auslander_reiten_rejects_bad_mode():
     with pytest.raises(ValueError):
         verify_auslander_reiten(R_DN, "hom-RR", 4)
@@ -466,6 +476,18 @@ def test_convolution_shifted_ring_against_omega():
     assert r.verdict == PASS
     assert r.left[1] == 1
     assert all(v == 0 for t, v in r.left.items() if t != 1)
+
+
+def test_convolution_all_zero_window_is_uncertified():
+    # X = R in homological degree 2: at bound 2 the Betti table stops
+    # below beta_2 = 1, so only zeros meet and nothing is compared
+    X = shift_complex(module_as_complex(DN, GradedFree.of([0])), 2)
+    r = verify_betti_bass_convolution(X, R_DN, 2)
+    assert r.verdict == UNCERTIFIED
+    assert r.left is None and r.right is None
+    r3 = verify_betti_bass_convolution(X, R_DN, 3)
+    assert r3.verdict == PASS
+    assert r3.left == r3.right == {2: 1, 3: 0}
 
 
 def test_convolution_unbounded_tensor_not_met():

@@ -9,8 +9,8 @@ set by a call to a function of its name that passes it by keyword, passes
 enough positional arguments to reach it, or unpacks ``*``/``**``
 arguments; a constructor's parameters are set through calls to its
 class.  Dunders are exempt, as are the independent routes kept to
-cross-check the engine (the oracle's public names and parameters, and
-artinian_homology_dims), the entry point, and the parameters in
+cross-check the engine (the oracle's public names and parameters), the
+entry point, and the parameters in
 KEPT_PARAMS.  Code that only tests call belongs next to those tests.
 
 Blind spot: both checks match by name, not by object.  A method counts
@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "homcalc"
 
-KEPT = {("complexes", "artinian_homology_dims"), ("cli", "main")}
+KEPT = {("cli", "main")}
 
 KEPT_PARAMS = {
     # a certified floor makes the biduality windows unconditional;

@@ -212,6 +212,7 @@ CASES = {
     "auslander-reiten/ext-against-ring": (
         lambda: sd.verify_auslander_reiten(canonical_module(SG), "hom-MR", 2),
         {}),
+    # Hom(k, R) = 0: the failed Ext hypotheses decide before id is read
     "auslander-reiten/zero-hom-refused": (
         lambda: sd.verify_auslander_reiten(k(PL), "hom-MR", 2), {}),
     "auslander-reiten/bad-mode-refused": (
