@@ -17,8 +17,9 @@ from the hypercohomology spectral sequences: an untrusted band appears
 wherever a garbage homology degree of one factor can pair with a cell of
 the other, and wherever cells missing from a truncated resolution can
 pair with true homology.  Degrees never silently leave the window;
-consumers must check membership before reading homology, which
-modules.trusted_homology does for them.
+consumers must check membership before reading homology, which the
+readers in modules do for them (trusted_homology, first_homology); every
+walk goes through TrustWindow.run, which stops at an untrusted degree.
 
 Floor proviso.  The resolution-shaped factor of a Hom or tensor must be
 trusted at its bottom cell; the window part containing that cell sets
@@ -74,6 +75,18 @@ class TrustWindow:
 
     def contains(self, d) -> bool:
         return any(lo <= d <= hi for lo, hi in self.parts)
+
+    def first(self, start, stop, step):
+        """The first degree of range(start, stop, step) in the window,
+        or None."""
+        return next((d for d in range(start, stop, step)
+                     if self.contains(d)), None)
+
+    def run(self, start, stop, step):
+        """The degrees of range(start, stop, step) before the first one
+        outside the window, as a range (empty when start is outside)."""
+        end = self.complement().first(start, stop, step)
+        return range(start, stop if end is None else end, step)
 
     def shift(self, n) -> "TrustWindow":
         return TrustWindow([(lo + n, hi + n) for lo, hi in self.parts])
@@ -682,7 +695,7 @@ def resolve_complex_with_map(X: FreeComplex, bound: int):
     # floor: anything below is zero (no cells), representative garbage,
     # or excluded by the caller's floor certificate
     smin = xb if X.true_lo == NEG_INF else max(xb, int(X.true_lo))
-    start = next((t for t in range(smin, bound + 1) if X.window.contains(t)), None)
+    start = X.window.first(smin, bound + 1, 1)
     if start is None:
         raise UncertifiedDegreeError("no trusted degree at or above the bottom cell")
     P_terms = {}

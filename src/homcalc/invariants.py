@@ -18,8 +18,8 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       from_module, ext_module, homology_presentation,
-                      trusted_homology, ring_memo, is_module, as_complex,
-                      resolved)
+                      trusted_homology, first_homology, extreme_homology,
+                      ring_memo, is_module, as_complex, resolved)
 
 
 class ZeroModuleError(ValueError):
@@ -139,8 +139,8 @@ def _module_cut(m: ModulePresentation) -> ModulePresentation | None:
     return None
 
 
-def _hdim(x: FreeComplex, i: int) -> int:
-    return minimal_presentation(homology_presentation(x, i)).k_dimension()
+def _kdim(h: ModulePresentation) -> int:
+    return minimal_presentation(h).k_dimension()
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +244,11 @@ def betti_table(x, bound: int) -> InvariantTable:
     P = minimize_complex(resolve_complex(x, bound))
     if P.is_zero_complex():
         return InvariantTable("betti", {}, (None, bound - 1))
-    pb, pt = P.term_range()
+    pb, _ = P.term_range()
     lo = None if (P.complete or x.true_lo != NEG_INF) else pb
-    hi = pb - 1
-    while hi + 1 <= bound and P.window.contains(hi + 1):
-        hi += 1
-    vals = {i: P.term(i).rank for i in range(pb, min(pt, hi) + 1)
-            if P.term(i).rank}
-    return InvariantTable("betti", vals, (lo, hi))
+    run = P.window.run(pb, bound + 1, 1)
+    vals = {i: P.term(i).rank for i in run}
+    return InvariantTable("betti", vals, (lo, run.stop - 1))
 
 
 def bass_table(x, bound: int) -> InvariantTable:
@@ -272,41 +269,39 @@ def bass_table(x, bound: int) -> InvariantTable:
     t_star = thi
     if x.true_hi != NEG_INF and x.true_hi != INF:
         t_star = min(thi, int(x.true_hi))
-    if not H.window.contains(t_star):
+    # walk down from t_star, which is read even below the bottom term
+    down = H.window.run(t_star, min(t_star, tlo) - 1, -1)
+    if not down:
         raise WindowInsufficientError("top of the true Hom range untrusted")
-    t_bot = t_star
-    while t_bot - 1 >= tlo and H.window.contains(t_bot - 1):
-        t_bot -= 1
-    vals = {}
-    for t in range(t_bot, t_star + 1):
-        d = _hdim(H, t)
-        if d:
-            vals[-t] = d
-    return InvariantTable("bass", vals, (None, -t_bot))
+    vals = {-t: _kdim(homology_presentation(H, t)) for t in reversed(down)}
+    return InvariantTable("bass", vals, (None, -down[-1]))
 
 
 # ---------------------------------------------------------------------------
 # homology extremes
 
 
-def inf_of(x) -> int:
+def _extreme(x, step: int, name: str) -> int:
+    """inf (step 1) or sup (step -1), walked from the trusted band edge."""
     if is_module(x):
         if x.is_zero_module():
-            raise ZeroModuleError("inf of the zero module")
+            raise ZeroModuleError(f"{name} of the zero module")
         return 0
-    for t, _ in trusted_homology(x):
-        return t
-    raise ZeroModuleError("no nonzero homology in window")
+    t, certified = extreme_homology(x, step)
+    if not certified:
+        raise WindowInsufficientError(
+            f"untrusted degree reached before the {name} of the homology")
+    if t is None:
+        raise ZeroModuleError("no nonzero homology in window")
+    return t
+
+
+def inf_of(x) -> int:
+    return _extreme(x, 1, "inf")
 
 
 def sup_of(x) -> int:
-    if is_module(x):
-        if x.is_zero_module():
-            raise ZeroModuleError("sup of the zero module")
-        return 0
-    for t, _ in trusted_homology(x, reverse=True):
-        return t
-    raise ZeroModuleError("no nonzero homology in window")
+    return _extreme(x, -1, "sup")
 
 
 def amplitude(x) -> int:
@@ -407,11 +402,8 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
         return FinitenessVerdict.finite_certified(
             top, f"minimal resolution ends at degree {top}")
     s = sup_of(x)
-    pb, _ = P.term_range()
     last = None
-    for i in range(pb, bound + 1):
-        if not P.window.contains(i):
-            break
+    for i in P.window.run(P.term_range()[0], bound + 1, 1):
         if P.term(i).rank:
             last = i
         elif i > s:
@@ -463,21 +455,23 @@ def id_verdict(x, bound: int) -> FinitenessVerdict:
 # Ext / Tor dimension tables and grade
 
 
+def _homology_at(X: FreeComplex, t: int, name: str) -> ModulePresentation:
+    """H_t of X, named `name` in the refusal unless X trusts degree t."""
+    if not X.window.contains(t):
+        raise WindowInsufficientError(f"{name} outside trusted window")
+    return homology_presentation(X, t)
+
+
 def ext_dims(x, y, lo: int, hi: int) -> dict:
     """dim_k Ext^i(x, y) for lo <= i <= hi; exact within windows."""
     if is_module(x) and is_module(y):
         if lo < 0:
             raise ValueError("module Ext vanishes in negative degrees")
-        return {i: minimal_presentation(ext_module(x, y, i)).k_dimension()
-                for i in range(lo, hi + 1)}
+        return {i: _kdim(ext_module(x, y, i)) for i in range(lo, hi + 1)}
     b = hi + 4
     H = hom_complex(resolved(x, b), resolved(y, b))
-    out = {}
-    for i in range(lo, hi + 1):
-        if not H.window.contains(-i):
-            raise WindowInsufficientError(f"Ext^{i} outside trusted window")
-        out[i] = _hdim(H, -i)
-    return out
+    return {i: _kdim(_homology_at(H, -i, f"Ext^{i}"))
+            for i in range(lo, hi + 1)}
 
 
 def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
@@ -486,21 +480,15 @@ def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
     if is_module(x) and is_module(c):
         return ext_module(x, c, e)
     H = hom_complex(resolved(x, bound), as_complex(c, bound))
-    if not H.window.contains(-e):
-        raise WindowInsufficientError(f"Ext^{e} outside window")
-    return homology_presentation(H, -e)
+    return _homology_at(H, -e, f"Ext^{e}")
 
 
 def tor_dims(x, y, lo: int, hi: int) -> dict:
     """dim_k Tor_i(x, y) for lo <= i <= hi; exact within windows."""
     b = max(hi + 4, 4)
     T = tensor_complex(resolved(x, b), resolved(y, b))
-    out = {}
-    for i in range(lo, hi + 1):
-        if not T.window.contains(i):
-            raise WindowInsufficientError(f"Tor_{i} outside trusted window")
-        out[i] = _hdim(T, i)
-    return out
+    return {i: _kdim(_homology_at(T, i, f"Tor_{i}"))
+            for i in range(lo, hi + 1)}
 
 
 def grade_wrt(x, c, bound: int) -> int:
@@ -520,10 +508,9 @@ def grade_wrt(x, c, bound: int) -> int:
     if finite(C.true_hi) and finite(P.true_lo):
         # true Hom homology vanishes above sup C - inf X
         t_start = min(thi, int(C.true_hi) - int(P.true_lo))
-    for t in range(t_start, tlo - 1, -1):
-        if not H.window.contains(t):
-            raise WindowInsufficientError(
-                "untrusted degree reached before any nonzero homology")
-        if not homology_presentation(H, t).is_zero_module():
-            return -t
-    raise WindowInsufficientError("RHom(X, C) has no homology in window")
+    t, certified = first_homology(H, t_start, tlo - 1, -1)
+    if t is not None:
+        return -t
+    raise WindowInsufficientError(
+        "RHom(X, C) has no homology in window" if certified
+        else "untrusted degree reached before any nonzero homology")

@@ -379,16 +379,38 @@ def _homology(X: FreeComplex, i: int) -> ModulePresentation:
     return ModulePresentation(qr, rels)
 
 
-def trusted_homology(X: FreeComplex, reverse=False):
+def trusted_homology(X: FreeComplex):
     """Yield (t, H_t) for each degree t of X's term range that X.window
-    trusts and where H_t is nonzero, ascending, or descending when
-    reverse is set."""
+    trusts and where H_t is nonzero, ascending."""
     lo, hi = X.term_range()
-    for t in (range(hi, lo - 1, -1) if reverse else range(lo, hi + 1)):
+    for t in range(lo, hi + 1):
         if X.window.contains(t):
             h = homology_presentation(X, t)
             if not h.is_zero_module():
                 yield t, h
+
+
+def first_homology(X: FreeComplex, start: int, stop: int, step: int):
+    """(t, True) for the first t of X.window.run(start, stop, step) with
+    H_t nonzero, else (None, whether the run covered the whole range):
+    a walk stopped by an untrusted degree certifies nothing."""
+    run = X.window.run(start, stop, step)
+    for t in run:
+        if not homology_presentation(X, t).is_zero_module():
+            return t, True
+    return None, len(run) == len(range(start, stop, step))
+
+
+def extreme_homology(X: FreeComplex, step: int):
+    """first_homology from the band edge, the lowest trusted degree of
+    X's term range going up (step 1) or the highest going down (step -1);
+    untrusted degrees beyond the edge are a truncation's garbage."""
+    lo, hi = X.term_range()
+    span = range(lo, hi + 1)[::step]
+    start = X.window.first(span.start, span.stop, step)
+    if start is None:
+        return None, not span
+    return first_homology(X, start, span.stop, step)
 
 
 # ---------------------------------------------------------------------------

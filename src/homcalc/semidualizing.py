@@ -25,8 +25,8 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
 from .modules import (ModulePresentation, minimal_presentation, syzygy,
                       hom_modules, tensor_modules, ext_module, evaluation_map,
                       homothety_map, homology_presentation,
-                      trusted_homology, ring_memo, is_module, as_complex,
-                      resolved)
+                      trusted_homology, extreme_homology, ring_memo,
+                      is_module, as_complex, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
@@ -49,27 +49,6 @@ def _ring_module(qr: QuotientRing) -> ModulePresentation:
 
 def _ring_depth(qr: QuotientRing) -> int:
     return depth(_ring_module(qr))
-
-
-def _scan_up(H: FreeComplex):
-    """(first nonzero homology degree, certified) scanning upward from
-    the bottom of the trusted band.  Degrees below the band belong to a
-    truncation's garbage region, so the answer is bound-stamped: (None,
-    True) when all trusted homology vanishes, (None, False) when the
-    band is empty or interrupted before a nonzero degree appears."""
-    if H.is_zero_complex():
-        return None, True
-    tlo, thi = H.term_range()
-    seen_trusted = False
-    for t in range(tlo, thi + 1):
-        if not H.window.contains(t):
-            if seen_trusted:
-                return None, False
-            continue
-        seen_trusted = True
-        if not homology_presentation(H, t).is_zero_module():
-            return t, True
-    return None, seen_trusted
 
 
 def _cone_clear(c: FreeComplex):
@@ -208,7 +187,8 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
                  bound: int) -> GcdimVerdict:
     """G-dimension of a module with respect to a semidualizing module.
 
-    The finite value is forced to be g = depth R - depth M, so the test
+    The finite value is forced to be g = depth R - depth M (Christensen
+    2001; Holm and Jorgensen 2006), so a negative g refutes it and the test
     reduces to total reflexivity of the g-th syzygy: vanishing of both
     Ext columns plus the evaluation isomorphism.  Any definite failure
     refutes finiteness outright, because a finite G-dimension would make
@@ -217,8 +197,11 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
     _require_semidualizing(c, bound)
     if minimal_presentation(m).gens.rank == 0:
         raise ZeroModuleError("G-dimension of the zero module")
-    qr = m.ring
-    g = _ring_depth(qr) - depth(m)
+    dr, dm = _ring_depth(m.ring), depth(m)
+    g = dr - dm
+    if g < 0:
+        return GcdimVerdict.infinite(
+            f"depth M = {dm} exceeds depth R = {dr}", bound)
     om = syzygy(m, g)
     if minimal_presentation(om).gens.rank == 0:
         return GcdimVerdict.finite(g, bound)
@@ -251,7 +234,7 @@ def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
         return GcdimVerdict.infinite(
             f"biduality cone has homology at degree {t}", bound)
     H = hom_complex(P, C)
-    inf_rhom, certified = _scan_up(H)
+    inf_rhom, certified = extreme_homology(H, 1)
     if not certified:
         return GcdimVerdict.uncertified(bound, "RHom window bottom untrusted")
     if inf_rhom is None:
@@ -305,11 +288,7 @@ def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
     if not T.is_zero_complex() and T.true_hi == INF:
         # no truth ceiling: demand trusted vanishing at the band top
         tlo, thi = T.term_range()
-        top = None
-        for t in range(thi, tlo - 1, -1):
-            if T.window.contains(t):
-                top = t
-                break
+        top = T.window.first(thi, tlo - 1, -1)
         if top is None:
             return MembershipVerdict(
                 "uncertified", "tensor window empty", bound)
@@ -343,6 +322,14 @@ def _require(hyps, notes, left=None, right=None):
     is met."""
     if any(v != "met" for v in hyps.values()):
         raise _Unmet(hyps, left, right, notes)
+
+
+def _semidualizing_hypothesis(c, hyps, bound):
+    """HYPOTHESES-NOT-MET unless C passes its semidualizing certificate."""
+    cert = semidualizing_certificate(c, bound)
+    if not cert.ok:
+        hyps["semidualizing"] = "failed"
+        _require(hyps, [cert.verdict()])
 
 
 def _verifier(fn):
@@ -396,10 +383,7 @@ def verify_type_formula(z, c, bound: int) -> VerificationReport:
     """type(Z) = nu(Ext^{g - inf C}(Z, C)) * mu^{depth C}(C) whenever the
     G-dimension of Z with respect to C is finite."""
     hyps = {"semidualizing": "met", "finite-gcdim": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        _require(hyps, [cert.verdict()])
+    _semidualizing_hypothesis(c, hyps, bound)
     g, e, nu_ext = _top_ext(z, c, hyps, bound)
     left = type_of(z)
     mu_c = type_of(c)
@@ -419,10 +403,7 @@ def verify_dualizing_criteria(x, c, bound: int) -> VerificationReport:
     hyps = {"semidualizing": "met", "cohen-macaulay": "met",
             "finite-gcdim": "met", "type-bound": "met",
             "amplitude-zero-or-dimension-equality": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        _require(hyps, [cert.verdict()])
+    _semidualizing_hypothesis(c, hyps, bound)
     if not is_cohen_macaulay(x):
         hyps["cohen-macaulay"] = "failed"
     _, e, nu_ext = _top_ext(x, c, hyps, bound)
@@ -437,7 +418,9 @@ def verify_dualizing_criteria(x, c, bound: int) -> VerificationReport:
     _require(hyps, notes, r_x, nu_ext)
     dv = dualizing_verdict(c, bound)
     notes.append(f"conclusion: {dv!r}")
-    conclusion = False
+    # C is dualizing exactly when G_C-dim k is finite, so only a
+    # certified infinite one refutes; an uncertified id decides nothing
+    conclusion = False if dv.gcdim_of_k.status == "infinite" else None
     if dv.dualizing:
         # converse direction with X = C: the coefficient itself must
         # satisfy the same numerical bound with equality at type 1
@@ -578,10 +561,7 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     reads UNCERTIFIED."""
     notes = []
     hyps = {"semidualizing": "met", "finite-id-of-tensor": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        _require(hyps, [cert.verdict()])
+    _semidualizing_hypothesis(c, hyps, bound)
     Pc = as_complex(c, bound)
     Fx = resolved(x, bound)
     T = tensor_complex(Pc, Fx)
@@ -638,10 +618,7 @@ def verify_generator_count_formula(m: ModulePresentation,
     notes = []
     hyps = {"semidualizing": "met", "tor-vanishes": "met",
             "finite-id-of-tensor": "met"}
-    cert = semidualizing_certificate(c, bound)
-    if not cert.ok:
-        hyps["semidualizing"] = "failed"
-        _require(hyps, [cert.verdict()])
+    _semidualizing_hypothesis(c, hyps, bound)
     bad = [i for i, v in tor_dims(c, m, 1, bound).items() if v]
     if bad:
         hyps["tor-vanishes"] = "failed"

@@ -294,6 +294,21 @@ def test_main_ok_and_output(tmp_path, capsys):
     assert doc["schema"] == "homcalc-report/1"
 
 
+def test_main_depth_above_ring_depth_is_no_internal_fault(tmp_path, capsys):
+    doc = {"field": {"prime": 7},
+           "ring": {"variables": ["x", "y"], "weights": [1, 1],
+                    "relations": ["x^2", "x*y"]},
+           "modules": {"M": {"cyclic": ["x"]}},
+           "tasks": [{"op": "verify-type-formula", "args": ["M", "R"],
+                      "bound": 3}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--format", "json"]) == 0
+    r = json.loads(capsys.readouterr().out)["entries"][0]["result"]
+    assert r["verdict"] == "HYPOTHESES-NOT-MET"
+    assert r["hypotheses"]["finite-gcdim"] == "failed"
+
+
 def test_main_missing_file_is_input_error(capsys):
     assert main(["--input", "/nonexistent/problem.json"]) == 2
     assert "error" in capsys.readouterr().err

@@ -65,6 +65,25 @@ def test_window_set_algebra():
     assert a.shift(2).parts == ((2, 12),)
 
 
+def test_window_first_and_run():
+    w = TrustWindow([(NEG_INF, 0), (3, 5), (8, INF)])
+    # up and down from inside the window, stopping at a gap or the stop
+    assert w.run(3, 10, 1) == range(3, 6)
+    assert w.run(5, -5, -1) == range(5, 2, -1)
+    assert w.run(9, 12, 1) == range(9, 12)
+    assert w.run(-3, -10, -1) == range(-3, -10, -1)    # infinite end
+    # a start outside the window runs nowhere
+    assert list(w.run(1, 10, 1)) == [] and list(w.run(7, 0, -1)) == []
+    assert w.first(1, 10, 1) == 3 and w.first(7, 0, -1) == 5
+    assert w.first(1, 3, 1) is None and w.first(7, 5, -1) is None
+    assert w.first(-100, 0, 1) == -100 and w.first(100, 0, -1) == 100
+    # the empty window and empty ranges
+    empty = TrustWindow([])
+    assert list(empty.run(0, 5, 1)) == [] and empty.first(0, 5, 1) is None
+    assert list(w.run(3, 3, 1)) == [] and w.first(3, 3, 1) is None
+    assert TrustWindow.all().run(-2, 3, 1) == range(-2, 3)
+
+
 # -- construction and validation --------------------------------------------
 
 def test_resolution_complex_validates():

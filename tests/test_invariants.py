@@ -6,6 +6,7 @@ from homcalc.field import PrimeField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix
 from homcalc.groebner import QuotientRing
 from homcalc.complexes import (shift_complex, direct_sum, module_as_complex,
+                               FreeComplex, TrustWindow, NEG_INF, INF,
                                UncertifiedDegreeError)
 from homcalc.modules import ModulePresentation, canonical_module, from_module
 from homcalc.invariants import (
@@ -280,6 +281,23 @@ def test_homology_extremes():
     S = direct_sum(X, shift_complex(X, 2))
     assert inf_of(S) == 0 and sup_of(S) == 2 and amplitude(S) == 2
     assert amplitude(residue_field(DN)) == 0
+
+
+def test_homology_extremes_refuse_across_an_untrusted_degree():
+    # R -1-> R in degrees 1 -> 0 and 6 -> 5 (exact), R alone in degree 3;
+    # the window trusts neither degree 1 nor degree 5, so neither walk
+    # from the band edge reaches the homology at 3
+    R = GradedFree.of([0])
+    one = GradedMatrix.identity(DN, R)
+    X = FreeComplex(DN, {0: R, 1: R, 3: R, 5: R, 6: R}, {1: one, 6: one},
+                    TrustWindow([(NEG_INF, 0), (2, 4), (6, INF)]))
+    with pytest.raises(WindowInsufficientError, match="inf"):
+        inf_of(X)
+    with pytest.raises(WindowInsufficientError, match="sup"):
+        sup_of(X)
+    # the same complex trusted throughout reads the homology at 3
+    Y = FreeComplex(DN, X.terms, X.diffs)
+    assert inf_of(Y) == sup_of(Y) == 3
 
 
 # -- dimension via prime enumeration (monomial fixtures) --------------------

@@ -16,7 +16,8 @@ from homcalc.modules import (
     minimal_presentation, resolution, from_module, syzygy,
     hom_modules, tensor_modules, ext_module,
     evaluation_map, homothety_map, canonical_module,
-    homology_presentation, trusted_homology,
+    homology_presentation, trusted_homology, first_homology,
+    extreme_homology,
 )
 
 from slice_homology import monomials_of_degree
@@ -457,8 +458,11 @@ def test_trusted_homology_matches_brute_loop():
              and not homology_presentation(X, t).is_zero_module()]
     assert brute == [(0, 1), (2, 1)]
     assert [(t, kdim(h)) for t, h in trusted_homology(X)] == brute
-    assert [(t, kdim(h)) for t, h in trusted_homology(X, reverse=True)] \
-        == brute[::-1]
+    # the walks read the same homology but stop at the untrusted degree 3
+    assert extreme_homology(X, 1) == (0, True)
+    assert extreme_homology(X, -1) == (None, False)
+    assert first_homology(X, 2, hi + 1, 1) == (2, True)
+    assert first_homology(X, 1, -1, -1) == (0, True)
 
 
 # -- the ring memo ----------------------------------------------------------

@@ -249,8 +249,9 @@ def test_gcdim_truncated_resolution_of_k_not_infinite():
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
                    reason="resolve_complex at bound 1 trusts only degrees "
-                          "<= 0, so _scan_up skips the untrusted degree -1 "
-                          "and certifies inf RHom = 0")
+                          "<= 0, so extreme_homology starts its walk at the "
+                          "band edge above the untrusted degree -1 and "
+                          "certifies inf RHom = 0")
 def test_gcdim_cone_at_bound_one_is_no_internal_fault():
     x = DN.from_string("x")
     mult = ChainMap(module_as_complex(DN, GradedFree.of([1])),
@@ -334,6 +335,19 @@ def test_type_formula_semigroup_ring():
 
 def test_type_formula_infinite_gcdim_not_met():
     r = verify_type_formula(residue_field(NG), R_NG, 4)
+    assert r.verdict == HYPOTHESES_NOT_MET
+    assert r.hypotheses["finite-gcdim"] == "failed"
+
+
+def test_type_formula_depth_above_ring_depth_not_met():
+    # depth M = 1 > depth R = 0, so G-dim M cannot be depth R - depth M
+    ring = QuotientRing(P2, ["x^2", "x*y"])
+    m = ModulePresentation.cyclic(ring, ["x"])
+    r_ring = ModulePresentation.free(ring, [0])
+    v = gcdim(m, r_ring, 3)
+    assert v.status == "infinite"
+    assert v.witness == "depth M = 1 exceeds depth R = 0"
+    r = verify_type_formula(m, r_ring, 3)
     assert r.verdict == HYPOTHESES_NOT_MET
     assert r.hypotheses["finite-gcdim"] == "failed"
 
