@@ -55,7 +55,7 @@ from .complexes import (ChainMap, module_as_complex,
                         shift_complex, direct_sum, cone,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, syzygy, canonical_module,
-                      from_module, NotCohenMacaulayError)
+                      resolution, NotCohenMacaulayError)
 from .invariants import (betti_table, bass_table, depth, kdim_complex,
                          type_of, nu, residue_field, pd_verdict, id_verdict,
                          ext_dims, tor_dims, ZeroModuleError,
@@ -250,7 +250,7 @@ def _build_complex(qr, modules, complexes, maps, name, spec, default_bound):
     _expect(spec, dict, where)
     if "module" in spec:
         base = _ref(spec["module"], modules, where)
-        return from_module(modules[base], _bound(
+        return resolution(modules[base], _bound(
             spec.get("bound", default_bound), where))
     if "shift" in spec:
         base, n = _pair(spec["shift"], where)
@@ -427,7 +427,7 @@ def _shift_spot(m, b, rng):
     complex: beta and mu indices translate with the shift, depth drops by
     it.  Comparison stays inside the intersection of certified windows."""
     n = rng.choice([-2, -1, 1, 2])
-    S = shift_complex(from_module(m, b + abs(n) + 2), n)
+    S = shift_complex(resolution(m, b + abs(n) + 2), n)
     bt_m = betti_table(m, b)
     bt_s = betti_table(S, b + n)
     mu_m = bass_table(m, b)

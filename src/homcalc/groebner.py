@@ -691,10 +691,8 @@ def _padding_vectors(qr: QuotientRing, rank: int):
 
 
 def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
-    """Generators of ker(m) for m over a QuotientRing (or PolyRing)."""
+    """Generators of ker(m) for m over a QuotientRing."""
     qr = m.ring
-    if isinstance(qr, PolyRing):
-        qr = QuotientRing(qr, [])
     P = qr.ambient
     cols = [vec_from_column(c, P) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)
@@ -749,8 +747,6 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
     if targets.target != m.target:
         raise ValueError("lift target mismatch")
     qr = m.ring
-    if isinstance(qr, PolyRing):
-        qr = QuotientRing(qr, [])
     P = qr.ambient
     cols = [vec_from_column(c, P) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)

@@ -17,7 +17,7 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         resolve_complex, minimize_complex,
                         UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
-                      from_module, ext_module, homology_presentation,
+                      ext_module, first_ext, homology_presentation,
                       trusted_homology, first_homology, extreme_homology,
                       ring_memo, is_module, as_complex, resolved)
 
@@ -235,11 +235,7 @@ def betti_table(x, bound: int) -> InvariantTable:
     if is_module(x):
         res = resolution(x, bound)
         hi = bound if res.complete else bound - 1
-        vals = {}
-        for i in range(0, hi + 1):
-            r = res.complex.term(i).rank
-            if r:
-                vals[i] = r
+        vals = {i: res.term(i).rank for i in range(0, hi + 1)}
         return InvariantTable("betti", vals, (None, hi))
     P = minimize_complex(resolve_complex(x, bound))
     if P.is_zero_complex():
@@ -259,7 +255,7 @@ def bass_table(x, bound: int) -> InvariantTable:
     if is_module(x):
         vals = {i: _mu(x, i) for i in range(0, bound + 1)}
         return InvariantTable("bass", vals, (None, bound))
-    K = from_module(residue_field(x.ring), bound)
+    K = resolution(residue_field(x.ring), bound)
     H = hom_complex(K, x)
     if H.is_zero_complex():
         return InvariantTable("bass", {}, (None, bound - 1))
@@ -388,8 +384,8 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
     if is_module(x):
         res = resolution(x, bound)
         if res.complete:
-            _, top = res.complex.term_range()
-            if res.complex.is_zero_complex():
+            _, top = res.term_range()
+            if res.is_zero_complex():
                 return FinitenessVerdict.finite_certified(
                     None, "zero module")
             return FinitenessVerdict.finite_certified(
@@ -462,16 +458,12 @@ def _homology_at(X: FreeComplex, t: int, name: str) -> ModulePresentation:
     return homology_presentation(X, t)
 
 
-def ext_dims(x, y, lo: int, hi: int) -> dict:
-    """dim_k Ext^i(x, y) for lo <= i <= hi; exact within windows."""
-    if is_module(x) and is_module(y):
-        if lo < 0:
-            raise ValueError("module Ext vanishes in negative degrees")
-        return {i: _kdim(ext_module(x, y, i)) for i in range(lo, hi + 1)}
-    b = hi + 4
-    H = hom_complex(resolved(x, b), resolved(y, b))
-    return {i: _kdim(_homology_at(H, -i, f"Ext^{i}"))
-            for i in range(lo, hi + 1)}
+def ext_dims(m: ModulePresentation, n: ModulePresentation, lo: int,
+             hi: int) -> dict:
+    """dim_k Ext^i(M, N) for lo <= i <= hi."""
+    if lo < 0:
+        raise ValueError("module Ext vanishes in negative degrees")
+    return {i: _kdim(ext_module(m, n, i)) for i in range(lo, hi + 1)}
 
 
 def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
@@ -494,9 +486,9 @@ def tor_dims(x, y, lo: int, hi: int) -> dict:
 def grade_wrt(x, c, bound: int) -> int:
     """gr_C(X) = inf { i : Ext^i(X, C) != 0 } = -sup RHom(X, C)."""
     if is_module(x) and is_module(c):
-        for i in range(0, bound + 1):
-            if not ext_module(x, c, i).is_zero_module():
-                return i
+        i = first_ext(x, c, 0, bound)
+        if i is not None:
+            return i
         raise WindowInsufficientError(
             f"no nonzero Ext against C through degree {bound}")
     P = resolved(x, bound)

@@ -4,14 +4,18 @@ Hom/tensor/Ext as presentations, and the canonical evaluation maps.
 A module is a cokernel presentation F1 -> F0 over a QuotientRing.  All
 membership questions (is this element zero, does this map land in that
 submodule) reduce to lifts against relation matrices, which the Groebner
-layer answers exactly.  Minimal free resolutions are computed by iterated
-kernels followed by one Gaussian minimization pass, so Betti numbers read
-off as ranks.
+layer answers exactly.  A minimal free resolution is computed by iterated
+kernels followed by one Gaussian minimization pass and returned as a
+plain FreeComplex, so Betti numbers read off as ranks.
 
-Hom modules carry their universal pairing: the presentation remembers how
-each abstract generator acts as an honest matrix F0 -> N, which is what
-lets the homothety and evaluation maps be constructed rather than
-asserted.
+Hom and Ext are read by one routine, _hom_cohomology: Hom(M, N) is the
+cohomology of Hom(F1 -> F0 -> 0, N) at F0, and Ext^i(M, N) that of Hom(F,
+N) at F_i along the resolution F.  first_ext is the one scan for the
+first nonzero Ext.  Hom modules carry their universal pairing: the
+presentation remembers how each abstract generator acts as an honest
+matrix F0 -> N, which is what lets the homothety and evaluation maps be
+constructed rather than asserted.  A map is an isomorphism when it is
+onto and source and target have equal Hilbert series.
 """
 
 from __future__ import annotations
@@ -238,22 +242,6 @@ def _hilbert_series(m: ModulePresentation) -> HilbertSeries:
 # minimal free resolutions
 
 
-class Resolution:
-    """A minimal free resolution computed out to a finite length.
-
-    complex holds the minimized truncation; ranks in certified degrees
-    are the Betti numbers.  Without the complete flag the top term is a
-    construction artifact, not a Betti number.
-    """
-
-    __slots__ = ("module", "complex", "complete")
-
-    def __init__(self, module, complex, complete):
-        self.module = module
-        self.complex = complex
-        self.complete = complete
-
-
 @ring_memo
 def _resolution_steps(mm: ModulePresentation, length: int):
     """(d_1, ..., d_n) with n <= length of the resolution of the minimal
@@ -273,25 +261,22 @@ def _resolution_steps(mm: ModulePresentation, length: int):
     return mats + (K,), False
 
 
-def resolution(m: ModulePresentation, length: int) -> Resolution:
-    """Minimal free resolution of m out to homological degree `length`."""
+def resolution(m: ModulePresentation, length: int) -> FreeComplex:
+    """The module as a derived-category representative: its minimal free
+    resolution out to homological degree `length` >= 1, minimized, with
+    the matching trust window.  Its ranks in trusted degrees are the Betti
+    numbers; unless the complex is complete (the resolution ended), the
+    top term is a construction artifact."""
+    if length < 1:
+        raise ValueError("resolution bound must be at least 1")
     mm = minimal_presentation(m)
     qr = mm.ring
     if mm.gens.rank == 0:
-        return Resolution(mm, zero_complex(qr), True)
+        return zero_complex(qr)
     mats, complete = _resolution_steps(mm, length)
     if not mats:
-        return Resolution(mm, module_as_complex(qr, mm.gens), complete)
-    cx = minimize_complex(from_resolution(qr, list(mats), complete))
-    return Resolution(mm, cx, complete)
-
-
-def from_module(m: ModulePresentation, bound: int) -> FreeComplex:
-    """The module as a derived-category representative: its minimal free
-    resolution truncated at `bound`, with the matching trust window."""
-    if bound < 1:
-        raise ValueError("resolution bound must be at least 1")
-    return resolution(m, bound).complex
+        return module_as_complex(qr, mm.gens)
+    return minimize_complex(from_resolution(qr, list(mats), complete))
 
 
 def is_module(x) -> bool:
@@ -301,12 +286,12 @@ def is_module(x) -> bool:
 
 def as_complex(x, bound: int) -> FreeComplex:
     """A module as its truncated resolution; a complex as itself."""
-    return from_module(x, bound) if is_module(x) else x
+    return resolution(x, bound) if is_module(x) else x
 
 
 def resolved(x, bound: int) -> FreeComplex:
     """A free resolution truncated at `bound`, of a module or a complex."""
-    return from_module(x, bound) if is_module(x) else resolve_complex(x, bound)
+    return resolution(x, bound) if is_module(x) else resolve_complex(x, bound)
 
 
 def syzygy(m: ModulePresentation, g: int) -> ModulePresentation:
@@ -316,12 +301,9 @@ def syzygy(m: ModulePresentation, g: int) -> ModulePresentation:
     if g == 0:
         return minimal_presentation(m)
     res = resolution(m, g + 1)
-    qr = res.module.ring
-    Fg = res.complex.term(g)
-    if Fg.rank == 0:
-        return ModulePresentation.free(qr, [])
-    rel = res.complex.diff(g + 1)
-    return ModulePresentation(qr, rel, minimal=True)
+    if res.term(g).rank == 0:
+        return ModulePresentation.free(m.ring, [])
+    return ModulePresentation(m.ring, res.diff(g + 1), minimal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +463,20 @@ class HomPresentation(ModulePresentation):
         return _restrict_rows(sol, self.gens)
 
 
+def _hom_cohomology(d_in: GradedMatrix, d_out: GradedMatrix,
+                    n: ModulePresentation):
+    """Cohomology of Hom(F, N) at F = target(d_out) = source(d_in), for
+    free maps d_out: F' -> F and d_in: F -> F'', as (kappa, rels): kappa
+    generates the kernel of Hom(d_out, N) inside Hom(F, N), and rels
+    presents it modulo the image of Hom(d_in, N).  Hom and Ext both read
+    their answer here."""
+    A = _hom_induced(d_out, n)
+    kappa = _sub_rels(A, [_hom_rel_block(d_out.source, n)])
+    rels = _sub_rels(kappa, [_hom_rel_block(d_out.target, n),
+                             _hom_induced(d_in, n)])
+    return kappa, rels
+
+
 @ring_memo
 def hom_modules(m: ModulePresentation, n: ModulePresentation) -> HomPresentation:
     """Presentation of Hom_R(M, N) as the kernel of the induced map
@@ -488,14 +484,8 @@ def hom_modules(m: ModulePresentation, n: ModulePresentation) -> HomPresentation
     if m.ring != n.ring:
         raise ValueError("hom over different rings")
     qr = m.ring
-    H0 = _hom_free(m.gens, n)
-    if H0.rank == 0:
-        z = GradedMatrix.zero(qr, ZERO_FREE, ZERO_FREE)
-        return HomPresentation(qr, z, GradedMatrix.zero(qr, ZERO_FREE, H0),
-                               m, n)
-    A = _hom_induced(m.relations, n)
-    kappa = _sub_rels(A, [_hom_rel_block(m.relations.source, n)])
-    rels = _sub_rels(kappa, [_hom_rel_block(m.gens, n)])
+    kappa, rels = _hom_cohomology(GradedMatrix.zero(qr, m.gens, ZERO_FREE),
+                                  m.relations, n)
     return HomPresentation(qr, rels, kappa, m, n)
 
 
@@ -532,24 +522,24 @@ def tensor_modules(m: ModulePresentation,
 @ring_memo
 def ext_module(m: ModulePresentation, n: ModulePresentation,
                i: int) -> ModulePresentation:
-    """Ext^i_R(M, N) as the subquotient ker/im of Hom(F_i, N) maps along
-    a minimal free resolution of M."""
+    """Ext^i_R(M, N) as the cohomology of Hom(F, N) at F_i along a
+    minimal free resolution F of M."""
     if i < 0:
         raise ValueError("ext index must be non-negative")
     if m.ring != n.ring:
         raise ValueError("ext over different rings")
-    qr = m.ring
     res = resolution(m, i + 1)
-    Fi = res.complex.term(i)
-    if Fi.rank == 0:
-        return ModulePresentation.free(qr, [])
-    A = _hom_induced(res.complex.diff(i + 1), n)
-    kappa = _sub_rels(A, [_hom_rel_block(res.complex.term(i + 1), n)])
-    dens = [_hom_rel_block(Fi, n)]
-    if i >= 1:
-        dens.append(_hom_induced(res.complex.diff(i), n))
-    rels = _sub_rels(kappa, dens)
-    return ModulePresentation(qr, rels)
+    if res.term(i).rank == 0:
+        return ModulePresentation.free(m.ring, [])
+    _, rels = _hom_cohomology(res.diff(i), res.diff(i + 1), n)
+    return ModulePresentation(m.ring, rels)
+
+
+def first_ext(m: ModulePresentation, n: ModulePresentation, lo: int,
+              hi: int):
+    """The first i in lo..hi with Ext^i(M, N) != 0, or None."""
+    return next((i for i in range(lo, hi + 1)
+                 if not ext_module(m, n, i).is_zero_module()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +564,6 @@ class ModuleMap:
             if lift_matrix(self.target.relations, comp) is None:
                 raise ValueError("map does not respect relations")
 
-    def kernel_generators(self) -> GradedMatrix:
-        return _sub_rels(self.matrix, [self.target.relations])
-
-    def is_injective(self) -> bool:
-        kappa = self.kernel_generators()
-        if kappa.source.rank == 0:
-            return True
-        return lift_matrix(self.source.relations, kappa) is not None
-
     def is_surjective(self) -> bool:
         if self.target.gens.rank == 0:
             return True
@@ -596,7 +577,11 @@ class ModuleMap:
             is not None
 
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        """A degree-0 surjection of graded modules with finite-dimensional
+        pieces (weights are at least 1) is bijective exactly when source
+        and target have the same dimension in every degree."""
+        return self.is_surjective() and (self.source.hilbert_series().numer
+                                         == self.target.hilbert_series().numer)
 
 
 def homothety_map(c: ModulePresentation) -> ModuleMap:
@@ -642,12 +627,12 @@ def canonical_module(r: QuotientRing) -> ModulePresentation:
     RS = ModulePresentation.cyclic(S, list(r.ideal_basis))
     SS = ModulePresentation.free(S, [0])
     codim = n - r.krull_dim()
-    for i in range(n + 1):
-        if i == codim:
-            continue
-        if not ext_module(RS, SS, i).is_zero_module():
-            raise NotCohenMacaulayError(
-                f"nonzero Ext at index {i}, codimension {codim}")
+    i = first_ext(RS, SS, 0, codim - 1)
+    if i is None:
+        i = first_ext(RS, SS, codim + 1, n)
+    if i is not None:
+        raise NotCohenMacaulayError(
+            f"nonzero Ext at index {i}, codimension {codim}")
     w = minimal_presentation(ext_module(RS, SS, codim))
     rel = GradedMatrix(r, w.relations.source, w.gens,
                        dict(w.relations.entries))

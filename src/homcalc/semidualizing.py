@@ -23,8 +23,8 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
                         resolve_complex_with_map, biduality_rep, gamma_rep,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, minimal_presentation, syzygy,
-                      hom_modules, tensor_modules, ext_module, evaluation_map,
-                      homothety_map, homology_presentation,
+                      hom_modules, tensor_modules, ext_module, first_ext,
+                      evaluation_map, homothety_map, homology_presentation,
                       trusted_homology, extreme_homology, ring_memo,
                       is_module, as_complex, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
@@ -86,11 +86,7 @@ def semidualizing_certificate(c, bound: int) -> SdcCertificate:
     checkable self-Ext in nonzero degrees vanish."""
     if is_module(c):
         hok = homothety_map(c).is_isomorphism()
-        bad = None
-        for i in range(1, bound + 1):
-            if not ext_module(c, c, i).is_zero_module():
-                bad = i
-                break
+        bad = first_ext(c, c, 1, bound)
         eok = bad is None
         reason = "" if hok and eok else \
             ("homothety" if not hok else f"self-ext nonzero at {bad}")
@@ -205,15 +201,13 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
     om = syzygy(m, g)
     if minimal_presentation(om).gens.rank == 0:
         return GcdimVerdict.finite(g, bound)
-    for i in range(1, bound + 1):
-        if not ext_module(om, c, i).is_zero_module():
-            return GcdimVerdict.infinite(
-                f"Ext^{i}(syzygy^{g}, C) != 0", bound)
-    h = hom_modules(om, c)
-    for i in range(1, bound + 1):
-        if not ext_module(h, c, i).is_zero_module():
-            return GcdimVerdict.infinite(
-                f"Ext^{i}(Hom(syzygy^{g}, C), C) != 0", bound)
+    i = first_ext(om, c, 1, bound)
+    if i is not None:
+        return GcdimVerdict.infinite(f"Ext^{i}(syzygy^{g}, C) != 0", bound)
+    i = first_ext(hom_modules(om, c), c, 1, bound)
+    if i is not None:
+        return GcdimVerdict.infinite(
+            f"Ext^{i}(Hom(syzygy^{g}, C), C) != 0", bound)
     if not evaluation_map(om, c).is_isomorphism():
         return GcdimVerdict.infinite(
             f"biduality of syzygy^{g} is not an isomorphism", bound)
@@ -468,12 +462,11 @@ def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
     tail = max(1, bound // 2)
     notes = []
     hyps = {"ext-tail-vanishes": "met", "finite-id-of-ext": "met"}
-    for i in range(tail, bound + 1):
-        if not ext_module(m, n, i).is_zero_module():
-            hyps["ext-tail-vanishes"] = "failed"
-            notes.append(f"Ext^{i}(M, N) != 0")
-            break
-    if hyps["ext-tail-vanishes"] == "met":
+    i = first_ext(m, n, tail, bound)
+    if i is not None:
+        hyps["ext-tail-vanishes"] = "failed"
+        notes.append(f"Ext^{i}(M, N) != 0")
+    else:
         for i in range(0, tail):
             e = ext_module(m, n, i)
             if e.is_zero_module():
@@ -511,15 +504,15 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
     notes = []
     hyps = {"self-ext-vanishes": "met", "ext-against-ring-vanishes": "met",
             "finite-id-of-hom": "met"}
-    for i in range(1, bound + 1):
-        if hyps["self-ext-vanishes"] == "met" and \
-                not ext_module(m, m, i).is_zero_module():
-            hyps["self-ext-vanishes"] = "failed"
-            notes.append(f"Ext^{i}(M, M) != 0")
-        if hyps["ext-against-ring-vanishes"] == "met" and \
-                not ext_module(m, r, i).is_zero_module():
-            hyps["ext-against-ring-vanishes"] = "failed"
-            notes.append(f"Ext^{i}(M, R) != 0")
+    failed = []
+    for key, n, name in (("self-ext-vanishes", m, "M"),
+                         ("ext-against-ring-vanishes", r, "R")):
+        i = first_ext(m, n, 1, bound)
+        if i is not None:
+            hyps[key] = "failed"
+            failed.append((i, f"Ext^{i}(M, {name}) != 0"))
+    # notes ascend by index, Ext(M, M) first on a tie (a stable sort)
+    notes += [note for _, note in sorted(failed, key=lambda f: f[0])]
     hom = hom_modules(m, r if mode == "hom-MR" else m)
     if hom.is_zero_module():
         # no injective dimension to read on Hom = 0; a failed Ext

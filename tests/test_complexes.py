@@ -13,7 +13,7 @@ from homcalc.complexes import (
     minimize_complex, resolve_complex, resolve_complex_with_map,
     biduality_rep, gamma_rep,
 )
-from homcalc.modules import ModulePresentation, from_module
+from homcalc.modules import ModulePresentation, resolution
 
 from slice_homology import (slice_basis, slice_matrix, homology_slice_dim,
                             artinian_homology_dims)
@@ -260,8 +260,8 @@ def test_hom_and_tensor_of_normal_forms_are_normal_forms():
     R2 = PolyRing(F, ["x", "y"])
     for qr in (QuotientRing(R2, ["x^2", "x*y", "y^2"]),
                QuotientRing(R2, ["x*y", "x^3 + y^3"])):
-        k = from_module(ModulePresentation.residue_field(qr), 3)
-        m = from_module(ModulePresentation.cyclic(qr, ["x + y"]), 3)
+        k = resolution(ModulePresentation.residue_field(qr), 3)
+        m = resolution(ModulePresentation.cyclic(qr, ["x + y"]), 3)
         src, tgt = GradedFree.of([1]), GradedFree.of([0])
         f = ChainMap(module_as_complex(qr, src), module_as_complex(qr, tgt),
                      {0: GradedMatrix(qr, src, tgt,

@@ -8,13 +8,13 @@ from homcalc.groebner import QuotientRing
 from homcalc.complexes import (shift_complex, direct_sum, module_as_complex,
                                FreeComplex, TrustWindow, NEG_INF, INF,
                                UncertifiedDegreeError)
-from homcalc.modules import ModulePresentation, canonical_module, from_module
+from homcalc.modules import ModulePresentation, canonical_module, resolution
 from homcalc.invariants import (
     InvariantTable, FinitenessVerdict, ZeroModuleError,
     WindowInsufficientError, residue_field,
     betti_table, bass_table, depth, kdim_complex, nu, type_of,
     is_cohen_macaulay, pd_verdict, id_verdict, ext_dims, tor_dims,
-    grade_wrt, inf_of, sup_of, amplitude,
+    grade_wrt, inf_of, sup_of, amplitude, ext_presentation,
 )
 
 F = PrimeField(7)
@@ -76,7 +76,7 @@ def test_bass_table_routes_agree():
     # module route (Ext against k) vs complex route (windowed Hom)
     k = residue_field(NG)
     a = bass_table(k, 3)
-    b = bass_table(from_module(k, 6), 3)
+    b = bass_table(resolution(k, 6), 3)
     _, hi = b.certified
     assert hi >= 2
     assert all(a.value(i) == b.value(i) for i in range(0, hi + 1))
@@ -176,13 +176,16 @@ def test_pd_residue_field_infinite_resolution():
 
 
 def test_pd_not_certified_at_length_zero():
-    v = pd_verdict(residue_field(DN), 0)
-    assert not v.is_finite_certified()
-    # the cached resolution of a pd-1 module is complete, yet a length-0
-    # truncation of it must not read pd 0
+    # a length-0 truncation is refused, so it never reads pd 0
+    with pytest.raises(ValueError, match="at least 1"):
+        pd_verdict(residue_field(DN), 0)
+    # the cached resolution of a pd-1 module is complete, yet a shorter
+    # truncation of it must not certify
     m = ModulePresentation.cyclic(QuotientRing(P1, []), ["x"])
     assert pd_verdict(m, 4).n == 1
-    assert not pd_verdict(m, 0).is_finite_certified()
+    assert not pd_verdict(m, 1).is_finite_certified()
+    with pytest.raises(ValueError, match="at least 1"):
+        pd_verdict(m, 0)
 
 
 def test_id_gorenstein_ring():
@@ -224,16 +227,24 @@ def test_tor_dims_recover_betti():
 
 
 def test_ext_dims_shift_second_slot():
+    # Ext^{i-1}(k, R[1]) = Ext^i(k, R) on the complex route, which agrees
+    # with the module route's table
     k = residue_field(DN)
-    base = ext_dims(k, free_rep(DN), 0, 2)
-    shifted = ext_dims(k, shift_complex(free_rep(DN), 1), -1, 1)
+
+    def dims(c, lo, hi):
+        return {i: ext_presentation(k, c, i, 5).k_dimension()
+                for i in range(lo, hi + 1)}
+
+    base = dims(free_rep(DN), 0, 2)
+    assert base == ext_dims(k, ModulePresentation.free(DN, [0]), 0, 2)
+    shifted = dims(shift_complex(free_rep(DN), 1), -1, 1)
     assert shifted == {i - 1: base[i] for i in range(0, 3)}
 
 
 # -- shift identities on tables ---------------------------------------------
 
 def test_betti_shift_identity():
-    X = from_module(residue_field(NG), 5)
+    X = resolution(residue_field(NG), 5)
     base = betti_table(X, 5)
     for n in (1, 3):
         sh = betti_table(shift_complex(X, n), 5)
@@ -243,7 +254,7 @@ def test_betti_shift_identity():
 
 
 def test_bass_shift_identity():
-    X = from_module(residue_field(CI), 6)
+    X = resolution(residue_field(CI), 6)
     base = bass_table(X, 5)
     _, bhi = base.certified
     for n in (1, 2):
@@ -270,7 +281,7 @@ def test_grade_artinian_against_dual():
 
 
 def test_grade_complex_route():
-    X = from_module(ModulePresentation.cyclic(HY, ["x + y"]), 6)
+    X = resolution(ModulePresentation.cyclic(HY, ["x + y"]), 6)
     assert grade_wrt(X, free_rep(HY), 6) == 1
 
 

@@ -298,8 +298,9 @@ _NONZERO = {
 
 
 def draw_matrix(data, field, quotient):
-    """A homogeneous matrix over F[x,y,z] or a quotient of it by one to
-    three random quadrics, with 1-2 rows and 2-5 columns."""
+    """A homogeneous matrix over F[x,y,z] (as its quotient by no
+    relations) or a quotient of it by one to three random quadrics, with
+    1-2 rows and 2-5 columns."""
     Fld = PrimeField(32003) if field == "p" else RationalField()
     P = PolyRing(Fld, ["x", "y", "z"])
 
@@ -311,7 +312,7 @@ def draw_matrix(data, field, quotient):
             out = out + P.monomial(e, Fld.normalize(data.draw(_NONZERO[field])))
         return out
 
-    R = P
+    R = QuotientRing(P, [])
     if quotient:
         R = QuotientRing(P, [poly(2) for _ in range(data.draw(st.integers(1, 3)))])
     rows = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
@@ -328,10 +329,9 @@ def draw_matrix(data, field, quotient):
 
 def gb_inputs(R, m):
     """The columns of m plus the ideal padding, as reduced_gb sees them."""
-    qr = R if isinstance(R, QuotientRing) else QuotientRing(R, [])
-    P = qr.ambient
+    P = R.ambient
     cols = [vec_from_column(c, P) for c in m.columns()]
-    pads = _padding_vectors(qr, m.target.rank)
+    pads = _padding_vectors(R, m.target.rank)
     return P, cols + pads, len(pads)
 
 

@@ -1,19 +1,22 @@
 """Presentations, resolutions, Hom/tensor/Ext, canonical modules and maps."""
 
+import contextlib
 import gc
 import weakref
+from unittest import mock
 
 import pytest
 
 from homcalc.field import PrimeField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix, hstack
 from homcalc import modules
+from homcalc import semidualizing as sd
 from homcalc.groebner import NotArtinianError, QuotientRing, lift_matrix
 from homcalc.complexes import (FreeComplex, UncertifiedDegreeError,
                                direct_sum, shift_complex)
 from homcalc.modules import (
     ModulePresentation, ModuleMap, NotCohenMacaulayError,
-    minimal_presentation, resolution, from_module, syzygy,
+    minimal_presentation, resolution, syzygy,
     hom_modules, tensor_modules, ext_module,
     evaluation_map, homothety_map, canonical_module,
     homology_presentation, trusted_homology, first_homology,
@@ -59,9 +62,9 @@ def element_is_zero(m, column):
 def betti(res, i):
     """beta_i read off a resolution; the top degree of an unfinished
     resolution is a construction artifact and raises."""
-    if not (res.complete or i < res.complex.term_range()[1]):
+    if not (res.complete or i < res.term_range()[1]):
         raise UncertifiedDegreeError(f"Betti number {i} not certified")
-    return res.complex.term(i).rank
+    return res.term(i).rank
 
 
 def compose(f, g):
@@ -136,9 +139,9 @@ def test_graded_betti_koszul():
     res = resolution(k, 5)
     assert res.complete
     graded = {}
-    lo, hi = res.complex.term_range()
+    lo, hi = res.term_range()
     for i in range(lo, hi + 1):
-        for tw in res.complex.term(i).twists:
+        for tw in res.term(i).twists:
             graded[(i, tw)] = graded.get((i, tw), 0) + 1
     assert graded == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     assert betti(res, 7) == 0
@@ -160,14 +163,16 @@ def test_resolution_cache_extends():
 
 def test_free_module_resolution_is_complete_at_every_length():
     r = ModulePresentation.free(NG, [0, 1])
-    for length in (0, 1, 2):
+    for length in (1, 2, 3):
         res = resolution(r, length)
         assert res.complete and betti(res, 0) == 2 and betti(res, 1) == 0
+    with pytest.raises(ValueError, match="at least 1"):
+        resolution(r, 0)
 
 
-def test_from_module_window():
+def test_resolution_window():
     k = ModulePresentation.residue_field(DN)
-    X = from_module(k, 4)
+    X = resolution(k, 4)
     assert all(X.window.contains(d) for d in range(-5, 4))
     assert not X.window.contains(4)
     assert X.term(2).twists == (2,)
@@ -227,6 +232,7 @@ def test_hom_from_ring_identity_witness():
     wit = ModuleMap(w, d, d.express(GradedMatrix.identity(NG, w.gens)))
     wit.validate()
     assert wit.is_isomorphism()
+    assert_criteria_agree(wit)
 
 
 def generator_as_map(h, j):
@@ -261,6 +267,7 @@ def test_tensor_from_ring_identity_witness():
     wit = ModuleMap(w, t, GradedMatrix.identity(NG, w.gens))
     wit.validate()
     assert wit.is_isomorphism()
+    assert_criteria_agree(wit)
 
 
 def test_tensor_residue_fields():
@@ -314,10 +321,32 @@ def test_ext_socle_dimension_reads_type():
 
 
 # -- module maps ------------------------------------------------------------
+# ModuleMap.is_isomorphism reads injectivity of a surjection off equal
+# Hilbert series.  The route it replaced is kept here as the reference:
+# generators of the kernel on the source generators, then a lift of them
+# against the source relations.
+
+
+def kernel_generators(f: ModuleMap) -> GradedMatrix:
+    """Generators of the v in f's source generator free with f(v) in the
+    target's relations."""
+    return modules._sub_rels(f.matrix, [f.target.relations])
+
+
+def is_injective(f: ModuleMap) -> bool:
+    kappa = kernel_generators(f)
+    if kappa.source.rank == 0:
+        return True
+    return lift_matrix(f.source.relations, kappa) is not None
+
+
+def assert_criteria_agree(f: ModuleMap):
+    assert f.is_isomorphism() == (f.is_surjective() and is_injective(f))
+
 
 def kernel_presentation(f: ModuleMap) -> ModulePresentation:
     """ker f as a presentation: its generators modulo the source's relations."""
-    rels = modules._sub_rels(f.kernel_generators(), [f.source.relations])
+    rels = modules._sub_rels(kernel_generators(f), [f.source.relations])
     return ModulePresentation(f.source.ring, rels)
 
 
@@ -327,7 +356,7 @@ def test_map_kernel_cokernel():
                   GradedMatrix(DN, GradedFree.of([1]), GradedFree.of([0]),
                                {(0, 0): DN.from_string("x")}))
     x.validate()
-    assert not x.is_injective() and not x.is_surjective()
+    assert not is_injective(x) and not x.is_surjective()
     assert kdim(kernel_presentation(x)) == 1
     coker = ModulePresentation(DN, hstack(DN, [x.matrix, r.relations]))
     assert kdim(coker) == 1
@@ -339,11 +368,11 @@ def test_kernel_of_map_into_zero_module_is_identity(monkeypatch):
     f = ModuleMap(r, zero, GradedMatrix.zero(DN, r.gens, zero.gens))
     calls = []
     monkeypatch.setattr(modules, "kernel_matrix", calls.append)
-    kappa = f.kernel_generators()
+    kappa = kernel_generators(f)
     assert calls == []    # answered by the early exit, with no kernel
     assert kappa.source == kappa.target == r.gens
     assert kappa.entries == GradedMatrix.identity(DN, r.gens).entries
-    assert not f.is_injective()
+    assert not is_injective(f)
 
 
 def test_map_must_respect_relations():
@@ -374,31 +403,67 @@ def test_evaluation_iso_over_gorenstein_artinian():
     k = ModulePresentation.residue_field(DN)
     ev = evaluation_map(k, ModulePresentation.free(DN, [0]))
     assert ev.is_isomorphism()
+    assert_criteria_agree(ev)
 
 
 def test_evaluation_fails_over_non_gorenstein():
     k = ModulePresentation.residue_field(NG)
     ev = evaluation_map(k, ModulePresentation.free(NG, [0]))
     assert not ev.is_isomorphism()
+    assert_criteria_agree(ev)
 
 
 def test_evaluation_iso_for_free_modules():
     fr = ModulePresentation.free(NG, [0, 2])
     ev = evaluation_map(fr, ModulePresentation.free(NG, [0]))
     assert ev.is_isomorphism()
+    assert_criteria_agree(ev)
 
 
 def test_homothety_iso_for_ring():
-    assert homothety_map(ModulePresentation.free(DN, [0])).is_isomorphism()
+    h = homothety_map(ModulePresentation.free(DN, [0]))
+    assert h.is_isomorphism()
+    assert_criteria_agree(h)
 
 
 def test_homothety_iso_for_canonical_module():
-    assert homothety_map(canonical_module(SG)).is_isomorphism()
+    h = homothety_map(canonical_module(SG))
+    assert h.is_isomorphism()
+    assert_criteria_agree(h)
 
 
 def test_homothety_fails_for_residue_field():
-    k = ModulePresentation.residue_field(DN)
-    assert not homothety_map(k).is_isomorphism()
+    # R -> Hom(k, k) = k is onto with kernel m: only injectivity fails
+    h = homothety_map(ModulePresentation.residue_field(DN))
+    assert h.is_surjective() and not h.is_isomorphism()
+    assert_criteria_agree(h)
+
+
+def test_isomorphism_criteria_agree_on_golden_case_maps():
+    # every homothety and evaluation map the verifier golden cases build,
+    # each built afresh: the case rings get empty memos for the run
+    import test_verifier_reports as golden
+    built = []
+
+    def recording(make):
+        def wrapped(*args):
+            built.append(make(*args))
+            return built[-1]
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for q in vars(golden).values():
+            if isinstance(q, QuotientRing):
+                stack.enter_context(mock.patch.object(q, "memo", {}))
+        for name in ("homothety_map", "evaluation_map"):
+            stack.enter_context(mock.patch.object(
+                sd, name, recording(getattr(sd, name))))
+        for name in golden.CASES:
+            golden.outcome(name)
+    for f in built:
+        assert_criteria_agree(f)
+    isos = [f.is_isomorphism() for f in built]
+    assert any(isos) and not all(isos)
 
 
 # -- canonical modules ------------------------------------------------------
@@ -441,7 +506,7 @@ def test_canonical_rejects_non_cm():
 
 def test_homology_presentation_of_resolution():
     k = ModulePresentation.residue_field(DN)
-    X = from_module(k, 4)
+    X = resolution(k, 4)
     assert kdim(homology_presentation(X, 0)) == 1
     for i in (1, 2):
         assert homology_presentation(X, i).is_zero_module()
@@ -449,7 +514,7 @@ def test_homology_presentation_of_resolution():
 
 def test_trusted_homology_matches_brute_loop():
     k = ModulePresentation.residue_field(DN)
-    Kc = from_module(k, 3)
+    Kc = resolution(k, 3)
     X = direct_sum(Kc, shift_complex(Kc, 2))
     assert len(X.window.parts) > 1    # the window has a gap
     lo, hi = X.term_range()

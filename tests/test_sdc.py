@@ -10,7 +10,7 @@ from homcalc.groebner import QuotientRing
 from homcalc.complexes import (module_as_complex, shift_complex, direct_sum,
                                cone, ChainMap)
 from homcalc.modules import (ModulePresentation, canonical_module,
-                             from_module, minimal_presentation)
+                             resolution, minimal_presentation)
 from homcalc.invariants import (residue_field, depth, grade_wrt,
                                 ext_presentation, ZeroModuleError,
                                 WindowInsufficientError)
@@ -65,7 +65,7 @@ def test_certificate_residue_field_fails_homothety():
 
 
 def test_certificate_complex_route():
-    cert = semidualizing_certificate(from_module(R_DN, 4), 4)
+    cert = semidualizing_certificate(resolution(R_DN, 4), 4)
     assert cert.ok
 
 
@@ -103,7 +103,7 @@ def test_dualizing_fails_non_gorenstein():
 
 def test_dualizing_complex_coefficient_takes_module_route_for_k():
     # C = R as a one-term complex: the G-dimension of k used to go through
-    # from_module(k, 2), whose depth raised WindowInsufficientError
+    # resolution(k, 2), whose depth raised WindowInsufficientError
     c = module_as_complex(DN, GradedFree.of([0]))
     dv = dualizing_verdict(c, 2)
     gk = gcdim(residue_field(DN), c, 2)
@@ -167,17 +167,17 @@ def test_gcdim_wrt_dualizing_always_finite():
 # -- G-dimension, complex route ---------------------------------------------
 
 def test_gcdim_complex_of_coefficient_itself():
-    v = gcdim_complex(from_module(R_DN, 5), R_DN, 5)
+    v = gcdim_complex(resolution(R_DN, 5), R_DN, 5)
     assert v.is_finite() and v.g == 0 and v.inf_rhom == 0
 
 
 def test_gcdim_complex_residue_field():
-    v = gcdim_complex(from_module(residue_field(DN), 5), R_DN, 5)
+    v = gcdim_complex(resolution(residue_field(DN), 5), R_DN, 5)
     assert v.is_finite() and v.g == 0
 
 
 def test_gcdim_complex_shift():
-    X = from_module(residue_field(DN), 5)
+    X = resolution(residue_field(DN), 5)
     for n in (-1, 2):
         v = gcdim_complex(shift_complex(X, n), R_DN, 5)
         assert v.is_finite() and v.g == n
@@ -185,7 +185,7 @@ def test_gcdim_complex_shift():
 
 def test_gcdim_complex_mcm_module():
     m = ModulePresentation.cyclic(HY, ["x"])
-    v = gcdim_complex(from_module(m, 5), R_HY, 5)
+    v = gcdim_complex(resolution(m, 5), R_HY, 5)
     assert v.is_finite() and v.g == 0 and v.inf_rhom == 0
 
 
@@ -194,7 +194,7 @@ def test_gcdim_routes_agree():
              (residue_field(DN), R_DN)]
     for m, c in pairs:
         vm = gcdim_module(m, c, 5)
-        vc = gcdim_complex(from_module(m, 5), c, 5)
+        vc = gcdim_complex(resolution(m, 5), c, 5)
         assert vm.is_finite() and vc.is_finite()
         assert vm.g == vc.g
 
@@ -210,15 +210,15 @@ def test_gcdim_dispatch_takes_each_route():
              (residue_field(DN), R_DN)]
     for m, c in pairs:
         assert _fields(gcdim(m, c, 5)) == _fields(gcdim_module(m, c, 5))
-        z = from_module(m, 5)
+        z = resolution(m, 5)
         assert _fields(gcdim(z, c, 5)) == _fields(gcdim_complex(z, c, 5))
-        cx = from_module(c, 5)
+        cx = resolution(c, 5)
         assert _fields(gcdim(m, cx, 5)) == _fields(gcdim_complex(m, cx, 5))
 
 
 def test_ext_presentation_routes_and_window():
     k = residue_field(DN)
-    z = from_module(k, 3)
+    z = resolution(k, 3)
     for e in range(3):
         via_complex = minimal_presentation(ext_presentation(z, R_DN, e, 3))
         via_module = minimal_presentation(ext_presentation(k, R_DN, e, 3))
@@ -241,7 +241,7 @@ R_PLANE = ModulePresentation.free(S_PLANE, [0])
 def test_gcdim_truncated_resolution_of_k_not_infinite():
     # every G-dimension over a regular ring is finite; at bound 3 the
     # complex route and at bound 2 the module route both read g = 2
-    k2 = from_module(residue_field(S_PLANE), 2)
+    k2 = resolution(residue_field(S_PLANE), 2)
     assert gcdim(k2, R_PLANE, 2).status != "infinite"
     rep = verify_type_formula(k2, R_PLANE, 2)
     assert rep.hypotheses.get("finite-gcdim") != "failed"
@@ -354,7 +354,7 @@ def test_type_formula_depth_above_ring_depth_not_met():
 
 def test_type_formula_shift_robust():
     m = ModulePresentation.cyclic(CI, ["x"])
-    X = from_module(m, 5)
+    X = resolution(m, 5)
     for n in range(-2, 3):
         r = verify_type_formula(shift_complex(X, n), R_CI, 5)
         assert r.verdict == PASS
@@ -380,8 +380,8 @@ def test_dualizing_criteria_type_bound_fails():
 # -- finite injective dimension from homology -------------------------------
 
 def test_finite_injective_from_homology_direct_sum():
-    X = direct_sum(from_module(R_CI, 8),
-                   shift_complex(from_module(R_CI, 8), 2))
+    X = direct_sum(resolution(R_CI, 8),
+                   shift_complex(resolution(R_CI, 8), 2))
     r = verify_finite_injective_from_homology(X, 5)
     assert r.verdict == PASS
     assert r.left == 0 and r.right == 0   # ceiling max(id H_i - i) = 0
@@ -410,7 +410,7 @@ def test_finite_injective_from_homology_exact_complex():
 
 def test_finite_injective_from_homology_not_met():
     r = verify_finite_injective_from_homology(
-        from_module(residue_field(DN), 4), 4)
+        resolution(residue_field(DN), 4), 4)
     assert r.verdict == HYPOTHESES_NOT_MET
     assert r.hypotheses["finite-id-H0"] == "uncertified"
 

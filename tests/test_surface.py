@@ -25,6 +25,8 @@ function of that name sets it.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -173,3 +175,38 @@ def test_every_defaulted_parameter_is_set():
 
 def test_kept_parameters_are_defaulted_and_unset():
     assert KEPT_PARAMS <= set(unset_parameters())
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark's tracer wraps
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_names_resolve():
+    """Every (module, attribute) the traced benchmark run wraps exists, so
+    a rename fails here rather than only in the traced run."""
+    tracer = _tracer()
+    missing = []
+    for prefix, modname, attr, *_ in tracer.SPANS:
+        owner = importlib.import_module(f"homcalc.{modname}")
+        if attr == "verify_*":
+            found = any(n.startswith("verify_") for n in vars(owner))
+        elif "." in attr:
+            cls, meth = attr.split(".")
+            found = meth in vars(getattr(owner, cls, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(prefix)
+    for prefix, modname, cls, meths, _ in tracer.COUNTS:
+        owner = importlib.import_module(f"homcalc.{modname}")
+        missing += [f"{prefix}:{cls}.{m}" for m in meths
+                    if m not in vars(getattr(owner, cls, object))]
+    assert missing == []

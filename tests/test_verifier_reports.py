@@ -32,7 +32,7 @@ from homcalc.groebner import QuotientRing
 from homcalc.invariants import (residue_field, InvariantTable,
                                 FinitenessVerdict, WindowInsufficientError,
                                 ZeroModuleError)
-from homcalc.modules import ModulePresentation, canonical_module, from_module
+from homcalc.modules import ModulePresentation, canonical_module, resolution
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix
 
 GOLDEN = Path(__file__).parent / "golden" / "verifiers.json"
@@ -110,14 +110,14 @@ CASES = {
     "type-formula/gcdim-infinite-module": (
         lambda: sd.verify_type_formula(k(NG), R(NG), 3), {}),
     "type-formula/gcdim-infinite-complex": (
-        lambda: sd.verify_type_formula(from_module(k(NG), 2), R(NG), 2), {}),
+        lambda: sd.verify_type_formula(resolution(k(NG), 2), R(NG), 2), {}),
     "type-formula/gcdim-uncertified": (
         lambda: sd.verify_type_formula(exact(DN), R(DN), 3), {}),
     "type-formula/window-hom-top": (
-        lambda: sd.verify_type_formula(from_module(k(DN), 2), R(DN), 2), {}),
+        lambda: sd.verify_type_formula(resolution(k(DN), 2), R(DN), 2), {}),
     "type-formula/window-bottom-cell": (
         lambda: sd.verify_type_formula(
-            shift_complex(from_module(k(DN), 1), 2), R(DN), 1), {}),
+            shift_complex(resolution(k(DN), 1), 2), R(DN), 1), {}),
     "type-formula/forced-zero-ext-fail": (
         lambda: sd.verify_type_formula(k(DN), R(DN), 3),
         {"ext_presentation": mock.Mock(side_effect=ZeroModuleError("zero"))}),
@@ -136,15 +136,15 @@ CASES = {
         lambda: sd.verify_dualizing_criteria(k(NG), R(NG), 3), {}),
     "dualizing-criteria/not-cm-and-gcdim-infinite": (
         lambda: sd.verify_dualizing_criteria(
-            direct_sum(from_module(cyclic(PL, "x"), 3),
-                       shift_complex(from_module(k(PL), 3), 1)), R(PL), 3),
+            direct_sum(resolution(cyclic(PL, "x"), 3),
+                       shift_complex(resolution(k(PL), 3), 1)), R(PL), 3),
         {}),
     "dualizing-criteria/type-bound": (
         lambda: sd.verify_dualizing_criteria(R(NG), R(NG), 3), {}),
     "dualizing-criteria/not-cm": (
         lambda: sd.verify_dualizing_criteria(R(NC), R(NC), 3), {}),
     "dualizing-criteria/window": (
-        lambda: sd.verify_dualizing_criteria(from_module(k(CI), 1), R(CI), 1),
+        lambda: sd.verify_dualizing_criteria(resolution(k(CI), 1), R(CI), 1),
         {}),
     "dualizing-criteria/exact-complex-refused": (
         lambda: sd.verify_dualizing_criteria(exact(DN), R(DN), 3), {}),
@@ -159,8 +159,8 @@ CASES = {
     # finite injective dimension from homology
     "finite-injective-from-homology/pass-direct-sum": (
         lambda: sd.verify_finite_injective_from_homology(
-            direct_sum(from_module(R(CI), 3),
-                       shift_complex(from_module(R(CI), 3), 2)), 3), {}),
+            direct_sum(resolution(R(CI), 3),
+                       shift_complex(resolution(R(CI), 3), 2)), 3), {}),
     "finite-injective-from-homology/pass-cone": (
         lambda: sd.verify_finite_injective_from_homology(
             cone(mult(HY, "x + y")), 2), {}),
@@ -168,17 +168,17 @@ CASES = {
         lambda: sd.verify_finite_injective_from_homology(exact(DN), 3), {}),
     "finite-injective-from-homology/id-of-homology": (
         lambda: sd.verify_finite_injective_from_homology(
-            from_module(k(DN), 2), 2), {}),
+            resolution(k(DN), 2), 2), {}),
     "finite-injective-from-homology/id-of-two-homologies": (
         lambda: sd.verify_finite_injective_from_homology(
             cone(mult(HY, "x")), 3), {}),
     "finite-injective-from-homology/forced-fail": (
         lambda: sd.verify_finite_injective_from_homology(
-            from_module(R(CI), 3), 3),
+            resolution(R(CI), 3), 3),
         {"bass_table": table("bass", {5: 1}, 5)}),
     "finite-injective-from-homology/forced-window": (
         lambda: sd.verify_finite_injective_from_homology(
-            from_module(R(CI), 3), 3),
+            resolution(R(CI), 3), 3),
         {"bass_table": window_error}),
 
     # Ext-vanishing descent
