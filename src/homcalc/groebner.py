@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 from operator import neg
 
 from .ring import (
@@ -634,28 +635,7 @@ class QuotientRing:
 
     def std_monomials(self):
         """All monomials outside the leading-term ideal (artinian only)."""
-        if not self.is_artinian():
-            raise ValueError("standard monomial basis is infinite")
-        gens = self.lead_ideal_min_gens()
-        bounds = []
-        for v in range(self.ambient.n):
-            pure = [e[v] for e in gens
-                    if e[v] > 0 and all(e[u] == 0 for u in range(self.ambient.n) if u != v)]
-            bounds.append(min(pure))
-        out = []
-
-        def rec(v, acc):
-            if v == self.ambient.n:
-                e = tuple(acc)
-                if not any(self.ambient.mono_divides(g, e) for g in gens):
-                    out.append(e)
-                return
-            for x in range(bounds[v]):
-                rec(v + 1, acc + [x])
-
-        rec(0, [])
-        out.sort(key=lambda e: (self.ambient.wdeg(e), self.ambient.mono_key(e)))
-        return out
+        return standard_monomials(self.lead_ideal_min_gens(), self.ambient)
 
     def hilbert_series(self):
         numer = hilbert_numerator(self.lead_ideal_min_gens(), self.ambient)
@@ -785,6 +765,25 @@ def minimalize_monomials(exps, ring):
     for e in uniq:
         if not any(ring.mono_divides(g, e) for g in out):
             out.append(e)
+    return out
+
+
+def standard_monomials(gens, ring):
+    """The monomials outside the monomial ideal generated by gens,
+    ascending by degree, then by the ring order.  Raises NotArtinianError
+    unless the ideal is the unit ideal or holds a pure power of every
+    variable, since otherwise they are infinitely many."""
+    if any(not any(e) for e in gens):
+        return []
+    bounds = []
+    for v in range(ring.n):
+        pure = [e[v] for e in gens if e[v] == sum(e)]
+        if not pure:
+            raise NotArtinianError("standard monomial basis is infinite")
+        bounds.append(min(pure))
+    out = [e for e in itertools.product(*map(range, bounds))
+           if not any(ring.mono_divides(g, e) for g in gens)]
+    out.sort(key=lambda e: (ring.wdeg(e), ring.mono_key(e)))
     return out
 
 

@@ -3,10 +3,12 @@ depth, Krull dimension, type, Cohen-Macaulayness, grade, and finiteness
 detectors for projective and injective dimension.
 
 Tables never report outside their certified range.  Modules get the
-cheap exact routes (minimal resolutions for Betti; Ext against k for
-Bass, over R/xR after cutting by each regular linear form x found);
-genuine complexes go through resolution representatives and
-windowed Hom/tensor complexes, with trust tracked degree by degree.
+cheap exact routes: minimal resolutions for Betti numbers, and for Bass
+numbers three routes tried in turn by _mu (a cut by a regular linear
+form, Rees's lemma, Bruns & Herzog Lemma 3.1.16; the Betti numbers of the
+graded Matlis dual for finite length, ibid. Sec. 3.6; Ext against k
+otherwise).  Genuine complexes go through resolution representatives
+and windowed Hom/tensor complexes, with trust tracked degree by degree.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       ext_module, first_ext, homology_presentation,
                       trusted_homology, first_homology, extreme_homology,
-                      ring_memo, is_module, as_complex, resolved)
+                      ring_memo, is_module, as_complex, resolved,
+                      matlis_dual)
 
 
 class ZeroModuleError(ValueError):
@@ -40,22 +43,32 @@ def residue_field(qr: QuotientRing) -> ModulePresentation:
 
 
 def _mu(m: ModulePresentation, i: int) -> int:
-    """mu^i(m, M) = dim_k Ext^i(k, M).
+    """mu^i(m, M) = dim_k Ext^i(k, M), by the first of three routes that
+    applies.
 
-    When a homogeneous x in m is regular on both R and M, Rees's lemma
-    (Bruns & Herzog, Cohen-Macaulay Rings, Lemma 3.1.16) gives
-    Ext^{i+1}_R(k, M) = Ext^i_{R/xR}(k, M/xM) and Hom_R(k, M) = 0, so
-    mu^0 = 0 and mu^i is mu^{i-1} of M/xM over R/xR, a ring with one
-    variable fewer (see _module_cut).  Otherwise it is read from Ext.
+    - Cut: when a homogeneous x in m is regular on both R and M, Rees's
+      lemma (Bruns & Herzog, Cohen-Macaulay Rings, Lemma 3.1.16) gives
+      Ext^{i+1}_R(k, M) = Ext^i_{R/xR}(k, M/xM) and Hom_R(k, M) = 0, so
+      mu^0 = 0 and mu^i is mu^{i-1} of M/xM over R/xR, a ring with one
+      variable fewer (see _module_cut).
+    - Matlis dual: for M of finite length, graded Matlis duality (ibid.,
+      Sec. 3.6) gives Ext^i_R(k, M) = Tor_i^R(k, M^v)^v, so mu^i(M) =
+      beta_i(M^v), read off the minimal resolution of matlis_dual(M).
+    - Ext: otherwise, from a presentation of Ext^i(k, M) (_ext_mu).
     """
     cut = _module_cut(m)
-    if cut is None:
-        return _ext_mu(m, i)
-    return 0 if i == 0 else _mu(cut, i - 1)
+    if cut is not None:
+        return 0 if i == 0 else _mu(cut, i - 1)
+    if m.hilbert_series().dimension() <= 0:
+        return resolution(matlis_dual(m), i + 1).term(i).rank
+    return _ext_mu(m, i)
 
 
 def _ext_mu(m: ModulePresentation, i: int) -> int:
-    # Ext^i(k, M) is a k-vector space, so generator count = dimension
+    """mu^i(m, M) as the generator count of Ext^i(k, M), a k-vector space.
+    _mu takes this route only for a module of positive dimension that no
+    regular linear form cuts, such as R over k[x, y]/(x^2, xy); the tests
+    keep it as the reference for the other two."""
     return minimal_presentation(
         ext_module(residue_field(m.ring), m, i)).gens.rank
 
@@ -248,10 +261,12 @@ def betti_table(x, bound: int) -> InvariantTable:
 
 
 def bass_table(x, bound: int) -> InvariantTable:
-    """mu^i = dim_k Ext^i(k, x).  For modules each mu^i comes from _mu,
-    which cuts by a regular element (Rees's lemma, Bruns & Herzog, Lemma
-    3.1.16, tested by Hilbert series) while one exists, then reads Ext;
-    for complexes it is read from Hom(resolution of k, x)."""
+    """mu^i = dim_k Ext^i(k, x).  For modules each mu^i comes from _mu:
+    it cuts by a regular linear form while one exists (Rees's lemma,
+    Bruns & Herzog, Lemma 3.1.16, tested by Hilbert series), then reads
+    beta_i of the graded Matlis dual if the module has finite length
+    (ibid., Sec. 3.6), and Ext otherwise.  For complexes it is read from
+    Hom(resolution of k, x)."""
     if is_module(x):
         vals = {i: _mu(x, i) for i in range(0, bound + 1)}
         return InvariantTable("bass", vals, (None, bound))
@@ -412,10 +427,12 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
 def id_verdict(x, bound: int) -> FinitenessVerdict:
     """Finite injective dimension.  For modules the vanishing of one Bass
     number past the depth is a certificate (Bass numbers have no gaps
-    between depth and id); they come from _mu, by Rees's lemma (Bruns &
-    Herzog, Lemma 3.1.16) over R/xR while some x is regular on R and M,
-    which equal Hilbert numerators test.  For genuine complexes only a
-    zero run of width dim R + amp X + 2 is reported, as FiniteLikely."""
+    between depth and id); they come from _mu's three routes: Rees's
+    lemma (Bruns & Herzog, Lemma 3.1.16) over R/xR while some x is
+    regular on R and M, which equal Hilbert numerators test, then the
+    Betti numbers of the graded Matlis dual for finite length (ibid., Sec.
+    3.6), else Ext.  For genuine complexes only a zero run of width
+    dim R + amp X + 2 is reported, as FiniteLikely."""
     if is_module(x):
         d = _module_depth(x)
         last = None

@@ -15,7 +15,9 @@ first nonzero Ext.  Hom modules carry their universal pairing: the
 presentation remembers how each abstract generator acts as an honest
 matrix F0 -> N, which is what lets the homothety and evaluation maps be
 constructed rather than asserted.  A map is an isomorphism when it is
-onto and source and target have equal Hilbert series.
+onto and source and target have equal Hilbert series.  The graded
+Matlis dual of a finite-length module is presented on the k-basis that
+the module's Groebner basis gives (matlis_dual).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .ring import GradedFree, GradedMatrix, ZERO_FREE, hstack
 from .groebner import (QuotientRing, NotArtinianError, kernel_matrix,
                        lift_matrix, interreduce_columns, reduced_gb,
                        TermOverPosition, vec_from_column, _padding_vectors,
-                       minimalize_monomials, hilbert_numerator, HilbertSeries)
+                       minimalize_monomials, standard_monomials,
+                       hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
                         module_as_complex, zero_complex, resolve_complex)
 
@@ -214,18 +217,62 @@ def _minimal_presentation(m: ModulePresentation) -> ModulePresentation:
 
 
 @ring_memo
-def _component_leads(m: ModulePresentation):
-    """Per-generator lead ideals of relations + ring ideal padding."""
+def _module_gb(m: ModulePresentation):
+    """Reduced Groebner basis of the relations plus the ring ideal
+    padding over the ambient ring, in TermOverPosition order: division by
+    it is the normal form in M."""
     qr = m.ring
     P = qr.ambient
     cols = [vec_from_column(c, P) for c in m.relations.columns()]
     pads = _padding_vectors(qr, m.gens.rank)
-    gb = reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists),
-                    padded=len(pads))
+    return reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists),
+                      padded=len(pads))
+
+
+@ring_memo
+def _component_leads(m: ModulePresentation):
+    """Per-generator lead ideals of _module_gb: the standard monomials of
+    component a times generator a form a k-basis of M."""
+    P = m.ring.ambient
     per = [[] for _ in range(m.gens.rank)]
-    for (comp, e), _ in gb.leads:
+    for (comp, e), _ in _module_gb(m).leads:
         per[comp].append(e)
     return [minimalize_monomials(es, P) for es in per]
+
+
+@ring_memo
+def matlis_dual(m: ModulePresentation) -> ModulePresentation:
+    """The graded Matlis dual M^v = Hom_k(M, k) of a finite-length module,
+    minimally presented (Bruns & Herzog, Cohen-Macaulay Rings, Sec. 3.6).
+
+    M has the k-basis of standard monomials b of _component_leads, and
+    M^v one generator e_b* in degree -deg b for each.  x_v acts by
+    (x_v e_b*)(l) = e_b*(x_v l), so the relations are x_v e_b* = sum_l
+    [coefficient of b in NF(x_v l)] e_l*; they make the e_b* span M^v
+    over k, so they present it.  A module of positive dimension has no
+    finite basis and raises NotArtinianError.
+    """
+    qr = m.ring
+    P, F = qr.ambient, qr.field
+    gb = _module_gb(m)
+    basis = [(a, e) for a, leads in enumerate(_component_leads(m))
+             for e in standard_monomials(leads, P)]
+    index = {b: j for j, b in enumerate(basis)}
+    degs = [m.gens.twists[a] + P.wdeg(e) for a, e in basis]
+    entries, twists = {}, []
+    for v in range(P.n):
+        col0, x = len(twists), qr.variable(v)
+        twists += [P.weights[v] - d for d in degs]
+        for j in range(len(basis)):
+            entries[(j, col0 + j)] = x
+        for l, (a, e) in enumerate(basis):
+            step = tuple(t + (u == v) for u, t in enumerate(e))
+            rem, _ = gb.normal_form({(a, step): F.one})
+            for b, c in rem.items():
+                entries[(l, col0 + index[b])] = P.constant(F.neg(c))
+    return minimal_presentation(ModulePresentation(qr, GradedMatrix(
+        qr, GradedFree.of(twists), GradedFree.of([-d for d in degs]),
+        entries)))
 
 
 @ring_memo

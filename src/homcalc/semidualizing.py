@@ -457,8 +457,11 @@ def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
                                  bound: int) -> VerificationReport:
     """Eventual Ext vanishing plus finite injective dimension of the
     nonvanishing Ext modules forces pd M and id N finite (and Gorenstein
-    when M = N).  The Ext tail checked for vanishing starts at
+    when M = N).  The theorem is about nonzero M and N, so a zero one is
+    refused.  The Ext tail checked for vanishing starts at
     max(1, bound // 2)."""
+    if m.is_zero_module() or n.is_zero_module():
+        raise ZeroModuleError("Ext-descent needs nonzero M and N")
     tail = max(1, bound // 2)
     notes = []
     hyps = {"ext-tail-vanishes": "met", "finite-id-of-ext": "met"}

@@ -309,6 +309,25 @@ def test_main_depth_above_ring_depth_is_no_internal_fault(tmp_path, capsys):
     assert r["hypotheses"]["finite-gcdim"] == "failed"
 
 
+@pytest.mark.parametrize("relations", [["x^2", "x*y", "y^2"], ["x^2", "y^2"]])
+def test_main_descent_refuses_the_zero_module(tmp_path, capsys, relations):
+    # the theorem is about nonzero M and N, so a zero one is refused in
+    # either place, over a ring that is Gorenstein and one that is not
+    doc = {"field": {"prime": 7},
+           "ring": {"variables": ["x", "y"], "weights": [1, 1],
+                    "relations": relations},
+           "modules": {"Z": {"cyclic": ["1"]}},
+           "tasks": [{"op": "verify-descent", "args": args, "bound": 3}
+                     for args in (["Z", "R"], ["R", "Z"], ["Z", "Z"])]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e.get("error") for e in entries] == \
+        ["ZeroModuleError: Ext-descent needs nonzero M and N"] * 3
+    assert all("result" not in e for e in entries)
+
+
 def test_main_missing_file_is_input_error(capsys):
     assert main(["--input", "/nonexistent/problem.json"]) == 2
     assert "error" in capsys.readouterr().err

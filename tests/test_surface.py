@@ -27,6 +27,9 @@ function of that name sets it.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -210,3 +213,37 @@ def test_tracer_names_resolve():
         missing += [f"{prefix}:{cls}.{m}" for m in meths
                     if m not in vars(getattr(owner, cls, object))]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# the oracle stays independent
+
+
+def _imported_modules(tree):
+    """homcalc module names a source file imports, relatively or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.startswith("homcalc"):
+                base = (node.module or "").removeprefix("homcalc").lstrip(".")
+                yield from [base] if base else (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name.removeprefix("homcalc.") for a in node.names)
+
+
+def test_only_the_oracle_uses_the_oracle_and_its_linear_algebra():
+    """The oracle is an independent route only while the engine borrows
+    nothing from it: no module but oracle imports oracle or linalg, the
+    dense numpy elimination the oracle sits on."""
+    users = {(f.stem, mod) for f in SRC.glob("*.py")
+             for mod in _imported_modules(ast.parse(f.read_text()))
+             if mod in ("oracle", "linalg")}
+    assert users == {("oracle", "linalg")}
+
+
+def test_cli_import_loads_neither_oracle_nor_numpy():
+    code = ("import sys, homcalc.cli; print(sorted(m for m in sys.modules "
+            "if m in ('numpy', 'homcalc.oracle', 'homcalc.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.strip() == "[]"
