@@ -867,6 +867,18 @@ class HilbertSeries:
             raise ValueError("mixed denominators")
         return HilbertSeries(self.weights, _poly_add_int(self.numer, other.numer))
 
+    def minus(self, other: "HilbertSeries") -> "HilbertSeries":
+        neg = {d: -c for d, c in other.numer.items()}
+        return self.plus(HilbertSeries(other.weights, neg))
+
+    def times(self, twists) -> "HilbertSeries":
+        """The series of the sum of shifts M(-a), a in twists: this one
+        times sum_a t^a."""
+        mono = {}
+        for a in twists:
+            mono[a] = mono.get(a, 0) + 1
+        return HilbertSeries(self.weights, _poly_mul_int(self.numer, mono))
+
     def coeffs(self, lo: int, hi: int):
         """Series coefficients for degrees lo..hi inclusive."""
         if not self.numer:
@@ -889,6 +901,18 @@ class HilbertSeries:
                     s += nc * part[d - nd]
             out.append(s)
         return out
+
+    def k_dimension(self) -> int:
+        """Total k-dimension of a finite-length module: the sum of the
+        series' coefficients.  The series is then a Laurent polynomial
+        whose support sits inside the numerator's span, so summing over
+        that span is exact.  A pole at t = 1 raises NotArtinianError."""
+        if not self.numer:
+            return 0
+        if self.dimension() != 0:
+            raise NotArtinianError("module has positive dimension")
+        lo, hi = min(self.numer), max(self.numer)
+        return sum(self.coeffs(lo, hi))
 
     def dimension(self) -> int:
         """Order of the pole at t = 1 (Krull dimension of the module).

@@ -6,9 +6,12 @@ Tables never report outside their certified range.  Modules get the
 cheap exact routes: minimal resolutions for Betti numbers, and for Bass
 numbers three routes tried in turn by _mu (a cut by a regular linear
 form, Rees's lemma, Bruns & Herzog Lemma 3.1.16; the Betti numbers of the
-graded Matlis dual for finite length, ibid. Sec. 3.6; Ext against k
-otherwise).  Genuine complexes go through resolution representatives
-and windowed Hom/tensor complexes, with trust tracked degree by degree.
+graded Matlis dual for finite length, ibid. Sec. 3.6; the Hilbert series
+of Ext against k otherwise).  Genuine complexes go through resolution
+representatives and windowed Hom/tensor complexes, with trust tracked
+degree by degree.  Every dimension count of an Ext or homology module
+(ext_dims, tor_dims, the complex route of bass_table) sums its Hilbert
+series, which modules reads with no kernel and no presentation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .complexes import (FreeComplex, hom_complex, tensor_complex,
                         resolve_complex, minimize_complex,
                         UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
-                      ext_module, first_ext, homology_presentation,
+                      ext_module, ext_series, first_ext,
+                      homology_presentation, homology_series,
                       trusted_homology, first_homology, extreme_homology,
                       ring_memo, is_module, as_complex, resolved,
                       matlis_dual)
@@ -54,7 +58,8 @@ def _mu(m: ModulePresentation, i: int) -> int:
     - Matlis dual: for M of finite length, graded Matlis duality (ibid.,
       Sec. 3.6) gives Ext^i_R(k, M) = Tor_i^R(k, M^v)^v, so mu^i(M) =
       beta_i(M^v), read off the minimal resolution of matlis_dual(M).
-    - Ext: otherwise, from a presentation of Ext^i(k, M) (_ext_mu).
+    - Ext: otherwise, as the k-dimension of the Hilbert series of
+      Ext^i(k, M) (_ext_mu).
     """
     cut = _module_cut(m)
     if cut is not None:
@@ -65,12 +70,16 @@ def _mu(m: ModulePresentation, i: int) -> int:
 
 
 def _ext_mu(m: ModulePresentation, i: int) -> int:
-    """mu^i(m, M) as the generator count of Ext^i(k, M), a k-vector space.
-    _mu takes this route only for a module of positive dimension that no
-    regular linear form cuts, such as R over k[x, y]/(x^2, xy); the tests
-    keep it as the reference for the other two."""
-    return minimal_presentation(
-        ext_module(residue_field(m.ring), m, i)).gens.rank
+    """mu^i(m, M) = dim_k Ext^i(k, M), summed off its Hilbert series
+    (modules.ext_series), with no presentation of Ext built.  _mu takes
+    this route only for a module of positive dimension that no regular
+    linear form cuts, such as R over k[x, y]/(x^2, xy).  Ext^i(k, M) is
+    killed by m, so it has finite length: a series with a pole at t = 1
+    is an internal fault, never a Bass number."""
+    hs = ext_series(residue_field(m.ring), m, i)
+    if hs.dimension() > 0:
+        raise RuntimeError(f"Ext^{i}(k, M) has a pole at t = 1: {hs!r}")
+    return hs.k_dimension()
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +159,6 @@ def _module_cut(m: ModulePresentation) -> ModulePresentation | None:
         if mbar.hilbert_series().numer == m.hilbert_series().numer:
             return mbar
     return None
-
-
-def _kdim(h: ModulePresentation) -> int:
-    return minimal_presentation(h).k_dimension()
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,8 @@ def bass_table(x, bound: int) -> InvariantTable:
     it cuts by a regular linear form while one exists (Rees's lemma,
     Bruns & Herzog, Lemma 3.1.16, tested by Hilbert series), then reads
     beta_i of the graded Matlis dual if the module has finite length
-    (ibid., Sec. 3.6), and Ext otherwise.  For complexes it is read from
+    (ibid., Sec. 3.6), and the Hilbert series of Ext^i(k, M) otherwise.
+    For complexes it is summed off the Hilbert series of the homology of
     Hom(resolution of k, x)."""
     if is_module(x):
         vals = {i: _mu(x, i) for i in range(0, bound + 1)}
@@ -284,7 +290,7 @@ def bass_table(x, bound: int) -> InvariantTable:
     down = H.window.run(t_star, min(t_star, tlo) - 1, -1)
     if not down:
         raise WindowInsufficientError("top of the true Hom range untrusted")
-    vals = {-t: _kdim(homology_presentation(H, t)) for t in reversed(down)}
+    vals = {-t: homology_series(H, t).k_dimension() for t in reversed(down)}
     return InvariantTable("bass", vals, (None, -down[-1]))
 
 
@@ -363,8 +369,8 @@ def kdim_complex(x) -> int:
         if d < 0:
             raise ZeroModuleError("dimension of the zero module")
         return d
-    dims = [minimal_presentation(h).hilbert_series().dimension() - i
-            for i, h in trusted_homology(x)]
+    dims = [homology_series(x, i).dimension() - i
+            for i in trusted_homology(x)]
     if not dims:
         raise ZeroModuleError("dimension of a homologically trivial complex")
     return max(dims)
@@ -431,8 +437,8 @@ def id_verdict(x, bound: int) -> FinitenessVerdict:
     lemma (Bruns & Herzog, Lemma 3.1.16) over R/xR while some x is
     regular on R and M, which equal Hilbert numerators test, then the
     Betti numbers of the graded Matlis dual for finite length (ibid., Sec.
-    3.6), else Ext.  For genuine complexes only a zero run of width
-    dim R + amp X + 2 is reported, as FiniteLikely."""
+    3.6), else the Hilbert series of Ext.  For genuine complexes only a
+    zero run of width dim R + amp X + 2 is reported, as FiniteLikely."""
     if is_module(x):
         d = _module_depth(x)
         last = None
@@ -468,19 +474,21 @@ def id_verdict(x, bound: int) -> FinitenessVerdict:
 # Ext / Tor dimension tables and grade
 
 
-def _homology_at(X: FreeComplex, t: int, name: str) -> ModulePresentation:
-    """H_t of X, named `name` in the refusal unless X trusts degree t."""
+def _homology_at(X: FreeComplex, t: int, name: str, read):
+    """read(X, t), homology_presentation or homology_series, named `name`
+    in the refusal unless X trusts degree t."""
     if not X.window.contains(t):
         raise WindowInsufficientError(f"{name} outside trusted window")
-    return homology_presentation(X, t)
+    return read(X, t)
 
 
 def ext_dims(m: ModulePresentation, n: ModulePresentation, lo: int,
              hi: int) -> dict:
-    """dim_k Ext^i(M, N) for lo <= i <= hi."""
+    """dim_k Ext^i(M, N) for lo <= i <= hi, summed off the Hilbert
+    series; an Ext of positive dimension raises NotArtinianError."""
     if lo < 0:
         raise ValueError("module Ext vanishes in negative degrees")
-    return {i: _kdim(ext_module(m, n, i)) for i in range(lo, hi + 1)}
+    return {i: ext_series(m, n, i).k_dimension() for i in range(lo, hi + 1)}
 
 
 def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
@@ -489,14 +497,16 @@ def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
     if is_module(x) and is_module(c):
         return ext_module(x, c, e)
     H = hom_complex(resolved(x, bound), as_complex(c, bound))
-    return _homology_at(H, -e, f"Ext^{e}")
+    return _homology_at(H, -e, f"Ext^{e}", homology_presentation)
 
 
 def tor_dims(x, y, lo: int, hi: int) -> dict:
-    """dim_k Tor_i(x, y) for lo <= i <= hi; exact within windows."""
+    """dim_k Tor_i(x, y) for lo <= i <= hi, summed off the Hilbert series
+    of the homology; exact within windows, and a Tor of positive
+    dimension raises NotArtinianError."""
     b = max(hi + 4, 4)
     T = tensor_complex(resolved(x, b), resolved(y, b))
-    return {i: _kdim(_homology_at(T, i, f"Tor_{i}"))
+    return {i: _homology_at(T, i, f"Tor_{i}", homology_series).k_dimension()
             for i in range(lo, hi + 1)}
 
 

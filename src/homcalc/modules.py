@@ -8,16 +8,22 @@ layer answers exactly.  A minimal free resolution is computed by iterated
 kernels followed by one Gaussian minimization pass and returned as a
 plain FreeComplex, so Betti numbers read off as ranks.
 
-Hom and Ext are read by one routine, _hom_cohomology: Hom(M, N) is the
-cohomology of Hom(F1 -> F0 -> 0, N) at F0, and Ext^i(M, N) that of Hom(F,
-N) at F_i along the resolution F.  first_ext is the one scan for the
-first nonzero Ext.  Hom modules carry their universal pairing: the
-presentation remembers how each abstract generator acts as an honest
-matrix F0 -> N, which is what lets the homothety and evaluation maps be
-constructed rather than asserted.  A map is an isomorphism when it is
-onto and source and target have equal Hilbert series.  The graded
-Matlis dual of a finite-length module is presented on the k-basis that
-the module's Groebner basis gives (matlis_dual).
+Hom and Ext presentations are read by one routine, _hom_cohomology:
+Hom(M, N) is the cohomology of Hom(F1 -> F0 -> 0, N) at F0, and
+Ext^i(M, N) that of Hom(F, N) at F_i along the resolution F.  Sizes and
+vanishing come from Hilbert series instead, with no kernel: middle_series
+reads the homology of A -> B -> C as HS(coker(A -> B)) + HS(coker(B ->
+C)) - HS(C), which ext_series applies along F and homology_series along a
+free complex.  first_ext, the one scan for the first nonzero Ext, and the
+homology readers test zero on the series.
+
+Hom modules carry their universal pairing: the presentation remembers
+how each abstract generator acts as an honest matrix F0 -> N, which is
+what lets the homothety and evaluation maps be constructed rather than
+asserted.  A map is an isomorphism when it is onto and source and
+target have equal Hilbert series.  The graded Matlis dual of a
+finite-length module is presented on the k-basis that the module's
+Groebner basis gives (matlis_dual).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import functools
 import inspect
 
 from .ring import GradedFree, GradedMatrix, ZERO_FREE, hstack
-from .groebner import (QuotientRing, NotArtinianError, kernel_matrix,
+from .groebner import (QuotientRing, kernel_matrix,
                        lift_matrix, interreduce_columns, reduced_gb,
                        TermOverPosition, vec_from_column, _padding_vectors,
                        minimalize_monomials, standard_monomials,
@@ -103,21 +109,6 @@ class ModulePresentation:
 
     def hilbert_series(self) -> HilbertSeries:
         return _hilbert_series(self)
-
-    def k_dimension(self) -> int:
-        """Total k-dimension; requires a finite-length module.
-
-        The Hilbert series of a finite-length module is a Laurent
-        polynomial whose support sits inside the numerator's support, so
-        summing coefficients over that range is exact.
-        """
-        hs = self.hilbert_series()
-        if not hs.numer:
-            return 0
-        if hs.dimension() != 0:
-            raise NotArtinianError("module has positive dimension")
-        lo, hi = min(hs.numer), max(hs.numer)
-        return sum(hs.coeffs(lo, hi))
 
     def __repr__(self):
         return (f"ModulePresentation({self.gens.rank} gens, "
@@ -216,8 +207,7 @@ def _minimal_presentation(m: ModulePresentation) -> ModulePresentation:
         qr, GradedMatrix.from_columns(qr, gens, cols), minimal=True)
 
 
-@ring_memo
-def _module_gb(m: ModulePresentation):
+def _relations_gb(m: ModulePresentation):
     """Reduced Groebner basis of the relations plus the ring ideal
     padding over the ambient ring, in TermOverPosition order: division by
     it is the normal form in M."""
@@ -230,14 +220,32 @@ def _module_gb(m: ModulePresentation):
 
 
 @ring_memo
-def _component_leads(m: ModulePresentation):
-    """Per-generator lead ideals of _module_gb: the standard monomials of
-    component a times generator a form a k-basis of M."""
+def _module_gb(m: ModulePresentation):
+    """_relations_gb of a module whose series or normal forms are read
+    (matlis_dual), kept so that Buchberger runs once for both."""
+    return _relations_gb(m)
+
+
+def _component_leads(m: ModulePresentation, gb):
+    """Per-generator lead ideals of a Groebner basis gb of M's relations
+    (_relations_gb): the standard monomials of component a times
+    generator a form a k-basis of M."""
     P = m.ring.ambient
     per = [[] for _ in range(m.gens.rank)]
-    for (comp, e), _ in _module_gb(m).leads:
+    for (comp, e), _ in gb.leads:
         per[comp].append(e)
     return [minimalize_monomials(es, P) for es in per]
+
+
+def _series(m: ModulePresentation, gb) -> HilbertSeries:
+    """HS(M) from a Groebner basis gb of its relations: the series of
+    each generator's standard monomials, shifted by its twist."""
+    P = m.ring.ambient
+    total = HilbertSeries(P.weights, {})
+    for a, leads in enumerate(_component_leads(m, gb)):
+        hs = HilbertSeries(P.weights, hilbert_numerator(leads, P))
+        total = total.plus(hs.shifted(m.gens.twists[a]))
+    return total
 
 
 @ring_memo
@@ -255,7 +263,7 @@ def matlis_dual(m: ModulePresentation) -> ModulePresentation:
     qr = m.ring
     P, F = qr.ambient, qr.field
     gb = _module_gb(m)
-    basis = [(a, e) for a, leads in enumerate(_component_leads(m))
+    basis = [(a, e) for a, leads in enumerate(_component_leads(m, gb))
              for e in standard_monomials(leads, P)]
     index = {b: j for j, b in enumerate(basis)}
     degs = [m.gens.twists[a] + P.wdeg(e) for a, e in basis]
@@ -277,12 +285,37 @@ def matlis_dual(m: ModulePresentation) -> ModulePresentation:
 
 @ring_memo
 def _hilbert_series(m: ModulePresentation) -> HilbertSeries:
-    P = m.ring.ambient
-    total = HilbertSeries(P.weights, {})
-    for a, leads in enumerate(_component_leads(m)):
-        hs = HilbertSeries(P.weights, hilbert_numerator(leads, P))
-        total = total.plus(hs.shifted(m.gens.twists[a]))
-    return total
+    return _series(m, _module_gb(m))
+
+
+def middle_series(left: ModulePresentation, right: ModulePresentation,
+                  term: HilbertSeries) -> HilbertSeries:
+    """HS(H) of the homology H at B of a complex A -> B -> C of graded
+    modules, given left = coker(A -> B), right = coker(B -> C) and term =
+    HS(C), with no kernel computed.  The sequence
+
+        0 -> H -> coker(A -> B) -> C -> coker(B -> C) -> 0
+
+    is exact, and Hilbert series are additive on exact sequences (Bruns &
+    Herzog, Cohen-Macaulay Rings, Sec. 4.1), so HS(H) = HS(left) +
+    HS(right) - HS(C).  The two cokernels are read once and their
+    Groebner bases dropped, so they stay out of the ring memo.  On R(-1)
+    -> R by x over F_7[x]/(x^2), H_0 = k and H_1 = xR(-1) = k(-2):
+
+    >>> from homcalc.field import PrimeField
+    >>> from homcalc.ring import PolyRing
+    >>> R = QuotientRing(PolyRing(PrimeField(7), ["x"]), ["x^2"])
+    >>> d = GradedMatrix(R, GradedFree.of([1]), GradedFree.of([0]),
+    ...                  {(0, 0): R.variable(0)})
+    >>> X = FreeComplex(R, {1: d.source, 0: d.target}, {1: d})
+    >>> [homology_series(X, t) for t in (0, 1)]
+    [HilbertSeries((1t^0-1t^1)/(1-t^1)), HilbertSeries((1t^2-1t^3)/(1-t^1))]
+    >>> [homology_series(X, t) == homology_presentation(X, t).hilbert_series()
+    ...  for t in (0, 1)]
+    [True, True]
+    """
+    return _series(left, _relations_gb(left)).plus(
+        _series(right, _relations_gb(right))).minus(term)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +416,37 @@ def _sub_rels(kappa: GradedMatrix, denominators) -> GradedMatrix:
     return _clean_columns(qr, kappa.source, _restrict_rows(K, kappa.source))
 
 
+def _stretch(X: FreeComplex, i: int) -> FreeComplex:
+    """X_{i+1} -> X_i -> X_{i-1}, all that H_i depends on: the memo keys
+    H_i by it, so equal stretches of complexes built separately share
+    H_i, and a large complex is never keyed whole."""
+    return FreeComplex(X.ring, {j: X.term(j) for j in (i - 1, i, i + 1)},
+                       {i: X.diff(i), i + 1: X.diff(i + 1)})
+
+
 def homology_presentation(X: FreeComplex, i: int) -> ModulePresentation:
     """H_i of a free complex as a presented module.  Representative-level:
     it ignores X.window, so read trusted homology by trusted_homology.
-    Ring-memoized on the stretch X_{i+1} -> X_i -> X_{i-1} it depends on,
-    so equal stretches of complexes built separately share H_i, and a
-    large complex is never keyed whole."""
-    stretch = FreeComplex(X.ring, {j: X.term(j) for j in (i - 1, i, i + 1)},
-                          {i: X.diff(i), i + 1: X.diff(i + 1)})
-    return _homology(stretch, i)
+    Ring-memoized on the stretch of X at i."""
+    return _homology(_stretch(X, i), i)
+
+
+def homology_series(X: FreeComplex, i: int) -> HilbertSeries:
+    """HS(H_i) of a free complex, with no kernel: middle_series of coker
+    d_{i+1} and coker d_i, less HS(R) * sum t^a over the twists a of
+    X_{i-1}.  Representative-level, and ring-memoized on the stretch of X
+    at i, as homology_presentation is."""
+    return _homology_series(_stretch(X, i), i)
+
+
+@ring_memo
+def _homology_series(X: FreeComplex, i: int) -> HilbertSeries:
+    qr = X.ring
+    if X.term(i).rank == 0:
+        return HilbertSeries(qr.weights, {})
+    term = qr.hilbert_series().times(X.term(i - 1).twists)
+    return middle_series(ModulePresentation(qr, X.diff(i + 1)),
+                         ModulePresentation(qr, X.diff(i)), term)
 
 
 @ring_memo
@@ -409,14 +464,14 @@ def _homology(X: FreeComplex, i: int) -> ModulePresentation:
 
 
 def trusted_homology(X: FreeComplex):
-    """Yield (t, H_t) for each degree t of X's term range that X.window
-    trusts and where H_t is nonzero, ascending."""
+    """Yield each degree t of X's term range that X.window trusts and
+    where H_t is nonzero, ascending.  The series decides, so no
+    presentation is built; homology_presentation gives H_t to a caller
+    that reads the module."""
     lo, hi = X.term_range()
     for t in range(lo, hi + 1):
-        if X.window.contains(t):
-            h = homology_presentation(X, t)
-            if not h.is_zero_module():
-                yield t, h
+        if X.window.contains(t) and homology_series(X, t).numer:
+            yield t
 
 
 def first_homology(X: FreeComplex, start: int, stop: int, step: int):
@@ -425,7 +480,7 @@ def first_homology(X: FreeComplex, start: int, stop: int, step: int):
     a walk stopped by an untrusted degree certifies nothing."""
     run = X.window.run(start, stop, step)
     for t in run:
-        if not homology_presentation(X, t).is_zero_module():
+        if homology_series(X, t).numer:
             return t, True
     return None, len(run) == len(range(start, stop, step))
 
@@ -566,27 +621,59 @@ def tensor_modules(m: ModulePresentation,
     return ModulePresentation(qr, rel)
 
 
+def _ext_resolution(m: ModulePresentation, n: ModulePresentation,
+                    i: int) -> FreeComplex:
+    """The minimal resolution F of M out to F_{i+1}, along which
+    Ext^i(M, N) is read."""
+    if i < 0:
+        raise ValueError("ext index must be non-negative")
+    if m.ring != n.ring:
+        raise ValueError("ext over different rings")
+    return resolution(m, i + 1)
+
+
 @ring_memo
 def ext_module(m: ModulePresentation, n: ModulePresentation,
                i: int) -> ModulePresentation:
     """Ext^i_R(M, N) as the cohomology of Hom(F, N) at F_i along a
     minimal free resolution F of M."""
-    if i < 0:
-        raise ValueError("ext index must be non-negative")
-    if m.ring != n.ring:
-        raise ValueError("ext over different rings")
-    res = resolution(m, i + 1)
+    res = _ext_resolution(m, n, i)
     if res.term(i).rank == 0:
         return ModulePresentation.free(m.ring, [])
     _, rels = _hom_cohomology(res.diff(i), res.diff(i + 1), n)
     return ModulePresentation(m.ring, rels)
 
 
+def _hom_coker(d: GradedMatrix, n: ModulePresentation) -> ModulePresentation:
+    """Hom(source(d), N) modulo the image of Hom(d, N)."""
+    qr = n.ring
+    return ModulePresentation(qr, hstack(qr, [_hom_rel_block(d.source, n),
+                                              _hom_induced(d, n)]))
+
+
+@ring_memo
+def ext_series(m: ModulePresentation, n: ModulePresentation,
+               i: int) -> HilbertSeries:
+    """HS(Ext^i_R(M, N)), with no kernel.  Ext^i is the homology of
+    Hom(F_{i-1}, N) -> Hom(F_i, N) -> Hom(F_{i+1}, N) along the minimal
+    resolution F of M, so middle_series reads it from C_i and C_{i+1},
+    C_j = Hom(F_j, N) / im Hom(d_j, N) (C_0 = Hom(F_0, N)), less
+    HS(Hom(F_{i+1}, N)) = HS(N) * sum t^{-a} over the twists a of
+    F_{i+1}."""
+    res = _ext_resolution(m, n, i)
+    if res.term(i).rank == 0:
+        return HilbertSeries(m.ring.weights, {})
+    term = n.hilbert_series().times([-a for a in res.term(i + 1).twists])
+    return middle_series(_hom_coker(res.diff(i), n),
+                         _hom_coker(res.diff(i + 1), n), term)
+
+
 def first_ext(m: ModulePresentation, n: ModulePresentation, lo: int,
               hi: int):
-    """The first i in lo..hi with Ext^i(M, N) != 0, or None."""
-    return next((i for i in range(lo, hi + 1)
-                 if not ext_module(m, n, i).is_zero_module()), None)
+    """The first i in lo..hi with Ext^i(M, N) != 0, or None, read off
+    the series."""
+    return next((i for i in range(lo, hi + 1) if ext_series(m, n, i).numer),
+                None)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
                         resolve_complex_with_map, biduality_rep, gamma_rep,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, minimal_presentation, syzygy,
-                      hom_modules, tensor_modules, ext_module, first_ext,
-                      evaluation_map, homothety_map, homology_presentation,
+                      hom_modules, tensor_modules, ext_module, ext_series,
+                      first_ext, evaluation_map, homothety_map,
+                      homology_presentation, homology_series,
                       trusted_homology, extreme_homology, ring_memo,
                       is_module, as_complex, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
@@ -53,9 +54,8 @@ def _ring_depth(qr: QuotientRing) -> int:
 
 def _cone_clear(c: FreeComplex):
     """(all trusted homology zero, witness degree or None)."""
-    for t, _ in trusted_homology(c):
-        return False, t
-    return True, None
+    t = next(trusted_homology(c), None)
+    return t is None, t
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
         if top is None:
             return MembershipVerdict(
                 "uncertified", "tensor window empty", bound)
-        if not homology_presentation(T, top).is_zero_module():
+        if homology_series(T, top).numer:
             return MembershipVerdict(
                 "uncertified",
                 f"tensor homology reaches the window top at {top}", bound)
@@ -433,8 +433,8 @@ def verify_finite_injective_from_homology(x: FreeComplex,
     notes = []
     hyps = {}
     ceilings = []
-    for i, h in trusted_homology(x):
-        v = id_verdict(h, bound)
+    for i in trusted_homology(x):
+        v = id_verdict(homology_presentation(x, i), bound)
         key = f"finite-id-H{i}"
         if v.is_finite_certified():
             hyps[key] = "met"
@@ -471,10 +471,9 @@ def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
         notes.append(f"Ext^{i}(M, N) != 0")
     else:
         for i in range(0, tail):
-            e = ext_module(m, n, i)
-            if e.is_zero_module():
+            if not ext_series(m, n, i).numer:
                 continue
-            v = id_verdict(e, bound)
+            v = id_verdict(ext_module(m, n, i), bound)
             if not v.is_finite_certified():
                 hyps["finite-id-of-ext"] = "uncertified"
                 notes.append(f"id of Ext^{i}(M, N): {v!r}")
@@ -561,10 +560,11 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     Pc = as_complex(c, bound)
     Fx = resolved(x, bound)
     T = tensor_complex(Pc, Fx)
-    hs = list(trusted_homology(T))
-    if len(hs) == 1:
+    degrees = list(trusted_homology(T))
+    if len(degrees) == 1:
         # quasi-isomorphic to a shifted module: Bass data certify there
-        s, ht = hs[0]
+        s = degrees[0]
+        ht = homology_presentation(T, s)
         hv = id_verdict(ht, bound)
         if not hv.is_finite_certified():
             hyps["finite-id-of-tensor"] = "uncertified"
@@ -572,13 +572,13 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
         mu_t = bass_table(ht, bound)
         tensor_mu = lambda u: mu_t.value(u + s)
         support = [u - s for u in mu_t.nonzero_indices()]
-    elif not hs:
+    elif not degrees:
         tensor_mu = lambda u: 0
         support = []
     else:
         hyps["finite-id-of-tensor"] = "uncertified"
         notes.append("tensor homology spread across degrees "
-                     f"{sorted(t for t, _ in hs)}; no module-route certificate")
+                     f"{degrees}; no module-route certificate")
     _require(hyps, notes)
     bt = betti_table(x, bound)
     bc = bass_table(c, bound)

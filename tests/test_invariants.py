@@ -232,7 +232,7 @@ def test_ext_dims_shift_second_slot():
     k = residue_field(DN)
 
     def dims(c, lo, hi):
-        return {i: ext_presentation(k, c, i, 5).k_dimension()
+        return {i: ext_presentation(k, c, i, 5).hilbert_series().k_dimension()
                 for i in range(lo, hi + 1)}
 
     base = dims(free_rep(DN), 0, 2)

@@ -3,11 +3,11 @@
 For M of finite length, Ext^i_R(k, M) = Tor_i^R(k, M^v)^v (Bruns &
 Herzog, Cohen-Macaulay Rings, Sec. 3.6), so invariants._mu reads mu^i(M)
 as the Betti number beta_i of modules.matlis_dual(M).  Here that route is
-compared with the dense oracle on its artinian rings and with the Ext
-route (invariants._ext_mu) on a weighted ring, and the dual itself is
-checked on its Hilbert series.  test_bass_cut.py compares it with the
-Ext route on every finite-length module the corpus reaches, directly or
-after Rees cuts.
+compared with the dense oracle on its artinian rings and with a
+presentation of Ext^i(k, M) (ext_reference.presentation_mu) on a
+weighted ring, and the dual itself is checked on its Hilbert series.
+test_bass_cut.py compares it with that reference on every finite-length
+module the corpus reaches, directly or after Rees cuts.
 """
 
 import sys
@@ -21,11 +21,13 @@ from homcalc.cli import build_problem
 from homcalc.corpus import corpus_problems
 from homcalc.field import PrimeField
 from homcalc.groebner import QuotientRing
-from homcalc.invariants import _ext_mu, _module_cut, residue_field
+from homcalc.invariants import _module_cut, residue_field
 from homcalc.modules import (ModulePresentation, canonical_module,
                              matlis_dual, resolution, syzygy)
 from homcalc.oracle import from_presentation, oracle_bass, realize
 from homcalc.ring import PolyRing
+
+from ext_reference import presentation_mu
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -139,7 +141,7 @@ def test_dual_weighted():
               _module_cut(p.modules["omega"])):
         assert _finite_length(m)
         _check_dual(m)
-        assert _matlis_mu(m, 3) == [_ext_mu(m, i) for i in range(4)]
+        assert _matlis_mu(m, 3) == [presentation_mu(m, i) for i in range(4)]
 
 
 def test_dual_of_residue_field_and_of_the_dual_numbers():
