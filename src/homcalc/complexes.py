@@ -676,15 +676,23 @@ def minimize_complex(X: FreeComplex) -> FreeComplex:
 
 
 # ---------------------------------------------------------------------------
-# resolving a complex by free modules (small inputs only)
+# free resolutions of complexes: a semi-free complex resolves itself
 
 
 def resolve_complex_with_map(X: FreeComplex, bound: int):
-    """Free complex P plus a quasi-isomorphism P -> X, built upward to
-    homological degree `bound` by killing cone homology degree by degree.
+    """Free complex P plus a quasi-isomorphism P -> X, up to homological
+    degree `bound`, from the first trusted degree at or above X's truth
+    floor.  When that is X's bottom term, X (bounded below, of finitely
+    generated free modules, so semi-free) is its own free resolution
+    (Avramov & Foxby, JPAA 71, 1991; Christensen, LNM 1747, App. A): P is
+    X cut at min(top, bound), with the identity.  Otherwise the cone loop
+    of _cone_resolution rebuilds P.
 
-    The result is trusted in degrees <= bound - 1 (intersected with X's
-    own window) and complete when the construction closes off early.
+    Window rule: P is trusted where X is, and only in degrees <= bound - 1
+    unless top + 1 <= bound (then P is X, complete when X is).  The
+    identity keeps trusted degrees of X above an untrusted one, which the
+    loop's window drops; readers never take terms across that gap
+    (TrustWindow.run).
     """
     qr = X.ring
     xb, xt = X.term_range()
@@ -698,6 +706,25 @@ def resolve_complex_with_map(X: FreeComplex, bound: int):
     start = X.window.first(smin, bound + 1, 1)
     if start is None:
         raise UncertifiedDegreeError("no trusted degree at or above the bottom cell")
+    if start != xb:
+        return _cone_resolution(X, start, bound)
+    whole = xt + 1 <= bound
+    win = X.window if whole else X.window.intersect(
+        TrustWindow.interval(NEG_INF, bound - 1))
+    P = FreeComplex(qr, {i: f for i, f in X.terms.items() if i <= bound},
+                    X.diffs, win, X.true_lo, X.true_hi,
+                    complete=X.complete and whole)
+    return P, ChainMap(P, X, {i: GradedMatrix.identity(qr, f)
+                              for i, f in P.terms.items()})
+
+
+def _cone_resolution(X: FreeComplex, start: int, bound: int):
+    """The general case of resolve_complex_with_map: P and P -> X built
+    upward from degree `start` to `bound` by killing cone homology degree
+    by degree.  P is trusted in degrees <= bound - 1 (intersected with X's
+    own window) and complete when the construction closes off early."""
+    qr = X.ring
+    xt = X.term_range()[1]
     P_terms = {}
     P_diffs = {}
     phi = {}
@@ -757,10 +784,6 @@ def resolve_complex_with_map(X: FreeComplex, bound: int):
     # phi commutes with the differentials: a kernel column (p, x) of the
     # cone satisfies dP(p) = 0-part and dX(x) = -phi(p) by construction
     return P, ChainMap(P, X, phi)
-
-
-def resolve_complex(X: FreeComplex, bound: int) -> FreeComplex:
-    return resolve_complex_with_map(X, bound)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from __future__ import annotations
 from .ring import PolyRing, Polynomial, GradedMatrix
 from .groebner import QuotientRing
 from .complexes import (FreeComplex, hom_complex, tensor_complex,
-                        resolve_complex, minimize_complex,
-                        UncertifiedDegreeError, NEG_INF, INF)
+                        minimize_complex, UncertifiedDegreeError, NEG_INF, INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       ext_module, ext_series, first_ext,
                       homology_presentation, homology_series,
                       trusted_homology, first_homology, extreme_homology,
-                      ring_memo, is_module, as_complex, resolved,
+                      ring_memo, is_module, resolved,
                       matlis_dual)
 
 
@@ -255,7 +254,7 @@ def betti_table(x, bound: int) -> InvariantTable:
         hi = bound if res.complete else bound - 1
         vals = {i: res.term(i).rank for i in range(0, hi + 1)}
         return InvariantTable("betti", vals, (None, hi))
-    P = minimize_complex(resolve_complex(x, bound))
+    P = minimize_complex(resolved(x, bound))
     if P.is_zero_complex():
         return InvariantTable("betti", {}, (None, bound - 1))
     pb, _ = P.term_range()
@@ -413,7 +412,7 @@ def pd_verdict(x, bound: int) -> FinitenessVerdict:
                 top, f"minimal resolution ends at degree {top}")
         return FinitenessVerdict.unknown_at_least(
             bound, f"no zero Betti number through degree {bound - 1}")
-    P = minimize_complex(resolve_complex(x, bound))
+    P = minimize_complex(resolved(x, bound))
     if P.complete:
         _, top = P.term_range()
         return FinitenessVerdict.finite_certified(
@@ -496,7 +495,7 @@ def ext_presentation(x, c, e: int, bound: int) -> ModulePresentation:
     modules, else as the homology of Hom(resolution of x, c) at -e."""
     if is_module(x) and is_module(c):
         return ext_module(x, c, e)
-    H = hom_complex(resolved(x, bound), as_complex(c, bound))
+    H = hom_complex(resolved(x, bound), resolved(c, bound))
     return _homology_at(H, -e, f"Ext^{e}", homology_presentation)
 
 
@@ -519,7 +518,7 @@ def grade_wrt(x, c, bound: int) -> int:
         raise WindowInsufficientError(
             f"no nonzero Ext against C through degree {bound}")
     P = resolved(x, bound)
-    C = as_complex(c, bound)
+    C = resolved(c, bound)
     H = hom_complex(P, C)
     tlo, thi = H.term_range()
     t_start = thi

@@ -38,7 +38,8 @@ from .groebner import (QuotientRing, kernel_matrix,
                        minimalize_monomials, standard_monomials,
                        hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
-                        module_as_complex, zero_complex, resolve_complex)
+                        module_as_complex, zero_complex,
+                        resolve_complex_with_map)
 
 
 class NotCohenMacaulayError(ValueError):
@@ -364,14 +365,11 @@ def is_module(x) -> bool:
     return isinstance(x, ModulePresentation)
 
 
-def as_complex(x, bound: int) -> FreeComplex:
-    """A module as its truncated resolution; a complex as itself."""
-    return resolution(x, bound) if is_module(x) else x
-
-
 def resolved(x, bound: int) -> FreeComplex:
     """A free resolution truncated at `bound`, of a module or a complex."""
-    return resolution(x, bound) if is_module(x) else resolve_complex(x, bound)
+    if is_module(x):
+        return resolution(x, bound)
+    return resolve_complex_with_map(x, bound)[0]
 
 
 def syzygy(m: ModulePresentation, g: int) -> ModulePresentation:

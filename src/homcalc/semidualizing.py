@@ -27,7 +27,7 @@ from .modules import (ModulePresentation, minimal_presentation, syzygy,
                       first_ext, evaluation_map, homothety_map,
                       homology_presentation, homology_series,
                       trusted_homology, extreme_homology, ring_memo,
-                      is_module, as_complex, resolved)
+                      is_module, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
@@ -221,7 +221,7 @@ def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
     _require_semidualizing(c, bound)
     qr = z.ring
     P = resolved(z, bound)
-    C = as_complex(c, bound)
+    C = resolved(c, bound)
     delta = biduality_rep(P, C, bound)
     ok, t = _cone_clear(cone(delta))
     if not ok:
@@ -272,7 +272,7 @@ def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
     bounded there."""
     _require_semidualizing(c, bound)
     F = resolved(x, bound)
-    Pc = as_complex(c, bound)
+    Pc = resolved(c, bound)
     gamma = gamma_rep(F, Pc)
     ok, t = _cone_clear(cone(gamma))
     if not ok:
@@ -557,7 +557,7 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
     notes = []
     hyps = {"semidualizing": "met", "finite-id-of-tensor": "met"}
     _semidualizing_hypothesis(c, hyps, bound)
-    Pc = as_complex(c, bound)
+    Pc = resolved(c, bound)
     Fx = resolved(x, bound)
     T = tensor_complex(Pc, Fx)
     degrees = list(trusted_homology(T))

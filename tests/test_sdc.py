@@ -248,10 +248,10 @@ def test_gcdim_truncated_resolution_of_k_not_infinite():
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="resolve_complex at bound 1 trusts only degrees "
-                          "<= 0, so extreme_homology starts its walk at the "
-                          "band edge above the untrusted degree -1 and "
-                          "certifies inf RHom = 0")
+                   reason="resolve_complex_with_map at bound 1 trusts only "
+                          "degrees <= 0, so extreme_homology starts its walk "
+                          "at the band edge above the untrusted degree -1 "
+                          "and certifies inf RHom = 0")
 def test_gcdim_cone_at_bound_one_is_no_internal_fault():
     x = DN.from_string("x")
     mult = ChainMap(module_as_complex(DN, GradedFree.of([1])),
