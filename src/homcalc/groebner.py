@@ -285,11 +285,13 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     """Buchberger with normal selection, then one inter-reduction pass.
 
     inputs: list of Vec (zero entries allowed; they are ignored here and
-    handled by the syzygy layer).  The last `padded` inputs are the ideal
-    padding (``_padding_vectors``): they already form a Groebner basis in
-    each component, under the ring order the ideal's basis was computed
-    in, so no pair of two of them is queued.  Such a pair has a standard
-    representation in the padding, which keeps the chain criterion sound.
+    handled by the syzygy layer).  The last `padded` inputs are a tail
+    that already forms a Groebner basis in each component: the ideal
+    padding (``_padding_vectors``), or one copy of a module's reduced
+    basis per block of components (``modules._coker_gb``).  No pair of two
+    of them is queued.  Such a pair has a standard representation in the
+    tail (pairs in different components make no S-vector), so the chain
+    criterion, which treats every unqueued pair as done, stays sound.
 
     The inter-reduction first drops every element whose lead another live
     lead divides (of equal leads the last stays, as a division pass in

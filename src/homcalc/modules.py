@@ -290,7 +290,7 @@ def _hilbert_series(m: ModulePresentation) -> HilbertSeries:
 
 
 def middle_series(left: ModulePresentation, right: ModulePresentation,
-                  term: HilbertSeries) -> HilbertSeries:
+                  term: HilbertSeries, n: ModulePresentation) -> HilbertSeries:
     """HS(H) of the homology H at B of a complex A -> B -> C of graded
     modules, given left = coker(A -> B), right = coker(B -> C) and term =
     HS(C), with no kernel computed.  The sequence
@@ -299,8 +299,9 @@ def middle_series(left: ModulePresentation, right: ModulePresentation,
 
     is exact, and Hilbert series are additive on exact sequences (Bruns &
     Herzog, Cohen-Macaulay Rings, Sec. 4.1), so HS(H) = HS(left) +
-    HS(right) - HS(C).  The two cokernels are read once and their
-    Groebner bases dropped, so they stay out of the ring memo.  On R(-1)
+    HS(right) - HS(C).  Each cokernel's series is a ring-memo entry and
+    its Groebner basis is dropped; both are laid out around N's relations
+    as _coker_gb reads them (N = R for a plain cokernel).  On R(-1)
     -> R by x over F_7[x]/(x^2), H_0 = k and H_1 = xR(-1) = k(-2):
 
     >>> from homcalc.field import PrimeField
@@ -315,8 +316,33 @@ def middle_series(left: ModulePresentation, right: ModulePresentation,
     ...  for t in (0, 1)]
     [True, True]
     """
-    return _series(left, _relations_gb(left)).plus(
-        _series(right, _relations_gb(right))).minus(term)
+    return _coker_series(left, n).plus(_coker_series(right, n)).minus(term)
+
+
+@ring_memo
+def _coker_series(c: ModulePresentation,
+                  n: ModulePresentation) -> HilbertSeries:
+    """HS(c) from _coker_gb(c, n), the basis dropped: adjacent steps of an
+    Ext scan or a homology walk read the same cokernel."""
+    return _series(c, _coker_gb(c, n))
+
+
+def _coker_gb(c: ModulePresentation, n: ModulePresentation):
+    """_relations_gb(c) of a cokernel whose relations begin with one copy
+    of N's relations per block of N's generators, as _hom_coker lays them
+    out (N = R fits any c).  Buchberger starts from the other columns plus
+    a copy of N's reduced basis per block, shifted to its components, in
+    reduced_gb's padded tail: TermOverPosition is N's order up to a
+    constant twist inside a block, so each copy is a Groebner basis, and
+    leads in different blocks never pair.  The reduced basis of the same
+    submodule is unique, so the result equals _relations_gb(c)."""
+    P, g0 = c.ring.ambient, n.gens.rank
+    blocks = c.gens.rank // max(g0, 1)
+    cols = c.relations.columns()[blocks * n.relations.source.rank:]
+    tail = [{(a * g0 + b, e): x for (b, e), x in v.items()}
+            for a in range(blocks) for v in _module_gb(n).elements]
+    return reduced_gb([vec_from_column(col, P) for col in cols] + tail, P,
+                      TermOverPosition(P, c.gens.twists), padded=len(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +470,8 @@ def _homology_series(X: FreeComplex, i: int) -> HilbertSeries:
         return HilbertSeries(qr.weights, {})
     term = qr.hilbert_series().times(X.term(i - 1).twists)
     return middle_series(ModulePresentation(qr, X.diff(i + 1)),
-                         ModulePresentation(qr, X.diff(i)), term)
+                         ModulePresentation(qr, X.diff(i)), term,
+                         ModulePresentation.free(qr, [0]))
 
 
 @ring_memo
@@ -657,13 +684,14 @@ def ext_series(m: ModulePresentation, n: ModulePresentation,
     resolution F of M, so middle_series reads it from C_i and C_{i+1},
     C_j = Hom(F_j, N) / im Hom(d_j, N) (C_0 = Hom(F_0, N)), less
     HS(Hom(F_{i+1}, N)) = HS(N) * sum t^{-a} over the twists a of
-    F_{i+1}."""
+    F_{i+1}.  Buchberger on each C_j starts from the columns of Hom(d_j, N)
+    and one copy of N's reduced basis per summand of F_j (_coker_gb)."""
     res = _ext_resolution(m, n, i)
     if res.term(i).rank == 0:
         return HilbertSeries(m.ring.weights, {})
     term = n.hilbert_series().times([-a for a in res.term(i + 1).twists])
     return middle_series(_hom_coker(res.diff(i), n),
-                         _hom_coker(res.diff(i + 1), n), term)
+                         _hom_coker(res.diff(i + 1), n), term, n)
 
 
 def first_ext(m: ModulePresentation, n: ModulePresentation, lo: int,

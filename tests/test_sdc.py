@@ -264,6 +264,27 @@ def test_gcdim_cone_at_bound_one_is_no_internal_fault():
     assert verify_type_formula(cn, R_DN, 1).verdict in (PASS, UNCERTIFIED)
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="gcdim_complex's second depth check fires at "
+                          "bound 1: inf RHom 0 violates the depth "
+                          "difference")
+@pytest.mark.parametrize("rels", [[], ["x*y"]], ids=["plane", "xy"])
+def test_type_formula_cone_coefficient_at_bound_one_is_no_internal_fault(
+        rels):
+    # C is the cone of x: R(-1) -> R, with homology R/xR, which is not
+    # semidualizing; bounds 2 and 3 read HYPOTHESES-NOT-MET
+    qr = QuotientRing(P2, rels)
+    mult = ChainMap(module_as_complex(qr, GradedFree.of([1])),
+                    module_as_complex(qr, GradedFree.of([0])),
+                    {0: GradedMatrix(qr, GradedFree.of([1]),
+                                     GradedFree.of([0]),
+                                     {(0, 0): qr.from_string("x")})})
+    R = ModulePresentation.free(qr, [0])
+    for bound in (3, 2, 1):
+        assert verify_type_formula(R, cone(mult), bound).verdict in (
+            HYPOTHESES_NOT_MET, UNCERTIFIED)
+
+
 # -- Auslander class --------------------------------------------------------
 
 def test_auslander_ring_is_member():

@@ -8,7 +8,9 @@ ext_module and homology_presentation build, and first_ext with a scan
 that builds each Ext (ext_reference.presentation_first_ext): on every
 module pair of the corpus, and on the benchmark's ring templates in
 random coordinates, with their module-as-complex, shifted-sum and cone
-complexes.  The invariants the series readers rely on are checked too:
+complexes.  The seeded Groebner basis of each cokernel (_coker_gb) is
+compared with the unseeded one, and each cokernel is built once along a
+scan or walk.  The invariants the series readers rely on are checked too:
 a finite-length Ext^i(k, M) is summed, a pole at t = 1 there is an
 internal fault, and a positive-dimensional Ext or Tor is refused.
 """
@@ -21,14 +23,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homcalc import invariants
+from homcalc import invariants, modules
 from homcalc.cli import build_problem, main, run_tasks
 from homcalc.corpus import corpus_problems
 from homcalc.groebner import HilbertSeries, NotArtinianError
 from homcalc.invariants import _ext_mu, ext_dims, residue_field, tor_dims
-from homcalc.modules import (ModulePresentation, ext_module, ext_series,
-                             first_ext, homology_presentation,
-                             homology_series)
+from homcalc.modules import (ModulePresentation, _coker_gb, _ext_resolution,
+                             _hom_coker, _relations_gb, ext_module,
+                             ext_series, first_ext, homology_presentation,
+                             homology_series, trusted_homology)
 
 from ext_reference import presentation_first_ext, presentation_mu
 
@@ -78,6 +81,92 @@ def test_ext_series_matches_presentations_on_templates(template, a, c):
                 assert ext_series(m, n, i) == \
                     ext_module(m, n, i).hilbert_series()
             assert first_ext(m, n, 1, 2) == presentation_first_ext(m, n, 1, 2)
+
+
+# -- the cokernels the series readers build ---------------------------------
+
+
+def _same_basis(c, n):
+    seeded, plain = _coker_gb(c, n), _relations_gb(c)
+    return (seeded.leads == plain.leads
+            and seeded.elements == plain.elements)
+
+
+def _hom_cokers(m, n, top):
+    """C_i and C_{i+1} for each i in 0..top, along the resolution that
+    ext_series reads Ext^i on."""
+    for i in range(top + 1):
+        res = _ext_resolution(m, n, i)
+        if res.term(i).rank:
+            yield i, _hom_coker(res.diff(i), n)
+            yield i + 1, _hom_coker(res.diff(i + 1), n)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_seeded_hom_coker_basis_equals_unseeded_on_corpus(name):
+    mods = _modules(build_problem(CORPUS[name]))
+    for a, m in mods.items():
+        for b, n in mods.items():
+            for j, c in _hom_cokers(m, n, TOP):
+                assert _same_basis(c, n), (a, b, j)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(workloads.TEMPLATES), st.integers(-3, 3),
+       st.integers(-3, 3))
+def test_seeded_coker_basis_equals_unseeded_on_templates(template, a, c):
+    p = _problem(template, a, c)
+    mods = _modules(p)
+    for m in mods.values():
+        for n in mods.values():
+            for j, cok in _hom_cokers(m, n, 2):
+                assert _same_basis(cok, n), j
+    R = ModulePresentation.free(p.qr, [0])
+    for name in ("X", "Z", "C"):
+        X = p.complexes[name]
+        for t, d in X.diffs.items():
+            assert _same_basis(ModulePresentation(p.qr, d), R), (name, t)
+
+
+def _counted_gb_inputs(monkeypatch):
+    """The order twists and inputs of every reduced_gb call the module
+    layer makes."""
+    seen = []
+
+    def counted(inputs, ring, order, **kwargs):
+        seen.append((order.twists,
+                     repr(sorted(map(sorted, map(dict.items, inputs))))))
+        return reduced_gb(inputs, ring, order, **kwargs)
+    reduced_gb = modules.reduced_gb
+    monkeypatch.setattr(modules, "reduced_gb", counted)
+    return seen
+
+
+def test_ext_scan_builds_each_hom_coker_once(monkeypatch):
+    # over F_7[x, y], Ext^i(k, R) is zero below depth R = 2: the scan reads
+    # Ext^0..Ext^2 from C_0..C_3, sharing C_1 and C_2
+    mods = _modules(build_problem(CORPUS["regular-plane"]))
+    k, R = mods["k"], mods["R"]
+    R.hilbert_series()      # N's own basis, read once per ring
+    seen = _counted_gb_inputs(monkeypatch)
+    assert first_ext(k, R, 0, 3) == 2
+    assert len(seen) == len(set(seen)) == 4
+
+
+@pytest.mark.parametrize("template", workloads.TEMPLATES,
+                         ids=[t[0] for t in workloads.TEMPLATES])
+def test_homology_walk_builds_each_coker_once(monkeypatch, template):
+    # Z = X + X[1]: the walk over its trusted degrees t reads coker d_t and
+    # coker d_{t+1}, and adjacent degrees share one
+    p = build_problem(workloads.template_doc(template))
+    Z = p.complexes["Z"]
+    modules._module_gb(ModulePresentation.free(p.qr, [0]))   # R's basis
+    seen = _counted_gb_inputs(monkeypatch)
+    list(trusted_homology(Z))
+    lo, hi = Z.term_range()
+    walked = [t for t in range(lo, hi + 1) if Z.window.contains(t)]
+    assert len(walked) >= 3
+    assert len(seen) == len(set(seen)) == len(walked) + 1
 
 
 # -- homology of free complexes ---------------------------------------------
