@@ -200,22 +200,6 @@ class FreeComplex:
     def is_zero_complex(self) -> bool:
         return not self.terms
 
-    def validate(self):
-        """Shapes, homogeneity, d composed with d equals zero."""
-        qr = self.ring
-        for i, m in self.diffs.items():
-            if m.source != self.terms[i]:
-                raise ValueError(f"differential {i} source mismatch")
-            if m.target != self.term(i - 1):
-                raise ValueError(f"differential {i} target mismatch")
-            m.validate_homogeneous()
-        for i in self.diffs:
-            if (i - 1) in self.diffs:
-                comp = self.diff(i - 1).compose(self.diff(i))
-                if not qr.reduce_matrix(comp).is_zero():
-                    raise ValueError(f"d_{i-1} d_{i} != 0")
-        return self
-
     def possible_range(self):
         """Hull of degrees where rep or true homology could be nonzero."""
         b, t = self.term_range()
@@ -318,55 +302,34 @@ class ChainMap:
                                      self.target.term(i))
         return m
 
-    def validate(self):
-        qr = self.source.ring
-        for i, m in self.components.items():
-            if m.source != self.source.term(i) or m.target != self.target.term(i):
-                raise ValueError(f"chain map component {i} shape mismatch")
-            m.validate_homogeneous()
-        lo = min(list(self.source.terms) + list(self.target.terms), default=0)
-        hi = max(list(self.source.terms) + list(self.target.terms), default=0)
-        for i in range(lo, hi + 1):
-            left = self.target.diff(i).compose(self.component(i))
-            right = self.component(i - 1).compose(self.source.diff(i))
-            diffm = qr.reduce_matrix(left.add(right.negate()))
-            if not diffm.is_zero():
-                raise ValueError(f"not a chain map at degree {i}")
-        return self
+
+def _cone_diff(f: ChainMap, j: int) -> GradedMatrix:
+    """d_j of cone(f) for f: X -> Y, from X_{j-1} (+) Y_j to
+    X_{j-2} (+) Y_{j-1}: the block matrix [[-d_X, 0], [f, d_Y]], so
+    d(a, b) = (-da, db + fa) and d^2 = 0 because f commutes with d."""
+    X, Y = f.source, f.target
+    qr = X.ring
+    neg = qr.field.normalize(-1)
+    rx, cx = X.term(j - 2).rank, X.term(j - 1).rank
+    entries = {k: p.scale(neg) for k, p in X.diff(j - 1).entries.items()}
+    for (a, b), p in f.component(j - 1).entries.items():
+        entries[(rx + a, b)] = p
+    for (a, b), p in Y.diff(j).entries.items():
+        entries[(rx + a, cx + b)] = p
+    return GradedMatrix(
+        qr, GradedFree.of(X.term(j - 1).twists + Y.term(j).twists),
+        GradedFree.of(X.term(j - 2).twists + Y.term(j - 1).twists), entries)
 
 
 def cone(f: ChainMap) -> FreeComplex:
-    """Mapping cone: C_j = X_{j-1} (+) Y_j, d(a, b) = (-da, db + fa)."""
+    """Mapping cone: C_j = X_{j-1} (+) Y_j with differential _cone_diff."""
     X, Y = f.source, f.target
-    qr = X.ring
-    Fld = qr.field
-    neg = Fld.normalize(-1)
-    terms, diffs = {}, {}
-    degs = set(i + 1 for i in X.terms) | set(Y.terms)
-    for j in degs:
-        terms[j] = GradedFree.of(X.term(j - 1).twists + Y.term(j).twists)
-    for j in sorted(degs):
-        xpart = X.term(j - 1)
-        entries = {}
-        # block (-dX): X_{j-1} -> X_{j-2}
-        for (a, b), p in X.diff(j - 1).entries.items():
-            entries[(a, b)] = p.scale(neg)
-        # block f: X_{j-1} -> Y_{j-1}
-        rx = X.term(j - 2).rank
-        for (a, b), p in f.component(j - 1).entries.items():
-            entries[(rx + a, b)] = p
-        # block dY: Y_j -> Y_{j-1}
-        for (a, b), p in Y.diff(j).entries.items():
-            entries[(rx + a, xpart.rank + b)] = p
-        tgt = terms.get(j - 1, GradedFree.of(X.term(j - 2).twists + Y.term(j - 1).twists))
-        m = GradedMatrix(qr, terms[j], tgt, entries)
-        if not m.is_zero():
-            diffs[j] = m
+    diffs = {j: _cone_diff(f, j) for j in set(i + 1 for i in X.terms) | set(Y.terms)}
     # five-lemma comparison along the long exact sequence of the cone:
     # H_j(C) is trusted when H_j and H_{j-1} are trusted in both factors
     win = (X.window.intersect(X.window.shift(1))
            .intersect(Y.window.intersect(Y.window.shift(1))))
-    return FreeComplex(qr, terms, diffs, win,
+    return FreeComplex(X.ring, {j: m.source for j, m in diffs.items()}, diffs, win,
                        min(Y.true_lo, X.true_lo + 1),
                        max(Y.true_hi, X.true_hi + 1),
                        complete=X.complete and Y.complete)
@@ -598,79 +561,64 @@ def tensor_index(F: FreeComplex, Y: FreeComplex, t: int):
 
 def minimize_complex(X: FreeComplex) -> FreeComplex:
     """Homotopy-equivalent complex with all differential entries in the
-    maximal ideal.  Contracts one unit entry at a time:
+    maximal ideal.  Contracts one unit entry u of d_k at a time,
 
         d_k = [[u, B], [C, D]]  ~~>  D - C u^{-1} B,
 
-    dropping row j of d_{k+1} and column i of d_{k-1}.
+    which deletes row j of d_{k+1} and column i of d_{k-1} besides.  The
+    order is: degrees k ascending, and in each the smallest (row, column)
+    unit of the current d_k until none is left.  A contraction in degree k
+    changes d_k and otherwise only deletes entries, so no unit appears in a
+    lower degree: this one pass contracts the units that a rescan of every
+    degree after each contraction would, in the same order.  Indices stay
+    the input's until the survivors are renumbered at the end; a complex
+    with no unit entry comes back as is.
+
+    >>> from homcalc.field import PrimeField
+    >>> from homcalc.ring import PolyRing
+    >>> R = QuotientRing(PolyRing(PrimeField(7), ["x"]), ["x^2"])
+    >>> X = module_as_complex(R, GradedFree.of([0]))
+    >>> C = cone(ChainMap(X, X, {0: GradedMatrix.identity(R, X.term(0))}))
+    >>> C, minimize_complex(C)
+    (FreeComplex(degrees 1..0, ranks 1 1, TrustWindow([-inf, inf])), FreeComplex(0))
+    >>> minimize_complex(X) is X
+    True
     """
     qr = X.ring
-    Fld = qr.field
-    terms = {i: list(f.twists) for i, f in X.terms.items()}
-    mats = {i: dict(m.entries) for i, m in X.diffs.items()}
-
-    def find_unit():
-        for k in sorted(mats):
-            for (i, j), p in sorted(mats[k].items()):
-                if p.is_constant() and not p.is_zero():
-                    return k, i, j, p.constant_value()
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i, j, u = hit
-        uinv = Fld.inv(u)
-        d = mats[k]
-        rowi = {jj: p for (ii, jj), p in d.items() if ii == i and jj != j}
-        colj = {ii: p for (ii, jj), p in d.items() if jj == j and ii != i}
-        # D - C u^{-1} B on the remaining block
-        for ii, c in colj.items():
-            for jj, b in rowi.items():
-                cur = d.get((ii, jj))
-                corr = (c * b).scale(Fld.neg(uinv))
-                val = corr if cur is None else cur + corr
-                val = qr.reduce(val)
-                if val.is_zero():
-                    d.pop((ii, jj), None)
-                else:
-                    d[(ii, jj)] = val
-        # drop row i / column j of d_k, reindex
-        def drop(mat, row=None, col=None):
-            out = {}
-            for (a, b), p in mat.items():
-                if row is not None and a == row:
-                    continue
-                if col is not None and b == col:
-                    continue
-                aa = a - 1 if row is not None and a > row else a
-                bb = b - 1 if col is not None and b > col else b
-                out[(aa, bb)] = p
-            return out
-
-        mats[k] = drop(d, row=i, col=j)
-        if (k + 1) in mats:
-            mats[k + 1] = drop(mats[k + 1], row=j)
-        if (k - 1) in mats:
-            mats[k - 1] = drop(mats[k - 1], col=i)
-        del terms[k][j]
-        del terms[k - 1][i]
-        if not terms[k]:
-            del terms[k]
-            mats.pop(k, None)
-            mats.pop(k + 1, None)
-        if (k - 1) in terms and not terms[k - 1]:
-            del terms[k - 1]
-            mats.pop(k - 1, None)
-            if k in mats and k not in terms:
-                mats.pop(k, None)
-
-    frees = {i: GradedFree.of(tw) for i, tw in terms.items() if tw}
-    diffs = {}
-    for i, m in mats.items():
-        if i in frees and (i - 1) in frees and m:
-            diffs[i] = GradedMatrix(qr, frees[i], frees[i - 1], m)
+    gone = {i: set() for i in X.terms}   # contracted basis elements of X_i
+    mats = {}
+    for k in sorted(X.diffs):
+        d = {ij: p for ij, p in X.diffs[k].entries.items()
+             if ij[0] not in gone[k - 1]}
+        while units := [ij for ij, p in d.items() if p.is_constant()]:
+            i, j = min(units)
+            c = qr.field.neg(qr.field.inv(d[(i, j)].constant_value()))
+            row = [(jj, p) for (ii, jj), p in d.items() if ii == i and jj != j]
+            col = [(ii, p) for (ii, jj), p in d.items() if jj == j and ii != i]
+            d = {ij: p for ij, p in d.items() if ij[0] != i and ij[1] != j}
+            for ii, a in col:
+                for jj, b in row:
+                    val = (a * b).scale(c)
+                    if (ii, jj) in d:
+                        val = d[(ii, jj)] + val
+                    val = qr.reduce(val)
+                    if val.is_zero():
+                        d.pop((ii, jj), None)
+                    else:
+                        d[(ii, jj)] = val
+            gone[k - 1].add(i)
+            gone[k].add(j)
+        mats[k] = d
+    if not any(gone.values()):
+        return X
+    pos = {i: {a: n for n, a in enumerate(sorted(set(range(f.rank)) - gone[i]))}
+           for i, f in X.terms.items()}
+    frees = {i: GradedFree.of([X.terms[i].twists[a] for a in p])
+             for i, p in pos.items()}
+    diffs = {k: GradedMatrix(qr, frees[k], frees[k - 1],
+                             {(pos[k - 1][a], pos[k][b]): p for (a, b), p in d.items()
+                              if a in pos[k - 1] and b in pos[k]})
+             for k, d in mats.items()}
     return FreeComplex(qr, frees, diffs, X.window, X.true_lo, X.true_hi,
                        complete=X.complete)
 
@@ -725,35 +673,19 @@ def _cone_resolution(X: FreeComplex, start: int, bound: int):
     own window) and complete when the construction closes off early."""
     qr = X.ring
     xt = X.term_range()[1]
-    P_terms = {}
-    P_diffs = {}
-    phi = {}
+    neg = qr.field.normalize(-1)
+    # the partial map P -> X, grown in place; its cone's d_j is the kernel
+    # problem, and d_{j+1} (P_j still zero) maps X_{j+1} onto boundaries
+    q = ChainMap(FreeComplex(qr, {}, {}), X, {})
+    P = q.source
     closed = False
     for j in range(start, bound + 1):
-        # cone degree j: C_j = P_{j-1} (+) X_j -> C_{j-1} = P_{j-2} (+) X_{j-1}
-        pprev = P_terms.get(j - 1, ZERO_FREE)
-        xj = X.term(j)
-        src = GradedFree.of(pprev.twists + xj.twists)
-        entries = {}
-        rp = P_terms.get(j - 2, ZERO_FREE).rank
-        if (j - 1) in P_diffs:
-            for (a, b), p in P_diffs[j - 1].entries.items():
-                entries[(a, b)] = p.scale(qr.field.normalize(-1))
-        if (j - 1) in phi:
-            for (a, b), p in phi[j - 1].entries.items():
-                entries[(rp + a, b)] = p
-        for (a, b), p in X.diff(j).entries.items():
-            entries[(rp + a, pprev.rank + b)] = p
-        tgt = GradedFree.of(P_terms.get(j - 2, ZERO_FREE).twists + X.term(j - 1).twists)
-        dC = GradedMatrix(qr, src, tgt, entries)
-        ker = kernel_matrix(dC)
+        pprev = P.term(j - 1)
+        dC, bnd = _cone_diff(q, j), _cone_diff(q, j + 1)
+        src = dC.source
         # discard kernel generators that are already boundaries via X_{j+1}
-        bnd_entries = {}
-        for (a, b), p in X.diff(j + 1).entries.items():
-            bnd_entries[(pprev.rank + a, b)] = p
-        bnd = GradedMatrix(qr, X.term(j + 1), src, bnd_entries)
         keep = []
-        for col in ker.columns():
+        for col in kernel_matrix(dC).columns():
             cm = GradedMatrix.from_columns(qr, src, [col])
             if not bnd.is_zero() and lift_matrix(bnd, cm) is not None:
                 continue
@@ -769,21 +701,21 @@ def _cone_resolution(X: FreeComplex, start: int, bound: int):
         dP_entries, phi_entries = {}, {}
         for (a, b), p in cols.entries.items():
             if a < pprev.rank:
-                dP_entries[(a, b)] = p.scale(qr.field.normalize(-1))
+                dP_entries[(a, b)] = p.scale(neg)
             else:
                 phi_entries[(a - pprev.rank, b)] = p
-        P_terms[j] = cols.source
+        P.terms[j] = cols.source
         if dP_entries:
-            P_diffs[j] = GradedMatrix(qr, cols.source, pprev, dP_entries)
+            P.diffs[j] = GradedMatrix(qr, cols.source, pprev, dP_entries)
         if phi_entries:
-            phi[j] = GradedMatrix(qr, cols.source, xj, phi_entries)
+            q.components[j] = GradedMatrix(qr, cols.source, X.term(j), phi_entries)
     win = X.window if closed else X.window.intersect(
         TrustWindow.interval(NEG_INF, bound - 1))
-    P = FreeComplex(qr, P_terms, P_diffs, win, X.true_lo, X.true_hi,
+    P = FreeComplex(qr, P.terms, P.diffs, win, X.true_lo, X.true_hi,
                     complete=X.complete and closed)
     # phi commutes with the differentials: a kernel column (p, x) of the
     # cone satisfies dP(p) = 0-part and dX(x) = -phi(p) by construction
-    return P, ChainMap(P, X, phi)
+    return P, ChainMap(P, X, q.components)
 
 
 # ---------------------------------------------------------------------------

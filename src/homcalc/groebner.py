@@ -600,9 +600,6 @@ class QuotientRing:
         rem, _ = self._gb.normal_form(v)
         return Polynomial(self.ambient, {e: c for (comp, e), c in rem.items()})
 
-    def is_zero(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero()
-
     def zero(self):
         return self.ambient.zero()
 

@@ -401,22 +401,18 @@ def is_cohen_macaulay(x) -> bool:
 def pd_verdict(x, bound: int) -> FinitenessVerdict:
     """Finite projective dimension is certified by a zero Betti number
     past sup: a minimal resolution that hits zero stays zero."""
-    if is_module(x):
-        res = resolution(x, bound)
-        if res.complete:
-            _, top = res.term_range()
-            if res.is_zero_complex():
-                return FinitenessVerdict.finite_certified(
-                    None, "zero module")
-            return FinitenessVerdict.finite_certified(
-                top, f"minimal resolution ends at degree {top}")
-        return FinitenessVerdict.unknown_at_least(
-            bound, f"no zero Betti number through degree {bound - 1}")
-    P = minimize_complex(resolved(x, bound))
+    module = is_module(x)
+    P = resolution(x, bound) if module else minimize_complex(resolved(x, bound))
     if P.complete:
+        if P.is_zero_complex():
+            return FinitenessVerdict.finite_certified(
+                None, "zero module" if module else "exact complex (zero object)")
         _, top = P.term_range()
         return FinitenessVerdict.finite_certified(
             top, f"minimal resolution ends at degree {top}")
+    if module:
+        return FinitenessVerdict.unknown_at_least(
+            bound, f"no zero Betti number through degree {bound - 1}")
     s = sup_of(x)
     last = None
     for i in P.window.run(P.term_range()[0], bound + 1, 1):

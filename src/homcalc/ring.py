@@ -463,27 +463,6 @@ class GradedMatrix:
                 out[key] = prod if cur is None else cur + prod
         return GradedMatrix(self.ring, other.source, self.target, out)
 
-    def add(self, other: "GradedMatrix") -> "GradedMatrix":
-        if other.source != self.source or other.target != self.target:
-            raise ValueError("addition shape mismatch")
-        out = dict(self.entries)
-        for k, p in other.entries.items():
-            cur = out.get(k)
-            s = p if cur is None else cur + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return GradedMatrix(self.ring, self.source, self.target, out)
-
-    def scale(self, c) -> "GradedMatrix":
-        return GradedMatrix(self.ring, self.source, self.target,
-                            {k: p.scale(c) for k, p in self.entries.items()})
-
-    def negate(self) -> "GradedMatrix":
-        return GradedMatrix(self.ring, self.source, self.target,
-                            {k: -p for k, p in self.entries.items()})
-
     def map_entries(self, fn) -> "GradedMatrix":
         return GradedMatrix(self.ring, self.source, self.target,
                             {k: fn(p) for k, p in self.entries.items()})

@@ -15,6 +15,7 @@ from homcalc.complexes import (
 )
 from homcalc.modules import ModulePresentation, resolution
 
+from chain_checks import validate_chain_map, validate_complex
 from slice_homology import (slice_basis, slice_matrix, homology_slice_dim,
                             artinian_homology_dims)
 
@@ -88,7 +89,7 @@ def test_window_first_and_run():
 
 def test_resolution_complex_validates():
     cx = kres(DN, 4)
-    cx.validate()
+    validate_complex(cx)
     assert cx.term_range() == (0, 4)
     assert cx.window == TrustWindow.all().minus_band(4, 4)
     assert (cx.true_lo, cx.true_hi) == (0, 0)
@@ -104,7 +105,7 @@ def test_validate_rejects_nonsquare_zero():
                        2: GradedMatrix(DN, GradedFree.of([1]), GradedFree.of([1]),
                                        {(0, 0): one})})
     with pytest.raises(ValueError):
-        bad.validate()
+        validate_complex(bad)
 
 
 def test_shift_signs_and_window():
@@ -113,11 +114,11 @@ def test_shift_signs_and_window():
     assert s.term_range() == (2, 5)
     assert s.window == cx.window.shift(2)
     assert (s.true_lo, s.true_hi) == (2, 2)
-    s.validate()
+    validate_complex(s)
     # odd shift negates the differential
     s1 = shift_complex(cx, 1)
     assert s1.diff(2).entry(0, 0) == X1.scale(F.normalize(-1))
-    s1.validate()
+    validate_complex(s1)
     assert shift_complex(s1, -1).diff(1).entry(0, 0) == X1
 
 
@@ -125,7 +126,7 @@ def test_direct_sum_homology_adds():
     a = kres(DN, 3)
     b = shift_complex(kres(DN, 3), 1)
     s = direct_sum(a, b)
-    s.validate()
+    validate_complex(s)
     for t in (0, 1, 2):
         if s.window.contains(t):
             assert artinian_homology_dims(s, t) == (
@@ -139,15 +140,15 @@ def identity_chain_map(X: FreeComplex) -> ChainMap:
 
 def scalar_chain_map(X: FreeComplex, c) -> ChainMap:
     """Multiplication by the ring constant c as a chain self-map."""
-    cc = X.ring.field.normalize(c)
-    return ChainMap(X, X, {i: GradedMatrix.identity(X.ring, f).scale(cc)
+    u = X.ring.one().scale(X.ring.field.normalize(c))
+    return ChainMap(X, X, {i: GradedMatrix(X.ring, f, f, {(a, a): u for a in range(f.rank)})
                            for i, f in X.terms.items()})
 
 
 def test_cone_of_identity_is_contractible():
     cx = kres(DN, 3)
     c = cone(identity_chain_map(cx))
-    c.validate()
+    validate_complex(c)
     m = minimize_complex(c)
     assert m.is_zero_complex()
 
@@ -166,7 +167,7 @@ def test_chain_map_validation_catches_non_commuting():
                             {(0, 0): R1.one()})}
     bad2 = ChainMap(cx, shift_complex(cx, 1), comp)
     with pytest.raises(ValueError):
-        bad2.validate()
+        validate_chain_map(bad2)
 
 
 # -- hom and tensor ---------------------------------------------------------
@@ -178,7 +179,7 @@ def test_hom_window_truncation_bands():
     Pk, M = kres(DN, 3), kres(DN, 5)
     H = hom_complex(Pk, M)
     assert H.window == TrustWindow([(-2, 1), (6, INF)])
-    H.validate()
+    validate_complex(H)
 
 
 def test_hom_homology_ext_of_residue_field():
@@ -193,7 +194,7 @@ def test_tensor_homology_tor_of_residue_field():
     T = tensor_complex(Pk, M)
     assert T.window == TrustWindow([(NEG_INF, 2)])
     assert [artinian_homology_dims(T, t) for t in (0, 1, 2)] == [1, 1, 1]
-    T.validate()
+    validate_complex(T)
 
 
 def test_hom_complete_resolution_full_window():
@@ -348,7 +349,7 @@ def test_resolve_complex_matches_homology():
     X = kres(DN, 4)
     for resolve in ROUTES:
         P = resolve(X, 6)[0]
-        P.validate()
+        validate_complex(P)
         for t in (0, 1, 2, 3):
             if P.window.contains(t) and X.window.contains(t):
                 assert artinian_homology_dims(P, t) == \
@@ -373,7 +374,7 @@ def test_resolve_map_is_quasi_iso_in_window():
     X = cone(f)
     for resolve in ROUTES:
         P, q = resolve(X, 4)
-        q.validate()
+        validate_chain_map(q)
         cq = cone(q)
         for t in range(-1, 4):
             if cq.window.contains(t):
@@ -386,7 +387,7 @@ def test_biduality_quasi_iso_over_gorenstein_artinian():
     P = kres(DN, 5)
     Rc = module_as_complex(DN, GradedFree.of([0]))
     d = biduality_rep(P, Rc, 6)
-    d.validate()
+    validate_chain_map(d)
     cd = cone(d)
     degs = [t for t in range(-4, 5) if cd.window.contains(t)]
     assert degs, "cone window should not be empty"
@@ -406,7 +407,7 @@ def test_biduality_detects_non_reflexive():
         mats.append(kernel_matrix(mats[-1]))
     Pk = from_resolution(S, mats, complete=False)
     d = biduality_rep(Pk, module_as_complex(S, GradedFree.of([0])), 4)
-    d.validate()
+    validate_chain_map(d)
     cd = cone(d)
     vals = [artinian_homology_dims(cd, t)
             for t in range(-2, 3) if cd.window.contains(t)]
@@ -442,7 +443,7 @@ def test_gamma_with_free_coefficient_is_quasi_iso():
     P = kres(DN, 5)
     Rc = module_as_complex(DN, GradedFree.of([0]))
     g = gamma_rep(P, Rc)
-    g.validate()
+    validate_chain_map(g)
     cg = cone(g)
     degs = [t for t in range(-2, 5) if cg.window.contains(t)]
     assert degs

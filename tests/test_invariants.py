@@ -6,7 +6,7 @@ from homcalc.field import PrimeField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix
 from homcalc.groebner import QuotientRing
 from homcalc.complexes import (shift_complex, direct_sum, module_as_complex,
-                               FreeComplex, TrustWindow, NEG_INF, INF,
+                               cone, ChainMap, FreeComplex, TrustWindow, NEG_INF, INF,
                                UncertifiedDegreeError)
 from homcalc.modules import ModulePresentation, canonical_module, resolution
 from homcalc.invariants import (
@@ -173,6 +173,16 @@ def test_pd_free_module():
 def test_pd_residue_field_infinite_resolution():
     v = pd_verdict(residue_field(DN), 6)
     assert v.status == "unknown" and v.bound == 6
+
+
+def test_pd_of_exact_complex_is_the_zero_object():
+    # the cone of the identity on R minimizes to the zero complex; its pd
+    # is that of the zero object, with no degree
+    R = QuotientRing(P2, ["x^2", "x*y"])
+    X = module_as_complex(R, GradedFree.of([0]))
+    v = pd_verdict(cone(ChainMap(X, X, {0: GradedMatrix.identity(R, X.term(0))})), 3)
+    assert v.is_finite_certified() and v.n is None
+    assert v.witness == "exact complex (zero object)"
 
 
 def test_pd_not_certified_at_length_zero():

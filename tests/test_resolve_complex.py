@@ -25,6 +25,7 @@ from homcalc.modules import homology_series, resolution
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+from chain_checks import validate_chain_map  # noqa: E402
 
 GOLOD = next(t for t in workloads.TEMPLATES if t[0] == "golod")
 
@@ -48,7 +49,7 @@ def test_identity_agrees_with_cone_loop(template, a, c, name, cut, b):
     # the branch applies: X is trusted at its bottom term, its truth floor
     assert X.window.contains(xb) and X.true_lo <= xb
     P, q = resolve_complex_with_map(X, b)
-    q.validate()
+    validate_chain_map(q)
     for t in range(xb, b + 1):
         if P.window.contains(t):
             assert homology_series(P, t) == homology_series(X, t), t

@@ -18,9 +18,13 @@ as used when any read of its name occurs, so one whose name another
 definition, a variable or an operation shares goes unseen: that is how
 ``GradedMatrix.column`` (read as ``ParseError``'s ``column`` argument),
 ``GBResult.contains`` (as ``TrustWindow.contains``), ``ModuleMap.compose``
-(as ``GradedMatrix.compose``) and ``Resolution.certified``/``betti`` (as
-``InvariantTable.certified`` and the "betti" operation) outlived their
-last caller.  Likewise a parameter counts as set when a call to any
+(as ``GradedMatrix.compose``), ``Resolution.certified``/``betti`` (as
+``InvariantTable.certified`` and the "betti" operation),
+``FreeComplex.validate`` and ``ChainMap.validate`` (as
+``ModuleMap.validate``), ``GradedMatrix.scale`` (as ``Polynomial.scale``),
+``QuotientRing.is_zero`` (as ``Polynomial.is_zero``) and
+``GradedMatrix.add``/``negate`` (read only by ``ChainMap.validate``, and
+``add`` as ``set.add``) outlived their last caller.  Likewise a parameter counts as set when a call to any
 function of that name sets it.
 """
 
