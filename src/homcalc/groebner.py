@@ -49,15 +49,6 @@ class _TermOrder:
         return k
 
 
-class PositionOverTerm(_TermOrder):
-    """Component dominates; lower component index wins, then the ring order."""
-
-    __slots__ = ()
-
-    def _key(self, c, e):
-        return (c,) + tuple(map(neg, self.ring.mono_key(e)))
-
-
 class TermOverPosition(_TermOrder):
     """Twisted degree, then ring order on the monomial, then component."""
 
@@ -577,7 +568,7 @@ class QuotientRing:
                 raise HomogeneityError(f"inhomogeneous relation {r}")
             rels.append(r)
         self.relations = tuple(rels)
-        order = PositionOverTerm(ambient)
+        order = TermOverPosition(ambient, [0])
         vecs = [{(0, e): c for e, c in r.terms.items()} for r in rels]
         gb = reduced_gb(vecs, ambient, order, track=False)
         self._gb = gb

@@ -4,9 +4,10 @@ Hom/tensor/Ext as presentations, and the canonical evaluation maps.
 A module is a cokernel presentation F1 -> F0 over a QuotientRing.  All
 membership questions (is this element zero, does this map land in that
 submodule) reduce to lifts against relation matrices, which the Groebner
-layer answers exactly.  A minimal free resolution is computed by iterated
-kernels followed by one Gaussian minimization pass and returned as a
-plain FreeComplex, so Betti numbers read off as ranks.
+layer answers exactly.  A minimal free resolution grows one kernel at a
+time, each kernel's unit entries contracted as it is taken, so every map
+below the top stays minimal; it is returned as a plain FreeComplex, so
+Betti numbers read off as ranks.
 
 Hom and Ext presentations are read by one routine, _hom_cohomology:
 Hom(M, N) is the cohomology of Hom(F1 -> F0 -> 0, N) at F0, and
@@ -38,8 +39,7 @@ from .groebner import (QuotientRing, kernel_matrix,
                        minimalize_monomials, standard_monomials,
                        hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
-                        module_as_complex, zero_complex,
-                        resolve_complex_with_map)
+                        zero_complex, resolve_complex_with_map)
 
 
 class NotCohenMacaulayError(ValueError):
@@ -351,18 +351,28 @@ def _coker_gb(c: ModulePresentation, n: ModulePresentation):
 
 @ring_memo
 def _resolution_steps(mm: ModulePresentation, length: int):
-    """(d_1, ..., d_n) with n <= length of the resolution of the minimal
-    presentation mm, and whether it ended: a kernel came out zero, or mm
-    has no relations.  Each length extends the entry for length - 1 by at
-    most one kernel."""
-    if length <= 0:
-        return (), length == 0 and mm.relations.source.rank == 0
+    """(d_1, ..., d_n) with n <= length of the minimal resolution of the
+    minimal presentation mm, and whether it ended (a kernel came out
+    zero).  The entry for length n + 1 extends that for n by K =
+    kernel_matrix(d_n), whose columns generate ker d_n, so K has a unit
+    entry exactly when a column of d_n is redundant.  Contracting K's
+    units (minimize_complex) deletes those columns and changes nothing
+    below d_n, where no unit is left; so one contraction per step keeps
+    every map below the top minimal, and only the top may list redundant
+    columns.  The columns of K left zero are dropped; if none is left,
+    the resolution ended."""
+    qr = mm.ring
+    if length == 1:
+        return (mm.relations,), mm.relations.source.rank == 0
     mats, ended = _resolution_steps(mm, length - 1)
     if ended:
         return mats, True
-    if not mats:
-        return (mm.relations,), False
     K = kernel_matrix(mats[-1])
+    if any(p.is_constant() for p in K.entries.values()):
+        cx = minimize_complex(from_resolution(qr, mats + (K,), False))
+        mats = tuple(cx.diff(i) for i in range(1, length))
+        K = GradedMatrix.from_columns(
+            qr, cx.term(length - 1), [c for c in cx.diff(length).columns() if c])
     if K.source.rank == 0:
         return mats, True
     return mats + (K,), False
@@ -370,20 +380,17 @@ def _resolution_steps(mm: ModulePresentation, length: int):
 
 def resolution(m: ModulePresentation, length: int) -> FreeComplex:
     """The module as a derived-category representative: its minimal free
-    resolution out to homological degree `length` >= 1, minimized, with
-    the matching trust window.  Its ranks in trusted degrees are the Betti
-    numbers; unless the complex is complete (the resolution ended), the
-    top term is a construction artifact."""
+    resolution out to homological degree `length` >= 1, with the matching
+    trust window.  Its ranks in trusted degrees are the Betti numbers;
+    unless the complex is complete (the resolution ended), the top term
+    is a construction artifact."""
     if length < 1:
         raise ValueError("resolution bound must be at least 1")
     mm = minimal_presentation(m)
-    qr = mm.ring
     if mm.gens.rank == 0:
-        return zero_complex(qr)
+        return zero_complex(mm.ring)
     mats, complete = _resolution_steps(mm, length)
-    if not mats:
-        return module_as_complex(qr, mm.gens)
-    return minimize_complex(from_resolution(qr, list(mats), complete))
+    return from_resolution(mm.ring, mats, complete)
 
 
 def is_module(x) -> bool:

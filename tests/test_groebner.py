@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from homcalc.field import PrimeField, RationalField
 from homcalc.ring import PolyRing, GradedFree, GradedMatrix, Polynomial
 from homcalc.groebner import (
-    PositionOverTerm, TermOverPosition, QuotientRing, HilbertSeries,
+    TermOverPosition, QuotientRing, HilbertSeries,
     Reducers, reduced_gb, syzygy_generators, schreyer_syzygies,
     kernel_matrix, lift_matrix, hilbert_numerator, minimalize_monomials,
     vec_divide, vec_from_column, vec_to_column, vec_axpy, vec_term_mul,
 )
 
 from slice_homology import monomials_of_degree, top_degree
+from term_orders import PositionOverTerm
 
 F = PrimeField(32003)
 

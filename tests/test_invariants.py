@@ -165,6 +165,20 @@ def test_pd_nonzerodivisor_quotient():
     assert v.n == depth(ModulePresentation.free(HY, [0])) - depth(m)
 
 
+@pytest.mark.parametrize("gens", [["x + y", "y^2"], ["x + y", "x^2", "y^2"]])
+@pytest.mark.parametrize("b", range(2, 7))
+def test_pd_certified_past_redundant_relations(gens, b):
+    # y^2 = y(x + y) and x^2 = x(x + y) in R = k[x,y]/(xy), so M = R/(x + y)
+    # has pd 1; its relations are minimal entrywise but not as a generating
+    # set, and the resolution must still end at degree 1
+    m = ModulePresentation.cyclic(HY, gens)
+    v = pd_verdict(m, b)
+    assert v.is_finite_certified() and v.n == 1
+    t = betti_table(m, b)
+    assert t.values == {0: 1, 1: 1} and t.certified == (None, b)
+    assert resolution(m, b).complete
+
+
 def test_pd_free_module():
     v = pd_verdict(ModulePresentation.free(DN, [0]), 4)
     assert v.is_finite_certified() and v.n == 0

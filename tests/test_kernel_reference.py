@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 from homcalc.field import PrimeField, RationalField
 from homcalc.ring import GradedFree, GradedMatrix, Polynomial, PolyRing
 from homcalc.groebner import (
-    GBResult, PositionOverTerm, QuotientRing, Reducers, TermOverPosition,
+    GBResult, QuotientRing, Reducers, TermOverPosition,
     _expr_axpy, _padding_vectors, interreduce_columns, kernel_matrix,
     lift_matrix, reduced_gb, schreyer_syzygies, vec_axpy, vec_divide,
     vec_from_column, vec_scale, vec_term_mul,
 )
 
 from slice_homology import monomials_of_degree
+from term_orders import PositionOverTerm
 
 
 # -- the previous code, verbatim --------------------------------------------
