@@ -51,8 +51,7 @@ from . import __version__
 from .field import PrimeField, RationalField
 from .ring import PolyRing, GradedFree, GradedMatrix, HomogeneityError
 from .groebner import NotArtinianError, QuotientRing
-from .complexes import (ChainMap, module_as_complex,
-                        shift_complex, direct_sum, cone,
+from .complexes import (multiplication_map, shift_complex, direct_sum, cone,
                         UncertifiedDegreeError)
 from .modules import (ModulePresentation, syzygy, canonical_module,
                       resolution, NotCohenMacaulayError)
@@ -235,14 +234,7 @@ def _build_map(qr, spec, name):
     p = _parse_poly(qr, spec["multiply"], f"map '{name}'")
     twists = [_int(t, f"map '{name}'")
               for t in _expect(spec.get("twists", [0]), list, f"map '{name}'")]
-    d = p.degree() if not p.is_zero() else 0
-    tgt = module_as_complex(qr, GradedFree.of(twists))
-    srcf = GradedFree.of([t + d for t in twists])
-    src = module_as_complex(qr, srcf)
-    comp = GradedMatrix(qr, srcf, GradedFree.of(twists),
-                        {(i, i): p for i in range(len(twists))
-                         if not p.is_zero()})
-    return ChainMap(src, tgt, {0: comp})
+    return multiplication_map(qr, p, twists)
 
 
 def _build_complex(qr, modules, complexes, maps, name, spec, default_bound):

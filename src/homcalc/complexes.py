@@ -200,6 +200,10 @@ class FreeComplex:
     def is_zero_complex(self) -> bool:
         return not self.terms
 
+    def ceiling(self) -> int:
+        """min(top term, true_hi): a walk down from it misses no homology."""
+        return int(min(self.term_range()[1], self.true_hi))
+
     def possible_range(self):
         """Hull of degrees where rep or true homology could be nonzero."""
         b, t = self.term_range()
@@ -222,6 +226,16 @@ def zero_complex(ring) -> FreeComplex:
 def module_as_complex(ring, free: GradedFree) -> FreeComplex:
     """A single free module placed in homological degree 0."""
     return FreeComplex(ring, {0: free}, {}, TrustWindow.all(), 0, 0, complete=True)
+
+
+def multiplication_map(qr, p, twists=(0,)) -> ChainMap:
+    """Multiplication by a form p of degree d, from the sum of the R(-t-d)
+    to the sum of the R(-t) over the twists t, as one-term complexes."""
+    d = p.degree() if not p.is_zero() else 0
+    src, tgt = GradedFree.of([t + d for t in twists]), GradedFree.of(twists)
+    diag = {(i, i): p for i in range(len(twists)) if not p.is_zero()}
+    return ChainMap(module_as_complex(qr, src), module_as_complex(qr, tgt),
+                    {0: GradedMatrix(qr, src, tgt, diag)})
 
 
 def from_resolution(ring, matrices, complete) -> FreeComplex:

@@ -9,17 +9,18 @@ form, Rees's lemma, Bruns & Herzog Lemma 3.1.16; the Betti numbers of the
 graded Matlis dual for finite length, ibid. Sec. 3.6; the Hilbert series
 of Ext against k otherwise).  Genuine complexes go through resolution
 representatives and windowed Hom/tensor complexes, with trust tracked
-degree by degree.  Every dimension count of an Ext or homology module
-(ext_dims, tor_dims, the complex route of bass_table) sums its Hilbert
-series, which modules reads with no kernel and no presentation.
+degree by degree; their depth and type come from Koszul homology.  Every
+Ext or homology dimension count (ext_dims, tor_dims, bass_table's complex
+route) sums its Hilbert series, read with no kernel and no presentation.
 """
 
 from __future__ import annotations
 
-from .ring import PolyRing, Polynomial, GradedMatrix
+from .ring import PolyRing, Polynomial, GradedFree, GradedMatrix
 from .groebner import QuotientRing
-from .complexes import (FreeComplex, hom_complex, tensor_complex,
-                        minimize_complex, UncertifiedDegreeError, NEG_INF, INF)
+from .complexes import (FreeComplex, hom_complex, tensor_complex, cone,
+                        minimize_complex, multiplication_map,
+                        module_as_complex, UncertifiedDegreeError, NEG_INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       ext_module, ext_series, first_ext,
                       homology_presentation, homology_series,
@@ -36,13 +37,22 @@ class WindowInsufficientError(RuntimeError):
     """No certified answer within the explored range."""
 
 
-_HARD_CAP = 64
-
 @ring_memo
 def residue_field(qr: QuotientRing) -> ModulePresentation:
     """The residue field k = R/m, minimally presented.  It is kept in the
     ring's memo, so every caller gets the same object."""
     return minimal_presentation(ModulePresentation.residue_field(qr))
+
+
+@ring_memo
+def koszul_complex(qr: QuotientRing) -> FreeComplex:
+    """The Koszul complex K on the variables of R: R tensored in turn with
+    the cone of each x_i : R(-w_i) -> R, so K_i has rank C(n, i) and twists
+    the sums of i weights.  It is kept in the ring's memo."""
+    K = module_as_complex(qr, GradedFree.of([0]))
+    for i in range(qr.ambient.n):
+        K = tensor_complex(K, cone(multiplication_map(qr, qr.variable(i))))
+    return K
 
 
 def _mu(m: ModulePresentation, i: int) -> int:
@@ -279,14 +289,10 @@ def bass_table(x, bound: int) -> InvariantTable:
     H = hom_complex(K, x)
     if H.is_zero_complex():
         return InvariantTable("bass", {}, (None, bound - 1))
-    tlo, thi = H.term_range()
-    # the resolution of k starts at 0, so true Hom homology stops at the
-    # certified ceiling of x; degrees above it are zero without a window
-    t_star = thi
-    if x.true_hi != NEG_INF and x.true_hi != INF:
-        t_star = min(thi, int(x.true_hi))
-    # walk down from t_star, which is read even below the bottom term
-    down = H.window.run(t_star, min(t_star, tlo) - 1, -1)
+    # the resolution of k starts at 0, so H's ceiling is x's; walk down
+    # from it, reading t_star even below the bottom term
+    t_star = H.ceiling()
+    down = H.window.run(t_star, min(t_star, H.term_range()[0]) - 1, -1)
     if not down:
         raise WindowInsufficientError("top of the true Hom range untrusted")
     vals = {-t: homology_series(H, t).k_dimension() for t in reversed(down)}
@@ -328,37 +334,37 @@ def amplitude(x) -> int:
 # depth, dimension, type
 
 
-def _module_depth(m: ModulePresentation) -> int:
-    if m.is_zero_module():
-        raise ZeroModuleError("depth of the zero module")
-    for i in range(0, m.ring.krull_dim() + 1):
-        if _mu(m, i):
-            return i
-    raise WindowInsufficientError(
-        "no nonzero Bass number up to dim R for a nonzero module")
+def _depth_type(x):
+    """(d, mu^d(X)) for d = depth X, the least d with mu^d(X) != 0.
 
-
-def _complex_bass_scan(x: FreeComplex):
-    """First nonzero Bass index of a complex with its value, auto-raising
-    the bound until found.  The table is certified for every index below
-    its ceiling, so its smallest stored index is the depth."""
-    qr = x.ring
-    b = max(4, qr.krull_dim() + abs(inf_of(x)) + 2)
-    while b <= _HARD_CAP:
-        t = bass_table(x, b)
-        nz = t.nonzero_indices()
-        if nz:
-            return nz[0], t.values[nz[0]]
-        b *= 2
-    raise WindowInsufficientError(
-        f"no nonzero Bass number found below hard cap {_HARD_CAP}")
+    A module scans mu^0, ..., mu^{dim R} by _mu.  A complex reads KX =
+    K (x) X, K = koszul_complex(R) on n variables, down from KX's ceiling
+    (a truncation's top above it is garbage): depth X = n - sup H(KX)
+    (Foxby & Iyengar, Contemp. Math. 331, 2003, Thm 2.1), and
+    H_{n-d}(KX) = Ext^d(k, X), as KX = Sigma^n Hom(K, X) and in
+    Ext^p(H_q K, X) => H^{p+q} Hom(K, X) only Ext^d(H_0 K, X) has total
+    degree d (Bruns & Herzog, Thms 1.6.16-17, for modules).
+    """
+    if is_module(x):
+        if x.is_zero_module():
+            raise ZeroModuleError("depth of the zero module")
+        for i in range(0, x.ring.krull_dim() + 1):
+            if mu := _mu(x, i):
+                return i, mu
+        raise WindowInsufficientError(
+            "no nonzero Bass number up to dim R for a nonzero module")
+    KX = tensor_complex(koszul_complex(x.ring), x)
+    t, certified = first_homology(KX, KX.ceiling(), KX.term_range()[0] - 1, -1)
+    if t is None:
+        raise (ZeroModuleError("no nonzero homology in window") if certified
+               else WindowInsufficientError(
+                   "untrusted degree reached before the top Koszul homology"))
+    return x.ring.ambient.n - t, homology_series(KX, t).k_dimension()
 
 
 def depth(x) -> int:
     """Smallest i with mu^i != 0."""
-    if is_module(x):
-        return _module_depth(x)
-    return _complex_bass_scan(x)[0]
+    return _depth_type(x)[0]
 
 
 def kdim_complex(x) -> int:
@@ -385,9 +391,7 @@ def nu(m: ModulePresentation) -> int:
 
 def type_of(x) -> int:
     """r(X) = mu^{depth X}."""
-    if is_module(x):
-        return _mu(x, _module_depth(x))
-    return _complex_bass_scan(x)[1]
+    return _depth_type(x)[1]
 
 
 def is_cohen_macaulay(x) -> bool:
@@ -435,11 +439,10 @@ def id_verdict(x, bound: int) -> FinitenessVerdict:
     3.6), else the Hilbert series of Ext.  For genuine complexes only a
     zero run of width dim R + amp X + 2 is reported, as FiniteLikely."""
     if is_module(x):
-        d = _module_depth(x)
+        d = depth(x)
         last = None
         for i in range(d, bound + 1):
-            v = _mu(x, i)
-            if v:
+            if _mu(x, i):
                 last = i
             else:
                 return FinitenessVerdict.finite_certified(
@@ -516,13 +519,8 @@ def grade_wrt(x, c, bound: int) -> int:
     P = resolved(x, bound)
     C = resolved(c, bound)
     H = hom_complex(P, C)
-    tlo, thi = H.term_range()
-    t_start = thi
-    finite = lambda v: v != NEG_INF and v != INF
-    if finite(C.true_hi) and finite(P.true_lo):
-        # true Hom homology vanishes above sup C - inf X
-        t_start = min(thi, int(C.true_hi) - int(P.true_lo))
-    t, certified = first_homology(H, t_start, tlo - 1, -1)
+    # true Hom homology vanishes above sup C - inf X
+    t, certified = first_homology(H, H.ceiling(), H.term_range()[0] - 1, -1)
     if t is not None:
         return -t
     raise WindowInsufficientError(

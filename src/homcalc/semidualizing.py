@@ -48,10 +48,6 @@ def _ring_module(qr: QuotientRing) -> ModulePresentation:
     return ModulePresentation.free(qr, [0])
 
 
-def _ring_depth(qr: QuotientRing) -> int:
-    return depth(_ring_module(qr))
-
-
 def _cone_clear(c: FreeComplex):
     """(all trusted homology zero, witness degree or None)."""
     t = next(trusted_homology(c), None)
@@ -193,7 +189,7 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
     _require_semidualizing(c, bound)
     if minimal_presentation(m).gens.rank == 0:
         raise ZeroModuleError("G-dimension of the zero module")
-    dr, dm = _ring_depth(m.ring), depth(m)
+    dr, dm = depth(_ring_module(m.ring)), depth(m)
     g = dr - dm
     if g < 0:
         return GcdimVerdict.infinite(
@@ -234,7 +230,7 @@ def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
     if inf_rhom is None:
         return GcdimVerdict.uncertified(bound, "RHom has no homology in window")
     g = inf_of(c) - inf_rhom
-    dr = _ring_depth(qr)
+    dr = depth(_ring_module(qr))
     dz = depth(z)
     dc = depth(c)
     if g != dr - dz:

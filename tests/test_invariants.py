@@ -1,5 +1,7 @@
 """Betti/Bass tables, depth, dimension, type, finiteness verdicts, grade."""
 
+import itertools
+
 import pytest
 
 from homcalc.field import PrimeField
@@ -8,9 +10,10 @@ from homcalc.groebner import QuotientRing
 from homcalc.complexes import (shift_complex, direct_sum, module_as_complex,
                                cone, ChainMap, FreeComplex, TrustWindow, NEG_INF, INF,
                                UncertifiedDegreeError)
-from homcalc.modules import ModulePresentation, canonical_module, resolution
+from homcalc.modules import (ModulePresentation, canonical_module, resolution,
+                             homology_series)
 from homcalc.invariants import (
-    InvariantTable, FinitenessVerdict, ZeroModuleError,
+    koszul_complex, InvariantTable, FinitenessVerdict, ZeroModuleError,
     WindowInsufficientError, residue_field,
     betti_table, bass_table, depth, kdim_complex, nu, type_of,
     is_cohen_macaulay, pd_verdict, id_verdict, ext_dims, tor_dims,
@@ -96,6 +99,32 @@ def test_depth_shift_identity():
     X = free_rep(CI)
     assert depth(X) == 0
     assert depth(shift_complex(X, 2)) == -2
+
+
+@pytest.mark.parametrize("qr", [CI, HY, SG, QuotientRing(P3, [])],
+                         ids=["ci", "hypersurface", "semigroup-345", "poly3"])
+def test_koszul_complex_ranks_and_twists(qr):
+    # K_i has one generator per i-subset of the variables, twisted by the
+    # sum of their weights
+    K = koszul_complex(qr)
+    w = qr.weights
+    n = len(w)
+    assert K.term_range() == (0, n)
+    for i in range(n + 1):
+        subsets = itertools.combinations(range(n), i)
+        assert sorted(K.term(i).twists) == sorted(sum(w[j] for j in s)
+                                                  for s in subsets)
+    assert koszul_complex(qr) is K
+
+
+@pytest.mark.parametrize("qr", [QuotientRing(P2, []), QuotientRing(P3, [])],
+                         ids=["poly2", "poly3-weighted"])
+def test_koszul_complex_resolves_k_over_a_polynomial_ring(qr):
+    K = koszul_complex(qr)
+    assert homology_series(K, 0).k_dimension() == 1
+    assert homology_series(K, 0).dimension() == 0
+    assert all(not homology_series(K, i).numer
+               for i in range(1, len(qr.weights) + 1))
 
 
 def test_kdim_matches_hilbert_series():
