@@ -237,7 +237,7 @@ def _build_map(qr, spec, name):
     return multiplication_map(qr, p, twists)
 
 
-def _build_complex(qr, modules, complexes, maps, name, spec, default_bound):
+def _build_complex(modules, complexes, maps, name, spec, default_bound):
     where = f"complex '{name}'"
     _expect(spec, dict, where)
     if "module" in spec:
@@ -299,7 +299,7 @@ def build_problem(doc: dict, field_override=None,
     complexes = {}
     for cname, spec in _expect(doc.get("complexes", {}), dict,
                                "complexes").items():
-        complexes[cname] = _build_complex(qr, modules, complexes, maps,
+        complexes[cname] = _build_complex(modules, complexes, maps,
                                           cname, spec, default_bound)
     tasks = []
     for idx, t in enumerate(_expect(doc.get("tasks", []), list, "tasks")):

@@ -12,6 +12,9 @@ therefore carries:
 * true_lo, true_hi: certified bounds outside which the intended object
   has no homology (the representative may still have terms there).
 
+The window is the one trust record: a complex is complete (the intended
+object on the nose) exactly when its window holds every degree.
+
 The window calculus below is conservative.  Hom and tensor windows come
 from the hypercohomology spectral sequences: an untrusted band appears
 wherever a garbage homology degree of one factor can pair with a cell of
@@ -30,6 +33,11 @@ true object has no homology below the floor.  All verdicts built on
 these windows are therefore stamped with the resolution bound; raising
 the bound re-justifies them on a larger range, never changes a trusted
 reading (the stability contract).
+
+Block layout.  Hom(P, Y)_t and (F (x) Y)_t are sums of blocks, one per
+term of the first factor; hom_layout and tensor_layout state the
+generator order once, and hom_complex, tensor_complex and the canonical
+chain maps (biduality_rep, gamma_rep, homothety_rep) place entries by it.
 
 Sign conventions: d lowers homological degree; (shift X)_v = X_{v-1}
 with differential -d; cone(f)_j = X_{j-1} (+) Y_j with d(a, b) =
@@ -156,15 +164,13 @@ class FreeComplex:
     diffs: dict i -> GradedMatrix, the map terms[i] -> terms[i-1], with
     entries in normal form (every construction here keeps them so, and
     hom_complex/tensor_complex rely on it)
-    window, true_lo, true_hi: see module docstring
-    complete: the representative is the intended object on the nose (all
-    homology everywhere is the true homology and nothing was truncated).
+    window, true_lo, true_hi: see module docstring; `complete` is read off
+    the window.
     """
 
-    __slots__ = ("ring", "terms", "diffs", "window", "true_lo", "true_hi", "complete")
+    __slots__ = ("ring", "terms", "diffs", "window", "true_lo", "true_hi")
 
-    def __init__(self, ring, terms, diffs, window=None, true_lo=None, true_hi=None,
-                 complete=True):
+    def __init__(self, ring, terms, diffs, window=None, true_lo=None, true_hi=None):
         self.ring = ring
         self.terms = {i: f for i, f in terms.items() if f.rank > 0}
         self.diffs = {}
@@ -178,7 +184,12 @@ class FreeComplex:
             true_hi = hi if true_hi is None else true_hi
         self.true_lo = true_lo
         self.true_hi = true_hi
-        self.complete = complete
+
+    @property
+    def complete(self) -> bool:
+        """The representative is the intended object on the nose: trusted
+        in every degree, so all its homology is the true homology."""
+        return self.window == TrustWindow.all()
 
     # -- structure ---------------------------------------------------------
 
@@ -220,12 +231,12 @@ class FreeComplex:
 
 
 def zero_complex(ring) -> FreeComplex:
-    return FreeComplex(ring, {}, {}, TrustWindow.all(), 0, -1, complete=True)
+    return FreeComplex(ring, {}, {}, TrustWindow.all(), 0, -1)
 
 
 def module_as_complex(ring, free: GradedFree) -> FreeComplex:
     """A single free module placed in homological degree 0."""
-    return FreeComplex(ring, {0: free}, {}, TrustWindow.all(), 0, 0, complete=True)
+    return FreeComplex(ring, {0: free}, {}, TrustWindow.all(), 0, 0)
 
 
 def multiplication_map(qr, p, twists=(0,)) -> ChainMap:
@@ -257,7 +268,7 @@ def from_resolution(ring, matrices, complete) -> FreeComplex:
         window = TrustWindow.all()
     else:
         window = TrustWindow.all().minus_band(B, B)
-    return FreeComplex(ring, terms, diffs, window, 0, 0, complete=complete)
+    return FreeComplex(ring, terms, diffs, window, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +284,7 @@ def shift_complex(X: FreeComplex, n: int) -> FreeComplex:
     diffs = {i + n: (m if n % 2 == 0 else m.map_entries(lambda p: p.scale(sign)))
              for i, m in X.diffs.items()}
     return FreeComplex(X.ring, terms, diffs, X.window.shift(n),
-                       X.true_lo + n, X.true_hi + n, complete=X.complete)
+                       X.true_lo + n, X.true_hi + n)
 
 
 def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
@@ -295,8 +306,7 @@ def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
         if not m.is_zero():
             diffs[i] = m
     return FreeComplex(X.ring, terms, diffs, X.window.intersect(Y.window),
-                       min(X.true_lo, Y.true_lo), max(X.true_hi, Y.true_hi),
-                       complete=X.complete and Y.complete)
+                       min(X.true_lo, Y.true_lo), max(X.true_hi, Y.true_hi))
 
 
 class ChainMap:
@@ -345,8 +355,7 @@ def cone(f: ChainMap) -> FreeComplex:
            .intersect(Y.window.intersect(Y.window.shift(1))))
     return FreeComplex(X.ring, {j: m.source for j, m in diffs.items()}, diffs, win,
                        min(Y.true_lo, X.true_lo + 1),
-                       max(Y.true_hi, X.true_hi + 1),
-                       complete=X.complete and Y.complete)
+                       max(Y.true_hi, X.true_hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +394,8 @@ def _hsupp(Y: FreeComplex) -> TrustWindow:
 def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
     """Hom(P, Y) as a complex; P plays the projective-resolution role.
 
-    Term t is the direct sum over i of Hom(P_i, Y_{i+t}); the generator
-    (i, a, b) sends basis element a of P_i to basis element b of Y_{i+t}
-    and has internal degree twist(Y)_b - twist(P)_a.
+    Term t is the direct sum over i of Hom(P_i, Y_{i+t}), laid out by
+    hom_layout.
     """
     qr = P.ring
     if qr != Y.ring:
@@ -398,17 +406,12 @@ def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if P.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
 
-    # layout (hom_index): blocks i ascending; within a block, pairs
-    # (a, b) flattened as b * rank(P_i) + a
     terms, offsets, diffs = {}, {}, {}
     tmin, tmax = yb - pt, yt - pb
     for t in range(tmin, tmax + 1):
-        idx = hom_index(P, Y, t)
-        if idx:
-            terms[t] = GradedFree.of([Y.terms[i + t].twists[b]
-                                      - P.terms[i].twists[a]
-                                      for i, a, b in idx])
-            offsets[t] = _block_offsets(idx)
+        offs, twists = hom_layout(P, Y, t)
+        if twists:
+            terms[t], offsets[t] = GradedFree.of(twists), offs
     for t in range(tmin, tmax + 1):
         if t not in terms or (t - 1) not in terms:
             continue
@@ -457,16 +460,14 @@ def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
             win = win.minus_band(hlo - pt, INF)
     true_hi = Y.true_hi - P.true_lo
     true_lo = (Y.true_lo - pt) if P.complete else NEG_INF
-    return FreeComplex(qr, terms, diffs, win, true_lo, true_hi,
-                       complete=P.complete and Y.complete)
+    return FreeComplex(qr, terms, diffs, win, true_lo, true_hi)
 
 
 def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     """F (x) Y as a complex; F plays the flat-resolution role.
 
-    Term t is the sum over i+j=t of F_i (x) Y_j; generator (i, a, b) has
-    internal degree twist(F)_a + twist(Y)_b; pairs flatten as
-    a * rank(Y_j) + b.
+    Term t is the sum over i+j=t of F_i (x) Y_j, laid out by
+    tensor_layout.
     """
     qr = F.ring
     if qr != Y.ring:
@@ -477,17 +478,12 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if F.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
 
-    # layout (tensor_index): blocks i ascending; within a block, pairs
-    # (a, b) flattened as a * rank(Y_{t-i}) + b
     terms, offsets, diffs = {}, {}, {}
     tmin, tmax = fb + yb, ft + yt
     for t in range(tmin, tmax + 1):
-        idx = tensor_index(F, Y, t)
-        if idx:
-            terms[t] = GradedFree.of([F.terms[i].twists[a]
-                                      + Y.terms[t - i].twists[b]
-                                      for i, a, b in idx])
-            offsets[t] = _block_offsets(idx)
+        offs, twists = tensor_layout(F, Y, t)
+        if twists:
+            terms[t], offsets[t] = GradedFree.of(twists), offs
     for t in range(tmin, tmax + 1):
         if t not in terms or (t - 1) not in terms:
             continue
@@ -531,42 +527,39 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
             win = win.minus_band(NEG_INF, hhi + ft)
     true_lo = F.true_lo + Y.true_lo
     true_hi = (ft + Y.true_hi) if F.complete else INF
-    return FreeComplex(qr, terms, diffs, win, true_lo, true_hi,
-                       complete=F.complete and Y.complete)
+    return FreeComplex(qr, terms, diffs, win, true_lo, true_hi)
 
 
-def _block_offsets(idx):
-    """Flat offset of each block i of an index layout, in ascending i."""
-    offs = {}
-    for pos, (i, _, _) in enumerate(idx):
-        offs.setdefault(i, pos)
-    return offs
+def hom_layout(P: FreeComplex, Y: FreeComplex, t: int):
+    """Generator order of Hom(P, Y)_t: ({i: block offset}, twists).
+
+    Block i is Hom(P_i, Y_{i+t}), for i ascending over the nonzero
+    blocks.  The generator sending basis element a of P_i to basis element
+    b of Y_{i+t} sits at off + b * rank P_i + a, with internal degree
+    twist(Y_{i+t})_b - twist(P_i)_a.
+    """
+    offs, twists = {}, []
+    for i, f in sorted(P.terms.items()):
+        if (g := Y.term(i + t)).rank:
+            offs[i] = len(twists)
+            twists += [tb - ta for tb in g.twists for ta in f.twists]
+    return offs, twists
 
 
-def hom_index(P: FreeComplex, Y: FreeComplex, t: int):
-    """Flat index layout of Hom(P, Y)_t: list of (i, a, b) triples."""
-    pb, pt = P.term_range()
-    out = []
-    for i in range(pb, pt + 1):
-        rp, ry = P.term(i).rank, Y.term(i + t).rank
-        if rp and ry:
-            for b in range(ry):
-                for a in range(rp):
-                    out.append((i, a, b))
-    return out
+def tensor_layout(F: FreeComplex, Y: FreeComplex, t: int):
+    """Generator order of (F (x) Y)_t: ({i: block offset}, twists).
 
-
-def tensor_index(F: FreeComplex, Y: FreeComplex, t: int):
-    """Flat index layout of (F (x) Y)_t: list of (i, a, b) triples."""
-    fb, ft = F.term_range()
-    out = []
-    for i in range(fb, ft + 1):
-        rf, ry = F.term(i).rank, Y.term(t - i).rank
-        if rf and ry:
-            for a in range(rf):
-                for b in range(ry):
-                    out.append((i, a, b))
-    return out
+    Block i is F_i (x) Y_{t-i}, for i ascending over the nonzero blocks.
+    The generator e_a (x) e_b, a a basis element of F_i and b one of
+    Y_{t-i}, sits at off + a * rank Y_{t-i} + b, with internal degree
+    twist(F_i)_a + twist(Y_{t-i})_b.
+    """
+    offs, twists = {}, []
+    for i, f in sorted(F.terms.items()):
+        if (g := Y.term(t - i)).rank:
+            offs[i] = len(twists)
+            twists += [ta + tb for ta in f.twists for tb in g.twists]
+    return offs, twists
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +626,7 @@ def minimize_complex(X: FreeComplex) -> FreeComplex:
                              {(pos[k - 1][a], pos[k][b]): p for (a, b), p in d.items()
                               if a in pos[k - 1] and b in pos[k]})
              for k, d in mats.items()}
-    return FreeComplex(qr, frees, diffs, X.window, X.true_lo, X.true_hi,
-                       complete=X.complete)
+    return FreeComplex(qr, frees, diffs, X.window, X.true_lo, X.true_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +666,7 @@ def resolve_complex_with_map(X: FreeComplex, bound: int):
     win = X.window if whole else X.window.intersect(
         TrustWindow.interval(NEG_INF, bound - 1))
     P = FreeComplex(qr, {i: f for i, f in X.terms.items() if i <= bound},
-                    X.diffs, win, X.true_lo, X.true_hi,
-                    complete=X.complete and whole)
+                    X.diffs, win, X.true_lo, X.true_hi)
     return P, ChainMap(P, X, {i: GradedMatrix.identity(qr, f)
                               for i, f in P.terms.items()})
 
@@ -725,8 +716,7 @@ def _cone_resolution(X: FreeComplex, start: int, bound: int):
             q.components[j] = GradedMatrix(qr, cols.source, X.term(j), phi_entries)
     win = X.window if closed else X.window.intersect(
         TrustWindow.interval(NEG_INF, bound - 1))
-    P = FreeComplex(qr, P.terms, P.diffs, win, X.true_lo, X.true_hi,
-                    complete=X.complete and closed)
+    P = FreeComplex(qr, P.terms, P.diffs, win, X.true_lo, X.true_hi)
     # phi commutes with the differentials: a kernel column (p, x) of the
     # cone satisfies dP(p) = 0-part and dX(x) = -phi(p) by construction
     return P, ChainMap(P, X, q.components)
@@ -752,7 +742,6 @@ def biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
     downstream claim with the current bound (see the module docstring).
     """
     qr = P.ring
-    Fld = qr.field
     D = hom_complex(P, C)
     if floor is None:
         db = D.term_range()[0]
@@ -763,42 +752,24 @@ def biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
     if floor is not None:
         # record the floor as a certified truth bound of D
         D = FreeComplex(qr, dict(D.terms), dict(D.diffs), D.window,
-                        max(D.true_lo, floor), D.true_hi, complete=D.complete)
+                        max(D.true_lo, floor), D.true_hi)
     Q, q = resolve_complex_with_map(D, bound)
     H = hom_complex(Q, C)
-    dflat = {}
-
-    def d_layout(j):
-        if j not in dflat:
-            dflat[j] = {trip: pos for pos, trip in enumerate(hom_index(P, C, j))}
-        return dflat[j]
-
-    comps = {}
-    lo, hi = P.term_range()
-    for v in range(lo, hi + 1):
-        rp = P.term(v).rank
-        hv = H.term(v)
-        if rp == 0 or hv.rank == 0:
-            continue
-        entries = {}
-        for pos, (j, c, b) in enumerate(hom_index(Q, C, v)):
-            qj = q.component(j)
-            lay = d_layout(j)
-            sgn = -1 if (v * j) % 2 else 1
-            for a in range(rp):
-                key = lay.get((v, a, b))
-                if key is None:
-                    continue
-                val = qj.entry(key, c)
-                if val.is_zero():
-                    continue
-                if sgn < 0:
-                    val = val.scale(Fld.normalize(-1))
-                entries[(pos, a)] = val
-        m = GradedMatrix(qr, P.term(v), hv, entries)
-        if not m.is_zero():
-            comps[v] = m
-    return ChainMap(P, H, comps)
+    # q_j's entry (r, c), r = off + b * rank P_v + a in block v of D_j
+    # (hom_layout), is delta_v's entry at (the generator c -> b of block j
+    # of H_v, a), signed (-1)^{vj}
+    hoffs = {v: hom_layout(Q, C, v)[0] for v in P.terms}
+    entries = {v: {} for v in P.terms}
+    neg = qr.field.normalize(-1)
+    for j, qj in q.components.items():
+        doffs = hom_layout(P, C, j)[0]
+        for (r, c), val in qj.entries.items():
+            v = max(i for i, off in doffs.items() if off <= r)
+            b, a = divmod(r - doffs[v], P.terms[v].rank)
+            entries[v][(hoffs[v][j] + b * Q.term(j).rank + c, a)] = \
+                val.scale(neg) if (v * j) % 2 else val
+    return ChainMap(P, H, {v: GradedMatrix(qr, f, H.term(v), entries[v])
+                           for v, f in P.terms.items()})
 
 
 def gamma_rep(F: FreeComplex, Pc: FreeComplex) -> ChainMap:
@@ -809,50 +780,34 @@ def gamma_rep(F: FreeComplex, Pc: FreeComplex) -> ChainMap:
     quasi-isomorphism cone test is the tensor-side membership criterion.
     """
     qr = F.ring
-    Fld = qr.field
     T = tensor_complex(Pc, F)
     H = hom_complex(Pc, T)
-    tflat = {}
-
-    def t_layout(u):
-        if u not in tflat:
-            tflat[u] = {trip: pos for pos, trip in enumerate(tensor_index(Pc, F, u))}
-        return tflat[u]
-
-    hflat = {}
-
-    def h_layout(v):
-        if v not in hflat:
-            hflat[v] = {trip: pos for pos, trip in enumerate(hom_index(Pc, T, v))}
-        return hflat[v]
-
+    one, neg = qr.one(), qr.field.normalize(-1)
     comps = {}
-    lo, hi = F.term_range()
-    cb, ct = Pc.term_range()
-    for v in range(lo, hi + 1):
-        rf = F.term(v).rank
-        hv = H.term(v)
-        if rf == 0 or hv.rank == 0:
-            continue
+    for v, fv in F.terms.items():
         entries = {}
-        hl = h_layout(v)
-        for j in range(cb, ct + 1):
+        for j, hoff in hom_layout(Pc, T, v)[0].items():
             rc = Pc.term(j).rank
-            if rc == 0:
-                continue
-            tl = t_layout(j + v)
-            sgn = -1 if (v * j) % 2 else 1
-            val = qr.one() if sgn > 0 else qr.one().scale(Fld.normalize(-1))
+            toff = tensor_layout(Pc, F, j + v)[0][j]
+            val = one.scale(neg) if (v * j) % 2 else one
+            # e_a goes to the generator e_c -> e_c (x) e_a of block j of
+            # H_v, where e_c (x) e_a is generator toff + c * rank F_v + a
             for c in range(rc):
-                for a in range(rf):
-                    tpos = tl.get((j, c, a))
-                    if tpos is None:
-                        continue
-                    pos = hl.get((j, c, tpos))
-                    if pos is None:
-                        continue
-                    entries[(pos, a)] = val
-        m = GradedMatrix(qr, F.term(v), hv, entries)
-        if not m.is_zero():
-            comps[v] = m
+                for a in range(fv.rank):
+                    entries[(hoff + (toff + c * fv.rank + a) * rc + c, a)] = val
+        comps[v] = GradedMatrix(qr, fv, H.term(v), entries)
     return ChainMap(F, H, comps)
+
+
+def homothety_rep(q: ChainMap) -> ChainMap:
+    """The homothety R -> Hom(P, C), 1 |-> q, of a chain map q: P -> C:
+    block i of its column in Hom(P, C)_0 holds q_i's entry (b, a) at
+    position b * rank P_i + a (hom_layout)."""
+    P, C = q.source, q.target
+    qr = P.ring
+    H = hom_complex(P, C)
+    offs = hom_layout(P, C, 0)[0]
+    col = {(offs[i] + b * P.term(i).rank + a, 0): p
+           for i, m in q.components.items() for (b, a), p in m.entries.items()}
+    R = module_as_complex(qr, GradedFree.of([0]))
+    return ChainMap(R, H, {0: GradedMatrix(qr, R.term(0), H.term(0), col)})

@@ -68,7 +68,7 @@ class TermOverPosition(_TermOrder):
 # nonzero coefficients only
 
 
-def vec_from_column(col: dict, ring) -> dict:
+def vec_from_column(col: dict) -> dict:
     v = {}
     for i, p in col.items():
         for e, c in p.terms.items():
@@ -234,12 +234,10 @@ class GBResult:
         elements[k] = sum_i exprs[k][i] * inputs[i]   (over the ambient ring).
     """
 
-    __slots__ = ("ring", "field", "inputs", "reducers", "exprs")
+    __slots__ = ("ring", "reducers", "exprs")
 
-    def __init__(self, ring, field, inputs, reducers, exprs):
+    def __init__(self, ring, reducers, exprs):
         self.ring = ring
-        self.field = field
-        self.inputs = inputs
         self.reducers = reducers
         self.exprs = exprs
 
@@ -417,7 +415,7 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
             out_e.append({i: p.scale(inv) for i, p in e.items()})
         else:
             out_e.append({})
-    return GBResult(ring, F, inputs, out, out_e)
+    return GBResult(ring, out, out_e)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +436,7 @@ def schreyer_syzygies(gb: GBResult):
     (of equal ones, the lowest j): their leads generate the same lead
     module, so they still generate every syzygy.
     """
-    ring, F = gb.ring, gb.field
+    ring, F = gb.ring, gb.ring.field
     elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
     divides = ring.mono_divides
     out = []
@@ -664,7 +662,7 @@ def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
     """Generators of ker(m) for m over a QuotientRing."""
     qr = m.ring
     P = qr.ambient
-    cols = [vec_from_column(c, P) for c in m.columns()]
+    cols = [vec_from_column(c) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
     syz = syzygy_generators(cols + pads, P, order, padded=len(pads))
@@ -692,7 +690,7 @@ def interreduce_columns(qr: QuotientRing, free: GradedFree, cols):
     """
     P = qr.ambient
     order = TermOverPosition(P, free.twists)
-    vecs = [vec_from_column(c, P) for c in cols]
+    vecs = [vec_from_column(c) for c in cols]
     vecs = [v for v in vecs if v]
     # ascending by lead; reverse=True keeps equal leads in input order
     vecs.sort(key=lambda v: order.key(vec_lead(v, order)), reverse=True)
@@ -718,14 +716,14 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
         raise ValueError("lift target mismatch")
     qr = m.ring
     P = qr.ambient
-    cols = [vec_from_column(c, P) for c in m.columns()]
+    cols = [vec_from_column(c) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
     gb = reduced_gb(cols + pads, P, order, track=True, padded=len(pads))
     ncols = len(cols)
     entries = {}
     for j, col in enumerate(targets.columns()):
-        v = vec_from_column(col, P)
+        v = vec_from_column(col)
         rem, quots = gb.normal_form(v, track=True)
         if rem:
             return None

@@ -334,6 +334,7 @@ def amplitude(x) -> int:
 # depth, dimension, type
 
 
+@ring_memo
 def _depth_type(x):
     """(d, mu^d(X)) for d = depth X, the least d with mu^d(X) != 0.
 

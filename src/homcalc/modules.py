@@ -141,7 +141,7 @@ def _arg_key(x):
         return ("complex",
                 tuple(sorted((i, f.twists) for i, f in x.terms.items())),
                 tuple(sorted((i, _matrix_key(d)) for i, d in x.diffs.items())),
-                x.window.parts, x.true_lo, x.true_hi, x.complete)
+                x.window.parts, x.true_lo, x.true_hi)
     raise TypeError(f"no structural key for {type(x).__name__}")
 
 
@@ -214,7 +214,7 @@ def _relations_gb(m: ModulePresentation):
     it is the normal form in M."""
     qr = m.ring
     P = qr.ambient
-    cols = [vec_from_column(c, P) for c in m.relations.columns()]
+    cols = [vec_from_column(c) for c in m.relations.columns()]
     pads = _padding_vectors(qr, m.gens.rank)
     return reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists),
                       padded=len(pads))
@@ -341,7 +341,7 @@ def _coker_gb(c: ModulePresentation, n: ModulePresentation):
     cols = c.relations.columns()[blocks * n.relations.source.rank:]
     tail = [{(a * g0 + b, e): x for (b, e), x in v.items()}
             for a in range(blocks) for v in _module_gb(n).elements]
-    return reduced_gb([vec_from_column(col, P) for col in cols] + tail, P,
+    return reduced_gb([vec_from_column(col) for col in cols] + tail, P,
                       TermOverPosition(P, c.gens.twists), padded=len(tail))
 
 

@@ -18,21 +18,53 @@ import numpy as np
 
 from .field import FieldError
 from .groebner import NotArtinianError, QuotientRing
-from .linalg import fp_rref
 from .modules import ModulePresentation
 
 ORACLE_MAX_P = 2 ** 20
 
+#: the largest modulus whose residue products fit in int64
+INT64_MAX_P = 3037000499
+
 
 # ---------------------------------------------------------------------------
-# exact linear algebra mod p, by linalg.fp_rref, which runs on Python ints
-# for p above linalg.INT64_MAX_P
+# exact linear algebra mod p, vectorized with numpy
+
+
+def fp_rref(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p. Returns (rref_matrix, pivot_columns).
+
+    A row operation computes a - b*c for residues a, b, c and reduces mod p
+    at once, so int64 is exact while p <= INT64_MAX_P; above that the
+    elimination runs on Python ints, and the result has dtype object.
+    """
+    a = np.asarray(a).astype(np.int64 if p <= INT64_MAX_P else object) % p
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def _rank(a, p) -> int:
     if a.size == 0:
         return 0
-    return len(fp_rref(np.asarray(a, dtype=np.int64), p)[1])
+    return len(fp_rref(a, p)[1])
 
 
 def _nullspace(a, p):
@@ -42,7 +74,7 @@ def _nullspace(a, p):
         return np.zeros((0, 0), dtype=np.int64)
     if rows == 0 or not a.any():
         return np.eye(cols, dtype=np.int64)
-    red, piv = fp_rref(np.asarray(a, dtype=np.int64), p)
+    red, piv = fp_rref(a, p)
     free = [c for c in range(cols) if c not in piv]
     out = np.zeros((cols, len(free)), dtype=np.int64)
     for j, fc in enumerate(free):
@@ -96,10 +128,9 @@ class FiniteAlgebra:
     """Artinian quotient realized by multiplication tables on its
     standard-monomial basis."""
 
-    __slots__ = ("ring", "p", "basis", "index", "dim", "degrees", "var_mats",
-                 "elt_mats")
+    __slots__ = ("ring", "p", "basis", "index", "dim", "degrees", "var_mats")
 
-    def __init__(self, ring, p, basis, degrees, var_mats, elt_mats):
+    def __init__(self, ring, p, basis, degrees, var_mats):
         self.ring = ring
         self.p = p
         self.basis = basis
@@ -107,7 +138,6 @@ class FiniteAlgebra:
         self.dim = len(basis)
         self.degrees = degrees
         self.var_mats = var_mats
-        self.elt_mats = elt_mats
 
     def vector_of(self, poly):
         """Coefficient vector of a normal-form polynomial."""
@@ -142,15 +172,7 @@ def realize(qr: QuotientRing) -> FiniteAlgebra:
             for ee, c in prod.terms.items():
                 m[index[ee], j] = c % p
         var_mats.append(m)
-    # regular representation of each basis monomial, by exponent chain
-    elt_mats = [None] * dim
-    for i, e in enumerate(basis):
-        m = np.eye(dim, dtype=np.int64)
-        for v, k in enumerate(e):
-            for _ in range(k):
-                m = (var_mats[v] @ m) % p
-        elt_mats[i] = m
-    return FiniteAlgebra(qr, p, basis, degrees, var_mats, elt_mats)
+    return FiniteAlgebra(qr, p, basis, degrees, var_mats)
 
 
 class FiniteModule:
@@ -259,11 +281,10 @@ class OracleResolution:
     """ranks[i] and algebra-valued differentials diff[i]: F_i -> F_{i-1}
     stored as g_{i-1} x g_i arrays of coefficient vectors."""
 
-    __slots__ = ("alg", "module", "ranks", "diffs")
+    __slots__ = ("alg", "ranks", "diffs")
 
-    def __init__(self, alg, module, ranks, diffs):
+    def __init__(self, alg, ranks, diffs):
         self.alg = alg
-        self.module = module
         self.ranks = ranks
         self.diffs = diffs
 
@@ -320,7 +341,7 @@ def oracle_minimal_resolution(M: FiniteModule, length: int) -> OracleResolution:
         diffs.append(d)
         cur_target = F
         cur_cols = new_gens
-    return OracleResolution(alg, M, ranks, diffs)
+    return OracleResolution(alg, ranks, diffs)
 
 
 def _hom_differential(res: OracleResolution, N: FiniteModule, i: int):

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import functools
 
-from .ring import GradedFree, GradedMatrix
 from .groebner import QuotientRing
-from .complexes import (FreeComplex, ChainMap, module_as_complex, cone,
-                        hom_complex, tensor_complex, hom_index, INF,
+from .complexes import (FreeComplex, cone, hom_complex, tensor_complex, INF,
                         resolve_complex_with_map, biduality_rep, gamma_rep,
-                        UncertifiedDegreeError)
+                        homothety_rep, UncertifiedDegreeError)
 from .modules import (ModulePresentation, minimal_presentation, syzygy,
                       hom_modules, tensor_modules, ext_module, ext_series,
                       first_ext, evaluation_map, homothety_map,
@@ -87,19 +85,8 @@ def semidualizing_certificate(c, bound: int) -> SdcCertificate:
         reason = "" if hok and eok else \
             ("homothety" if not hok else f"self-ext nonzero at {bad}")
         return SdcCertificate(bound, hok, eok, reason)
-    qr = c.ring
-    P, q = resolve_complex_with_map(c, bound)
-    H = hom_complex(P, c)
-    col = {}
-    for pos, (i, a, b) in enumerate(hom_index(P, c, 0)):
-        comp = q.component(i)
-        p = comp.entry(b, a)
-        if not p.is_zero():
-            col[(pos, 0)] = p
-    R1 = module_as_complex(qr, GradedFree.of([0]))
-    chi = ChainMap(R1, H, {0: GradedMatrix(
-        qr, GradedFree.of([0]), H.term(0), col)})
-    ok, t = _cone_clear(cone(chi))
+    q = resolve_complex_with_map(c, bound)[1]
+    ok, t = _cone_clear(cone(homothety_rep(q)))
     if ok:
         return SdcCertificate(bound, True, True, "")
     reason = "homothety" if t in (0, 1) else f"self-ext nonzero at {-t}"

@@ -7,7 +7,7 @@ cross-check it here.  Also the field-generic row reduction it rests on.
 import numpy as np
 
 from homcalc.field import PrimeField
-from homcalc.linalg import fp_rref, _dtype
+from homcalc.oracle import fp_rref
 
 
 # -- row reduction over any field -------------------------------------------
@@ -40,13 +40,12 @@ def generic_rref(rows, field):
 
 def rref(rows, field):
     """RREF over an arbitrary field object; returns (rows, pivot_columns).
-    Prime fields go through linalg.fp_rref."""
+    Prime fields go through oracle.fp_rref."""
     if isinstance(field, PrimeField):
-        p = field.p
         a = np.zeros((0, 0), dtype=np.int64)
         if rows:
-            a = np.array(rows, dtype=_dtype(p)).reshape(len(rows), -1)
-        a, piv = fp_rref(a % p, p)
+            a = np.array(rows).reshape(len(rows), -1)
+        a, piv = fp_rref(a, field.p)
         return a.tolist(), piv
     return generic_rref(rows, field)
 

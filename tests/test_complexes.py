@@ -9,7 +9,7 @@ from homcalc.complexes import (
     TrustWindow, FreeComplex, ChainMap, UncertifiedDegreeError,
     INF, NEG_INF, zero_complex, module_as_complex, from_resolution,
     shift_complex, direct_sum, cone,
-    hom_complex, tensor_complex, hom_index, tensor_index,
+    hom_complex, tensor_complex, hom_layout, tensor_layout,
     minimize_complex, resolve_complex_with_map, _cone_resolution,
     biduality_rep, gamma_rep,
 )
@@ -209,7 +209,7 @@ def test_hom_complete_resolution_full_window():
 def test_hom_first_factor_must_be_bottom_trusted():
     Pk = kres(DN, 3)
     bad = FreeComplex(DN, dict(Pk.terms), dict(Pk.diffs),
-                      TrustWindow([(1, 2)]), 0, 0, complete=False)
+                      TrustWindow([(1, 2)]), 0, 0)
     with pytest.raises(UncertifiedDegreeError):
         hom_complex(bad, Pk)
 
@@ -220,24 +220,28 @@ def test_hom_unproven_floor_collapses_window():
     # cells (or deeper cells at a higher bound) could reach
     Pk = kres(DN, 3)
     meek = FreeComplex(DN, dict(Pk.terms), dict(Pk.diffs),
-                       TrustWindow([(0, 2)]), NEG_INF, 0, complete=False)
+                       TrustWindow([(0, 2)]), NEG_INF, 0)
     H = hom_complex(meek, module_as_complex(DN, GradedFree.of([0])))
     assert not any(H.window.contains(t) for t in range(-3, 4))
     # certifying the floor restores the usual truncation window
     ok = FreeComplex(DN, dict(Pk.terms), dict(Pk.diffs),
-                     TrustWindow([(0, 2)]), 0, 0, complete=False)
+                     TrustWindow([(0, 2)]), 0, 0)
     H2 = hom_complex(ok, module_as_complex(DN, GradedFree.of([0])))
     assert _covers(H2.window, -2, 0)
 
 
 def test_index_layouts_match_ranks():
+    # block i of degree t pairs Pk_i with M_{i+t} (Hom) or M_{t-i} (tensor)
     Pk, M = kres(DN, 2), kres(DN, 3)
-    H = hom_complex(Pk, M)
-    for t, f in H.terms.items():
-        assert len(hom_index(Pk, M, t)) == f.rank
-    T = tensor_complex(Pk, M)
-    for t, f in T.terms.items():
-        assert len(tensor_index(Pk, M, t)) == f.rank
+    for X, layout, sign in ((hom_complex(Pk, M), hom_layout, 1),
+                            (tensor_complex(Pk, M), tensor_layout, -1)):
+        for t, f in X.terms.items():
+            offs, twists = layout(Pk, M, t)
+            sizes = [Pk.term(i).rank * M.term(t + sign * i).rank
+                     for i in sorted(offs)]
+            assert list(offs.values()) == [sum(sizes[:n])
+                                           for n in range(len(sizes))]
+            assert sum(sizes) == len(twists) == f.rank
 
 
 def test_hom_twists():

@@ -1,18 +1,25 @@
-"""minimize_complex, _cone_resolution and cone against their previous
-forms.
+"""minimize_complex, _cone_resolution, cone and the canonical chain maps
+against their previous forms.
 
 minimize_complex now contracts the units of one degree after another on
 the input's own indices and renumbers once at the end, and cone and
 _cone_resolution take their differentials from complexes._cone_diff.
-Neither step changes what is computed, so the code before them, copied
-verbatim below (only the function names are prefixed with old_), is the
-reference: old and new agree term for term, entry for entry, in window,
-truth bounds and completeness, and in every chain-map component.  The
-inputs are the benchmark's ring templates in random coordinates (their
-X, Y, Z, C, the truncated resolutions K_b of k and Hom(K_b, C), at
+biduality_rep, gamma_rep and the homothety R -> Hom(P, C) of the complex
+semidualizing certificate (now complexes.homothety_rep) place their
+entries by the position formulas of hom_layout and tensor_layout, where
+they used inverted hom_index and tensor_index lists.  None of these steps
+changes what is computed, so the code before them, copied verbatim below
+(only the function names are prefixed with old_, the homothety is wrapped
+in a function, and the complete= arguments FreeComplex no longer takes
+are dropped), is the reference: old and new agree term for term, entry
+for entry, in window and truth bounds, and in every chain-map component.
+The inputs are the benchmark's ring templates in random coordinates
+(their X, Y, Z, C, the truncated resolutions K_b of k and Hom(K_b, C), at
 b = 1-4), the resolutions that _cone_resolution builds from them, the
-cones of the identity on all of these, and every minimization that the
-resolution and minimal presentation of each corpus module make.
+cones of the identity on all of these, every minimization that the
+resolution and minimal presentation of each corpus module make, and the
+canonical maps over the templates and over a Hom pinned to a floor, where
+the resolution map q is not the identity.
 """
 
 import sys
@@ -28,13 +35,17 @@ from homcalc import complexes, modules
 from homcalc.cli import build_problem
 from homcalc.complexes import (
     NEG_INF, ChainMap, FreeComplex, TrustWindow, UncertifiedDegreeError,
-    _cone_resolution, biduality_rep, cone, hom_complex, minimize_complex,
+    _cone_resolution, biduality_rep, cone, gamma_rep, hom_complex,
+    from_resolution, homothety_rep, minimize_complex, module_as_complex,
+    resolve_complex_with_map, tensor_complex,
 )
 from homcalc.corpus import corpus_problems
-from homcalc.groebner import interreduce_columns, kernel_matrix, lift_matrix
+from homcalc.field import PrimeField
+from homcalc.groebner import (QuotientRing, interreduce_columns, kernel_matrix,
+                              lift_matrix)
 from homcalc.invariants import residue_field
 from homcalc.modules import minimal_presentation, resolution
-from homcalc.ring import ZERO_FREE, GradedFree, GradedMatrix
+from homcalc.ring import ZERO_FREE, GradedFree, GradedMatrix, PolyRing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -118,8 +129,7 @@ def old_minimize_complex(X: FreeComplex) -> FreeComplex:
     for i, m in mats.items():
         if i in frees and (i - 1) in frees and m:
             diffs[i] = GradedMatrix(qr, frees[i], frees[i - 1], m)
-    return FreeComplex(qr, frees, diffs, X.window, X.true_lo, X.true_hi,
-                       complete=X.complete)
+    return FreeComplex(qr, frees, diffs, X.window, X.true_lo, X.true_hi)
 
 
 def old_cone_resolution(X: FreeComplex, start: int, bound: int):
@@ -183,8 +193,7 @@ def old_cone_resolution(X: FreeComplex, start: int, bound: int):
             phi[j] = GradedMatrix(qr, cols.source, xj, phi_entries)
     win = X.window if closed else X.window.intersect(
         TrustWindow.interval(NEG_INF, bound - 1))
-    P = FreeComplex(qr, P_terms, P_diffs, win, X.true_lo, X.true_hi,
-                    complete=X.complete and closed)
+    P = FreeComplex(qr, P_terms, P_diffs, win, X.true_lo, X.true_hi)
     # phi commutes with the differentials: a kernel column (p, x) of the
     # cone satisfies dP(p) = 0-part and dX(x) = -phi(p) by construction
     return P, ChainMap(P, X, phi)
@@ -223,8 +232,171 @@ def old_cone(f: ChainMap) -> FreeComplex:
            .intersect(Y.window.intersect(Y.window.shift(1))))
     return FreeComplex(qr, terms, diffs, win,
                        min(Y.true_lo, X.true_lo + 1),
-                       max(Y.true_hi, X.true_hi + 1),
-                       complete=X.complete and Y.complete)
+                       max(Y.true_hi, X.true_hi + 1))
+
+
+def old_hom_index(P: FreeComplex, Y: FreeComplex, t: int):
+    """Flat index layout of Hom(P, Y)_t: list of (i, a, b) triples."""
+    pb, pt = P.term_range()
+    out = []
+    for i in range(pb, pt + 1):
+        rp, ry = P.term(i).rank, Y.term(i + t).rank
+        if rp and ry:
+            for b in range(ry):
+                for a in range(rp):
+                    out.append((i, a, b))
+    return out
+
+
+def old_tensor_index(F: FreeComplex, Y: FreeComplex, t: int):
+    """Flat index layout of (F (x) Y)_t: list of (i, a, b) triples."""
+    fb, ft = F.term_range()
+    out = []
+    for i in range(fb, ft + 1):
+        rf, ry = F.term(i).rank, Y.term(t - i).rank
+        if rf and ry:
+            for a in range(rf):
+                for b in range(ry):
+                    out.append((i, a, b))
+    return out
+
+
+def old_biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
+                      floor=None) -> ChainMap:
+    """Chain map P -> Hom(Q, C) representing x |-> (f |-> f(x)), where
+    Q -> Hom(P, C) is a free resolution computed up to `bound`.
+
+    With the sign (-1)^{|x||f|} the evaluation commutes with both Hom
+    differentials; composing with Hom(q, C) keeps it a chain map because
+    q has degree zero.  Quasi-isomorphism of the result (tested on the
+    cone) is the reflexivity criterion used downstream.
+
+    `floor` is a lower bound for the true homology of the inner Hom.
+    Passing a certified value makes the resulting windows unconditional;
+    leaving it None adopts the inner window floor, which stamps every
+    downstream claim with the current bound (see the module docstring).
+    """
+    qr = P.ring
+    Fld = qr.field
+    D = hom_complex(P, C)
+    if floor is None:
+        db = D.term_range()[0]
+        for lo, hi in D.window.parts:
+            if hi >= db:
+                floor = lo if lo != NEG_INF else None
+                break
+    if floor is not None:
+        # record the floor as a certified truth bound of D
+        D = FreeComplex(qr, dict(D.terms), dict(D.diffs), D.window,
+                        max(D.true_lo, floor), D.true_hi)
+    Q, q = resolve_complex_with_map(D, bound)
+    H = hom_complex(Q, C)
+    dflat = {}
+
+    def d_layout(j):
+        if j not in dflat:
+            dflat[j] = {trip: pos for pos, trip in enumerate(old_hom_index(P, C, j))}
+        return dflat[j]
+
+    comps = {}
+    lo, hi = P.term_range()
+    for v in range(lo, hi + 1):
+        rp = P.term(v).rank
+        hv = H.term(v)
+        if rp == 0 or hv.rank == 0:
+            continue
+        entries = {}
+        for pos, (j, c, b) in enumerate(old_hom_index(Q, C, v)):
+            qj = q.component(j)
+            lay = d_layout(j)
+            sgn = -1 if (v * j) % 2 else 1
+            for a in range(rp):
+                key = lay.get((v, a, b))
+                if key is None:
+                    continue
+                val = qj.entry(key, c)
+                if val.is_zero():
+                    continue
+                if sgn < 0:
+                    val = val.scale(Fld.normalize(-1))
+                entries[(pos, a)] = val
+        m = GradedMatrix(qr, P.term(v), hv, entries)
+        if not m.is_zero():
+            comps[v] = m
+    return ChainMap(P, H, comps)
+
+
+def old_gamma_rep(F: FreeComplex, Pc: FreeComplex) -> ChainMap:
+    """Chain map F -> Hom(Pc, Pc (x) F) representing x |-> (p |-> p (x) x),
+    with the Koszul sign (-1)^{|x||p|}.
+
+    Pc is a free resolution representative of the coefficient object; its
+    quasi-isomorphism cone test is the tensor-side membership criterion.
+    """
+    qr = F.ring
+    Fld = qr.field
+    T = tensor_complex(Pc, F)
+    H = hom_complex(Pc, T)
+    tflat = {}
+
+    def t_layout(u):
+        if u not in tflat:
+            tflat[u] = {trip: pos for pos, trip in enumerate(old_tensor_index(Pc, F, u))}
+        return tflat[u]
+
+    hflat = {}
+
+    def h_layout(v):
+        if v not in hflat:
+            hflat[v] = {trip: pos for pos, trip in enumerate(old_hom_index(Pc, T, v))}
+        return hflat[v]
+
+    comps = {}
+    lo, hi = F.term_range()
+    cb, ct = Pc.term_range()
+    for v in range(lo, hi + 1):
+        rf = F.term(v).rank
+        hv = H.term(v)
+        if rf == 0 or hv.rank == 0:
+            continue
+        entries = {}
+        hl = h_layout(v)
+        for j in range(cb, ct + 1):
+            rc = Pc.term(j).rank
+            if rc == 0:
+                continue
+            tl = t_layout(j + v)
+            sgn = -1 if (v * j) % 2 else 1
+            val = qr.one() if sgn > 0 else qr.one().scale(Fld.normalize(-1))
+            for c in range(rc):
+                for a in range(rf):
+                    tpos = tl.get((j, c, a))
+                    if tpos is None:
+                        continue
+                    pos = hl.get((j, c, tpos))
+                    if pos is None:
+                        continue
+                    entries[(pos, a)] = val
+        m = GradedMatrix(qr, F.term(v), hv, entries)
+        if not m.is_zero():
+            comps[v] = m
+    return ChainMap(F, H, comps)
+
+
+def old_homothety_chi(c, bound):
+    qr = c.ring
+    P, q = resolve_complex_with_map(c, bound)
+    H = hom_complex(P, c)
+    col = {}
+    for pos, (i, a, b) in enumerate(old_hom_index(P, c, 0)):
+        comp = q.component(i)
+        p = comp.entry(b, a)
+        if not p.is_zero():
+            col[(pos, 0)] = p
+    R1 = module_as_complex(qr, GradedFree.of([0]))
+    chi = ChainMap(R1, H, {0: GradedMatrix(
+        qr, GradedFree.of([0]), H.term(0), col)})
+    return chi
 
 
 # -- comparisons ------------------------------------------------------------
@@ -321,3 +493,76 @@ def test_corpus_modules_match_the_old_code(doc):
         for m in p.modules.values():
             minimal_presentation(m)
             resolution(m, bound)
+
+
+# -- the canonical chain maps -----------------------------------------------
+
+
+def assert_same_map(new, old):
+    assert_same_complex(new.source, old.source)
+    assert_same_complex(new.target, old.target)
+    assert new.components == old.components
+
+
+def check_same_map(new_fn, old_fn, *args, **kwargs):
+    """new_fn and old_fn build the same chain map, or both refuse."""
+    try:
+        old = old_fn(*args, **kwargs)
+    except UncertifiedDegreeError:
+        with pytest.raises(UncertifiedDegreeError):
+            new_fn(*args, **kwargs)
+        return None
+    new = new_fn(*args, **kwargs)
+    assert_same_map(new, old)
+    return new
+
+
+def new_homothety_chi(c, bound):
+    return homothety_rep(resolve_complex_with_map(c, bound)[1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(workloads.TEMPLATES), st.integers(-3, 3),
+       st.integers(-3, 3), st.sampled_from(["X", "Y", "Z", "C", "K"]),
+       st.integers(1, 4))
+def test_canonical_maps_match_the_old_code(template, a, c, name, b):
+    assume(a * c != 1)
+    u, v = {(1, 0): 1, (0, 1): a}, {(1, 0): c, (0, 1): 1}
+    p = build_problem(workloads.template_doc(template, u, v))
+    C = p.complexes["C"]
+    X = dict(p.complexes, K=resolution(residue_field(p.qr), b))[name]
+    check_same_map(biduality_rep, old_biduality_rep, X, C, b)
+    check_same_map(gamma_rep, old_gamma_rep, X, C)
+    # C's terms have rank one; X as the coefficient has larger ranks
+    check_same_map(gamma_rep, old_gamma_rep, C, X)
+    check_same_map(new_homothety_chi, old_homothety_chi, X, b)
+
+
+def _truncated_k(B):
+    """d_1, ..., d_B of the resolution of k over F_7[x,y]/(x^2, xy, y^2),
+    which does not end: the complex is cut at B."""
+    S = QuotientRing(PolyRing(PrimeField(7), ["x", "y"]), ["x^2", "x*y", "y^2"])
+    mats = [GradedMatrix(S, GradedFree.of([1, 1]), GradedFree.of([0]),
+                         {(0, 0): S.variable(0), (0, 1): S.variable(1)})]
+    for _ in range(B - 1):
+        mats.append(kernel_matrix(mats[-1]))
+    return from_resolution(S, mats, False)
+
+
+@pytest.mark.parametrize("B", [2, 3, 4])
+def test_canonical_maps_match_the_old_code_off_the_identity(B):
+    # floor -1 makes Hom(P, R) start its resolution above its bottom term
+    # at -B, so q comes from the cone loop and is not the identity
+    P = _truncated_k(B)
+    R = module_as_complex(P.ring, GradedFree.of([0]))
+    cone_route = mock.patch.object(complexes, "_cone_resolution",
+                                   wraps=complexes._cone_resolution)
+    with cone_route as loop:
+        check_same_map(biduality_rep, old_biduality_rep, P, R, B + 1,
+                       floor=-1)
+    assert loop.call_count == 2
+    D = hom_complex(P, R)
+    D = FreeComplex(D.ring, D.terms, D.diffs, D.window, -1, D.true_hi)
+    with cone_route as loop:
+        new = check_same_map(new_homothety_chi, old_homothety_chi, D, B + 1)
+    assert loop.call_count == 2 and new.components

@@ -4,8 +4,9 @@ kernel_matrix keeps only the Schreyer syzygies with a minimal lead,
 inter-reduces in one pass, queues no pair of two padding vectors, skips
 the zero I - UV columns and leaves the reduction mod I to
 interreduce_columns.  Each step is exact, so the code before those steps,
-copied verbatim below (only the function names are prefixed with old_),
-is the reference: on seeded random matrices over F_32003 and Q, over a
+copied verbatim below (only the function names are prefixed with old_,
+and its calls to GBResult and vec_from_column drop the arguments those
+no longer take), is the reference: on seeded random matrices over F_32003 and Q, over a
 polynomial ring and a quotient ring, the reduced bases are equal and the
 two kernels generate the same module.
 """
@@ -163,7 +164,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
             out_e.append({i: p.scale(inv) for i, p in e.items()})
         else:
             out_e.append({})
-    return GBResult(ring, F, inputs, out, out_e)
+    return GBResult(ring, out, out_e)
 
 
 def old_schreyer_syzygies(gb: GBResult):
@@ -173,7 +174,7 @@ def old_schreyer_syzygies(gb: GBResult):
     Schreyer construction these generate the full syzygy module of the
     basis.
     """
-    ring, F = gb.ring, gb.field
+    ring, F = gb.ring, gb.ring.field
     elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
     out = []
     for i, ((ci, ei), lci) in enumerate(leads):
@@ -268,7 +269,7 @@ def old_kernel_matrix(m: GradedMatrix) -> GradedMatrix:
     if isinstance(qr, PolyRing):
         qr = QuotientRing(qr, [])
     P = qr.ambient
-    cols = [vec_from_column(c, P) for c in m.columns()]
+    cols = [vec_from_column(c) for c in m.columns()]
     pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
     syz = old_syzygy_generators(cols + pads, P, order)
@@ -331,7 +332,7 @@ def draw_matrix(data, field, quotient):
 def gb_inputs(R, m):
     """The columns of m plus the ideal padding, as reduced_gb sees them."""
     P = R.ambient
-    cols = [vec_from_column(c, P) for c in m.columns()]
+    cols = [vec_from_column(c) for c in m.columns()]
     pads = _padding_vectors(R, m.target.rank)
     return P, cols + pads, len(pads)
 

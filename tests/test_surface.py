@@ -1,6 +1,7 @@
 """No dead surface: every function, class and method that src/ defines is
-used somewhere in src/ or perfbench/ outside its own definition, and
-every defaulted parameter is set by some call there.
+used somewhere in src/ or perfbench/ outside its own definition, every
+defaulted parameter is set by some call there, and every attribute a
+method of src/ sets on self is read there.
 
 A use is a read of a name (``ast.Name``), of an attribute
 (``ast.Attribute``), or a string constant that is an identifier, since
@@ -12,6 +13,12 @@ class.  Dunders are exempt, as are the independent routes kept to
 cross-check the engine (the oracle's public names and parameters), the
 entry point, and the parameters in
 KEPT_PARAMS.  Code that only tests call belongs next to those tests.
+
+An attribute is read by an attribute load of its name or by an
+identifier string, as a ``FIELDS`` entry that the serializer reads with
+``getattr``; the entries of a ``__slots__`` tuple declare, so they do not
+count.  Attributes that callers outside src/ read, as entries of KEPT,
+are named ``Class.attribute``.
 
 Blind spot: both checks match by name, not by object.  A method counts
 as used when any read of its name occurs, so one whose name another
@@ -40,7 +47,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "homcalc"
 
-KEPT = {("cli", "main")}
+KEPT = {
+    ("cli", "main"),
+    # the located parse error's column, read by callers (tests/test_core.py)
+    ("ring", "PolyParseError.column"),
+}
 
 KEPT_PARAMS = {
     # a certified floor makes the biduality windows unconditional;
@@ -105,9 +116,54 @@ def test_every_definition_is_used():
 def test_kept_names_exist():
     defined = set()
     for f in SRC.glob("*.py"):
-        defined |= {(f.stem, n.name)
-                    for n in _definitions(ast.parse(f.read_text()))}
+        tree = ast.parse(f.read_text())
+        defined |= {(f.stem, n.name) for n in _definitions(tree)}
+        defined |= {(f.stem, a) for a in _self_attributes(tree)}
     assert KEPT <= defined
+
+
+# ---------------------------------------------------------------------------
+# attributes set on self
+
+
+def _reads(tree):
+    """Attribute loads and identifier strings, but for __slots__ entries."""
+    slots = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and all(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in node.targets)
+             for n in ast.walk(node.value)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier() and id(node) not in slots:
+            out[node.value] += 1
+    return out
+
+
+def _self_attributes(tree):
+    """Class.attribute for every self.attribute a method of a class sets."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    yield f"{cls.name}.{node.attr}"
+
+
+def unread_attributes():
+    trees = _trees()
+    reads = sum(map(_reads, trees.values()), Counter())
+    return sorted({(f.stem, a) for f, tree in trees.items() if f.parent == SRC
+                   for a in _self_attributes(tree)
+                   if not reads[a.split(".")[1]]})
+
+
+def test_every_attribute_set_is_read():
+    assert [a for a in unread_attributes() if a not in KEPT] == []
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +292,17 @@ def _imported_modules(tree):
 
 def test_only_the_oracle_uses_the_oracle_and_its_linear_algebra():
     """The oracle is an independent route only while the engine borrows
-    nothing from it: no module but oracle imports oracle or linalg, the
-    dense numpy elimination the oracle sits on."""
+    nothing from it: no module imports oracle, which holds the dense numpy
+    elimination it sits on."""
     users = {(f.stem, mod) for f in SRC.glob("*.py")
              for mod in _imported_modules(ast.parse(f.read_text()))
-             if mod in ("oracle", "linalg")}
-    assert users == {("oracle", "linalg")}
+             if mod == "oracle"}
+    assert users == set()
 
 
 def test_cli_import_loads_neither_oracle_nor_numpy():
     code = ("import sys, homcalc.cli; print(sorted(m for m in sys.modules "
-            "if m in ('numpy', 'homcalc.oracle', 'homcalc.linalg')))")
+            "if m in ('numpy', 'homcalc.oracle')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
