@@ -9,9 +9,11 @@ form, Rees's lemma, Bruns & Herzog Lemma 3.1.16; the Betti numbers of the
 graded Matlis dual for finite length, ibid. Sec. 3.6; the Hilbert series
 of Ext against k otherwise).  Genuine complexes go through resolution
 representatives and windowed Hom/tensor complexes, with trust tracked
-degree by degree; their depth and type come from Koszul homology.  Every
-Ext or homology dimension count (ext_dims, tor_dims, bass_table's complex
-route) sums its Hilbert series, read with no kernel and no presentation.
+degree by degree; their depth and type come from Koszul homology.  Their
+Bass numbers take one of two routes: Foxby's formula from the ranks of a
+complete complex and mu(R), or else the homology of Hom(resolution of k,
+X).  Every Ext or homology dimension count (ext_dims, tor_dims, that
+walk) sums its Hilbert series, read with no kernel and no presentation.
 """
 
 from __future__ import annotations
@@ -280,8 +282,15 @@ def bass_table(x, bound: int) -> InvariantTable:
     Bruns & Herzog, Lemma 3.1.16, tested by Hilbert series), then reads
     beta_i of the graded Matlis dual if the module has finite length
     (ibid., Sec. 3.6), and the Hilbert series of Ext^i(k, M) otherwise.
-    For complexes it is summed off the Hilbert series of the homology of
-    Hom(resolution of k, x)."""
+
+    A complex x is certified where H = Hom(K, x), K the resolution of k
+    to the bound, is trusted down from its ceiling; if x is not complete,
+    H's homology is summed there.  A complete x is a bounded complex of
+    finite free modules: with P = minimize_complex(x) and mu(R) from _mu,
+    mu^n(x) = sum_j rank P_j mu^{n+j}(R) (Foxby, Math. Scand. 40, 1977;
+    Avramov & Foxby, JPAA 71, 1991), since x = RHom(x*, R) for x* =
+    Hom(x, R), so RHom(k, x) = RHom(k (x) x*, R), and k (x) P* has zero
+    differential and rank P_{-i} in degree i."""
     if is_module(x):
         vals = {i: _mu(x, i) for i in range(0, bound + 1)}
         return InvariantTable("bass", vals, (None, bound))
@@ -295,7 +304,12 @@ def bass_table(x, bound: int) -> InvariantTable:
     down = H.window.run(t_star, min(t_star, H.term_range()[0]) - 1, -1)
     if not down:
         raise WindowInsufficientError("top of the true Hom range untrusted")
-    vals = {-t: homology_series(H, t).k_dimension() for t in reversed(down)}
+    if x.complete:
+        P, R = minimize_complex(x), ModulePresentation.free(x.ring, [0])
+        vals = {-t: sum(f.rank * _mu(R, j - t) for j, f in P.terms.items()
+                        if j >= t) for t in reversed(down)}
+    else:
+        vals = {-t: homology_series(H, t).k_dimension() for t in reversed(down)}
     return InvariantTable("bass", vals, (None, -down[-1]))
 
 
