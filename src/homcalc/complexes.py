@@ -35,9 +35,11 @@ the bound re-justifies them on a larger range, never changes a trusted
 reading (the stability contract).
 
 Block layout.  Hom(P, Y)_t and (F (x) Y)_t are sums of blocks, one per
-term of the first factor; hom_layout and tensor_layout state the
-generator order once, and hom_complex, tensor_complex and the canonical
-chain maps (biduality_rep, gamma_rep, homothety_rep) place entries by it.
+term of the first factor, ordered by hom_layout and tensor_layout and,
+inside a block, by ring.kron, the one place the position formula lives:
+every differential here is Kronecker products placed by block_matrix, and
+the canonical chain maps (biduality_rep, gamma_rep, homothety_rep) place
+single entries by the layout.
 
 Sign conventions: d lowers homological degree; (shift X)_v = X_{v-1}
 with differential -d; cone(f)_j = X_{j-1} (+) Y_j with d(a, b) =
@@ -47,7 +49,7 @@ d_Y f_i - (-1)^t f_{i-1} d_X; d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
 
 from __future__ import annotations
 
-from .ring import GradedFree, GradedMatrix, ZERO_FREE
+from .ring import GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE, block_matrix
 from .groebner import QuotientRing, kernel_matrix, lift_matrix, interreduce_columns
 
 INF = float("inf")
@@ -290,21 +292,12 @@ def shift_complex(X: FreeComplex, n: int) -> FreeComplex:
 def direct_sum(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if X.ring != Y.ring:
         raise ValueError("direct sum over different rings")
-    terms, diffs = {}, {}
-    degs = set(X.terms) | set(Y.terms)
-    for i in degs:
-        fx, fy = X.term(i), Y.term(i)
-        terms[i] = GradedFree.of(fx.twists + fy.twists)
-    for i in degs:
-        dx, dy = X.diff(i), Y.diff(i)
-        entries = dict(dx.entries)
-        rx, cx_ = X.term(i - 1).rank, X.term(i).rank
-        for (a, b), p in dy.entries.items():
-            entries[(rx + a, cx_ + b)] = p
-        tgt = terms.get(i - 1, GradedFree.of(X.term(i - 1).twists + Y.term(i - 1).twists))
-        m = GradedMatrix(X.ring, terms[i], tgt, entries)
-        if not m.is_zero():
-            diffs[i] = m
+    terms = {i: GradedFree.of(X.term(i).twists + Y.term(i).twists)
+             for i in set(X.terms) | set(Y.terms)}
+    diffs = {i: block_matrix(X.ring, f, terms.get(i - 1, ZERO_FREE), [
+        (0, 0, ONE_FREE, X.diff(i)),
+        (X.term(i - 1).rank, X.term(i).rank, ONE_FREE, Y.diff(i))])
+        for i, f in terms.items()}
     return FreeComplex(X.ring, terms, diffs, X.window.intersect(Y.window),
                        min(X.true_lo, Y.true_lo), max(X.true_hi, Y.true_hi))
 
@@ -332,17 +325,14 @@ def _cone_diff(f: ChainMap, j: int) -> GradedMatrix:
     X_{j-2} (+) Y_{j-1}: the block matrix [[-d_X, 0], [f, d_Y]], so
     d(a, b) = (-da, db + fa) and d^2 = 0 because f commutes with d."""
     X, Y = f.source, f.target
-    qr = X.ring
-    neg = qr.field.normalize(-1)
+    neg = X.ring.field.normalize(-1)
     rx, cx = X.term(j - 2).rank, X.term(j - 1).rank
-    entries = {k: p.scale(neg) for k, p in X.diff(j - 1).entries.items()}
-    for (a, b), p in f.component(j - 1).entries.items():
-        entries[(rx + a, b)] = p
-    for (a, b), p in Y.diff(j).entries.items():
-        entries[(rx + a, cx + b)] = p
-    return GradedMatrix(
-        qr, GradedFree.of(X.term(j - 1).twists + Y.term(j).twists),
-        GradedFree.of(X.term(j - 2).twists + Y.term(j - 1).twists), entries)
+    return block_matrix(
+        X.ring, GradedFree.of(X.term(j - 1).twists + Y.term(j).twists),
+        GradedFree.of(X.term(j - 2).twists + Y.term(j - 1).twists),
+        [(0, 0, ONE_FREE, X.diff(j - 1).map_entries(lambda p: p.scale(neg))),
+         (rx, 0, ONE_FREE, f.component(j - 1)),
+         (rx, cx, ONE_FREE, Y.diff(j))])
 
 
 def cone(f: ChainMap) -> FreeComplex:
@@ -391,54 +381,23 @@ def _hsupp(Y: FreeComplex) -> TrustWindow:
     return Y.window.intersect(truth).union(Y.window.complement().intersect(poss))
 
 
-def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
-    """Hom(P, Y) as a complex; P plays the projective-resolution role.
-
-    Term t is the direct sum over i of Hom(P_i, Y_{i+t}), laid out by
-    hom_layout.
-    """
+def hom_frame(P: FreeComplex, Y: FreeComplex):
+    """Hom(P, Y) with no differential, and its layout: (H, offsets), H
+    holding hom_complex(P, Y)'s terms, window and truth bounds, and
+    offsets[t] the block offsets of H_t (hom_layout)."""
     qr = P.ring
     if qr != Y.ring:
         raise ValueError("hom over different rings")
-    Fld = qr.field
     pb, pt, pwhi, pfloor = _resolution_shape(P)
     yb, yt = Y.term_range()
     if P.is_zero_complex() or Y.is_zero_complex():
-        return zero_complex(qr)
+        return zero_complex(qr), {}
 
-    terms, offsets, diffs = {}, {}, {}
-    tmin, tmax = yb - pt, yt - pb
-    for t in range(tmin, tmax + 1):
+    terms, offsets = {}, {}
+    for t in range(yb - pt, yt - pb + 1):
         offs, twists = hom_layout(P, Y, t)
         if twists:
             terms[t], offsets[t] = GradedFree.of(twists), offs
-    for t in range(tmin, tmax + 1):
-        if t not in terms or (t - 1) not in terms:
-            continue
-        src_off = offsets[t]
-        tgt_off = offsets[t - 1]
-        entries = {}
-        sgn = Fld.normalize(-1 if t % 2 == 0 else 1)  # -(-1)^t
-        for i, base in src_off.items():
-            rp = P.term(i).rank
-            ry = Y.term(i + t).rank
-            # postcompose with dY: block i of degree t-1, pair (a, c)
-            if i in tgt_off:
-                for (c, b), p in Y.diff(i + t).entries.items():
-                    for a in range(rp):
-                        entries[(tgt_off[i] + c * rp + a, base + b * rp + a)] = p
-            # precompose with dP: block i+1 of degree t-1, pair (a2, b)
-            if (i + 1) in tgt_off and (i + 1) <= pt:
-                rp2 = P.term(i + 1).rank
-                for (a, a2), p in P.diff(i + 1).entries.items():
-                    for b in range(ry):
-                        key = (tgt_off[i + 1] + b * rp2 + a2, base + b * rp + a)
-                        cur = entries.get(key)
-                        q = p.scale(sgn)
-                        entries[key] = q if cur is None else cur.__add__(q)
-        m = GradedMatrix(qr, terms[t], terms[t - 1], entries)
-        if not m.is_zero():
-            diffs[t] = m
 
     # untrusted bands from the hypercohomology pairing (module docstring):
     # garbage homology of Y against cells of P, garbage cells of P against
@@ -460,57 +419,74 @@ def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
             win = win.minus_band(hlo - pt, INF)
     true_hi = Y.true_hi - P.true_lo
     true_lo = (Y.true_lo - pt) if P.complete else NEG_INF
-    return FreeComplex(qr, terms, diffs, win, true_lo, true_hi)
+    return FreeComplex(qr, terms, {}, win, true_lo, true_hi), offsets
+
+
+def hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
+    """Hom(P, Y) as a complex; P plays the projective-resolution role.
+
+    Term t is the direct sum over i of Hom(P_i, Y_{i+t}), laid out by
+    hom_layout: hom_frame plus the differential, whose block from i is
+    kron(d_Y, P_i^*) and kron(Y_{i+t}, -(-1)^t d_P^T).
+    """
+    H, offsets = hom_frame(P, Y)
+    neg = P.ring.field.normalize(-1)
+    signed = {}    # (t % 2, j): -(-1)^t d_{P,j}^T, made when first used
+    for t, src_off in offsets.items():
+        tgt_off, blocks = offsets.get(t - 1), []
+        if tgt_off is None:
+            continue
+        for i, base in src_off.items():
+            if i in tgt_off and i + t in Y.diffs:
+                blocks.append((tgt_off[i], base, Y.diffs[i + t],
+                               P.terms[i].dual()))
+            if i + 1 in tgt_off and i + 1 in P.diffs:
+                if (t % 2, i + 1) not in signed:
+                    dT = P.diffs[i + 1].transpose()
+                    signed[t % 2, i + 1] = dT if t % 2 else dT.map_entries(
+                        lambda p: p.scale(neg))
+                blocks.append((tgt_off[i + 1], base, Y.term(i + t),
+                               signed[t % 2, i + 1]))
+        m = block_matrix(P.ring, H.terms[t], H.terms[t - 1], blocks)
+        if not m.is_zero():
+            H.diffs[t] = m
+    return H
 
 
 def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     """F (x) Y as a complex; F plays the flat-resolution role.
 
     Term t is the sum over i+j=t of F_i (x) Y_j, laid out by
-    tensor_layout.
+    tensor_layout; the differential's block from i is kron(d_F, Y_{t-i})
+    and kron(F_i, (-1)^i d_Y).
     """
     qr = F.ring
     if qr != Y.ring:
         raise ValueError("tensor over different rings")
-    Fld = qr.field
     fb, ft, fwhi, ffloor = _resolution_shape(F)
     yb, yt = Y.term_range()
     if F.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
 
     terms, offsets, diffs = {}, {}, {}
-    tmin, tmax = fb + yb, ft + yt
-    for t in range(tmin, tmax + 1):
+    for t in range(fb + yb, ft + yt + 1):
         offs, twists = tensor_layout(F, Y, t)
         if twists:
             terms[t], offsets[t] = GradedFree.of(twists), offs
-    for t in range(tmin, tmax + 1):
-        if t not in terms or (t - 1) not in terms:
+    neg = qr.field.normalize(-1)
+    signed = (Y.diffs, {j: m.map_entries(lambda p: p.scale(neg))
+                        for j, m in Y.diffs.items()})   # (-1)^i d_Y
+    for t, src_off in offsets.items():
+        tgt_off, blocks = offsets.get(t - 1), []
+        if tgt_off is None:
             continue
-        src_off = offsets[t]
-        tgt_off = offsets[t - 1]
-        entries = {}
         for i, base in src_off.items():
-            rf = F.term(i).rank
-            ry = Y.term(t - i).rank
-            # dF (x) id: block i-1
-            if (i - 1) in tgt_off:
-                for (c, a), p in F.diff(i).entries.items():
-                    for b in range(ry):
-                        entries[(tgt_off[i - 1] + c * ry + b, base + a * ry + b)] = p
-            # (-1)^i id (x) dY: block i of degree t-1
-            if i in tgt_off:
-                sgn = Fld.normalize(-1 if i % 2 else 1)
-                ry3 = Y.term(t - 1 - i).rank
-                for (d, b), p in Y.diff(t - i).entries.items():
-                    for a in range(rf):
-                        key = (tgt_off[i] + a * ry3 + d, base + a * ry + b)
-                        cur = entries.get(key)
-                        q = p.scale(sgn)
-                        entries[key] = q if cur is None else cur.__add__(q)
-        m = GradedMatrix(qr, terms[t], terms[t - 1], entries)
-        if not m.is_zero():
-            diffs[t] = m
+            if i - 1 in tgt_off and i in F.diffs:
+                blocks.append((tgt_off[i - 1], base, F.diffs[i], Y.term(t - i)))
+            if i in tgt_off and t - i in Y.diffs:
+                blocks.append((tgt_off[i], base, F.term(i),
+                               signed[i % 2][t - i]))
+        diffs[t] = block_matrix(qr, terms[t], terms[t - 1], blocks)
 
     plo, phi = Y.possible_range()
     win = TrustWindow.all()
@@ -536,7 +512,7 @@ def hom_layout(P: FreeComplex, Y: FreeComplex, t: int):
     Block i is Hom(P_i, Y_{i+t}), for i ascending over the nonzero
     blocks.  The generator sending basis element a of P_i to basis element
     b of Y_{i+t} sits at off + b * rank P_i + a, with internal degree
-    twist(Y_{i+t})_b - twist(P_i)_a.
+    twist(Y_{i+t})_b - twist(P_i)_a: the order of kron(Y_{i+t}, P_i^*).
     """
     offs, twists = {}, []
     for i, f in sorted(P.terms.items()):
@@ -552,7 +528,7 @@ def tensor_layout(F: FreeComplex, Y: FreeComplex, t: int):
     Block i is F_i (x) Y_{t-i}, for i ascending over the nonzero blocks.
     The generator e_a (x) e_b, a a basis element of F_i and b one of
     Y_{t-i}, sits at off + a * rank Y_{t-i} + b, with internal degree
-    twist(F_i)_a + twist(Y_{t-i})_b.
+    twist(F_i)_a + twist(Y_{t-i})_b: the order of kron(F_i, Y_{t-i}).
     """
     offs, twists = {}, []
     for i, f in sorted(F.terms.items()):

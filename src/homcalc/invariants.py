@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from .ring import PolyRing, Polynomial, GradedFree, GradedMatrix
 from .groebner import QuotientRing
-from .complexes import (FreeComplex, hom_complex, tensor_complex, cone,
-                        minimize_complex, multiplication_map,
+from .complexes import (FreeComplex, hom_complex, hom_frame, tensor_complex,
+                        cone, minimize_complex, multiplication_map,
                         module_as_complex, UncertifiedDegreeError, NEG_INF)
 from .modules import (ModulePresentation, minimal_presentation, resolution,
                       ext_module, ext_series, first_ext,
@@ -295,7 +295,7 @@ def bass_table(x, bound: int) -> InvariantTable:
         vals = {i: _mu(x, i) for i in range(0, bound + 1)}
         return InvariantTable("bass", vals, (None, bound))
     K = resolution(residue_field(x.ring), bound)
-    H = hom_complex(K, x)
+    H = hom_frame(K, x)[0] if x.complete else hom_complex(K, x)
     if H.is_zero_complex():
         return InvariantTable("bass", {}, (None, bound - 1))
     # the resolution of k starts at 0, so H's ceiling is x's; walk down

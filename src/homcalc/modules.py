@@ -11,7 +11,9 @@ Betti numbers read off as ranks.
 
 Hom and Ext presentations are read by one routine, _hom_cohomology:
 Hom(M, N) is the cohomology of Hom(F1 -> F0 -> 0, N) at F0, and
-Ext^i(M, N) that of Hom(F, N) at F_i along the resolution F.  Sizes and
+Ext^i(M, N) that of Hom(F, N) at F_i along the resolution F.  Their
+matrices, like those presenting M (x) N, are Kronecker products built by
+ring.kron, the one place the position formula lives.  Sizes and
 vanishing come from Hilbert series instead, with no kernel: middle_series
 reads the homology of A -> B -> C as HS(coker(A -> B)) + HS(coker(B ->
 C)) - HS(C), which ext_series applies along F and homology_series along a
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import inspect
 
-from .ring import GradedFree, GradedMatrix, ZERO_FREE, hstack
+from .ring import GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE, hstack, kron
 from .groebner import (QuotientRing, kernel_matrix,
                        lift_matrix, interreduce_columns, reduced_gb,
                        TermOverPosition, vec_from_column, _padding_vectors,
@@ -533,43 +535,6 @@ def extreme_homology(X: FreeComplex, step: int):
 # Hom, tensor, Ext
 
 
-def _hom_free(fr: GradedFree, n: ModulePresentation) -> GradedFree:
-    # layout: generator (a, b) = (basis a of fr) |-> (generator b of n),
-    # flattened as a * n.gens.rank + b
-    tw = []
-    for a in range(fr.rank):
-        for b in range(n.gens.rank):
-            tw.append(n.gens.twists[b] - fr.twists[a])
-    return GradedFree.of(tw)
-
-
-def _hom_rel_block(fr: GradedFree, n: ModulePresentation) -> GradedMatrix:
-    """Relations of N^rank(fr) in the hom layout: one copy of the relation
-    matrix of N per basis element of fr."""
-    qr = n.ring
-    g0, r1 = n.gens.rank, n.relations.source.rank
-    src_tw = []
-    entries = {}
-    for a in range(fr.rank):
-        for c in range(r1):
-            src_tw.append(n.relations.source.twists[c] - fr.twists[a])
-        for (b, c), p in n.relations.entries.items():
-            entries[(a * g0 + b, a * r1 + c)] = p
-    return GradedMatrix(qr, GradedFree.of(src_tw), _hom_free(fr, n), entries)
-
-
-def _hom_induced(d: GradedMatrix, n: ModulePresentation) -> GradedMatrix:
-    """Hom(d, N): Hom(target(d), N) -> Hom(source(d), N), precomposition."""
-    qr = d.ring
-    g0 = n.gens.rank
-    entries = {}
-    for (a0, a1), p in d.entries.items():
-        for b in range(g0):
-            entries[(a1 * g0 + b, a0 * g0 + b)] = p
-    return GradedMatrix(qr, _hom_free(d.target, n), _hom_free(d.source, n),
-                        entries)
-
-
 class HomPresentation(ModulePresentation):
     """Presentation of Hom(M, N) carrying its universal pairing.
 
@@ -589,7 +554,8 @@ class HomPresentation(ModulePresentation):
         """Write columns of beta (elements of N^r in the hom layout) in
         generator coordinates of this presentation."""
         qr = self.ring
-        relblk = _hom_rel_block(self.source_module.gens, self.target_module)
+        relblk = kron(self.source_module.gens.dual(),
+                      self.target_module.relations)
         mats = [self.pairing] + ([relblk] if relblk.source.rank else [])
         sol = lift_matrix(hstack(qr, mats), beta)
         if sol is None:
@@ -604,10 +570,10 @@ def _hom_cohomology(d_in: GradedMatrix, d_out: GradedMatrix,
     generates the kernel of Hom(d_out, N) inside Hom(F, N), and rels
     presents it modulo the image of Hom(d_in, N).  Hom and Ext both read
     their answer here."""
-    A = _hom_induced(d_out, n)
-    kappa = _sub_rels(A, [_hom_rel_block(d_out.source, n)])
-    rels = _sub_rels(kappa, [_hom_rel_block(d_out.target, n),
-                             _hom_induced(d_in, n)])
+    kappa = _sub_rels(kron(d_out.transpose(), n.gens),
+                      [kron(d_out.source.dual(), n.relations)])
+    rels = _sub_rels(kappa, [kron(d_out.target.dual(), n.relations),
+                             kron(d_in.transpose(), n.gens)])
     return kappa, rels
 
 
@@ -626,31 +592,11 @@ def hom_modules(m: ModulePresentation, n: ModulePresentation) -> HomPresentation
 def tensor_modules(m: ModulePresentation,
                    n: ModulePresentation) -> ModulePresentation:
     """M (x) N presented by relations of both factors spread over the
-    generators of the other; generator (a, b) flattens as a * rank + b."""
+    generators of the other."""
     if m.ring != n.ring:
         raise ValueError("tensor over different rings")
-    qr = m.ring
-    g0m, g0n = m.gens.rank, n.gens.rank
-    tw = [m.gens.twists[a] + n.gens.twists[b]
-          for a in range(g0m) for b in range(g0n)]
-    tgt = GradedFree.of(tw)
-    src_tw = []
-    entries = {}
-    for r in range(m.relations.source.rank):
-        for b in range(g0n):
-            src_tw.append(m.relations.source.twists[r] + n.gens.twists[b])
-    for (a, r), p in m.relations.entries.items():
-        for b in range(g0n):
-            entries[(a * g0n + b, r * g0n + b)] = p
-    col = m.relations.source.rank * g0n
-    for a in range(g0m):
-        for c in range(n.relations.source.rank):
-            src_tw.append(m.gens.twists[a] + n.relations.source.twists[c])
-    for (b, c), p in n.relations.entries.items():
-        for a in range(g0m):
-            entries[(a * g0n + b, col + a * n.relations.source.rank + c)] = p
-    rel = GradedMatrix(qr, GradedFree.of(src_tw), tgt, entries)
-    return ModulePresentation(qr, rel)
+    return ModulePresentation(m.ring, hstack(m.ring, [
+        kron(m.relations, n.gens), kron(m.gens, n.relations)]))
 
 
 def _ext_resolution(m: ModulePresentation, n: ModulePresentation,
@@ -679,8 +625,8 @@ def ext_module(m: ModulePresentation, n: ModulePresentation,
 def _hom_coker(d: GradedMatrix, n: ModulePresentation) -> ModulePresentation:
     """Hom(source(d), N) modulo the image of Hom(d, N)."""
     qr = n.ring
-    return ModulePresentation(qr, hstack(qr, [_hom_rel_block(d.source, n),
-                                              _hom_induced(d, n)]))
+    return ModulePresentation(qr, hstack(qr, [
+        kron(d.source.dual(), n.relations), kron(d.transpose(), n.gens)]))
 
 
 @ring_memo
@@ -757,7 +703,7 @@ def homothety_map(c: ModulePresentation) -> ModuleMap:
     D = hom_modules(c, c)
     g0 = c.gens.rank
     entries = {(a * g0 + a, 0): qr.one() for a in range(g0)}
-    iota = GradedMatrix(qr, GradedFree.of([0]), _hom_free(c.gens, c), entries)
+    iota = GradedMatrix(qr, ONE_FREE, kron(c.gens.dual(), c.gens), entries)
     out = ModuleMap(ModulePresentation.free(qr, [0]), D, D.express(iota))
     out.validate()
     return out
@@ -775,7 +721,7 @@ def evaluation_map(m: ModulePresentation, c: ModulePresentation) -> ModuleMap:
     for (pos, j), p in D.pairing.entries.items():
         a, b = divmod(pos, g0c)
         entries[(j * g0c + b, a)] = p
-    beta = GradedMatrix(qr, m.gens, _hom_free(D.gens, c), entries)
+    beta = GradedMatrix(qr, m.gens, kron(D.gens.dual(), c.gens), entries)
     out = ModuleMap(m, DD, DD.express(beta))
     out.validate()
     return out

@@ -377,8 +377,13 @@ class GradedFree(NamedTuple):
         # an internal-degree twist F(-n): generator degrees go up by n.
         return GradedFree(self.rank, tuple(t + n for t in self.twists))
 
+    def dual(self) -> "GradedFree":
+        """Hom(F, R): generator j in degree -twists[j]."""
+        return GradedFree(self.rank, tuple(map(neg, self.twists)))
+
 
 ZERO_FREE = GradedFree(0, ())
+ONE_FREE = GradedFree(1, (0,))    # R itself: kron(ONE_FREE, m) is m
 
 
 class GradedMatrix:
@@ -463,6 +468,11 @@ class GradedMatrix:
                 out[key] = prod if cur is None else cur + prod
         return GradedMatrix(self.ring, other.source, self.target, out)
 
+    def transpose(self) -> "GradedMatrix":
+        """The dual map Hom(target, R) -> Hom(source, R)."""
+        return GradedMatrix(self.ring, self.target.dual(), self.source.dual(),
+                            {(j, i): p for (i, j), p in self.entries.items()})
+
     def map_entries(self, fn) -> "GradedMatrix":
         return GradedMatrix(self.ring, self.source, self.target,
                             {k: fn(p) for k, p in self.entries.items()})
@@ -494,16 +504,49 @@ class GradedMatrix:
                 f"{len(self.entries)} entries)")
 
 
+def kron(a, b):
+    """Kronecker product a (x) b of graded frees and matrices, at least
+    one of them a free, which stands for its identity: twists add, and
+    block_matrix places the entries."""
+    if isinstance(a, GradedFree) and isinstance(b, GradedFree):
+        return GradedFree.of([s + t for s in a.twists for t in b.twists])
+    if isinstance(a, GradedFree):
+        return block_matrix(b.ring, kron(a, b.source), kron(a, b.target),
+                            [(0, 0, a, b)])
+    return block_matrix(a.ring, kron(a.source, b), kron(a.target, b),
+                        [(0, 0, a, b)])
+
+
+def block_matrix(ring, source, target, blocks):
+    """The matrix source -> target holding, for each (row, col, a, b) of
+    blocks, kron(a, b) with its (0, 0) entry at (row, col): entry (k, l)
+    of b inside entry (i, j) of a sits at (row + i * rows b + k, col + j *
+    cols b + l); a or b is a free, standing for its identity.  A plain
+    block m is (row, col, ONE_FREE, m).  Blocks must not overlap."""
+    entries = {}
+    for row, col, a, b in blocks:
+        if isinstance(a, GradedFree):
+            rb, cb = b.target.rank, b.source.rank
+            for i in range(a.rank):
+                r, c = row + i * rb, col + i * cb
+                for (k, l), q in b.entries.items():
+                    entries[(r + k, c + l)] = q
+        else:
+            n = b.rank
+            for (i, j), p in a.entries.items():
+                r, c = row + i * n, col + j * n
+                for k in range(n):
+                    entries[(r + k, c + k)] = p
+    return GradedMatrix(ring, source, target, entries)
+
+
 def hstack(ring, mats):
     """Concatenate matrices with a common target side by side."""
     tgt = mats[0].target
-    src_tw, entries = [], {}
-    off = 0
+    src_tw, blocks = [], []
     for m in mats:
         if m.target != tgt:
             raise ValueError("hstack target mismatch")
-        for (i, j), p in m.entries.items():
-            entries[(i, off + j)] = p
+        blocks.append((0, len(src_tw), ONE_FREE, m))
         src_tw.extend(m.source.twists)
-        off += m.source.rank
-    return GradedMatrix(ring, GradedFree.of(src_tw), tgt, entries)
+    return block_matrix(ring, GradedFree.of(src_tw), tgt, blocks)

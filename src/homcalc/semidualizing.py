@@ -46,6 +46,11 @@ def _ring_module(qr: QuotientRing) -> ModulePresentation:
     return ModulePresentation.free(qr, [0])
 
 
+def _is_gorenstein(r: ModulePresentation, bound: int) -> bool:
+    """R (as the module r) has type 1 and certified finite id."""
+    return type_of(r) == 1 and id_verdict(r, bound).is_finite_certified()
+
+
 def _cone_clear(c: FreeComplex):
     """(all trusted homology zero, witness degree or None)."""
     t = next(trusted_homology(c), None)
@@ -174,7 +179,7 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
     that syzygy totally reflexive.
     """
     _require_semidualizing(c, bound)
-    if minimal_presentation(m).gens.rank == 0:
+    if m.is_zero_module():
         raise ZeroModuleError("G-dimension of the zero module")
     dr, dm = depth(_ring_module(m.ring)), depth(m)
     g = dr - dm
@@ -182,7 +187,7 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
         return GcdimVerdict.infinite(
             f"depth M = {dm} exceeds depth R = {dr}", bound)
     om = syzygy(m, g)
-    if minimal_presentation(om).gens.rank == 0:
+    if om.is_zero_module():
         return GcdimVerdict.finite(g, bound)
     i = first_ext(om, c, 1, bound)
     if i is not None:
@@ -470,7 +475,7 @@ def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
                       and m.relations == n.relations)
     if same and ok:
         r = _ring_module(m.ring)
-        gor = type_of(r) == 1 and id_verdict(r, bound).is_finite_certified()
+        gor = _is_gorenstein(r, bound)
         notes.append(f"Gorenstein conclusion: {gor}")
         ok = gor
     return hyps, pv.status, iv.status, ok, notes
@@ -526,7 +531,7 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
         notes.append(f"convolution identity holds: {conv}")
     _require(hyps, notes)
     free = minimal_presentation(m).relations.source.rank == 0
-    gor = type_of(r) == 1 and id_verdict(r, bound).is_finite_certified()
+    gor = _is_gorenstein(r, bound)
     notes.append(f"M free: {free}; R Gorenstein: {gor}")
     return hyps, free, gor, free and gor and conv is not False, notes
 

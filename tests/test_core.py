@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from homcalc.field import PrimeField, RationalField, FieldError
 from homcalc.ring import (
     PolyRing, GradedFree, GradedMatrix, PolyParseError, HomogeneityError,
-    MixedRingError, hstack,
+    MixedRingError, hstack, kron,
 )
 
 from slice_homology import rref, rank, generic_rref, monomials_of_degree
@@ -329,3 +329,30 @@ def test_block_and_hstack_shapes():
     assert hs.source.rank == 2 and hs.target.rank == 1
     assert hs.entry(0, 0) == x and hs.entry(0, 1) == x
     hs.validate_homogeneous()
+
+
+def test_kron_and_transpose():
+    R = PolyRing(F, ["x", "y"])
+    x, y = R.variable("x"), R.variable("y")
+    # A: R(-1)^2 -> R is [x y]; B: R(-2) (+) R(-3) -> R(-1)^2
+    A = GradedMatrix(R, GradedFree.of([1, 1]), GradedFree.of([0]),
+                     {(0, 0): x, (0, 1): y})
+    B = GradedMatrix(R, GradedFree.of([2, 3]), A.source,
+                     {(0, 0): x, (1, 0): y, (0, 1): y * y, (1, 1): x * x})
+    Fr = GradedFree.of([0, 3])
+    # twists add, generator (i, k) at i * rank + k
+    assert kron(Fr, GradedFree.of([1, 2, 5])) == \
+        GradedFree.of([1, 2, 5, 4, 5, 8])
+    for k in (kron(A, Fr), kron(Fr, A), kron(B.transpose(), Fr)):
+        k.validate_homogeneous()
+    assert kron(A, Fr).entries == {(0, 0): x, (1, 1): x, (0, 2): y, (1, 3): y}
+    assert kron(Fr, A).entries == {(0, 0): x, (0, 1): y, (1, 2): x, (1, 3): y}
+    # the mixed product: (A (x) 1)(B (x) 1) = AB (x) 1, on either side
+    assert kron(A, Fr).compose(kron(B, Fr)) == kron(A.compose(B), Fr)
+    assert kron(Fr, A).compose(kron(Fr, B)) == kron(Fr, A.compose(B))
+    # the transpose is the dual map: an involution reversing composition
+    assert A.transpose().source == A.target.dual() == GradedFree.of([0])
+    assert A.transpose().target == GradedFree.of([-1, -1])
+    A.transpose().validate_homogeneous()
+    assert A.transpose().transpose() == A
+    assert A.compose(B).transpose() == B.transpose().compose(A.transpose())
