@@ -49,7 +49,8 @@ import time
 
 from . import __version__
 from .field import PrimeField, RationalField
-from .ring import PolyRing, GradedFree, GradedMatrix, HomogeneityError
+from .ring import (PolyRing, GradedFree, GradedMatrix, HomogeneityError,
+                   TermRangeError)
 from .groebner import NotArtinianError, QuotientRing
 from .complexes import (multiplication_map, shift_complex, direct_sum, cone,
                         UncertifiedDegreeError)
@@ -75,7 +76,7 @@ SCHEMA = "homcalc-report/1"
 DOMAIN_REFUSALS = (NotSemidualizingError, ZeroModuleError,
                    NotCohenMacaulayError, UncertifiedDegreeError,
                    WindowInsufficientError, HomogeneityError,
-                   NotArtinianError)
+                   NotArtinianError, TermRangeError)
 
 
 class InputError(ValueError):

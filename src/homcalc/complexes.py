@@ -151,6 +151,10 @@ class TrustWindow:
         return f"TrustWindow({bits})"
 
 
+#: every degree trusted, the window of a complete complex
+_WHOLE = TrustWindow.all()
+
+
 class UncertifiedDegreeError(ValueError):
     """Raised when homology is requested outside a complex's trust window."""
 
@@ -191,7 +195,7 @@ class FreeComplex:
     def complete(self) -> bool:
         """The representative is the intended object on the nose: trusted
         in every degree, so all its homology is the true homology."""
-        return self.window == TrustWindow.all()
+        return self.window == _WHOLE
 
     # -- structure ---------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Groebner machinery for graded free modules over weighted polynomial
 rings, plus quotient rings and Hilbert series.
 
-Module elements ("vectors") are sparse dicts {(component, exponents):
-coefficient}.  Everything is kept exact; coefficients are unboxed field
-elements and all choices (selection strategy, reducer choice, final
-ordering) are deterministic, so repeated runs produce identical output.
+Module elements ("vectors") are sparse dicts {term: coefficient}, each
+term (component, exponents) packed into one int by a TermOverPosition
+order, with nonzero coefficients only.  Everything is kept exact;
+coefficients are unboxed field elements and all choices (selection
+strategy, reducer choice, final ordering) are deterministic, so repeated
+runs produce identical output.  Polynomials and matrices keep exponent
+tuples; vec_from_column and vec_to_column convert.
 
 Quotient-ring computations are run upstairs: to compute kernels or
 syzygies over R = P/I inside a free module with target components
@@ -19,68 +22,103 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from operator import neg
 
 from .ring import (
-    GradedFree, GradedMatrix, HomogeneityError, Polynomial, PolyRing,
+    DEGREE_BOUND, FIELD, FIELD_MASK, GradedFree, GradedMatrix,
+    HomogeneityError, Polynomial, PolyRing, TermRangeError,
 )
 
 # ---------------------------------------------------------------------------
-# module term orders
+# the module term order
 
 
-class _TermOrder:
-    """key(term) of a term (component, exponents) is memoized in _keys and
-    descends with the term order: the larger term has the smaller key, so
-    a min-heap of keys pops the leading term first and min(v, key=key)
-    is the lead of v.  Keys are negated order tuples, flat and injective.
+class TermOverPosition:
+    """Twisted degree, then ring order on the monomial, then component.
+
+    A term (component c, exponents e) is the int pack(c, e) = bases[c] +
+    ring.lin(e), whose FIELD-bit fields are, high to low,
+
+        OFF - (wdeg e + twists[c]),  OFF - wdeg e,  e_{n-1}, ..., e_0,  c
+
+    with OFF = 2^(FIELD - 1).  While every field stays in range, ints
+    compare as these field tuples do lexicographically, and the tuple
+    falls as the term rises: a larger twisted degree, then a larger
+    degree, then a smaller last exponent (grevlex), then a smaller
+    component.  So a smaller int is a larger term: min(v) is the lead of
+    v, and a min-heap pops the largest term first.  lin is linear, so a
+    term times x^s is the term plus lin(s), and the shift from a lead L
+    to a term t of its component is t - L.  L divides t when no exponent
+    field of t - L borrows, which would set its top (guard) bit: not (t
+    - L) & ring.guard.
+
+    Range: lin refuses a weighted degree above 2^30 and the order a twist
+    of size 2^29 or more (TermRangeError), so packing fills every field
+    in range.  Terms made by arithmetic stay in range: a reduction never
+    raises the twisted degree (every term it adds is smaller than the
+    term it cancels, and twisted degree is compared first), and every new
+    lcm is packed through lin.  So every term has twisted degree below
+    2^30 + 2^29 and weighted degree below 2^31, and its exponents leave
+    the guard bits clear.
+
+    >>> from homcalc.field import PrimeField
+    >>> P = PolyRing(PrimeField(7), ["x", "y"])
+    >>> order = TermOverPosition(P, [0, 1])
+    >>> order.unpack(order.pack(1, (2, 0)))
+    (1, (2, 0))
+    >>> v = {order.pack(0, (1, 1)): 1, order.pack(1, (2, 0)): 1,
+    ...      order.pack(0, (0, 2)): 1}
+    >>> order.unpack(min(v))    # x^2 e_1: twisted degree 3
+    (1, (2, 0))
     """
 
-    __slots__ = ("ring", "_keys")
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self._keys = {}
-
-    def key(self, term):
-        k = self._keys.get(term)
-        if k is None:
-            k = self._keys[term] = self._key(*term)
-        return k
-
-
-class TermOverPosition(_TermOrder):
-    """Twisted degree, then ring order on the monomial, then component."""
-
-    __slots__ = ("twists",)
+    __slots__ = ("ring", "twists", "bases")
 
     def __init__(self, ring: PolyRing, twists):
-        super().__init__(ring)
+        self.ring = ring
         self.twists = tuple(twists)
+        for t in self.twists:
+            if abs(t) >= DEGREE_BOUND >> 1:
+                raise TermRangeError(f"twist {t} is not inside "
+                                     f"±2^{FIELD - 3}")
+        off, low = 1 << (FIELD - 1), ring.deg_shift
+        self.bases = tuple(((off - t) << (low + FIELD)) + (off << low) + c
+                           for c, t in enumerate(self.twists))
 
-    def _key(self, c, e):
-        return ((-(self.ring.wdeg(e) + self.twists[c]),)
-                + tuple(map(neg, self.ring.mono_key(e))) + (c,))
+    def pack(self, c, e) -> int:
+        return self.bases[c] + self.ring.lin(e)
+
+    def unpack(self, t):
+        c = t & FIELD_MASK
+        return c, self.ring.unlin(t - self.bases[c])
+
+    def lcm(self, a, b) -> int:
+        """The lcm of two terms of one component."""
+        c, ea = self.unpack(a)
+        eb = self.ring.unlin(b - self.bases[c])
+        return self.bases[c] + self.ring.lin(tuple(map(max, ea, eb)))
 
 
 # ---------------------------------------------------------------------------
-# sparse vector helpers: Vec = dict {(component, exponents): coeff}, with
-# nonzero coefficients only
+# sparse vector helpers: Vec = dict {packed term: coeff}, with nonzero
+# coefficients only
 
 
-def vec_from_column(col: dict) -> dict:
+def vec_from_column(col: dict, order) -> dict:
+    bases, lin = order.bases, order.ring.lin
     v = {}
     for i, p in col.items():
+        b = bases[i]
         for e, c in p.terms.items():
-            v[(i, e)] = c
+            v[b + lin(e)] = c
     return v
 
 
-def vec_to_column(v: dict, ring) -> dict:
+def vec_to_column(v: dict, order) -> dict:
     col = {}
-    for (i, e), c in v.items():
+    for t, c in v.items():
+        i, e = order.unpack(t)
         col.setdefault(i, {})[e] = c
-    return {i: Polynomial(ring, t) for i, t in col.items()}
+    return {i: Polynomial(order.ring, t) for i, t in col.items()}
 
 
 def vec_scale(v, c, F):
@@ -100,16 +138,9 @@ def vec_axpy(target, c, v, F):
     return target
 
 
-def vec_term_mul(v, shift, c, ring, F):
-    """(c * x^shift) * v."""
-    out = {}
-    for (comp, e), x in v.items():
-        out[(comp, ring.mono_mul(e, shift))] = F.mul(c, x)
-    return out
-
-
-def vec_lead(v, order):
-    return min(v, key=order.key)
+def vec_term_mul(v, shift, c, F):
+    """(c * x^s) * v, for shift = lin(s)."""
+    return {t + shift: F.mul(c, x) for t, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +150,10 @@ def vec_lead(v, order):
 class Reducers:
     """The divisor list of vec_divide, with its leads indexed by component.
 
-    vecs[i] is a Vec and leads[i] its ((component, exponents), coeff);
-    both are None once position i is dropped.  by_comp maps a component
-    to the (position, exponents) of its live leads in position order, so
-    the first divisor found there is the first in basis order.
+    vecs[i] is a Vec and leads[i] its (lead term, coeff); both are None
+    once position i is dropped.  by_comp maps a component to the
+    (position, lead term) of its live leads in position order, so the
+    first divisor found there is the first in basis order.
     """
 
     __slots__ = ("order", "vecs", "leads", "by_comp")
@@ -136,24 +167,24 @@ class Reducers:
             self.push(v)
 
     def push(self, v) -> int:
-        lt = vec_lead(v, self.order)
+        lt = min(v)
         i = len(self.vecs)
         self.vecs.append(v)
         self.leads.append((lt, v[lt]))
-        self.by_comp.setdefault(lt[0], []).append((i, lt[1]))
+        self.by_comp.setdefault(lt & FIELD_MASK, []).append((i, lt))
         return i
 
     def replace(self, i, v):
         """Put v at position i; v None drops the position."""
-        (c, e), _ = self.leads[i]
-        self.by_comp[c].remove((i, e))
+        lt, _ = self.leads[i]
+        self.by_comp[lt & FIELD_MASK].remove((i, lt))
         if v is None:
             self.vecs[i] = self.leads[i] = None
             return
-        lt = vec_lead(v, self.order)
+        lt = min(v)
         self.vecs[i] = v
         self.leads[i] = (lt, v[lt])
-        bisect.insort(self.by_comp.setdefault(lt[0], []), (i, lt[1]))
+        bisect.insort(self.by_comp.setdefault(lt & FIELD_MASK, []), (i, lt))
 
 
 def vec_divide(f, reducers, track=False, skip=-1):
@@ -164,8 +195,8 @@ def vec_divide(f, reducers, track=False, skip=-1):
     unless track is set; then it maps each position with a nonzero
     quotient, in increasing order, to its term dict (exponent -> coeff).
 
-    Terms are popped from a heap of order keys, largest first.  This
-    picks the same term as a scan for the maximum because of two
+    Terms are popped from a min-heap of packed terms, largest first.
+    This picks the same term as a scan for the maximum because of two
     invariants: every term a reduction step adds is smaller than the
     popped term (the reducer's lead times the shift is the popped term
     and cancels it exactly, so it is dropped rather than computed), and
@@ -173,48 +204,45 @@ def vec_divide(f, reducers, track=False, skip=-1):
     component matches and whose monomial divides it.  A term cancelled
     after it was pushed leaves a stale heap entry, skipped when popped.
     """
-    order = reducers.order
-    ring = order.ring
-    F = ring.field
-    key = order.key
-    divides, mono_div, mono_mul = ring.mono_divides, ring.mono_div, ring.mono_mul
+    ring = reducers.order.ring
+    F, guard, unlin = ring.field, ring.guard, ring.unlin
     vecs, leads, by_comp = reducers.vecs, reducers.leads, reducers.by_comp
+    heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(f)
-    heap = [(key(ce), ce) for ce in work]
+    heap = list(work)
     heapq.heapify(heap)
     rem = {}
     quots = {} if track else None
     while heap:
-        ce = heapq.heappop(heap)[1]
-        coef = work.pop(ce, None)
+        t = heappop(heap)
+        coef = work.pop(t, None)
         if coef is None:
             continue
-        c, e = ce
-        for i, le in by_comp.get(c, ()):
-            if i != skip and divides(le, e):
+        for i, lt in by_comp.get(t & FIELD_MASK, ()):
+            if i != skip and not (t - lt) & guard:
                 break
         else:
-            rem[ce] = coef
+            rem[t] = coef
             continue
-        shift = mono_div(e, le)
+        shift = t - lt
         fac = F.div(coef, leads[i][1])
         nfac = F.neg(fac)
-        for (bc, be), x in vecs[i].items():
-            if bc == c and be == le:
+        for bt, x in vecs[i].items():
+            if bt == lt:
                 continue
-            t = (bc, mono_mul(be, shift))
-            old = work.get(t)
+            nt = bt + shift
+            old = work.get(nt)
             if old is None:
-                work[t] = F.mul(nfac, x)
-                heapq.heappush(heap, (key(t), t))
+                work[nt] = F.mul(nfac, x)
+                heappush(heap, nt)
             else:
                 s = F.add(old, F.mul(nfac, x))
                 if F.is_zero(s):
-                    del work[t]
+                    del work[nt]
                 else:
-                    work[t] = s
+                    work[nt] = s
         if track:
-            quots.setdefault(i, {})[shift] = fac
+            quots.setdefault(i, {})[unlin(shift)] = fac
     if track:
         quots = {i: quots[i] for i in sorted(quots)}
     return rem, quots
@@ -229,7 +257,7 @@ class GBResult:
 
     reducers.vecs (also elements): basis vectors, lead coefficient 1,
         sorted by lead.
-    reducers.leads (also leads): ((component, exponents), 1).
+    reducers.leads (also leads): (lead term, 1).
     exprs[k]: dict input_index -> Polynomial with
         elements[k] = sum_i exprs[k][i] * inputs[i]   (over the ambient ring).
     """
@@ -289,6 +317,7 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     non-lead term irreducible: the reduced basis.
     """
     F = ring.field
+    guard, unlin = ring.guard, ring.unlin
     red = Reducers(order)
     basis, leads, by_comp = red.vecs, red.leads, red.by_comp
     exprs = []      # input_index -> Polynomial
@@ -304,28 +333,26 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     pad_from = len(basis) - padded
 
     # pair queue keyed by the lcm term, smallest first (normal strategy):
-    # the negated order key ascends with the order
+    # the negated packed term ascends with the order
     pairs = []
     ticket = 0
     pending = set()
 
     def lcm_of(i, j):
-        (ci, ei), _ = leads[i]
-        (cj, ej), _ = leads[j]
-        if ci != cj:
+        li, lj = leads[i][0], leads[j][0]
+        if li & FIELD_MASK != lj & FIELD_MASK:
             return None
-        return (ci, ring.mono_lcm(ei, ej))
+        return order.lcm(li, lj)
 
     def queue_pairs_with(j, below):
         # pairs (i, j) with i < below; only leads in the same component
         # make a pair
         nonlocal ticket
-        (cj, ej), _ = leads[j]
-        for i, ei in by_comp[cj]:
+        lj = leads[j][0]
+        for i, li in by_comp[lj & FIELD_MASK]:
             if i >= below:
                 break
-            m = (cj, ring.mono_lcm(ei, ej))
-            heapq.heappush(pairs, (tuple(map(neg, order.key(m))), ticket, i, j))
+            heapq.heappush(pairs, (-order.lcm(li, lj), ticket, i, j))
             pending.add((i, j))
             ticket += 1
 
@@ -335,24 +362,23 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     # the product criterion needs every vector confined to one component
     # (leads alone are not enough: coprime-lead S-pairs can leave
     # uncancelled residue in other components)
-    rank1 = len({c for v in basis for (c, _) in v}) <= 1
+    rank1 = len({t & FIELD_MASK for v in basis for t in v}) <= 1
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        m, _, i, j = heapq.heappop(pairs)
+        m = -m
         pending.discard((i, j))
-        m = lcm_of(i, j)
-        (ci, ei), lci = leads[i]
-        (cj, ej), lcj = leads[j]
-        mc, me = m
+        li, lci = leads[i]
+        lj, lcj = leads[j]
         # product criterion: in a rank-one ambient module a pair with
         # coprime leading monomials reduces to zero
-        if rank1 and ring.mono_mul(ei, ej) == me:
+        if rank1 and li + lj - order.bases[li & FIELD_MASK] == m:
             continue
         # chain criterion with the lcm-inequality guards that make
         # pop-time elimination safe
         skip = False
-        for k, ek in by_comp[mc]:
-            if k == i or k == j or not ring.mono_divides(ek, me):
+        for k, lk in by_comp[m & FIELD_MASK]:
+            if k == i or k == j or (m - lk) & guard:
                 continue
             a, b = (i, k) if i < k else (k, i)
             c2, d2 = (j, k) if j < k else (k, j)
@@ -364,17 +390,16 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
             break
         if skip:
             continue
-        si = ring.mono_div(me, ei)
-        sj = ring.mono_div(me, ej)
-        s = vec_term_mul(basis[i], si, F.inv(lci), ring, F)
-        vec_axpy(s, F.neg(F.one), vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
+        si, sj = m - li, m - lj
+        s = vec_term_mul(basis[i], si, F.inv(lci), F)
+        vec_axpy(s, F.neg(F.one), vec_term_mul(basis[j], sj, F.inv(lcj), F), F)
         rem, quots = vec_divide(s, red, track=track)
         if not rem:
             continue
         expr = {}
         if track:
-            _expr_axpy(expr, ring.monomial(si, F.neg(F.inv(lci))), exprs[i])
-            _expr_axpy(expr, ring.monomial(sj, F.inv(lcj)), exprs[j])
+            _expr_axpy(expr, ring.monomial(unlin(si), F.neg(F.inv(lci))), exprs[i])
+            _expr_axpy(expr, ring.monomial(unlin(sj), F.inv(lcj)), exprs[j])
             for k, q in quots.items():
                 _expr_axpy(expr, Polynomial(ring, q), exprs[k])
         jnew = push(rem, expr)
@@ -382,9 +407,9 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
 
     # inter-reduce to the reduced basis, keeping expressions consistent:
     # drop the non-minimal leads, then reduce each tail once
-    for idx, ((c, e), _) in enumerate(leads):
-        for k, ek in by_comp[c]:
-            if k != idx and ring.mono_divides(ek, e) and (k > idx or ek != e):
+    for idx, (lt, _) in enumerate(leads):
+        for k, lk in by_comp[lt & FIELD_MASK]:
+            if k != idx and not (lt - lk) & guard and (k > idx or lk != lt):
                 red.replace(idx, None)
                 exprs[idx] = None
                 break
@@ -403,9 +428,9 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
             exprs[idx] = expr
         red.replace(idx, rem)
 
-    # ascending by lead, as order keys descend
+    # ascending by lead, as packed terms descend
     final = [(b, leads[t], exprs[t]) for t, b in enumerate(basis) if b is not None]
-    final.sort(key=lambda ble: order.key(ble[1][0]), reverse=True)
+    final.sort(key=lambda ble: ble[1][0], reverse=True)
     out = Reducers(order)
     out_e = []
     for b, (lt, lc), e in final:
@@ -425,7 +450,8 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
 def schreyer_syzygies(gb: GBResult):
     """Generators of the syzygy module of gb.elements, from S-pairs.
 
-    Each syzygy is a Vec over the index space of gb.elements.  For i < j
+    Each syzygy is a dict {(index, exponents): coeff} over the index space
+    of gb.elements.  For i < j
     with leads in one component, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j
     minus the quotients of the S-pair's standard expression, where m_ij
     is the lcm of the leading monomials m_i, m_j.  By Schreyer's theorem
@@ -437,31 +463,32 @@ def schreyer_syzygies(gb: GBResult):
     module, so they still generate every syzygy.
     """
     ring, F = gb.ring, gb.ring.field
+    guard, unlin, order = ring.guard, ring.unlin, gb.reducers.order
     elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
-    divides = ring.mono_divides
     out = []
-    for i, ((ci, ei), lci) in enumerate(leads):
-        first = {}      # m_ij/m_i -> lowest j, in position order
-        for j, ej in by_comp[ci]:
+    for i, (li, lci) in enumerate(leads):
+        first = {}      # lin(m_ij/m_i) -> lowest j, in position order
+        for j, lj in by_comp[li & FIELD_MASK]:
             if j > i:
-                first.setdefault(ring.mono_div(ring.mono_lcm(ei, ej), ei), j)
+                first.setdefault(order.lcm(li, lj) - li, j)
         for si, j in first.items():
-            if any(t != si and divides(t, si) for t in first):
+            if any(t != si and not (si - t) & guard for t in first):
                 continue
-            lcj = leads[j][1]
-            sj = ring.mono_div(ring.mono_mul(ei, si), leads[j][0][1])
-            s = vec_term_mul(elements[i], si, F.inv(lci), ring, F)
+            lj, lcj = leads[j]
+            sj = li + si - lj
+            s = vec_term_mul(elements[i], si, F.inv(lci), F)
             vec_axpy(s, F.neg(F.one),
-                     vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
+                     vec_term_mul(elements[j], sj, F.inv(lcj), F), F)
             rem, quots = vec_divide(s, gb.reducers, track=True)
             if rem:
                 raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+            ei, ej = unlin(si), unlin(sj)
             syz = {}
-            syz[(i, si)] = F.inv(lci)
-            prev = syz.get((j, sj), F.zero)
-            syz[(j, sj)] = F.sub(prev, F.inv(lcj))
-            if F.is_zero(syz[(j, sj)]):
-                del syz[(j, sj)]
+            syz[(i, ei)] = F.inv(lci)
+            prev = syz.get((j, ej), F.zero)
+            syz[(j, ej)] = F.sub(prev, F.inv(lcj))
+            if F.is_zero(syz[(j, ej)]):
+                del syz[(j, ej)]
             for k, q in quots.items():
                 for e, c in q.items():
                     cur = F.sub(syz.get((k, e), F.zero), c)
@@ -567,13 +594,12 @@ class QuotientRing:
             rels.append(r)
         self.relations = tuple(rels)
         order = TermOverPosition(ambient, [0])
-        vecs = [{(0, e): c for e, c in r.terms.items()} for r in rels]
+        vecs = [vec_from_column({0: r}, order) for r in rels]
         gb = reduced_gb(vecs, ambient, order, track=False)
         self._gb = gb
-        self.ideal_basis = tuple(
-            Polynomial(ambient, {e: c for (comp, e), c in v.items()})
-            for v in gb.elements)
-        self._lead_exps = tuple(lt[1] for (lt, _) in gb.leads)
+        self.ideal_basis = tuple(vec_to_column(v, order)[0]
+                                 for v in gb.elements)
+        self._lead_exps = tuple(order.unpack(lt)[1] for lt, _ in gb.leads)
         if any(all(x == 0 for x in e) for e in self._lead_exps):
             raise ValueError("unit ideal: quotient ring is zero")
         # derived objects over this ring, filled by modules.ring_memo;
@@ -585,9 +611,10 @@ class QuotientRing:
     def reduce(self, p: Polynomial) -> Polynomial:
         if not self.ideal_basis or p.is_zero():
             return p
-        v = {(0, e): c for e, c in p.terms.items()}
-        rem, _ = self._gb.normal_form(v)
-        return Polynomial(self.ambient, {e: c for (comp, e), c in rem.items()})
+        order = self._gb.reducers.order
+        rem, _ = self._gb.normal_form(vec_from_column({0: p}, order))
+        col = vec_to_column(rem, order)
+        return col[0] if col else self.ambient.zero()
 
     def zero(self):
         return self.ambient.zero()
@@ -650,21 +677,19 @@ class QuotientRing:
 # kernels, lifts, images over a quotient ring
 
 
-def _padding_vectors(qr: QuotientRing, rank: int):
-    pads = []
-    for g in qr.ideal_basis:
-        for t in range(rank):
-            pads.append({(t, e): c for e, c in g.terms.items()})
-    return pads
+def _padding_vectors(qr: QuotientRing, order):
+    """g*e_t for every g of the ideal basis and every component t."""
+    return [vec_from_column({t: g}, order) for g in qr.ideal_basis
+            for t in range(len(order.twists))]
 
 
 def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
     """Generators of ker(m) for m over a QuotientRing."""
     qr = m.ring
     P = qr.ambient
-    cols = [vec_from_column(c) for c in m.columns()]
-    pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
+    cols = [vec_from_column(c, order) for c in m.columns()]
+    pads = _padding_vectors(qr, order)
     syz = syzygy_generators(cols + pads, P, order, padded=len(pads))
     ncols = len(cols)
     raw = []
@@ -688,21 +713,20 @@ def interreduce_columns(qr: QuotientRing, free: GradedFree, cols):
     others plus the ideal padding.  Not a Groebner basis, just cleanup to
     keep iterated syzygy runs small.
     """
-    P = qr.ambient
-    order = TermOverPosition(P, free.twists)
-    vecs = [vec_from_column(c) for c in cols]
+    order = TermOverPosition(qr.ambient, free.twists)
+    vecs = [vec_from_column(c, order) for c in cols]
     vecs = [v for v in vecs if v]
     # ascending by lead; reverse=True keeps equal leads in input order
-    vecs.sort(key=lambda v: order.key(vec_lead(v, order)), reverse=True)
-    accepted = Reducers(order, _padding_vectors(qr, free.rank))
+    vecs.sort(key=min, reverse=True)
+    accepted = Reducers(order, _padding_vectors(qr, order))
     out = []
     for v in vecs:
         rem, _ = vec_divide(v, accepted)
         if not rem:
             continue
-        rem = vec_scale(rem, qr.field.inv(rem[vec_lead(rem, order)]), qr.field)
+        rem = vec_scale(rem, qr.field.inv(rem[min(rem)]), qr.field)
         accepted.push(rem)
-        out.append(vec_to_column(rem, P))
+        out.append(vec_to_column(rem, order))
     return out
 
 
@@ -716,14 +740,14 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
         raise ValueError("lift target mismatch")
     qr = m.ring
     P = qr.ambient
-    cols = [vec_from_column(c) for c in m.columns()]
-    pads = _padding_vectors(qr, m.target.rank)
     order = TermOverPosition(P, m.target.twists)
+    cols = [vec_from_column(c, order) for c in m.columns()]
+    pads = _padding_vectors(qr, order)
     gb = reduced_gb(cols + pads, P, order, track=True, padded=len(pads))
     ncols = len(cols)
     entries = {}
     for j, col in enumerate(targets.columns()):
-        v = vec_from_column(col)
+        v = vec_from_column(col, order)
         rem, quots = gb.normal_form(v, track=True)
         if rem:
             return None

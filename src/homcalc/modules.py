@@ -37,7 +37,8 @@ import inspect
 from .ring import GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE, hstack, kron
 from .groebner import (QuotientRing, kernel_matrix,
                        lift_matrix, interreduce_columns, reduced_gb,
-                       TermOverPosition, vec_from_column, _padding_vectors,
+                       TermOverPosition, vec_from_column, vec_to_column,
+                       _padding_vectors,
                        minimalize_monomials, standard_monomials,
                        hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
@@ -216,10 +217,10 @@ def _relations_gb(m: ModulePresentation):
     it is the normal form in M."""
     qr = m.ring
     P = qr.ambient
-    cols = [vec_from_column(c) for c in m.relations.columns()]
-    pads = _padding_vectors(qr, m.gens.rank)
-    return reduced_gb(cols + pads, P, TermOverPosition(P, m.gens.twists),
-                      padded=len(pads))
+    order = TermOverPosition(P, m.gens.twists)
+    cols = [vec_from_column(c, order) for c in m.relations.columns()]
+    pads = _padding_vectors(qr, order)
+    return reduced_gb(cols + pads, P, order, padded=len(pads))
 
 
 @ring_memo
@@ -233,9 +234,10 @@ def _component_leads(m: ModulePresentation, gb):
     """Per-generator lead ideals of a Groebner basis gb of M's relations
     (_relations_gb): the standard monomials of component a times
     generator a form a k-basis of M."""
-    P = m.ring.ambient
+    P, order = m.ring.ambient, gb.reducers.order
     per = [[] for _ in range(m.gens.rank)]
-    for (comp, e), _ in gb.leads:
+    for lt, _ in gb.leads:
+        comp, e = order.unpack(lt)
         per[comp].append(e)
     return [minimalize_monomials(es, P) for es in per]
 
@@ -266,6 +268,7 @@ def matlis_dual(m: ModulePresentation) -> ModulePresentation:
     qr = m.ring
     P, F = qr.ambient, qr.field
     gb = _module_gb(m)
+    order = gb.reducers.order
     basis = [(a, e) for a, leads in enumerate(_component_leads(m, gb))
              for e in standard_monomials(leads, P)]
     index = {b: j for j, b in enumerate(basis)}
@@ -278,9 +281,10 @@ def matlis_dual(m: ModulePresentation) -> ModulePresentation:
             entries[(j, col0 + j)] = x
         for l, (a, e) in enumerate(basis):
             step = tuple(t + (u == v) for u, t in enumerate(e))
-            rem, _ = gb.normal_form({(a, step): F.one})
+            rem, _ = gb.normal_form({order.pack(a, step): F.one})
             for b, c in rem.items():
-                entries[(l, col0 + index[b])] = P.constant(F.neg(c))
+                entries[(l, col0 + index[order.unpack(b)])] = \
+                    P.constant(F.neg(c))
     return minimal_presentation(ModulePresentation(qr, GradedMatrix(
         qr, GradedFree.of(twists), GradedFree.of([-d for d in degs]),
         entries)))
@@ -341,10 +345,13 @@ def _coker_gb(c: ModulePresentation, n: ModulePresentation):
     P, g0 = c.ring.ambient, n.gens.rank
     blocks = c.gens.rank // max(g0, 1)
     cols = c.relations.columns()[blocks * n.relations.source.rank:]
-    tail = [{(a * g0 + b, e): x for (b, e), x in v.items()}
-            for a in range(blocks) for v in _module_gb(n).elements]
-    return reduced_gb([vec_from_column(col) for col in cols] + tail, P,
-                      TermOverPosition(P, c.gens.twists), padded=len(tail))
+    order, ngb = TermOverPosition(P, c.gens.twists), _module_gb(n)
+    tail = [vec_from_column({a * g0 + b: p for b, p in
+                             vec_to_column(v, ngb.reducers.order).items()},
+                            order)
+            for a in range(blocks) for v in ngb.elements]
+    return reduced_gb([vec_from_column(col, order) for col in cols] + tail,
+                      P, order, padded=len(tail))
 
 
 # ---------------------------------------------------------------------------

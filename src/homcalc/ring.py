@@ -10,8 +10,15 @@ Conventions
   variables.
 * The monomial order is weighted degree, then reverse lexicographic
   (grevlex).  ``mono_key`` gives tuples that ascend with the order, so
-  ``max(..., key=ring.mono_key)`` picks the leading monomial.  Module
-  term orders (``groebner``) build their memoized term keys from it.
+  ``max(..., key=ring.mono_key)`` picks the leading monomial.
+* ``lin(e)`` packs x^e into one int: the sum of -wdeg e in each of two
+  FIELD-bit degree fields and e_{n-1}, ..., e_0 in one field each, high
+  to low, above an empty lowest field.  It is linear, lin(a + b) =
+  lin(a) + lin(b), and it descends with the order.  ``unlin`` inverts
+  it; both are cached on the ring, so every module term order over it
+  (``groebner.TermOverPosition``) shares them and adds a constant base
+  per component.  A monomial of weighted degree above DEGREE_BOUND
+  raises TermRangeError.
 * A graded free module is (rank, twists); generator j of F sits in
   internal degree twists[j].  A graded matrix f: source -> target is
   homogeneous when entry (i, j) is zero or homogeneous of degree
@@ -20,7 +27,7 @@ Conventions
 
 from __future__ import annotations
 
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, neg
 from typing import Iterable, NamedTuple
 
 
@@ -30,6 +37,19 @@ class HomogeneityError(ValueError):
 
 class MixedRingError(TypeError):
     pass
+
+
+class TermRangeError(ValueError):
+    """A monomial or a twist too large for the packed term fields."""
+
+
+#: bits per field of a packed term; bit FIELD - 1 of every exponent field
+#: stays clear, as the guard bit of the divisibility test
+FIELD = 32
+FIELD_MASK = (1 << FIELD) - 1
+#: the largest weighted degree lin packs; a positive weight makes every
+#: exponent at most this, below the guard bit
+DEGREE_BOUND = 1 << (FIELD - 2)
 
 
 def _check_same_ring(a, b):
@@ -50,10 +70,18 @@ class PolyRing:
         if weights is None:
             weights = (1,) * self.n
         self.weights = tuple(int(w) for w in weights)
-        if len(self.weights) != self.n or any(w < 1 for w in self.weights):
-            raise ValueError("need one positive integer weight per variable")
+        if len(self.weights) != self.n or any(
+                not 1 <= w <= DEGREE_BOUND for w in self.weights):
+            raise ValueError(f"need one integer weight in 1..2^{FIELD - 2} "
+                             f"per variable")
         self.zero_exp = (0,) * self.n
         self._var_index = {nm: i for i, nm in enumerate(self.names)}
+        # packed monomials (lin): field positions, the guard bits of the
+        # exponent fields, and the caches both ways
+        self._shifts = tuple(FIELD * (i + 1) for i in range(self.n))
+        self.deg_shift = FIELD * (self.n + 1)
+        self.guard = sum(1 << (s + FIELD - 1) for s in self._shifts)
+        self._lin, self._unlin = {}, {}
 
     # -- monomial helpers (exponent tuples) --------------------------------
 
@@ -70,11 +98,27 @@ class PolyRing:
         """a | b componentwise."""
         return all(map(le, a, b))
 
-    def mono_div(self, b, a):
-        return tuple(map(sub, b, a))
+    def lin(self, e) -> int:
+        """x^e packed into one int (see Conventions)."""
+        x = self._lin.get(e)
+        if x is None:
+            d = self.wdeg(e)
+            if d > DEGREE_BOUND:
+                raise TermRangeError(
+                    f"monomial {format_polynomial(self.monomial(e))} has "
+                    f"weighted degree {d}, above 2^{FIELD - 2}")
+            x = (sum(a << s for a, s in zip(e, self._shifts))
+                 - d * ((1 << self.deg_shift) + (1 << (self.deg_shift + FIELD))))
+            self._lin[e] = x
+            self._unlin[x] = e
+        return x
 
-    def mono_lcm(self, a, b):
-        return tuple(map(max, a, b))
+    def unlin(self, x):
+        """The exponents e with lin(e) = x."""
+        e = self._unlin.get(x)
+        if e is None:
+            e = self._unlin[x] = tuple((x >> s) & FIELD_MASK for s in self._shifts)
+        return e
 
     # -- element constructors ----------------------------------------------
 
@@ -324,9 +368,16 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise PolyParseError("exponent must be a nonnegative integer", col)
             take()
             k = int(val)
+            if k > DEGREE_BOUND:
+                raise TermRangeError(f"exponent {k} is above 2^{FIELD - 2} "
+                                     f"(column {col})")
             out = ring.one()
-            for _ in range(k):
-                out = out * base
+            while k:    # square and multiply
+                if k & 1:
+                    out = out * base
+                k >>= 1
+                if k:
+                    base = base * base
             return out
         return base
 
@@ -355,6 +406,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     kind, val, col = peek()
     if kind != "end":
         raise PolyParseError(f"trailing input {val!r}", col)
+    for e in result.terms:
+        ring.lin(e)     # refuses a monomial too large to pack
     return result
 
 

@@ -167,6 +167,7 @@ def _require_semidualizing(c, bound):
     return cert
 
 
+@ring_memo
 def gcdim_module(m: ModulePresentation, c: ModulePresentation,
                  bound: int) -> GcdimVerdict:
     """G-dimension of a module with respect to a semidualizing module.
@@ -202,6 +203,7 @@ def gcdim_module(m: ModulePresentation, c: ModulePresentation,
     return GcdimVerdict.finite(g, bound)
 
 
+@ring_memo
 def gcdim_complex(z, c, bound: int) -> GcdimVerdict:
     """G-dimension via reflexivity of the biduality representative:
     inf C - inf RHom(Z, C) when the biduality cone is homologically

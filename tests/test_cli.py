@@ -414,6 +414,8 @@ def _malformed(key, value):
      "complex 'X': expected a name"),
     (_malformed("tasks", [{"op": "betti", "args": [["k"]]}]),
      "task 0: expected a name"),
+    (_malformed("weights", [2 ** 31]),
+     "ring: need one integer weight in 1..2^30 per variable"),
 ])
 def test_main_malformed_file_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "p.json"
@@ -469,6 +471,42 @@ def test_infinite_length_is_a_refusal(tmp_path, capsys, op):
     path.write_text(json.dumps(doc))
     assert main(["--input", str(path)]) == 0
     assert not capsys.readouterr().out.endswith("result: ERROR\n")
+
+
+@pytest.mark.parametrize("where, text, message", [
+    ("relations", "x^2147483648", "relation 'x^2147483648': exponent "
+     "2147483648 is above 2^30"),
+    ("relations", "x^1073741824*x", "relation 'x^1073741824*x': monomial "
+     "x^1073741825 has weighted degree 1073741825, above 2^30"),
+    ("modules", "x^2147483648", "module 'M': cannot parse 'x^2147483648': "
+     "exponent 2147483648 is above 2^30"),
+])
+def test_polynomial_too_large_to_pack_is_input_error(tmp_path, capsys, where,
+                                                      text, message):
+    # the Groebner kernel packs each monomial into 32-bit fields; a larger
+    # one is refused where it is read, not wrapped
+    doc = _dn_doc([{"op": "betti", "args": ["k"], "bound": 3}])
+    if where == "relations":
+        doc["ring"]["relations"] = [text]
+    else:
+        doc["modules"] = {"M": {"cyclic": [text]}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_twist_too_large_to_pack_is_a_refusal(tmp_path, capsys):
+    doc = _dn_doc([{"op": "depth", "args": ["F"]},
+                   {"op": "betti", "args": ["k"], "bound": 3}])
+    doc["modules"] = {"F": {"free": [0, 2 ** 29]}}
+    big, small = run_tasks(build_problem(doc))["entries"]
+    assert big["error"] == "TermRangeError: twist 536870912 is not inside ±2^29"
+    assert "internal" not in big and "result" in small
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("result: ok\n")
 
 
 def test_main_field_override_runs(tmp_path, capsys):

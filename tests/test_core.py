@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from homcalc.field import PrimeField, RationalField, FieldError
 from homcalc.ring import (
     PolyRing, GradedFree, GradedMatrix, PolyParseError, HomogeneityError,
-    MixedRingError, hstack, kron,
+    MixedRingError, TermRangeError, hstack, kron,
 )
 
 from slice_homology import rref, rank, generic_rref, monomials_of_degree
@@ -204,6 +204,28 @@ def test_order_multiplicative(ms):
     a, b, c = ms
     if R.mono_key(a) > R.mono_key(b):
         assert R.mono_key(R.mono_mul(a, c)) > R.mono_key(R.mono_mul(b, c))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+                min_size=2, max_size=2))
+@settings(max_examples=60)
+def test_packed_monomials(ms):
+    # lin is linear and injective, descends with the order, and reads
+    # divisibility off the guard bits of a difference
+    R = PolyRing(F, ["x", "y", "z"], weights=(1, 2, 1))
+    a, b = ms
+    assert R.lin(a) + R.lin(b) == R.lin(R.mono_mul(a, b))
+    assert R.unlin(R.lin(a)) == a
+    assert R.unlin(R.lin(a) + R.lin(b)) == R.mono_mul(a, b)
+    assert (R.mono_key(a) > R.mono_key(b)) == (R.lin(a) < R.lin(b))
+    assert R.mono_divides(a, b) == (not (R.lin(b) - R.lin(a)) & R.guard)
+
+
+def test_lin_refuses_a_degree_above_the_bound():
+    R = PolyRing(F, ["x", "y"], weights=(1, 2))
+    assert R.unlin(R.lin((2 ** 28, 2 ** 28))) == (2 ** 28, 2 ** 28)
+    with pytest.raises(TermRangeError, match="weighted degree 1073741826"):
+        R.lin((0, 2 ** 29 + 1))
 
 
 def test_monomials_of_degree():

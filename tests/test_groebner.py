@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from homcalc.field import PrimeField, RationalField
-from homcalc.ring import PolyRing, GradedFree, GradedMatrix, Polynomial
+from homcalc.ring import PolyRing, GradedFree, GradedMatrix
 from homcalc.groebner import (
     TermOverPosition, QuotientRing, HilbertSeries,
     Reducers, reduced_gb, syzygy_generators, schreyer_syzygies,
@@ -21,13 +21,24 @@ from homcalc.groebner import (
 
 from slice_homology import monomials_of_degree, top_degree
 from term_orders import PositionOverTerm
+from tuple_kernel import mono_div, old_vec_term_mul
 
 F = PrimeField(32003)
 
 
-def ring_vec(p):
+def ring_vec(p, order):
     """Rank-one vector from a polynomial."""
-    return {(0, e): c for e, c in p.terms.items()}
+    return vec_from_column({0: p}, order)
+
+
+def packed(v, order):
+    """A vector given as {(component, exponents): coeff}, packed."""
+    return {order.pack(c, e): x for (c, e), x in v.items()}
+
+
+def ring_poly(v, order):
+    """The polynomial of a rank-one vector."""
+    return vec_to_column(v, order).get(0, order.ring.zero())
 
 
 def contains(gb, v):
@@ -41,7 +52,8 @@ def combo(inputs, s, ring):
     Fld = ring.field
     acc = {}
     for (i, e), c in s.items():
-        vec_axpy(acc, Fld.one, vec_term_mul(inputs[i], e, c, ring, Fld), Fld)
+        vec_axpy(acc, Fld.one, vec_term_mul(inputs[i], ring.lin(e), c, Fld),
+                 Fld)
     return acc
 
 
@@ -49,17 +61,17 @@ def combo(inputs, s, ring):
 
 def test_twisted_cubic_grevlex():
     R = PolyRing(F, ["x", "y", "z"])
-    gens = [ring_vec(R.from_string(s)) for s in ("y - x^2", "z - x^3")]
-    gb = reduced_gb(gens, R, PositionOverTerm(R), track=True)
-    polys = sorted(repr(Polynomial(R, {e: c for (_, e), c in v.items()}))
-                   for v in gb.elements)
+    order = PositionOverTerm(R, 1)
+    gens = [ring_vec(R.from_string(s), order) for s in ("y - x^2", "z - x^3")]
+    gb = reduced_gb(gens, R, order, track=True)
+    polys = sorted(repr(ring_poly(v, order)) for v in gb.elements)
     assert polys == sorted(["x^2 + 32002*y", "x*y + 32002*z", "y^2 + 32002*x*z"])
     # tracking: each basis element is the claimed combination of the inputs
     for k, v in enumerate(gb.elements):
         acc = {}
         for i, p in gb.exprs[k].items():
             for e, c in p.terms.items():
-                vec_axpy(acc, F.one, vec_term_mul(gens[i], e, c, R, F), F)
+                vec_axpy(acc, F.one, vec_term_mul(gens[i], R.lin(e), c, F), F)
         assert acc == v
 
 
@@ -68,29 +80,33 @@ def test_semigroup_345_reduced_basis():
     # Hand computation: the three generators are already a Groebner basis
     # (all S-pairs reduce to zero) and inter-reduce to the forms below.
     R = PolyRing(F, ["a", "b", "c"], weights=(3, 4, 5))
-    gens = [ring_vec(R.from_string(s))
+    order = PositionOverTerm(R, 1)
+    gens = [ring_vec(R.from_string(s), order)
             for s in ("b^2 - a*c", "b*c - a^3", "c^2 - a^2*b")]
-    gb = reduced_gb(gens, R, PositionOverTerm(R))
-    polys = {repr(Polynomial(R, {e: c for (_, e), c in v.items()})) for v in gb.elements}
+    gb = reduced_gb(gens, R, order)
+    polys = {repr(ring_poly(v, order)) for v in gb.elements}
     assert polys == {"b^2 + 32002*a*c", "a^3 + 32002*b*c", "a^2*b + 32002*c^2"}
-    leads = {lt for (lt, _) in gb.leads}
+    leads = {order.unpack(lt) for (lt, _) in gb.leads}
     assert leads == {(0, (0, 2, 0)), (0, (3, 0, 0)), (0, (2, 1, 0))}
 
 
 def test_gb_membership_and_normal_form():
     R = PolyRing(F, ["x", "y", "z"])
-    gens = [ring_vec(R.from_string(s)) for s in ("y - x^2", "z - x^3")]
-    gb = reduced_gb(gens, R, PositionOverTerm(R))
+    order = PositionOverTerm(R, 1)
+    gens = [ring_vec(R.from_string(s), order) for s in ("y - x^2", "z - x^3")]
+    gb = reduced_gb(gens, R, order)
     # y*z - x^5 = y(z - x^3) + x^3(y - x^2) is in the ideal
-    assert contains(gb, ring_vec(R.from_string("y*z - x^5")))
-    assert not contains(gb, ring_vec(R.from_string("x*y - 1")))
+    assert contains(gb, ring_vec(R.from_string("y*z - x^5"), order))
+    assert not contains(gb, ring_vec(R.from_string("x*y - 1"), order))
 
 
 def test_gb_deterministic():
     R = PolyRing(F, ["x", "y", "z"])
-    gens = [ring_vec(R.from_string(s)) for s in ("x*y - z^2", "y^2 - x*z", "x^3 - y*z")]
-    a = reduced_gb(gens, R, PositionOverTerm(R))
-    b = reduced_gb(gens, R, PositionOverTerm(R))
+    order = PositionOverTerm(R, 1)
+    gens = [ring_vec(R.from_string(s), order)
+            for s in ("x*y - z^2", "y^2 - x*z", "x^3 - y*z")]
+    a = reduced_gb(gens, R, order)
+    b = reduced_gb(gens, R, order)
     assert a.elements == b.elements
     assert a.leads == b.leads
 
@@ -102,6 +118,7 @@ def test_gb_deterministic():
 @settings(max_examples=25, deadline=None)
 def test_gb_spairs_reduce_and_tracking(raw):
     R = PolyRing(F, ["x", "y"])
+    order = PositionOverTerm(R, 1)
     gens = []
     for terms in raw:
         t = {}
@@ -111,8 +128,8 @@ def test_gb_spairs_reduce_and_tracking(raw):
                 t.pop((a, b), None)
             else:
                 t[(a, b)] = cc
-        gens.append({(0, e): c for e, c in t.items()})
-    gb = reduced_gb(gens, R, PositionOverTerm(R), track=True)
+        gens.append({order.pack(0, e): c for e, c in t.items()})
+    gb = reduced_gb(gens, R, order, track=True)
     # every input reduces to zero
     for v in gens:
         assert contains(gb, v)
@@ -126,7 +143,7 @@ def test_gb_spairs_reduce_and_tracking(raw):
         acc = {}
         for i, p in gb.exprs[k].items():
             for e, c in p.terms.items():
-                vec_axpy(acc, F.one, vec_term_mul(gens[i], e, c, R, F), F)
+                vec_axpy(acc, F.one, vec_term_mul(gens[i], R.lin(e), c, F), F)
         assert acc == v
 
 
@@ -157,9 +174,9 @@ def reference_vec_divide(f, basis, leads, ring, F, okey, track=False):
             rem[ce] = coef
             del work[ce]
             continue
-        shift = ring.mono_div(e, leads[hit][0][1])
+        shift = mono_div(e, leads[hit][0][1])
         fac = F.div(coef, leads[hit][1])
-        vec_axpy(work, F.neg(fac), vec_term_mul(basis[hit], shift, F.one, ring, F), F)
+        vec_axpy(work, F.neg(fac), old_vec_term_mul(basis[hit], shift, F.one, ring, F), F)
         if track:
             q = quots[hit]
             s = F.add(q.get(shift, F.zero), fac)
@@ -194,7 +211,8 @@ def test_vec_divide_matches_max_scan(field, kind, data):
     R = PolyRing(Fld, ["x", "y", "z"])
     rank = data.draw(st.integers(1, 3))
     twists = data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
-    order = PositionOverTerm(R) if kind == "pot" else TermOverPosition(R, twists)
+    order = (PositionOverTerm(R, rank) if kind == "pot"
+             else TermOverPosition(R, twists))
     okey = _reference_key(R, None if kind == "pot" else twists)
 
     def monomial(d):
@@ -222,7 +240,7 @@ def test_vec_divide_matches_max_scan(field, kind, data):
         d = D - R.wdeg(e) - twists[c]
         if d >= 0 and data.draw(st.booleans()):
             vec_axpy(f, Fld.normalize(data.draw(_NONZERO[field])),
-                     vec_term_mul(b, monomial(d), Fld.one, R, Fld), Fld)
+                     old_vec_term_mul(b, monomial(d), Fld.one, R, Fld), Fld)
     skip = data.draw(st.integers(-1, len(basis) - 1))
     keep = [i for i in range(len(basis)) if i != skip]
     ref_basis = [basis[i] for i in keep]
@@ -230,15 +248,17 @@ def test_vec_divide_matches_max_scan(field, kind, data):
     for b in ref_basis:
         lt = max(b, key=lambda ce: okey(*ce))
         ref_leads.append((lt, b[lt]))
-    red = Reducers(order, basis)
-    assert [red.leads[i] for i in keep] == ref_leads
+    red = Reducers(order, [packed(b, order) for b in basis])
+    assert [(order.unpack(lt), c) for lt, c in
+            (red.leads[i] for i in keep)] == ref_leads
 
     for track in (False, True):
-        rem, quots = vec_divide(f, red, track=track, skip=skip)
+        rem, quots = vec_divide(packed(f, order), red, track=track, skip=skip)
         ref_rem, ref_quots = reference_vec_divide(f, ref_basis, ref_leads,
                                                  R, Fld, okey, track=track)
         # equal term for term, in the same order
-        assert list(rem.items()) == list(ref_rem.items())
+        assert [(order.unpack(t), c) for t, c in rem.items()] == \
+            list(ref_rem.items())
         if track:
             assert quots == {keep[k]: q for k, q in enumerate(ref_quots) if q}
             assert list(quots) == sorted(quots)
@@ -247,54 +267,58 @@ def test_vec_divide_matches_max_scan(field, kind, data):
     # dropping a position from the index is the same as skipping it
     if skip >= 0:
         red.replace(skip, None)
-        assert vec_divide(f, red, track=True) == (rem, quots)
+        assert vec_divide(packed(f, order), red, track=True) == (rem, quots)
 
 
 # -- syzygies ---------------------------------------------------------------
 
 def test_koszul_syzygy_two_variables():
     R = PolyRing(F, ["x", "y"])
-    inputs = [ring_vec(R.variable("x")), ring_vec(R.variable("y"))]
-    syz = syzygy_generators(inputs, R, PositionOverTerm(R))
+    order, o2 = PositionOverTerm(R, 1), PositionOverTerm(R, 2)
+    inputs = [ring_vec(R.variable("x"), order), ring_vec(R.variable("y"), order)]
+    syz = syzygy_generators(inputs, R, order)
     assert syz
     for s in syz:
         assert combo(inputs, s, R) == {}
     # the Koszul relation (y, -x) lies in the span of the output
     kos = {(0, (0, 1)): F.one, (1, (1, 0)): F.normalize(-1)}
-    sgb = reduced_gb(syz, R, PositionOverTerm(R))
-    assert contains(sgb, kos)
+    sgb = reduced_gb([packed(s, o2) for s in syz], R, o2)
+    assert contains(sgb, packed(kos, o2))
 
 
 def test_koszul_syzygies_three_variables():
     R = PolyRing(F, ["x", "y", "z"])
-    inputs = [ring_vec(R.variable(i)) for i in range(3)]
-    syz = syzygy_generators(inputs, R, PositionOverTerm(R))
+    order, o3 = PositionOverTerm(R, 1), PositionOverTerm(R, 3)
+    inputs = [ring_vec(R.variable(i), order) for i in range(3)]
+    syz = syzygy_generators(inputs, R, order)
     for s in syz:
         assert combo(inputs, s, R) == {}
-    sgb = reduced_gb(syz, R, PositionOverTerm(R))
+    sgb = reduced_gb([packed(s, o3) for s in syz], R, o3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         kos = {(i, tuple(1 if t == j else 0 for t in range(3))): F.one,
                (j, tuple(1 if t == i else 0 for t in range(3))): F.normalize(-1)}
-        assert contains(sgb, kos)
+        assert contains(sgb, packed(kos, o3))
 
 
 def test_zero_input_gets_unit_syzygy():
     R = PolyRing(F, ["x"])
-    inputs = [ring_vec(R.variable(0)), {}]
-    syz = syzygy_generators(inputs, R, PositionOverTerm(R))
+    inputs = [ring_vec(R.variable(0), PositionOverTerm(R, 1)), {}]
+    syz = syzygy_generators(inputs, R, PositionOverTerm(R, 1))
     assert any(s == {(1, (0,)): F.one} for s in syz)
 
 
 def test_redundant_generator_syzygy():
     # inputs x, x^2: e_1 - x e_0 must be recoverable
     R = PolyRing(F, ["x"])
-    inputs = [ring_vec(R.variable(0)), ring_vec(R.from_string("x^2"))]
-    syz = syzygy_generators(inputs, R, PositionOverTerm(R))
+    order, o2 = PositionOverTerm(R, 1), PositionOverTerm(R, 2)
+    inputs = [ring_vec(R.variable(0), order),
+              ring_vec(R.from_string("x^2"), order)]
+    syz = syzygy_generators(inputs, R, order)
     for s in syz:
         assert combo(inputs, s, R) == {}
-    sgb = reduced_gb(syz, R, PositionOverTerm(R))
+    sgb = reduced_gb([packed(s, o2) for s in syz], R, o2)
     target = {(1, (0,)): F.one, (0, (1,)): F.normalize(-1)}
-    assert contains(sgb, target)
+    assert contains(sgb, packed(target, o2))
 
 
 # -- quotient rings ---------------------------------------------------------

@@ -1,18 +1,25 @@
-"""The kernel path against its previous full-Schreyer form.
+"""The kernel path against its previous forms.
 
-kernel_matrix keeps only the Schreyer syzygies with a minimal lead,
-inter-reduces in one pass, queues no pair of two padding vectors, skips
-the zero I - UV columns and leaves the reduction mod I to
-interreduce_columns.  Each step is exact, so the code before those steps,
-copied verbatim below (only the function names are prefixed with old_,
-and its calls to GBResult and vec_from_column drop the arguments those
-no longer take), is the reference: on seeded random matrices over F_32003 and Q, over a
-polynomial ring and a quotient ring, the reduced bases are equal and the
-two kernels generate the same module.
+Two references, both copies of earlier code.  First, the tuple-keyed
+kernel from before module terms were packed into ints, in
+tests/tuple_kernel.py: on seeded random matrices over F_32003 and Q,
+over a polynomial ring and a quotient ring, in both term orders, the
+packed kernel's bases, leads, expressions, quotients, syzygies, kernels,
+lifts and inter-reduced columns, unpacked, equal that kernel's.
+
+Second, the kernel before it kept only the Schreyer syzygies with a
+minimal lead, inter-reduced in one pass, queued no pair of two padding
+vectors, skipped the zero I - UV columns and left the reduction mod I to
+interreduce_columns.  Each step is exact, so that code, copied verbatim
+below (only the function names are prefixed with old_, its calls to
+GBResult and vec_from_column drop the arguments those no longer take,
+and it calls the tuple-keyed kernel's pieces under their old_ names), is
+the reference: the reduced bases are equal and the two kernels generate
+the same module.
 """
 
-import heapq
 from fractions import Fraction
+import heapq
 from operator import neg
 
 import pytest
@@ -20,29 +27,35 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from homcalc.field import PrimeField, RationalField
-from homcalc.ring import GradedFree, GradedMatrix, Polynomial, PolyRing
+from homcalc.ring import (GradedFree, GradedMatrix, Polynomial, PolyRing,
+                         hstack)
 from homcalc.groebner import (
-    GBResult, QuotientRing, Reducers, TermOverPosition,
-    _expr_axpy, _padding_vectors, interreduce_columns, kernel_matrix,
-    lift_matrix, reduced_gb, schreyer_syzygies, vec_axpy, vec_divide,
-    vec_from_column, vec_scale, vec_term_mul,
+    QuotientRing, TermOverPosition, _expr_axpy, interreduce_columns,
+    kernel_matrix, lift_matrix, reduced_gb, schreyer_syzygies,
+    syzygy_generators, vec_axpy, vec_divide, vec_scale,
 )
 
+import tuple_kernel as tk
+from tuple_kernel import (
+    mono_div, mono_lcm, old_GBResult, old_PositionOverTerm, old_Reducers,
+    old_TermOverPosition, old_interreduce_columns, old_padding_vectors,
+    old_vec_divide, old_vec_from_column, old_vec_term_mul,
+)
 from slice_homology import monomials_of_degree
 from term_orders import PositionOverTerm
 
 
-# -- the previous code, verbatim --------------------------------------------
+# -- the code before the one-pass inter-reduction, verbatim --------------------------------------------
 
 
-def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
+def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> old_GBResult:
     """Buchberger with normal selection, then full inter-reduction.
 
     inputs: list of Vec (zero entries allowed; they are ignored here and
     handled by the syzygy layer).
     """
     F = ring.field
-    red = Reducers(order)
+    red = old_Reducers(order)
     basis, leads, by_comp = red.vecs, red.leads, red.by_comp
     exprs = []      # input_index -> Polynomial
 
@@ -65,7 +78,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         (cj, ej), _ = leads[j]
         if ci != cj:
             return None
-        return (ci, ring.mono_lcm(ei, ej))
+        return (ci, mono_lcm(ei, ej))
 
     def queue_pairs_with(j):
         # only leads in the same component make a pair
@@ -74,7 +87,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         for i, ei in by_comp[cj]:
             if i >= j:
                 break
-            m = (cj, ring.mono_lcm(ei, ej))
+            m = (cj, mono_lcm(ei, ej))
             heapq.heappush(pairs, (tuple(map(neg, order.key(m))), ticket, i, j))
             pending.add((i, j))
             ticket += 1
@@ -114,11 +127,11 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
             break
         if skip:
             continue
-        si = ring.mono_div(me, ei)
-        sj = ring.mono_div(me, ej)
-        s = vec_term_mul(basis[i], si, F.inv(lci), ring, F)
-        vec_axpy(s, F.neg(F.one), vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
-        rem, quots = vec_divide(s, red, track=track)
+        si = mono_div(me, ei)
+        sj = mono_div(me, ej)
+        s = old_vec_term_mul(basis[i], si, F.inv(lci), ring, F)
+        vec_axpy(s, F.neg(F.one), old_vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
+        rem, quots = old_vec_divide(s, red, track=track)
         if not rem:
             continue
         expr = {}
@@ -137,7 +150,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
         for idx in range(len(basis)):
             if basis[idx] is None:
                 continue
-            rem, quots = vec_divide(basis[idx], red, track=track, skip=idx)
+            rem, quots = old_vec_divide(basis[idx], red, track=track, skip=idx)
             if rem == basis[idx]:
                 continue
             changed = True
@@ -155,7 +168,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
     # ascending by lead, as order keys descend
     final = [(b, leads[t], exprs[t]) for t, b in enumerate(basis) if b is not None]
     final.sort(key=lambda ble: order.key(ble[1][0]), reverse=True)
-    out = Reducers(order)
+    out = old_Reducers(order)
     out_e = []
     for b, (lt, lc), e in final:
         inv = F.inv(lc)
@@ -164,10 +177,10 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> GBResult:
             out_e.append({i: p.scale(inv) for i, p in e.items()})
         else:
             out_e.append({})
-    return GBResult(ring, out, out_e)
+    return old_GBResult(ring, out, out_e)
 
 
-def old_schreyer_syzygies(gb: GBResult):
+def old_schreyer_syzygies(gb: old_GBResult):
     """Syzygies of gb.elements from all same-component S-pairs.
 
     Each syzygy is a Vec over the index space of gb.elements.  By the
@@ -182,13 +195,13 @@ def old_schreyer_syzygies(gb: GBResult):
             if j <= i:
                 continue
             lcj = leads[j][1]
-            me = ring.mono_lcm(ei, ej)
-            si = ring.mono_div(me, ei)
-            sj = ring.mono_div(me, ej)
-            s = vec_term_mul(elements[i], si, F.inv(lci), ring, F)
+            me = mono_lcm(ei, ej)
+            si = mono_div(me, ei)
+            sj = mono_div(me, ej)
+            s = old_vec_term_mul(elements[i], si, F.inv(lci), ring, F)
             vec_axpy(s, F.neg(F.one),
-                     vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
-            rem, quots = vec_divide(s, gb.reducers, track=True)
+                     old_vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
+            rem, quots = old_vec_divide(s, gb.reducers, track=True)
             if rem:
                 raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
             syz = {}
@@ -269,9 +282,9 @@ def old_kernel_matrix(m: GradedMatrix) -> GradedMatrix:
     if isinstance(qr, PolyRing):
         qr = QuotientRing(qr, [])
     P = qr.ambient
-    cols = [vec_from_column(c) for c in m.columns()]
-    pads = _padding_vectors(qr, m.target.rank)
-    order = TermOverPosition(P, m.target.twists)
+    cols = [old_vec_from_column(c) for c in m.columns()]
+    pads = old_padding_vectors(qr, m.target.rank)
+    order = old_TermOverPosition(P, m.target.twists)
     syz = old_syzygy_generators(cols + pads, P, order)
     ncols = len(cols)
     raw = []
@@ -286,7 +299,7 @@ def old_kernel_matrix(m: GradedMatrix) -> GradedMatrix:
         red = {i: p for i, p in red.items() if not p.is_zero()}
         if red:
             raw.append(red)
-    raw = interreduce_columns(qr, m.source, raw)
+    raw = old_interreduce_columns(qr, m.source, raw)
     return GradedMatrix.from_columns(qr, m.source, raw)
 
 
@@ -330,25 +343,44 @@ def draw_matrix(data, field, quotient):
 
 
 def gb_inputs(R, m):
-    """The columns of m plus the ideal padding, as reduced_gb sees them."""
+    """The columns of m plus the ideal padding, as reduced_gb sees them,
+    tuple-keyed."""
     P = R.ambient
-    cols = [vec_from_column(c) for c in m.columns()]
-    pads = _padding_vectors(R, m.target.rank)
+    cols = [old_vec_from_column(c) for c in m.columns()]
+    pads = old_padding_vectors(R, m.target.rank)
     return P, cols + pads, len(pads)
 
 
+def orders(P, m, top):
+    """A packed term order on m's target and its tuple-keyed twin:
+    TermOverPosition on the target's twists, or position over term."""
+    if top:
+        return (TermOverPosition(P, m.target.twists),
+                old_TermOverPosition(P, m.target.twists))
+    return PositionOverTerm(P, m.target.rank), old_PositionOverTerm(P)
+
+
+def pack(order, v):
+    return {order.pack(c, e): x for (c, e), x in v.items()}
+
+
+def unpack(order, v):
+    return {order.unpack(t): x for t, x in v.items()}
+
+
 def combo(inputs, s, ring):
-    """sum_(i,e) s_(i,e) x^e * inputs[i]."""
+    """sum_(i,e) s_(i,e) x^e * inputs[i], for tuple-keyed inputs."""
     F = ring.field
     acc = {}
     for (i, e), c in s.items():
-        vec_axpy(acc, F.one, vec_term_mul(inputs[i], e, c, ring, F), F)
+        vec_axpy(acc, F.one, old_vec_term_mul(inputs[i], e, c, ring, F), F)
     return acc
 
 
 def schreyer_lead(s, gb, order):
-    """(i, e) of the Schreyer lead of a syzygy s: the term whose image
-    x^e * lead(g_i) is largest, ties to the smaller index."""
+    """(i, e) of the Schreyer lead of a syzygy s over a tuple-keyed basis
+    gb: the term whose image x^e * lead(g_i) is largest, ties to the
+    smaller index."""
     ring = gb.ring
 
     def key(term):
@@ -361,6 +393,7 @@ def schreyer_lead(s, gb, order):
 
 CASES = pytest.mark.parametrize("field,quotient", [
     ("p", False), ("p", True), ("q", False), ("q", True)])
+ORDERS = pytest.mark.parametrize("top", [True, False], ids=["top", "pot"])
 
 
 @CASES
@@ -370,17 +403,17 @@ CASES = pytest.mark.parametrize("field,quotient", [
 def test_reduced_gb_one_pass_matches_loop(field, quotient, data):
     R, m = draw_matrix(data, field, quotient)
     P, inputs, npad = gb_inputs(R, m)
-    order = (TermOverPosition(P, m.target.twists) if data.draw(st.booleans())
-             else PositionOverTerm(P))
-    old = old_reduced_gb(inputs, P, order)
+    order, old_order = orders(P, m, data.draw(st.booleans()))
+    old = old_reduced_gb(inputs, P, old_order)
     for track in (False, True):
-        new = reduced_gb(inputs, P, order, track=track, padded=npad)
-        assert new.elements == old.elements
-        assert new.leads == old.leads
+        new = reduced_gb([pack(order, v) for v in inputs], P, order,
+                         track=track, padded=npad)
+        assert [unpack(order, v) for v in new.elements] == old.elements
+        assert [(order.unpack(lt), c) for lt, c in new.leads] == old.leads
     # elements[k] = sum_i exprs[k][i] * inputs[i]
     for v, expr in zip(new.elements, new.exprs):
         s = {(i, e): c for i, p in expr.items() for e, c in p.terms.items()}
-        assert combo(inputs, s, P) == v
+        assert combo(inputs, s, P) == unpack(order, v)
 
 
 @CASES
@@ -390,21 +423,25 @@ def test_reduced_gb_one_pass_matches_loop(field, quotient, data):
 def test_schreyer_keeps_minimal_leads(field, quotient, data):
     R, m = draw_matrix(data, field, quotient)
     P, inputs, npad = gb_inputs(R, m)
-    order = TermOverPosition(P, m.target.twists)
-    gb = reduced_gb(inputs, P, order, track=True, padded=npad)
+    order, old_order = orders(P, m, True)
+    gb = reduced_gb([pack(order, v) for v in inputs], P, order, track=True,
+                    padded=npad)
+    # the tuple-keyed twin of gb, for the Schreyer leads and old_schreyer
+    tgb = tk.old_reduced_gb(inputs, P, old_order, track=True, padded=npad)
+    assert [unpack(order, v) for v in gb.elements] == tgb.elements
     kept = schreyer_syzygies(gb)
     by_i = {}
     for s in kept:
-        assert combo(gb.elements, s, P) == {}
-        i, e = schreyer_lead(s, gb, order)
+        assert combo(tgb.elements, s, P) == {}
+        i, e = schreyer_lead(s, tgb, old_order)
         by_i.setdefault(i, []).append(e)
     # within each e_i the kept leads are pairwise non-dividing
     for es in by_i.values():
         for a in es:
             assert sum(P.mono_divides(b, a) for b in es) == 1
     # and they generate the lead module of every tau_ij
-    for s in old_schreyer_syzygies(gb):
-        i, e = schreyer_lead(s, gb, order)
+    for s in old_schreyer_syzygies(tgb):
+        i, e = schreyer_lead(s, tgb, old_order)
         assert any(P.mono_divides(b, e) for b in by_i.get(i, ()))
 
 
@@ -421,3 +458,77 @@ def test_kernel_matches_full_schreyer(field, quotient, data):
     # each kernel's columns lift through the other: the same module
     assert lift_matrix(new, old) is not None
     assert lift_matrix(old, new) is not None
+
+
+# -- the packed kernel against the tuple-keyed one ---------------------------
+
+
+def same_division(order, new, old):
+    """A packed (remainder, quotients) equals a tuple-keyed one, the
+    remainder term for term in the same order."""
+    (rem, quots), (old_rem, old_quots) = new, old
+    assert list(unpack(order, rem).items()) == list(old_rem.items())
+    assert quots == old_quots
+    assert list(quots or ()) == list(old_quots or ())
+
+
+@CASES
+@ORDERS
+@seed(20260)
+@settings(max_examples=13, deadline=None)
+@given(data=st.data())
+def test_packed_gb_division_and_syzygies_match_tuple_kernel(field, quotient,
+                                                           top, data):
+    R, m = draw_matrix(data, field, quotient)
+    P, inputs, npad = gb_inputs(R, m)
+    order, old_order = orders(P, m, top)
+    packed = [pack(order, v) for v in inputs]
+    assert [unpack(order, v) for v in packed] == inputs
+    for track in (False, True):
+        new = reduced_gb(packed, P, order, track=track, padded=npad)
+        old = tk.old_reduced_gb(inputs, P, old_order, track=track,
+                                padded=npad)
+        assert [list(unpack(order, v).items()) for v in new.elements] == \
+            [list(v.items()) for v in old.elements]
+        assert [(order.unpack(lt), c) for lt, c in new.leads] == old.leads
+        assert {c: [(i, order.unpack(lt)[1]) for i, lt in ls]
+                for c, ls in new.reducers.by_comp.items()} == \
+            old.reducers.by_comp
+        assert new.exprs == old.exprs
+    # division of each input and of x times it, leaving out a drawn
+    # position, tracked and not
+    x = old_vec_term_mul(inputs[0], (1, 0, 0), P.field.one, P, P.field)
+    for f in inputs + [x]:
+        skip = data.draw(st.integers(-1, len(new.elements) - 1))
+        for track in (False, True):
+            same_division(order, vec_divide(pack(order, f), new.reducers,
+                                            track=track, skip=skip),
+                          old_vec_divide(f, old.reducers, track=track,
+                                         skip=skip))
+        same_division(order, new.normal_form(pack(order, f), track=True),
+                      old.normal_form(f, track=True))
+    assert schreyer_syzygies(new) == tk.old_schreyer_syzygies(old)
+    assert syzygy_generators(packed, P, order, padded=npad) == \
+        tk.old_syzygy_generators(inputs, P, old_order, padded=npad)
+
+
+@CASES
+@seed(20260)
+@settings(max_examples=13, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_lift_and_interreduce_match_tuple_kernel(field,
+                                                              quotient, data):
+    R, m = draw_matrix(data, field, quotient)
+    assert kernel_matrix(m) == tk.old_kernel_matrix(m)
+    cols = m.columns()
+    assert interreduce_columns(R, m.target, cols) == \
+        old_interreduce_columns(R, m.target, cols)
+    # targets: m itself, its columns times x (solvable), x times each
+    # target generator (mostly not), and both side by side
+    x = R.variable(0)
+    times_x = GradedMatrix(R, m.source.shifted(1), m.target,
+                           {k: R.reduce(p * x) for k, p in m.entries.items()})
+    units = GradedMatrix(R, m.target.shifted(1), m.target,
+                         {(i, i): x for i in range(m.target.rank)})
+    for t in (m, times_x, units, hstack(R, [times_x, units])):
+        assert lift_matrix(m, t) == tk.old_lift_matrix(m, t)
