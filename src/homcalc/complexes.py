@@ -50,7 +50,7 @@ d_Y f_i - (-1)^t f_{i-1} d_X; d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
 from __future__ import annotations
 
 from .ring import GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE, block_matrix
-from .groebner import QuotientRing, kernel_matrix, lift_matrix, interreduce_columns
+from .groebner import QuotientRing, kernel_matrix, lift_matrix, clean_columns
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -675,13 +675,12 @@ def _cone_resolution(X: FreeComplex, start: int, bound: int):
             if not bnd.is_zero() and lift_matrix(bnd, cm) is not None:
                 continue
             keep.append(col)
-        keep = interreduce_columns(qr, src, keep)
-        if not keep:
+        cols = clean_columns(qr, src, keep)
+        if not cols.source.rank:
             if j >= xt:
                 closed = True
                 break
             continue
-        cols = GradedMatrix.from_columns(qr, src, keep)
         # split each generator (p, x): d_P = -p_part, phi = x_part
         dP_entries, phi_entries = {}, {}
         for (a, b), p in cols.entries.items():

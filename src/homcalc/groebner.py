@@ -6,8 +6,12 @@ term (component, exponents) packed into one int by a TermOverPosition
 order, with nonzero coefficients only.  Everything is kept exact;
 coefficients are unboxed field elements and all choices (selection
 strategy, reducer choice, final ordering) are deterministic, so repeated
-runs produce identical output.  Polynomials and matrices keep exponent
-tuples; vec_from_column and vec_to_column convert.
+runs produce identical output.  The tracked side is packed too: a
+quotient term x^s is keyed by its shift lin(s), and the expressions of a
+basis and the syzygies are Vecs over the input index space, packed by
+index_order with zero twists.  Polynomials and matrices keep exponent
+tuples; vec_from_column, vec_to_column and columns_matrix convert, at the
+entry and exit of kernel_matrix, lift_matrix and clean_columns.
 
 Quotient-ring computations are run upstairs: to compute kernels or
 syzygies over R = P/I inside a free module with target components
@@ -91,6 +95,10 @@ class TermOverPosition:
         c = t & FIELD_MASK
         return c, self.ring.unlin(t - self.bases[c])
 
+    def degree(self, t) -> int:
+        """The twisted degree wdeg e + twists[c] of a term."""
+        return (1 << (FIELD - 1)) - (t >> (self.ring.deg_shift + FIELD))
+
     def lcm(self, a, b) -> int:
         """The lcm of two terms of one component."""
         c, ea = self.unpack(a)
@@ -127,20 +135,16 @@ def vec_scale(v, c, F):
     return {k: F.mul(c, x) for k, x in v.items()}
 
 
-def vec_axpy(target, c, v, F):
-    """target += c * v, in place."""
+def vec_axpy(target, c, shift, v, F):
+    """target += (c * x^s) * v, in place, for shift = lin(s)."""
     for k, x in v.items():
+        k += shift
         s = F.add(target.get(k, F.zero), F.mul(c, x))
         if F.is_zero(s):
             target.pop(k, None)
         else:
             target[k] = s
     return target
-
-
-def vec_term_mul(v, shift, c, F):
-    """(c * x^s) * v, for shift = lin(s)."""
-    return {t + shift: F.mul(c, x) for t, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,8 @@ def vec_divide(f, reducers, track=False, skip=-1):
     Returns (remainder, quotients) with f = sum_i q_i vecs_i + remainder
     and no remainder term divisible by any lead.  quotients is None
     unless track is set; then it maps each position with a nonzero
-    quotient, in increasing order, to its term dict (exponent -> coeff).
+    quotient, in increasing order, to its term dict {lin(s): coeff}, each
+    monomial x^s keyed by its packed shift.
 
     Terms are popped from a min-heap of packed terms, largest first.
     This picks the same term as a scan for the maximum because of two
@@ -205,7 +210,7 @@ def vec_divide(f, reducers, track=False, skip=-1):
     after it was pushed leaves a stale heap entry, skipped when popped.
     """
     ring = reducers.order.ring
-    F, guard, unlin = ring.field, ring.guard, ring.unlin
+    F, guard = ring.field, ring.guard
     vecs, leads, by_comp = reducers.vecs, reducers.leads, reducers.by_comp
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(f)
@@ -242,7 +247,7 @@ def vec_divide(f, reducers, track=False, skip=-1):
                 else:
                     work[nt] = s
         if track:
-            quots.setdefault(i, {})[unlin(shift)] = fac
+            quots.setdefault(i, {})[shift] = fac
     if track:
         quots = {i: quots[i] for i in sorted(quots)}
     return rem, quots
@@ -252,14 +257,26 @@ def vec_divide(f, reducers, track=False, skip=-1):
 # Buchberger with expression tracking
 
 
+def index_order(ring: PolyRing, n: int) -> TermOverPosition:
+    """The order that packs expressions and syzygies over n indexed
+    vectors: x^e e_i is pack(i, e).  Its twists are zero, so it refuses no
+    input's twist, and pack(i, e) - bases[i] is the shift lin(e).  Their
+    terms come by shifts, not lin, and stay in range: x^e times input i
+    has a twisted degree below 2^30 + 2^29, and input i one above -2^29,
+    so wdeg e is below 2^31."""
+    return TermOverPosition(ring, [0] * n)
+
+
 class GBResult:
     """Reduced Groebner basis of a list of input vectors.
 
     reducers.vecs (also elements): basis vectors, lead coefficient 1,
         sorted by lead.
     reducers.leads (also leads): (lead term, 1).
-    exprs[k]: dict input_index -> Polynomial with
-        elements[k] = sum_i exprs[k][i] * inputs[i]   (over the ambient ring).
+    exprs[k]: a Vec over the inputs, x^e e_i packed by
+        index_order(ring, len(inputs)), with
+        elements[k] = sum_(i, e) exprs[k][x^e e_i] x^e inputs[i]   (over
+        the ambient ring); {} unless tracked.
     """
 
     __slots__ = ("ring", "reducers", "exprs")
@@ -278,23 +295,17 @@ class GBResult:
         return self.reducers.leads
 
     def normal_form(self, v, track=False):
-        """(remainder, quotients): quotients maps basis positions with a
-        nonzero quotient to it as a Polynomial, or is None untracked."""
-        rem, quots = vec_divide(v, self.reducers, track=track)
-        if not track:
-            return rem, None
-        return rem, {k: Polynomial(self.ring, q) for k, q in quots.items()}
+        """vec_divide by the basis: (remainder, quotients)."""
+        return vec_divide(v, self.reducers, track=track)
 
 
-def _expr_axpy(target: dict, coeff: Polynomial, src: dict):
-    """target -= coeff * src for expression dicts (index -> Polynomial)."""
-    for i, p in src.items():
-        cur = target.get(i)
-        upd = (cur - coeff * p) if cur is not None else -(coeff * p)
-        if upd.is_zero():
-            target.pop(i, None)
-        else:
-            target[i] = upd
+def _minus_quotients(expr, quots, exprs, F):
+    """expr -= sum_k q_k exprs[k], in place, for the quotients q_k of
+    vec_divide by a basis whose expressions are exprs."""
+    for k, q in quots.items():
+        for s, c in q.items():
+            vec_axpy(expr, F.neg(c), s, exprs[k], F)
+    return expr
 
 
 def reduced_gb(inputs, ring: PolyRing, order, track=False,
@@ -310,25 +321,35 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     tail (pairs in different components make no S-vector), so the chain
     criterion, which treats every unqueued pair as done, stays sound.
 
-    The inter-reduction first drops every element whose lead another live
-    lead divides (of equal leads the last stays, as a division pass in
-    index order would leave it), then divides each element once by the
-    others.  The leads left never change, so that one pass leaves every
-    non-lead term irreducible: the reduced basis.
+    Each basis vector is made monic as it is pushed, its expression
+    scaled with it, and each pair's lcm is packed once, from the leads'
+    exponents.  The inter-reduction first drops every element whose lead
+    another live lead divides (of equal leads the last stays, as a
+    division pass in index order would leave it), then divides each
+    element once by the others.  The leads left never change, so that one
+    pass leaves every non-lead term irreducible: the reduced basis.
     """
     F = ring.field
-    guard, unlin = ring.guard, ring.unlin
+    guard, lin, unlin = ring.guard, ring.lin, ring.unlin
+    one, neg_one = F.one, F.neg(F.one)
     red = Reducers(order)
     basis, leads, by_comp = red.vecs, red.leads, red.by_comp
-    exprs = []      # input_index -> Polynomial
+    exprs = []      # Vecs over the inputs, as GBResult.exprs
+    exps = []       # the exponents of each lead
 
     def push(v, expr):
+        lt = min(v)
+        if v[lt] != one:
+            inv = F.inv(v[lt])
+            v, expr = vec_scale(v, inv, F), vec_scale(expr, inv, F)
         exprs.append(expr)
+        exps.append(unlin(lt - order.bases[lt & FIELD_MASK]))
         return red.push(v)
 
+    units = index_order(ring, len(inputs)).bases
     for i, v in enumerate(inputs):
         if v:
-            push(dict(v), {i: ring.one()} if track else {})
+            push(dict(v), {units[i]: one} if track else {})
     # first basis position of the padding (padding vectors are nonzero)
     pad_from = len(basis) - padded
 
@@ -337,22 +358,24 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     pairs = []
     ticket = 0
     pending = set()
+    lcms = {}
 
     def lcm_of(i, j):
-        li, lj = leads[i][0], leads[j][0]
-        if li & FIELD_MASK != lj & FIELD_MASK:
-            return None
-        return order.lcm(li, lj)
+        # the lcm of the leads of i < j, which share a component
+        m = lcms.get((i, j))
+        if m is None:
+            m = lcms[i, j] = (order.bases[leads[i][0] & FIELD_MASK]
+                              + lin(tuple(map(max, exps[i], exps[j]))))
+        return m
 
     def queue_pairs_with(j, below):
         # pairs (i, j) with i < below; only leads in the same component
         # make a pair
         nonlocal ticket
-        lj = leads[j][0]
-        for i, li in by_comp[lj & FIELD_MASK]:
+        for i, _ in by_comp[leads[j][0] & FIELD_MASK]:
             if i >= below:
                 break
-            heapq.heappush(pairs, (-order.lcm(li, lj), ticket, i, j))
+            heapq.heappush(pairs, (-lcm_of(i, j), ticket, i, j))
             pending.add((i, j))
             ticket += 1
 
@@ -368,8 +391,7 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
         m, _, i, j = heapq.heappop(pairs)
         m = -m
         pending.discard((i, j))
-        li, lci = leads[i]
-        lj, lcj = leads[j]
+        li, lj = leads[i][0], leads[j][0]
         # product criterion: in a rank-one ambient module a pair with
         # coprime leading monomials reduces to zero
         if rank1 and li + lj - order.bases[li & FIELD_MASK] == m:
@@ -391,22 +413,22 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
         if skip:
             continue
         si, sj = m - li, m - lj
-        s = vec_term_mul(basis[i], si, F.inv(lci), F)
-        vec_axpy(s, F.neg(F.one), vec_term_mul(basis[j], sj, F.inv(lcj), F), F)
+        s = {t + si: x for t, x in basis[i].items()}
+        vec_axpy(s, neg_one, sj, basis[j], F)
         rem, quots = vec_divide(s, red, track=track)
         if not rem:
             continue
         expr = {}
         if track:
-            _expr_axpy(expr, ring.monomial(unlin(si), F.neg(F.inv(lci))), exprs[i])
-            _expr_axpy(expr, ring.monomial(unlin(sj), F.inv(lcj)), exprs[j])
-            for k, q in quots.items():
-                _expr_axpy(expr, Polynomial(ring, q), exprs[k])
+            vec_axpy(expr, one, si, exprs[i], F)
+            vec_axpy(expr, neg_one, sj, exprs[j], F)
+            _minus_quotients(expr, quots, exprs, F)
         jnew = push(rem, expr)
         queue_pairs_with(jnew, jnew)
 
     # inter-reduce to the reduced basis, keeping expressions consistent:
-    # drop the non-minimal leads, then reduce each tail once
+    # drop the non-minimal leads, then reduce each tail once (the lead
+    # stays, so each element stays monic)
     for idx, (lt, _) in enumerate(leads):
         for k, lk in by_comp[lt & FIELD_MASK]:
             if k != idx and not (lt - lk) & guard and (k > idx or lk != lt):
@@ -417,30 +439,17 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
         if basis[idx] is None:
             continue
         rem, quots = vec_divide(basis[idx], red, track=track, skip=idx)
-        if rem == basis[idx]:
-            continue
-        if not rem:
+        if not rem or rem == basis[idx]:
             continue
         if track:
-            expr = dict(exprs[idx])
-            for t, q in quots.items():
-                _expr_axpy(expr, Polynomial(ring, q), exprs[t])
-            exprs[idx] = expr
+            exprs[idx] = _minus_quotients(dict(exprs[idx]), quots, exprs, F)
         red.replace(idx, rem)
 
     # ascending by lead, as packed terms descend
-    final = [(b, leads[t], exprs[t]) for t, b in enumerate(basis) if b is not None]
-    final.sort(key=lambda ble: ble[1][0], reverse=True)
-    out = Reducers(order)
-    out_e = []
-    for b, (lt, lc), e in final:
-        inv = F.inv(lc)
-        out.push(vec_scale(b, inv, F))
-        if track:
-            out_e.append({i: p.scale(inv) for i, p in e.items()})
-        else:
-            out_e.append({})
-    return GBResult(ring, out, out_e)
+    final = sorted((t for t, b in enumerate(basis) if b is not None),
+                   key=lambda t: leads[t][0], reverse=True)
+    return GBResult(ring, Reducers(order, [basis[t] for t in final]),
+                    [exprs[t] for t in final])
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +459,8 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
 def schreyer_syzygies(gb: GBResult):
     """Generators of the syzygy module of gb.elements, from S-pairs.
 
-    Each syzygy is a dict {(index, exponents): coeff} over the index space
-    of gb.elements.  For i < j
+    Each syzygy is a Vec over the index space of gb.elements, x^e e_k
+    packed by index_order(ring, len(gb.elements)).  For i < j
     with leads in one component, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j
     minus the quotients of the S-pair's standard expression, where m_ij
     is the lcm of the leading monomials m_i, m_j.  By Schreyer's theorem
@@ -463,10 +472,12 @@ def schreyer_syzygies(gb: GBResult):
     module, so they still generate every syzygy.
     """
     ring, F = gb.ring, gb.ring.field
-    guard, unlin, order = ring.guard, ring.unlin, gb.reducers.order
+    guard, order = ring.guard, gb.reducers.order
     elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
+    units = index_order(ring, len(elements)).bases
+    neg_one = F.neg(F.one)
     out = []
-    for i, (li, lci) in enumerate(leads):
+    for i, (li, _) in enumerate(leads):
         first = {}      # lin(m_ij/m_i) -> lowest j, in position order
         for j, lj in by_comp[li & FIELD_MASK]:
             if j > i:
@@ -474,87 +485,56 @@ def schreyer_syzygies(gb: GBResult):
         for si, j in first.items():
             if any(t != si and not (si - t) & guard for t in first):
                 continue
-            lj, lcj = leads[j]
-            sj = li + si - lj
-            s = vec_term_mul(elements[i], si, F.inv(lci), F)
-            vec_axpy(s, F.neg(F.one),
-                     vec_term_mul(elements[j], sj, F.inv(lcj), F), F)
+            sj = li + si - leads[j][0]
+            s = {t + si: x for t, x in elements[i].items()}
+            vec_axpy(s, neg_one, sj, elements[j], F)
             rem, quots = vec_divide(s, gb.reducers, track=True)
             if rem:
                 raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
-            ei, ej = unlin(si), unlin(sj)
-            syz = {}
-            syz[(i, ei)] = F.inv(lci)
-            prev = syz.get((j, ej), F.zero)
-            syz[(j, ej)] = F.sub(prev, F.inv(lcj))
-            if F.is_zero(syz[(j, ej)]):
-                del syz[(j, ej)]
+            syz = {units[i] + si: F.one, units[j] + sj: neg_one}
             for k, q in quots.items():
-                for e, c in q.items():
-                    cur = F.sub(syz.get((k, e), F.zero), c)
-                    if F.is_zero(cur):
-                        syz.pop((k, e), None)
-                    else:
-                        syz[(k, e)] = cur
-            if syz:
-                out.append(syz)
+                vec_axpy(syz, neg_one, units[k], q, F)
+            out.append(syz)
     return out
 
 
 def syzygy_generators(inputs, ring: PolyRing, order, padded=0):
     """Generators of the syzygy module of the input vectors.
 
-    Returns Vecs over the input index space: transported Schreyer
-    syzygies of the reduced basis plus the columns of I - U V, where U, V
-    express the basis in the inputs and back.  Zero inputs contribute
-    unit syzygies.  An input that is a basis element up to a scalar (its
-    basis expression is {i: constant}) has a zero I - U V column, so it
-    is not divided again.  The last `padded` inputs are the ideal padding
-    (see reduced_gb).
+    Returns Vecs over the input index space, x^e e_i packed by
+    index_order(ring, len(inputs)): transported Schreyer syzygies of the
+    reduced basis plus the columns of I - U V, where U, V express the
+    basis in the inputs and back.  Zero inputs contribute unit syzygies.
+    An input that is a basis element up to a scalar (its basis expression
+    is a constant times e_i) has a zero I - U V column, so it is not
+    divided again.  The last `padded` inputs are the ideal padding (see
+    reduced_gb).
     """
     F = ring.field
-    zero_idx = [i for i, v in enumerate(inputs) if not v]
+    units = index_order(ring, len(inputs)).bases
     gb = reduced_gb(inputs, ring, order, track=True, padded=padded)
-
-    out = []
-    for i in zero_idx:
-        out.append({(i, ring.zero_exp): F.one})
+    out = [{units[i]: F.one} for i, v in enumerate(inputs) if not v]
 
     # transported Schreyer syzygies: s over GB indices -> U s over inputs
+    gunits = index_order(ring, len(gb.elements)).bases
     for s in schreyer_syzygies(gb):
         t = {}
-        for (k, e), c in s.items():
-            for i, p in gb.exprs[k].items():
-                for pe, pc in p.terms.items():
-                    key = (i, ring.mono_mul(pe, e))
-                    cur = F.add(t.get(key, F.zero), F.mul(c, pc))
-                    if F.is_zero(cur):
-                        t.pop(key, None)
-                    else:
-                        t[key] = cur
+        for u, c in s.items():
+            k = u & FIELD_MASK
+            vec_axpy(t, c, u - gunits[k], gb.exprs[k], F)
         if t:
             out.append(t)
 
     # inputs re-expressed through the basis: columns of I - U V
-    in_basis = {i for ex in gb.exprs if len(ex) == 1
-                for i, p in ex.items() if p.terms.keys() == {ring.zero_exp}}
+    index = {u: i for i, u in enumerate(units)}
+    in_basis = {index.get(u) for ex in gb.exprs if len(ex) == 1 for u in ex}
     for i, v in enumerate(inputs):
         if not v or i in in_basis:
             continue
         rem, quots = gb.normal_form(v, track=True)
         if rem:
             raise ArithmeticError("input does not reduce to zero against its own basis")
-        t = {(i, ring.zero_exp): F.one}
-        for k, q in quots.items():
-            for j, p in gb.exprs[k].items():
-                prod = q * p
-                for pe, pc in prod.terms.items():
-                    key = (j, pe)
-                    cur = F.sub(t.get(key, F.zero), pc)
-                    if F.is_zero(cur):
-                        t.pop(key, None)
-                    else:
-                        t[key] = cur
+        t = _minus_quotients({units[i]: F.one}, quots, gb.exprs, F)
         if t:
             out.append(t)
     return out
@@ -678,9 +658,23 @@ class QuotientRing:
 
 
 def _padding_vectors(qr: QuotientRing, order):
-    """g*e_t for every g of the ideal basis and every component t."""
-    return [vec_from_column({t: g}, order) for g in qr.ideal_basis
-            for t in range(len(order.twists))]
+    """g*e_t for every g of the ideal basis and every component t: the
+    ring's packed basis, shifted to each component's base."""
+    b0 = qr._gb.reducers.order.bases[0]
+    shifts = [b - b0 for b in order.bases]
+    return [{t + d: c for t, c in g.items()} for g in qr._gb.elements
+            for d in shifts]
+
+
+def columns_matrix(qr: QuotientRing, target: GradedFree, vecs, order):
+    """The matrix into target with the nonzero homogeneous Vecs vecs, in
+    target's order, as its columns, each twisted by its lead's degree."""
+    entries, twists = {}, []
+    for j, v in enumerate(vecs):
+        twists.append(order.degree(min(v)))
+        for i, p in vec_to_column(v, order).items():
+            entries[(i, j)] = p
+    return GradedMatrix(qr, GradedFree.of(twists), target, entries)
 
 
 def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
@@ -691,30 +685,30 @@ def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
     cols = [vec_from_column(c, order) for c in m.columns()]
     pads = _padding_vectors(qr, order)
     syz = syzygy_generators(cols + pads, P, order, padded=len(pads))
-    ncols = len(cols)
+    # project onto the columns, each e_i shifted into the source's order
+    ncols, src = len(cols), TermOverPosition(P, m.source.twists)
+    shifts = [b - u for b, u in zip(src.bases, index_order(P, ncols).bases)]
     raw = []
     for s in syz:
-        col = {}
-        for (idx, e), c in s.items():
-            if idx < ncols:
-                col.setdefault(idx, {})[e] = c
-        if col:
-            raw.append({i: Polynomial(P, t) for i, t in col.items()})
+        v = {t + shifts[t & FIELD_MASK]: c for t, c in s.items()
+             if t & FIELD_MASK < ncols}
+        if v:
+            raw.append(v)
     # interreduce_columns divides by the padding: its columns are normal
     # forms mod I, and a column zero mod I drops there
-    raw = interreduce_columns(qr, m.source, raw)
-    return GradedMatrix.from_columns(qr, m.source, raw)
+    return columns_matrix(qr, m.source, interreduce_columns(qr, m.source, raw),
+                          src)
 
 
-def interreduce_columns(qr: QuotientRing, free: GradedFree, cols):
+def interreduce_columns(qr: QuotientRing, free: GradedFree, vecs):
     """Greedy inter-reduction of module elements over the quotient ring.
 
-    Preserves the span; drops zeros and elements reducible to zero by the
-    others plus the ideal padding.  Not a Groebner basis, just cleanup to
-    keep iterated syzygy runs small.
+    vecs are Vecs in the TermOverPosition order of free.  Returns the kept
+    ones, monic and ascending by lead.  Preserves the span; drops zeros
+    and elements reducible to zero by the others plus the ideal padding.
+    Not a Groebner basis, just cleanup to keep iterated syzygy runs small.
     """
     order = TermOverPosition(qr.ambient, free.twists)
-    vecs = [vec_from_column(c, order) for c in cols]
     vecs = [v for v in vecs if v]
     # ascending by lead; reverse=True keeps equal leads in input order
     vecs.sort(key=min, reverse=True)
@@ -726,8 +720,16 @@ def interreduce_columns(qr: QuotientRing, free: GradedFree, cols):
             continue
         rem = vec_scale(rem, qr.field.inv(rem[min(rem)]), qr.field)
         accepted.push(rem)
-        out.append(vec_to_column(rem, order))
+        out.append(rem)
     return out
+
+
+def clean_columns(qr: QuotientRing, free: GradedFree, cols) -> GradedMatrix:
+    """The matrix of interreduce_columns of the nonzero columns among cols
+    ({row: Polynomial}) of a matrix into free."""
+    order = TermOverPosition(qr.ambient, free.twists)
+    vecs = [vec_from_column(c, order) for c in cols if c]
+    return columns_matrix(qr, free, interreduce_columns(qr, free, vecs), order)
 
 
 def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
@@ -744,22 +746,21 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
     cols = [vec_from_column(c, order) for c in m.columns()]
     pads = _padding_vectors(qr, order)
     gb = reduced_gb(cols + pads, P, order, track=True, padded=len(pads))
+    # the basis expressions projected onto m's columns
     ncols = len(cols)
+    exprs = [{t: c for t, c in e.items() if t & FIELD_MASK < ncols}
+             for e in gb.exprs]
+    units = index_order(P, ncols)
     entries = {}
     for j, col in enumerate(targets.columns()):
-        v = vec_from_column(col, order)
-        rem, quots = gb.normal_form(v, track=True)
+        rem, quots = gb.normal_form(vec_from_column(col, order), track=True)
         if rem:
             return None
         acc = {}
         for k, q in quots.items():
-            for i, p in gb.exprs[k].items():
-                if i >= ncols:
-                    continue
-                cur = acc.get(i)
-                prod = q * p
-                acc[i] = prod if cur is None else cur + prod
-        for i, p in acc.items():
+            for s, c in q.items():
+                vec_axpy(acc, c, s, exprs[k], P.field)
+        for i, p in vec_to_column(acc, units).items():
             p = qr.reduce(p)
             if not p.is_zero():
                 entries[(i, j)] = p

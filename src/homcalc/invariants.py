@@ -163,9 +163,9 @@ def _module_cut(m: ModulePresentation) -> ModulePresentation | None:
         if cut is None:
             continue
         P2 = cut.ambient
-        mbar = ModulePresentation(cut, GradedMatrix(
+        mbar = ModulePresentation(cut, cut.reduce_matrix(GradedMatrix(
             cut, rels.source, rels.target,
-            {k: _substitute(p, P2, j, l) for k, p in rels.entries.items()}),
+            {k: _substitute(p, P2, j, l) for k, p in rels.entries.items()})),
             minimal=m.minimal)
         if mbar.hilbert_series().numer == m.hilbert_series().numer:
             return mbar

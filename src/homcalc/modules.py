@@ -34,11 +34,11 @@ from __future__ import annotations
 import functools
 import inspect
 
-from .ring import GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE, hstack, kron
+from .ring import (FIELD_MASK, GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE,
+                   hstack, kron)
 from .groebner import (QuotientRing, kernel_matrix,
-                       lift_matrix, interreduce_columns, reduced_gb,
-                       TermOverPosition, vec_from_column, vec_to_column,
-                       _padding_vectors,
+                       lift_matrix, clean_columns, reduced_gb,
+                       TermOverPosition, vec_from_column, _padding_vectors,
                        minimalize_monomials, standard_monomials,
                        hilbert_numerator, HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
@@ -59,7 +59,12 @@ class ModulePresentation:
     gens is the generator free module (the target of the relation
     matrix); minimal means no degree-matching constant entry survives in
     the relations, so the generator count equals the minimal number of
-    generators by graded Nakayama.
+    generators by graded Nakayama.  The relations must be normal forms
+    mod the ring's ideal, the rule FreeComplex states for differentials:
+    every construction keeps them so (kernels and lifts come out reduced,
+    Kronecker products and sums copy entries), and the two that build
+    other entries, canonical_module (re-housing Ext over the ambient ring)
+    and invariants._module_cut (substituting a linear form), reduce them.
     """
 
     __slots__ = ("ring", "gens", "relations", "minimal", "_key")
@@ -67,7 +72,7 @@ class ModulePresentation:
     def __init__(self, ring: QuotientRing, relations: GradedMatrix,
                  minimal=False):
         self.ring = ring
-        self.relations = ring.reduce_matrix(relations)
+        self.relations = relations
         self.gens = relations.target
         self.relations.validate_homogeneous()
         self.minimal = minimal
@@ -346,9 +351,9 @@ def _coker_gb(c: ModulePresentation, n: ModulePresentation):
     blocks = c.gens.rank // max(g0, 1)
     cols = c.relations.columns()[blocks * n.relations.source.rank:]
     order, ngb = TermOverPosition(P, c.gens.twists), _module_gb(n)
-    tail = [vec_from_column({a * g0 + b: p for b, p in
-                             vec_to_column(v, ngb.reducers.order).items()},
-                            order)
+    nb, cb = ngb.reducers.order.bases, order.bases
+    tail = [{t - nb[t & FIELD_MASK] + cb[a * g0 + (t & FIELD_MASK)]: x
+             for t, x in v.items()}
             for a in range(blocks) for v in ngb.elements]
     return reduced_gb([vec_from_column(col, order) for col in cols] + tail,
                       P, order, padded=len(tail))
@@ -435,12 +440,6 @@ def _restrict_rows(K: GradedMatrix, head: GradedFree) -> GradedMatrix:
     return GradedMatrix(K.ring, K.source, head, entries)
 
 
-def _clean_columns(qr, free: GradedFree, m: GradedMatrix) -> GradedMatrix:
-    cols = [c for c in m.columns() if c]
-    cols = interreduce_columns(qr, free, cols)
-    return GradedMatrix.from_columns(qr, free, cols)
-
-
 def _sub_rels(kappa: GradedMatrix, denominators) -> GradedMatrix:
     """Generators of {v in source(kappa) : kappa(v) lies in the images of
     the denominators}: the kernel of [kappa | denominators] restricted to
@@ -453,7 +452,8 @@ def _sub_rels(kappa: GradedMatrix, denominators) -> GradedMatrix:
         return GradedMatrix.identity(qr, kappa.source)
     mats = [kappa] + [d for d in denominators if d.source.rank]
     K = kernel_matrix(hstack(qr, mats))
-    return _clean_columns(qr, kappa.source, _restrict_rows(K, kappa.source))
+    return clean_columns(qr, kappa.source,
+                         _restrict_rows(K, kappa.source).columns())
 
 
 def _stretch(X: FreeComplex, i: int) -> FreeComplex:
@@ -667,7 +667,8 @@ def first_ext(m: ModulePresentation, n: ModulePresentation, lo: int,
 
 
 class ModuleMap:
-    """A map of presented modules given on generator frees."""
+    """A map of presented modules given on generator frees, its matrix in
+    normal form by ModulePresentation's rule (express lifts it so)."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -675,7 +676,7 @@ class ModuleMap:
                  matrix: GradedMatrix):
         self.source = source
         self.target = target
-        self.matrix = source.ring.reduce_matrix(matrix)
+        self.matrix = matrix
 
     def validate(self):
         self.matrix.validate_homogeneous()
@@ -754,8 +755,8 @@ def canonical_module(r: QuotientRing) -> ModulePresentation:
         raise NotCohenMacaulayError(
             f"nonzero Ext at index {i}, codimension {codim}")
     w = minimal_presentation(ext_module(RS, SS, codim))
-    rel = GradedMatrix(r, w.relations.source, w.gens,
-                       dict(w.relations.entries))
+    rel = r.reduce_matrix(GradedMatrix(r, w.relations.source, w.gens,
+                                       w.relations.entries))
     out = minimal_presentation(ModulePresentation(r, rel))
     if out.gens.rank == 0:
         return out

@@ -91,9 +91,6 @@ class PolyRing:
     def mono_key(self, e):
         return (self.wdeg(e),) + tuple(map(neg, reversed(e)))
 
-    def mono_mul(self, a, b):
-        return tuple(map(add, a, b))
-
     def mono_divides(self, a, b) -> bool:
         """a | b componentwise."""
         return all(map(le, a, b))
@@ -132,12 +129,11 @@ class PolyRing:
         c = self.field.normalize(c)
         return Polynomial(self, {} if self.field.is_zero(c) else {self.zero_exp: c})
 
-    def monomial(self, exps, coeff=1) -> "Polynomial":
-        c = self.field.normalize(coeff)
+    def monomial(self, exps) -> "Polynomial":
         e = tuple(exps)
         if len(e) != self.n:
             raise ValueError("wrong exponent length")
-        return Polynomial(self, {} if self.field.is_zero(c) else {e: c})
+        return Polynomial(self, {e: self.field.one})
 
     def variable(self, i_or_name) -> "Polynomial":
         i = self._var_index[i_or_name] if isinstance(i_or_name, str) else i_or_name

@@ -103,6 +103,19 @@ def test_non_cm_line_has_no_cut():
     assert _module_cut(ModulePresentation.free(NC, [0])) is None
 
 
+def test_cut_relations_are_normal_forms():
+    # over k[x,y,z]/(xy - z^2), whose lead is xy, the relation y^2 + z^2 is
+    # a normal form; x cuts R to k[y,z]/(z^2), where it is not, and the cut
+    # presents M/xM by y^2, as ModulePresentation's normal-form rule asks
+    P3 = PolyRing(F, ["x", "y", "z"])
+    m = ModulePresentation.cyclic(QuotientRing(P3, ["x*y - z^2"]),
+                                  ["y^2 + z^2"])
+    cut = _module_cut(m)
+    assert cut.ring.ambient.names == ("y", "z")
+    assert cut.relations == cut.ring.reduce_matrix(cut.relations)
+    assert [repr(p) for p in cut.relations.entries.values()] == ["y^2"]
+
+
 @pytest.mark.parametrize("rels", [["x^2", "y^2"], ["x^2", "x*y", "y^2"],
                                   ["x^3", "y^2"]])
 def test_artinian_rings_are_never_cut(rels):

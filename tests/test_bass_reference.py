@@ -151,7 +151,7 @@ def random_matrix_cone(draw, qr):
             if sj >= ti:
                 f = P.zero()
                 for e in monomials(P.n, sj - ti):
-                    f = f + P.monomial(e, draw(st.integers(-2, 2)))
+                    f = f + P.monomial(e).scale(draw(st.integers(-2, 2)))
                 entries[(i, j)] = qr.reduce(f)
     F, G = GradedFree.of(src), GradedFree.of(tgt)
     return cone(ChainMap(module_as_complex(qr, F), module_as_complex(qr, G),

@@ -10,8 +10,9 @@ entries by the position formulas of hom_layout and tensor_layout, where
 they used inverted hom_index and tensor_index lists.  None of these steps
 changes what is computed, so the code before them, copied verbatim below
 (only the function names are prefixed with old_, the homothety is wrapped
-in a function, and the complete= arguments FreeComplex no longer takes
-are dropped), is the reference: old and new agree term for term, entry
+in a function, the complete= arguments FreeComplex no longer takes are
+dropped, and interreduce_columns, which now takes packed vectors, is
+called with its columns through clean_columns), is the reference: old and new agree term for term, entry
 for entry, in window and truth bounds, and in every chain-map component.
 The inputs are the benchmark's ring templates in random coordinates
 (their X, Y, Z, C, the truncated resolutions K_b of k and Hom(K_b, C), at
@@ -41,7 +42,7 @@ from homcalc.complexes import (
 )
 from homcalc.corpus import corpus_problems
 from homcalc.field import PrimeField
-from homcalc.groebner import (QuotientRing, interreduce_columns, kernel_matrix,
+from homcalc.groebner import (QuotientRing, clean_columns, kernel_matrix,
                               lift_matrix)
 from homcalc.invariants import residue_field
 from homcalc.modules import minimal_presentation, resolution
@@ -172,13 +173,12 @@ def old_cone_resolution(X: FreeComplex, start: int, bound: int):
             if not bnd.is_zero() and lift_matrix(bnd, cm) is not None:
                 continue
             keep.append(col)
-        keep = interreduce_columns(qr, src, keep)
-        if not keep:
+        cols = clean_columns(qr, src, keep)
+        if not cols.source.rank:
             if j >= xt:
                 closed = True
                 break
             continue
-        cols = GradedMatrix.from_columns(qr, src, keep)
         # split each generator (p, x): d_P = -p_part, phi = x_part
         dP_entries, phi_entries = {}, {}
         for (a, b), p in cols.entries.items():

@@ -15,6 +15,7 @@ from homcalc.ring import (
 )
 
 from slice_homology import rref, rank, generic_rref, monomials_of_degree
+from tuple_kernel import mono_mul
 
 F = PrimeField(32003)
 Q = RationalField()
@@ -203,7 +204,7 @@ def test_order_multiplicative(ms):
     R = PolyRing(F, ["x", "y", "z"], weights=(1, 2, 1))
     a, b, c = ms
     if R.mono_key(a) > R.mono_key(b):
-        assert R.mono_key(R.mono_mul(a, c)) > R.mono_key(R.mono_mul(b, c))
+        assert R.mono_key(mono_mul(a, c)) > R.mono_key(mono_mul(b, c))
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
@@ -214,9 +215,9 @@ def test_packed_monomials(ms):
     # divisibility off the guard bits of a difference
     R = PolyRing(F, ["x", "y", "z"], weights=(1, 2, 1))
     a, b = ms
-    assert R.lin(a) + R.lin(b) == R.lin(R.mono_mul(a, b))
+    assert R.lin(a) + R.lin(b) == R.lin(mono_mul(a, b))
     assert R.unlin(R.lin(a)) == a
-    assert R.unlin(R.lin(a) + R.lin(b)) == R.mono_mul(a, b)
+    assert R.unlin(R.lin(a) + R.lin(b)) == mono_mul(a, b)
     assert (R.mono_key(a) > R.mono_key(b)) == (R.lin(a) < R.lin(b))
     assert R.mono_divides(a, b) == (not (R.lin(b) - R.lin(a)) & R.guard)
 

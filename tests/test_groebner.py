@@ -11,17 +11,17 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from homcalc.field import PrimeField, RationalField
-from homcalc.ring import PolyRing, GradedFree, GradedMatrix
+from homcalc.ring import FIELD_MASK, PolyRing, GradedFree, GradedMatrix
 from homcalc.groebner import (
     TermOverPosition, QuotientRing, HilbertSeries,
     Reducers, reduced_gb, syzygy_generators, schreyer_syzygies,
     kernel_matrix, lift_matrix, hilbert_numerator, minimalize_monomials,
-    vec_divide, vec_from_column, vec_to_column, vec_axpy, vec_term_mul,
+    index_order, vec_divide, vec_from_column, vec_to_column, vec_axpy,
 )
 
 from slice_homology import monomials_of_degree, top_degree
 from term_orders import PositionOverTerm
-from tuple_kernel import mono_div, old_vec_term_mul
+from tuple_kernel import mono_div, old_vec_axpy, old_vec_term_mul
 
 F = PrimeField(32003)
 
@@ -48,13 +48,21 @@ def contains(gb, v):
 
 
 def combo(inputs, s, ring):
-    """Evaluate a syzygy candidate: sum_i s_(i,e) x^e * inputs[i]."""
-    Fld = ring.field
+    """Evaluate a syzygy candidate or an expression, a Vec over the
+    inputs packed by index_order: sum_(i,e) s_(i,e) x^e * inputs[i]."""
+    units = index_order(ring, len(inputs)).bases
     acc = {}
-    for (i, e), c in s.items():
-        vec_axpy(acc, Fld.one, vec_term_mul(inputs[i], ring.lin(e), c, Fld),
-                 Fld)
+    for t, c in s.items():
+        i = t & FIELD_MASK
+        vec_axpy(acc, c, t - units[i], inputs[i], ring.field)
     return acc
+
+
+def unpacked(s, ring, n):
+    """A Vec over n indexed vectors, packed by index_order, as
+    {(index, exponents): coeff}."""
+    order = index_order(ring, n)
+    return {order.unpack(t): c for t, c in s.items()}
 
 
 # -- reduced Groebner bases -------------------------------------------------
@@ -67,12 +75,8 @@ def test_twisted_cubic_grevlex():
     polys = sorted(repr(ring_poly(v, order)) for v in gb.elements)
     assert polys == sorted(["x^2 + 32002*y", "x*y + 32002*z", "y^2 + 32002*x*z"])
     # tracking: each basis element is the claimed combination of the inputs
-    for k, v in enumerate(gb.elements):
-        acc = {}
-        for i, p in gb.exprs[k].items():
-            for e, c in p.terms.items():
-                vec_axpy(acc, F.one, vec_term_mul(gens[i], R.lin(e), c, F), F)
-        assert acc == v
+    for v, expr in zip(gb.elements, gb.exprs):
+        assert combo(gens, expr, R) == v
 
 
 def test_semigroup_345_reduced_basis():
@@ -139,12 +143,8 @@ def test_gb_spairs_reduce_and_tracking(raw):
     for s in schreyer_syzygies(gb):
         assert combo(gb.elements, s, R) == {}
     # tracked expressions reconstruct the basis
-    for k, v in enumerate(gb.elements):
-        acc = {}
-        for i, p in gb.exprs[k].items():
-            for e, c in p.terms.items():
-                vec_axpy(acc, F.one, vec_term_mul(gens[i], R.lin(e), c, F), F)
-        assert acc == v
+    for v, expr in zip(gb.elements, gb.exprs):
+        assert combo(gens, expr, R) == v
 
 
 # -- division against the plain maximum scan --------------------------------
@@ -176,7 +176,7 @@ def reference_vec_divide(f, basis, leads, ring, F, okey, track=False):
             continue
         shift = mono_div(e, leads[hit][0][1])
         fac = F.div(coef, leads[hit][1])
-        vec_axpy(work, F.neg(fac), old_vec_term_mul(basis[hit], shift, F.one, ring, F), F)
+        old_vec_axpy(work, F.neg(fac), old_vec_term_mul(basis[hit], shift, F.one, ring, F), F)
         if track:
             q = quots[hit]
             s = F.add(q.get(shift, F.zero), fac)
@@ -227,7 +227,7 @@ def test_vec_divide_matches_max_scan(field, kind, data):
             if deg - twists[c] >= 0:
                 term = {(c, monomial(deg - twists[c])): Fld.normalize(
                     data.draw(_NONZERO[field]))}
-                vec_axpy(v, Fld.one, term, Fld)
+                old_vec_axpy(v, Fld.one, term, Fld)
         return v
 
     basis = [vector(data.draw(st.integers(1, 3)), 4) for _ in range(data.draw(st.integers(1, 6)))]
@@ -239,8 +239,8 @@ def test_vec_divide_matches_max_scan(field, kind, data):
         (c, e) = next(iter(b))
         d = D - R.wdeg(e) - twists[c]
         if d >= 0 and data.draw(st.booleans()):
-            vec_axpy(f, Fld.normalize(data.draw(_NONZERO[field])),
-                     old_vec_term_mul(b, monomial(d), Fld.one, R, Fld), Fld)
+            old_vec_axpy(f, Fld.normalize(data.draw(_NONZERO[field])),
+                         old_vec_term_mul(b, monomial(d), Fld.one, R, Fld), Fld)
     skip = data.draw(st.integers(-1, len(basis) - 1))
     keep = [i for i in range(len(basis)) if i != skip]
     ref_basis = [basis[i] for i in keep]
@@ -260,7 +260,10 @@ def test_vec_divide_matches_max_scan(field, kind, data):
         assert [(order.unpack(t), c) for t, c in rem.items()] == \
             list(ref_rem.items())
         if track:
-            assert quots == {keep[k]: q for k, q in enumerate(ref_quots) if q}
+            # quotients are keyed by packed shift
+            assert {i: {R.unlin(s): c for s, c in q.items()}
+                    for i, q in quots.items()} == \
+                {keep[k]: q for k, q in enumerate(ref_quots) if q}
             assert list(quots) == sorted(quots)
         else:
             assert quots is None
@@ -282,7 +285,7 @@ def test_koszul_syzygy_two_variables():
         assert combo(inputs, s, R) == {}
     # the Koszul relation (y, -x) lies in the span of the output
     kos = {(0, (0, 1)): F.one, (1, (1, 0)): F.normalize(-1)}
-    sgb = reduced_gb([packed(s, o2) for s in syz], R, o2)
+    sgb = reduced_gb([packed(unpacked(s, R, 2), o2) for s in syz], R, o2)
     assert contains(sgb, packed(kos, o2))
 
 
@@ -293,7 +296,7 @@ def test_koszul_syzygies_three_variables():
     syz = syzygy_generators(inputs, R, order)
     for s in syz:
         assert combo(inputs, s, R) == {}
-    sgb = reduced_gb([packed(s, o3) for s in syz], R, o3)
+    sgb = reduced_gb([packed(unpacked(s, R, 3), o3) for s in syz], R, o3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         kos = {(i, tuple(1 if t == j else 0 for t in range(3))): F.one,
                (j, tuple(1 if t == i else 0 for t in range(3))): F.normalize(-1)}
@@ -304,7 +307,7 @@ def test_zero_input_gets_unit_syzygy():
     R = PolyRing(F, ["x"])
     inputs = [ring_vec(R.variable(0), PositionOverTerm(R, 1)), {}]
     syz = syzygy_generators(inputs, R, PositionOverTerm(R, 1))
-    assert any(s == {(1, (0,)): F.one} for s in syz)
+    assert any(unpacked(s, R, 2) == {(1, (0,)): F.one} for s in syz)
 
 
 def test_redundant_generator_syzygy():
@@ -316,7 +319,7 @@ def test_redundant_generator_syzygy():
     syz = syzygy_generators(inputs, R, order)
     for s in syz:
         assert combo(inputs, s, R) == {}
-    sgb = reduced_gb([packed(s, o2) for s in syz], R, o2)
+    sgb = reduced_gb([packed(unpacked(s, R, 2), o2) for s in syz], R, o2)
     target = {(1, (0,)): F.one, (0, (1,)): F.normalize(-1)}
     assert contains(sgb, packed(target, o2))
 

@@ -5,7 +5,9 @@ kernel from before module terms were packed into ints, in
 tests/tuple_kernel.py: on seeded random matrices over F_32003 and Q,
 over a polynomial ring and a quotient ring, in both term orders, the
 packed kernel's bases, leads, expressions, quotients, syzygies, kernels,
-lifts and inter-reduced columns, unpacked, equal that kernel's.
+lifts and inter-reduced columns, unpacked, equal that kernel's.  The
+expressions and syzygies are packed over the input index space and the
+quotients keyed by packed shift; each is unpacked before it is compared.
 
 Second, the kernel before it kept only the Schreyer syzygies with a
 minimal lead, inter-reduced in one pass, queued no pair of two padding
@@ -13,7 +15,9 @@ vectors, skipped the zero I - UV columns and left the reduction mod I to
 interreduce_columns.  Each step is exact, so that code, copied verbatim
 below (only the function names are prefixed with old_, its calls to
 GBResult and vec_from_column drop the arguments those no longer take,
-and it calls the tuple-keyed kernel's pieces under their old_ names), is
+and it calls the tuple-keyed kernel's pieces, vec_axpy, _expr_axpy and
+the ring's mono_mul and monomial among them, under their names in
+tests/tuple_kernel.py), is
 the reference: the reduced bases are equal and the two kernels generate
 the same module.
 """
@@ -28,17 +32,19 @@ from hypothesis import strategies as st
 
 from homcalc.field import PrimeField, RationalField
 from homcalc.ring import (GradedFree, GradedMatrix, Polynomial, PolyRing,
-                         hstack)
+                         TermRangeError, hstack)
 from homcalc.groebner import (
-    QuotientRing, TermOverPosition, _expr_axpy, interreduce_columns,
-    kernel_matrix, lift_matrix, reduced_gb, schreyer_syzygies,
-    syzygy_generators, vec_axpy, vec_divide, vec_scale,
+    QuotientRing, TermOverPosition, clean_columns, index_order,
+    interreduce_columns, kernel_matrix, lift_matrix, reduced_gb, schreyer_syzygies,
+    syzygy_generators, vec_divide, vec_from_column, vec_scale,
+    vec_to_column,
 )
 
 import tuple_kernel as tk
 from tuple_kernel import (
-    mono_div, mono_lcm, old_GBResult, old_PositionOverTerm, old_Reducers,
-    old_TermOverPosition, old_interreduce_columns, old_padding_vectors,
+    mono_div, mono_lcm, mono_mul, monomial, old_expr_axpy, old_GBResult,
+    old_PositionOverTerm, old_Reducers, old_TermOverPosition,
+    old_interreduce_columns, old_padding_vectors, old_vec_axpy,
     old_vec_divide, old_vec_from_column, old_vec_term_mul,
 )
 from slice_homology import monomials_of_degree
@@ -109,7 +115,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> old_GBResult:
         mc, me = m
         # product criterion: in a rank-one ambient module a pair with
         # coprime leading monomials reduces to zero
-        if rank1 and ring.mono_mul(ei, ej) == me:
+        if rank1 and mono_mul(ei, ej) == me:
             continue
         # chain criterion with the lcm-inequality guards that make
         # pop-time elimination safe
@@ -130,16 +136,16 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> old_GBResult:
         si = mono_div(me, ei)
         sj = mono_div(me, ej)
         s = old_vec_term_mul(basis[i], si, F.inv(lci), ring, F)
-        vec_axpy(s, F.neg(F.one), old_vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
+        old_vec_axpy(s, F.neg(F.one), old_vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
         rem, quots = old_vec_divide(s, red, track=track)
         if not rem:
             continue
         expr = {}
         if track:
-            _expr_axpy(expr, ring.monomial(si, F.neg(F.inv(lci))), exprs[i])
-            _expr_axpy(expr, ring.monomial(sj, F.inv(lcj)), exprs[j])
+            old_expr_axpy(expr, monomial(ring, si, F.neg(F.inv(lci))), exprs[i])
+            old_expr_axpy(expr, monomial(ring, sj, F.inv(lcj)), exprs[j])
             for k, q in quots.items():
-                _expr_axpy(expr, Polynomial(ring, q), exprs[k])
+                old_expr_axpy(expr, Polynomial(ring, q), exprs[k])
         jnew = push(rem, expr)
         queue_pairs_with(jnew)
 
@@ -161,7 +167,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False) -> old_GBResult:
             if track:
                 expr = dict(exprs[idx])
                 for t, q in quots.items():
-                    _expr_axpy(expr, Polynomial(ring, q), exprs[t])
+                    old_expr_axpy(expr, Polynomial(ring, q), exprs[t])
                 exprs[idx] = expr
             red.replace(idx, rem)
 
@@ -199,7 +205,7 @@ def old_schreyer_syzygies(gb: old_GBResult):
             si = mono_div(me, ei)
             sj = mono_div(me, ej)
             s = old_vec_term_mul(elements[i], si, F.inv(lci), ring, F)
-            vec_axpy(s, F.neg(F.one),
+            old_vec_axpy(s, F.neg(F.one),
                      old_vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
             rem, quots = old_vec_divide(s, gb.reducers, track=True)
             if rem:
@@ -244,7 +250,7 @@ def old_syzygy_generators(inputs, ring: PolyRing, order):
         for (k, e), c in s.items():
             for i, p in gb.exprs[k].items():
                 for pe, pc in p.terms.items():
-                    key = (i, ring.mono_mul(pe, e))
+                    key = (i, mono_mul(pe, e))
                     cur = F.add(t.get(key, F.zero), F.mul(c, pc))
                     if F.is_zero(cur):
                         t.pop(key, None)
@@ -324,7 +330,7 @@ def draw_matrix(data, field, quotient):
         out = P.zero()
         for _ in range(data.draw(st.integers(1, 4))):
             e = monos[data.draw(st.integers(0, len(monos) - 1))]
-            out = out + P.monomial(e, Fld.normalize(data.draw(_NONZERO[field])))
+            out = out + P.monomial(e).scale(Fld.normalize(data.draw(_NONZERO[field])))
         return out
 
     R = QuotientRing(P, [])
@@ -368,12 +374,33 @@ def unpack(order, v):
     return {order.unpack(t): x for t, x in v.items()}
 
 
+def unpack_indexed(ring, n, v):
+    """A Vec over n indexed vectors (an expression or a syzygy), packed by
+    index_order, tuple-keyed: {(index, exponents): coeff}."""
+    return unpack(index_order(ring, n), v)
+
+
+def expr_polys(ring, n, expr):
+    """An expression over n inputs as the tuple kernel keeps it:
+    {index: Polynomial}."""
+    return vec_to_column(expr, index_order(ring, n))
+
+
+def unpack_quotients(ring, quots):
+    """vec_divide's quotients, keyed by exponents instead of packed
+    shifts, in the same order."""
+    if quots is None:
+        return None
+    return {i: {ring.unlin(s): c for s, c in q.items()}
+            for i, q in quots.items()}
+
+
 def combo(inputs, s, ring):
     """sum_(i,e) s_(i,e) x^e * inputs[i], for tuple-keyed inputs."""
     F = ring.field
     acc = {}
     for (i, e), c in s.items():
-        vec_axpy(acc, F.one, old_vec_term_mul(inputs[i], e, c, ring, F), F)
+        old_vec_axpy(acc, F.one, old_vec_term_mul(inputs[i], e, c, ring, F), F)
     return acc
 
 
@@ -386,7 +413,7 @@ def schreyer_lead(s, gb, order):
     def key(term):
         (i, e), _ = term
         (c, le), _ = gb.leads[i]
-        return order.key((c, ring.mono_mul(le, e))), i
+        return order.key((c, mono_mul(le, e))), i
 
     return min(s.items(), key=key)[0]
 
@@ -410,9 +437,9 @@ def test_reduced_gb_one_pass_matches_loop(field, quotient, data):
                          track=track, padded=npad)
         assert [unpack(order, v) for v in new.elements] == old.elements
         assert [(order.unpack(lt), c) for lt, c in new.leads] == old.leads
-    # elements[k] = sum_i exprs[k][i] * inputs[i]
+    # elements[k] = sum_(i, e) exprs[k][x^e e_i] x^e inputs[i]
     for v, expr in zip(new.elements, new.exprs):
-        s = {(i, e): c for i, p in expr.items() for e, c in p.terms.items()}
+        s = unpack_indexed(P, len(inputs), expr)
         assert combo(inputs, s, P) == unpack(order, v)
 
 
@@ -429,7 +456,8 @@ def test_schreyer_keeps_minimal_leads(field, quotient, data):
     # the tuple-keyed twin of gb, for the Schreyer leads and old_schreyer
     tgb = tk.old_reduced_gb(inputs, P, old_order, track=True, padded=npad)
     assert [unpack(order, v) for v in gb.elements] == tgb.elements
-    kept = schreyer_syzygies(gb)
+    kept = [unpack_indexed(P, len(gb.elements), s)
+            for s in schreyer_syzygies(gb)]
     by_i = {}
     for s in kept:
         assert combo(tgb.elements, s, P) == {}
@@ -465,8 +493,10 @@ def test_kernel_matches_full_schreyer(field, quotient, data):
 
 def same_division(order, new, old):
     """A packed (remainder, quotients) equals a tuple-keyed one, the
-    remainder term for term in the same order."""
+    remainder term for term in the same order, the quotients once their
+    packed shifts are unpacked."""
     (rem, quots), (old_rem, old_quots) = new, old
+    quots = unpack_quotients(order.ring, quots)
     assert list(unpack(order, rem).items()) == list(old_rem.items())
     assert quots == old_quots
     assert list(quots or ()) == list(old_quots or ())
@@ -494,7 +524,8 @@ def test_packed_gb_division_and_syzygies_match_tuple_kernel(field, quotient,
         assert {c: [(i, order.unpack(lt)[1]) for i, lt in ls]
                 for c, ls in new.reducers.by_comp.items()} == \
             old.reducers.by_comp
-        assert new.exprs == old.exprs
+        assert [expr_polys(P, len(inputs), e) for e in new.exprs] == \
+            old.exprs
     # division of each input and of x times it, leaving out a drawn
     # position, tracked and not
     x = old_vec_term_mul(inputs[0], (1, 0, 0), P.field.one, P, P.field)
@@ -505,10 +536,15 @@ def test_packed_gb_division_and_syzygies_match_tuple_kernel(field, quotient,
                                             track=track, skip=skip),
                           old_vec_divide(f, old.reducers, track=track,
                                          skip=skip))
+        # the tuple kernel's normal_form gives its quotients as
+        # Polynomials, the packed kernel's the term dicts of vec_divide
+        old_rem, old_quots = old.normal_form(f, track=True)
         same_division(order, new.normal_form(pack(order, f), track=True),
-                      old.normal_form(f, track=True))
-    assert schreyer_syzygies(new) == tk.old_schreyer_syzygies(old)
-    assert syzygy_generators(packed, P, order, padded=npad) == \
+                      (old_rem, {k: q.terms for k, q in old_quots.items()}))
+    assert [unpack_indexed(P, len(new.elements), s)
+            for s in schreyer_syzygies(new)] == tk.old_schreyer_syzygies(old)
+    assert [unpack_indexed(P, len(packed), s)
+            for s in syzygy_generators(packed, P, order, padded=npad)] == \
         tk.old_syzygy_generators(inputs, P, old_order, padded=npad)
 
 
@@ -521,8 +557,13 @@ def test_packed_kernel_lift_and_interreduce_match_tuple_kernel(field,
     R, m = draw_matrix(data, field, quotient)
     assert kernel_matrix(m) == tk.old_kernel_matrix(m)
     cols = m.columns()
-    assert interreduce_columns(R, m.target, cols) == \
-        old_interreduce_columns(R, m.target, cols)
+    order = TermOverPosition(R.ambient, m.target.twists)
+    kept = interreduce_columns(R, m.target,
+                               [vec_from_column(c, order) for c in cols])
+    old_kept = old_interreduce_columns(R, m.target, cols)
+    assert [vec_to_column(v, order) for v in kept] == old_kept
+    assert clean_columns(R, m.target, cols) == GradedMatrix.from_columns(
+        R, m.target, old_kept)
     # targets: m itself, its columns times x (solvable), x times each
     # target generator (mostly not), and both side by side
     x = R.variable(0)
@@ -532,3 +573,46 @@ def test_packed_kernel_lift_and_interreduce_match_tuple_kernel(field,
                          {(i, i): x for i in range(m.target.rank)})
     for t in (m, times_x, units, hstack(R, [times_x, units])):
         assert lift_matrix(m, t) == tk.old_lift_matrix(m, t)
+
+
+# -- the range edge ---------------------------------------------------------
+
+
+#: the largest twist a TermOverPosition packs
+EDGE = (1 << 29) - 1
+
+
+@pytest.mark.parametrize("field", ["p", "q"])
+@pytest.mark.parametrize("twist,pad", [(-EDGE, 2), (-EDGE, (1 << 30) - 8),
+                                       (EDGE - 1, 2), (EDGE - 1, (1 << 30) - 8)])
+def test_kernel_and_lift_at_the_range_edge(field, twist, pad):
+    # the expressions and syzygies are packed over the inputs with zero
+    # twists, so an input's twisted degree (the padding's, twist + pad, is
+    # 2^29 or more in three of the cases) is never packed as a twist: as
+    # when they were Polynomials, only the target's and the source's twists
+    # and the lcms are packed, and those are all in range here
+    Fld = PrimeField(32003) if field == "p" else RationalField()
+    P = PolyRing(Fld, ["x", "y"])
+    R = QuotientRing(P, [f"x^{pad}"])
+    x, y = R.variable(0), R.variable(1)
+    tgt = GradedFree.of([twist])
+    m = GradedMatrix(R, GradedFree.of([twist + 1, twist + 1]), tgt,
+                     {(0, 0): x, (0, 1): y})
+    assert kernel_matrix(m) == tk.old_kernel_matrix(m)
+    xy = GradedMatrix(R, GradedFree.of([twist + 2]), tgt,
+                      {(0, 0): R.reduce(x * y)})
+    for t in (xy, m, GradedMatrix.identity(R, tgt)):
+        assert lift_matrix(m, t) == tk.old_lift_matrix(m, t)
+
+
+def test_kernel_refuses_a_source_twist_out_of_range():
+    # the kernel's columns are packed in the source's order, as they were
+    # before for interreduce_columns; lift_matrix packs no source twist
+    P = PolyRing(PrimeField(32003), ["x", "y"])
+    R = QuotientRing(P, ["x^2"])
+    m = GradedMatrix(R, GradedFree.of([EDGE + 1, EDGE + 1]),
+                     GradedFree.of([EDGE]),
+                     {(0, 0): R.variable(0), (0, 1): R.variable(1)})
+    with pytest.raises(TermRangeError):
+        kernel_matrix(m)
+    assert lift_matrix(m, m) == tk.old_lift_matrix(m, m)

@@ -69,8 +69,9 @@ def betti(res, i):
 
 
 def compose(f, g):
-    """The module map f after g."""
-    return ModuleMap(g.source, f.target, f.matrix.compose(g.matrix))
+    """The module map f after g, its matrix in normal form."""
+    return ModuleMap(g.source, f.target,
+                     f.source.ring.reduce_matrix(f.matrix.compose(g.matrix)))
 
 
 # -- presentations and minimality -------------------------------------------

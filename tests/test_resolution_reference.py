@@ -141,7 +141,7 @@ def forms(degree):
     """Homogeneous forms of the given degree in x, y, by coefficients."""
     return st.lists(st.integers(0, 6), min_size=degree + 1,
                     max_size=degree + 1).map(
-        lambda cs: sum((P2.monomial((degree - i, i), c)
+        lambda cs: sum((P2.monomial((degree - i, i)).scale(c)
                         for i, c in enumerate(cs)), P2.zero()))
 
 

@@ -5,22 +5,60 @@ The engine packs each module term (component, exponents) into one int
 that change, verbatim except that its names are prefixed with old_ (calls
 between the copies renamed too): its vectors are dicts {(component,
 exponents): coeff}, and its term orders key terms by memoized tuples.
-vec_scale, vec_axpy and _expr_axpy did not change and come from the
-engine.  PolyRing.mono_div and PolyRing.mono_lcm, which the packed kernel
-no longer calls, are the module functions mono_div and mono_lcm here.
+vec_scale did not change and comes from the engine.  The engine's
+vec_axpy now shifts its vector by a packed monomial, and its expressions
+are packed vectors, so the tuple-keyed vec_axpy and _expr_axpy are kept
+here as old_vec_axpy and old_expr_axpy.  PolyRing.mono_div,
+PolyRing.mono_lcm, PolyRing.mono_mul and the coefficient of
+PolyRing.monomial, which the packed kernel no longer uses, are the module
+functions mono_div, mono_lcm, mono_mul and monomial here.
 tests/test_kernel_reference.py runs the packed kernel against it.
 """
 
 import bisect
 import heapq
-from operator import neg, sub
+from operator import add, neg, sub
 
-from homcalc.groebner import QuotientRing, _expr_axpy, vec_axpy, vec_scale
+from homcalc.groebner import QuotientRing, vec_scale
 from homcalc.ring import GradedFree, GradedMatrix, Polynomial, PolyRing
 
 
 def mono_div(b, a):
     return tuple(map(sub, b, a))
+
+
+def mono_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def monomial(ring, exps, coeff=1) -> Polynomial:
+    c = ring.field.normalize(coeff)
+    e = tuple(exps)
+    if len(e) != ring.n:
+        raise ValueError("wrong exponent length")
+    return Polynomial(ring, {} if ring.field.is_zero(c) else {e: c})
+
+
+def old_vec_axpy(target, c, v, F):
+    """target += c * v, in place."""
+    for k, x in v.items():
+        s = F.add(target.get(k, F.zero), F.mul(c, x))
+        if F.is_zero(s):
+            target.pop(k, None)
+        else:
+            target[k] = s
+    return target
+
+
+def old_expr_axpy(target: dict, coeff: Polynomial, src: dict):
+    """target -= coeff * src for expression dicts (index -> Polynomial)."""
+    for i, p in src.items():
+        cur = target.get(i)
+        upd = (cur - coeff * p) if cur is not None else -(coeff * p)
+        if upd.is_zero():
+            target.pop(i, None)
+        else:
+            target[i] = upd
 
 
 def mono_lcm(a, b):
@@ -80,7 +118,7 @@ def old_vec_term_mul(v, shift, c, ring, F):
     """(c * x^shift) * v."""
     out = {}
     for (comp, e), x in v.items():
-        out[(comp, ring.mono_mul(e, shift))] = F.mul(c, x)
+        out[(comp, mono_mul(e, shift))] = F.mul(c, x)
     return out
 
 
@@ -149,7 +187,7 @@ def old_vec_divide(f, reducers, track=False, skip=-1):
     ring = order.ring
     F = ring.field
     key = order.key
-    divides, mono_mul = ring.mono_divides, ring.mono_mul
+    divides = ring.mono_divides
     vecs, leads, by_comp = reducers.vecs, reducers.leads, reducers.by_comp
     work = dict(f)
     heap = [(key(ce), ce) for ce in work]
@@ -303,7 +341,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False,
         mc, me = m
         # product criterion: in a rank-one ambient module a pair with
         # coprime leading monomials reduces to zero
-        if rank1 and ring.mono_mul(ei, ej) == me:
+        if rank1 and mono_mul(ei, ej) == me:
             continue
         # chain criterion with the lcm-inequality guards that make
         # pop-time elimination safe
@@ -324,16 +362,16 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False,
         si = mono_div(me, ei)
         sj = mono_div(me, ej)
         s = old_vec_term_mul(basis[i], si, F.inv(lci), ring, F)
-        vec_axpy(s, F.neg(F.one), old_vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
+        old_vec_axpy(s, F.neg(F.one), old_vec_term_mul(basis[j], sj, F.inv(lcj), ring, F), F)
         rem, quots = old_vec_divide(s, red, track=track)
         if not rem:
             continue
         expr = {}
         if track:
-            _expr_axpy(expr, ring.monomial(si, F.neg(F.inv(lci))), exprs[i])
-            _expr_axpy(expr, ring.monomial(sj, F.inv(lcj)), exprs[j])
+            old_expr_axpy(expr, monomial(ring, si, F.neg(F.inv(lci))), exprs[i])
+            old_expr_axpy(expr, monomial(ring, sj, F.inv(lcj)), exprs[j])
             for k, q in quots.items():
-                _expr_axpy(expr, Polynomial(ring, q), exprs[k])
+                old_expr_axpy(expr, Polynomial(ring, q), exprs[k])
         jnew = push(rem, expr)
         queue_pairs_with(jnew, jnew)
 
@@ -356,7 +394,7 @@ def old_reduced_gb(inputs, ring: PolyRing, order, track=False,
         if track:
             expr = dict(exprs[idx])
             for t, q in quots.items():
-                _expr_axpy(expr, Polynomial(ring, q), exprs[t])
+                old_expr_axpy(expr, Polynomial(ring, q), exprs[t])
             exprs[idx] = expr
         red.replace(idx, rem)
 
@@ -402,9 +440,9 @@ def old_schreyer_syzygies(gb: old_GBResult):
             if any(t != si and divides(t, si) for t in first):
                 continue
             lcj = leads[j][1]
-            sj = mono_div(ring.mono_mul(ei, si), leads[j][0][1])
+            sj = mono_div(mono_mul(ei, si), leads[j][0][1])
             s = old_vec_term_mul(elements[i], si, F.inv(lci), ring, F)
-            vec_axpy(s, F.neg(F.one),
+            old_vec_axpy(s, F.neg(F.one),
                      old_vec_term_mul(elements[j], sj, F.inv(lcj), ring, F), F)
             rem, quots = old_vec_divide(s, gb.reducers, track=True)
             if rem:
@@ -452,7 +490,7 @@ def old_syzygy_generators(inputs, ring: PolyRing, order, padded=0):
         for (k, e), c in s.items():
             for i, p in gb.exprs[k].items():
                 for pe, pc in p.terms.items():
-                    key = (i, ring.mono_mul(pe, e))
+                    key = (i, mono_mul(pe, e))
                     cur = F.add(t.get(key, F.zero), F.mul(c, pc))
                     if F.is_zero(cur):
                         t.pop(key, None)
