@@ -10,15 +10,17 @@ runs produce identical output.  The tracked side is packed too: a
 quotient term x^s is keyed by its shift lin(s), and the expressions of a
 basis and the syzygies are Vecs over the input index space, packed by
 index_order with zero twists.  Polynomials and matrices keep exponent
-tuples; vec_from_column, vec_to_column and columns_matrix convert, at the
-entry and exit of kernel_matrix, lift_matrix and clean_columns.
+tuples; vec_from_column converts on entry to kernel_matrix, lift_matrix
+and clean_columns, and vec_to_column and columns_matrix on exit.
 
-Quotient-ring computations are run upstairs: to compute kernels or
-syzygies over R = P/I inside a free module with target components
-e_0..e_{r-1}, the input columns are augmented with the padding vectors
-g*e_t for every defining relation g and every component t, the syzygy
-computation runs over P, and the answers are projected back to the
-original coordinates and normal-formed mod I.
+Quotient-ring computations are run upstairs: to compute kernels or lifts
+over R = P/I inside a free module F with components e_0..e_{r-1}, read
+modulo the images of some further matrices into F (kernel_matrix's and
+lift_matrix's mod), the input columns are followed by those matrices'
+columns and then by the padding vectors g*e_t for every defining relation
+g and every component t.  The computation runs over P, and the answers
+are projected onto the input columns and normal-formed mod I: they hold
+modulo I*F plus the images of mod.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import itertools
 
 from .ring import (
     DEGREE_BOUND, FIELD, FIELD_MASK, GradedFree, GradedMatrix,
-    HomogeneityError, Polynomial, PolyRing, TermRangeError,
+    HomogeneityError, Polynomial, PolyRing, TermRangeError, ZERO_FREE,
 )
 
 # ---------------------------------------------------------------------------
@@ -677,23 +679,44 @@ def columns_matrix(qr: QuotientRing, target: GradedFree, vecs, order):
     return GradedMatrix(qr, GradedFree.of(twists), target, entries)
 
 
-def kernel_matrix(m: GradedMatrix) -> GradedMatrix:
-    """Generators of ker(m) for m over a QuotientRing."""
+def _inputs(m: GradedMatrix, mod):
+    """The order of m.target and the inputs of a kernel or lift of m
+    modulo I*target plus the images of the matrices in mod: m's columns,
+    then mod's, then the padding, which alone is a Groebner basis and so
+    goes last as reduced_gb's padded tail; and the padding's length."""
+    if any(d.target != m.target for d in mod):
+        raise ValueError("mod target mismatch")
     qr = m.ring
-    P = qr.ambient
-    order = TermOverPosition(P, m.target.twists)
-    cols = [vec_from_column(c, order) for c in m.columns()]
+    order = TermOverPosition(qr.ambient, m.target.twists)
+    cols = [vec_from_column(c, order) for d in (m, *mod) for c in d.columns()]
     pads = _padding_vectors(qr, order)
-    syz = syzygy_generators(cols + pads, P, order, padded=len(pads))
-    # project onto the columns, each e_i shifted into the source's order
-    ncols, src = len(cols), TermOverPosition(P, m.source.twists)
-    shifts = [b - u for b, u in zip(src.bases, index_order(P, ncols).bases)]
-    raw = []
-    for s in syz:
-        v = {t + shifts[t & FIELD_MASK]: c for t, c in s.items()
-             if t & FIELD_MASK < ncols}
-        if v:
-            raw.append(v)
+    return order, cols + pads, len(pads)
+
+
+def _onto_source(vecs, src):
+    """Each Vec over the input index space projected onto m's columns,
+    the first len(src.twists) indices, with each e_i shifted from
+    index_order into src, an order on m.source."""
+    n = len(src.twists)
+    shifts = [b - u for b, u in zip(src.bases, index_order(src.ring, n).bases)]
+    return [{t + shifts[t & FIELD_MASK]: c for t, c in v.items()
+             if t & FIELD_MASK < n} for v in vecs]
+
+
+def kernel_matrix(m: GradedMatrix, mod=()) -> GradedMatrix:
+    """Generators of {v : m v in I*target + the images of the matrices in
+    mod} for m over a QuotientRing: ker(m) for an empty mod, else the
+    kernel of m into target modulo those images.  A map from zero has a
+    zero kernel and a map into zero the identity, with no syzygy run."""
+    qr = m.ring
+    if m.source.rank == 0:
+        return GradedMatrix.zero(qr, ZERO_FREE, m.source)
+    if m.target.rank == 0:
+        return GradedMatrix.identity(qr, m.source)
+    order, inputs, padded = _inputs(m, mod)
+    syz = syzygy_generators(inputs, qr.ambient, order, padded=padded)
+    src = TermOverPosition(qr.ambient, m.source.twists)
+    raw = [v for v in _onto_source(syz, src) if v]
     # interreduce_columns divides by the padding: its columns are normal
     # forms mod I, and a column zero mod I drops there
     return columns_matrix(qr, m.source, interreduce_columns(qr, m.source, raw),
@@ -732,25 +755,24 @@ def clean_columns(qr: QuotientRing, free: GradedFree, cols) -> GradedMatrix:
     return columns_matrix(qr, free, interreduce_columns(qr, free, vecs), order)
 
 
-def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
-    """Solve m X = targets over the quotient ring; None when unsolvable.
+def lift_matrix(m: GradedMatrix, targets: GradedMatrix, mod=()):
+    """Solve m X = targets over the quotient ring, modulo the images of
+    the matrices in mod; None when unsolvable.
 
     targets.target must equal m.target.  The result X maps
-    targets.source -> m.source.
+    targets.source -> m.source, its entries normal forms mod I.
     """
     if targets.target != m.target:
         raise ValueError("lift target mismatch")
     qr = m.ring
     P = qr.ambient
-    order = TermOverPosition(P, m.target.twists)
-    cols = [vec_from_column(c, order) for c in m.columns()]
-    pads = _padding_vectors(qr, order)
-    gb = reduced_gb(cols + pads, P, order, track=True, padded=len(pads))
-    # the basis expressions projected onto m's columns
-    ncols = len(cols)
-    exprs = [{t: c for t, c in e.items() if t & FIELD_MASK < ncols}
-             for e in gb.exprs]
-    units = index_order(P, ncols)
+    order, inputs, padded = _inputs(m, mod)
+    gb = reduced_gb(inputs, P, order, track=True, padded=padded)
+    # the solution stays in the index order: a normal form mod I does not
+    # depend on the twists, so no source twist is packed or refused
+    src = index_order(P, m.source.rank)
+    exprs = _onto_source(gb.exprs, src)
+    pads = Reducers(src, _padding_vectors(qr, src))
     entries = {}
     for j, col in enumerate(targets.columns()):
         rem, quots = gb.normal_form(vec_from_column(col, order), track=True)
@@ -760,10 +782,10 @@ def lift_matrix(m: GradedMatrix, targets: GradedMatrix):
         for k, q in quots.items():
             for s, c in q.items():
                 vec_axpy(acc, c, s, exprs[k], P.field)
-        for i, p in vec_to_column(acc, units).items():
-            p = qr.reduce(p)
-            if not p.is_zero():
-                entries[(i, j)] = p
+        # dividing by the padding normal-forms each entry mod I
+        acc, _ = vec_divide(acc, pads)
+        for i, p in vec_to_column(acc, src).items():
+            entries[(i, j)] = p
     return GradedMatrix(qr, targets.source, m.source, entries)
 
 

@@ -3,11 +3,14 @@ Hom/tensor/Ext as presentations, and the canonical evaluation maps.
 
 A module is a cokernel presentation F1 -> F0 over a QuotientRing.  All
 membership questions (is this element zero, does this map land in that
-submodule) reduce to lifts against relation matrices, which the Groebner
-layer answers exactly.  A minimal free resolution grows one kernel at a
-time, each kernel's unit entries contracted as it is taken, so every map
-below the top stays minimal; it is returned as a plain FreeComplex, so
-Betti numbers read off as ranks.
+submodule) reduce to lifts against relation matrices, and every
+subquotient (homology, Hom, Ext) to a kernel read modulo the images of
+relation matrices.  The Groebner layer answers both exactly: lift_matrix
+and kernel_matrix take the matrices to read modulo as their mod
+argument.  A minimal free resolution grows one kernel at a time, each
+kernel's unit entries contracted as it is taken, so every map below the
+top stays minimal; it is returned as a plain FreeComplex, so Betti
+numbers read off as ranks.
 
 Hom and Ext presentations are read by one routine, _hom_cohomology:
 Hom(M, N) is the cohomology of Hom(F1 -> F0 -> 0, N) at F0, and
@@ -36,8 +39,7 @@ import inspect
 
 from .ring import (FIELD_MASK, GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE,
                    hstack, kron)
-from .groebner import (QuotientRing, kernel_matrix,
-                       lift_matrix, clean_columns, reduced_gb,
+from .groebner import (QuotientRing, kernel_matrix, lift_matrix, reduced_gb,
                        TermOverPosition, vec_from_column, _padding_vectors,
                        minimalize_monomials, standard_monomials,
                        hilbert_numerator, HilbertSeries)
@@ -432,28 +434,7 @@ def syzygy(m: ModulePresentation, g: int) -> ModulePresentation:
 
 
 # ---------------------------------------------------------------------------
-# kernels and subquotients inside presented modules
-
-
-def _restrict_rows(K: GradedMatrix, head: GradedFree) -> GradedMatrix:
-    entries = {(i, j): p for (i, j), p in K.entries.items() if i < head.rank}
-    return GradedMatrix(K.ring, K.source, head, entries)
-
-
-def _sub_rels(kappa: GradedMatrix, denominators) -> GradedMatrix:
-    """Generators of {v in source(kappa) : kappa(v) lies in the images of
-    the denominators}: the kernel of [kappa | denominators] restricted to
-    the kappa block, cleaned.  Read as relations on the kappa generators
-    modulo those images, or as the kernel of kappa into their quotient."""
-    qr = kappa.ring
-    if kappa.source.rank == 0:
-        return GradedMatrix.zero(qr, ZERO_FREE, kappa.source)
-    if kappa.target.rank == 0:
-        return GradedMatrix.identity(qr, kappa.source)
-    mats = [kappa] + [d for d in denominators if d.source.rank]
-    K = kernel_matrix(hstack(qr, mats))
-    return clean_columns(qr, kappa.source,
-                         _restrict_rows(K, kappa.source).columns())
+# homology
 
 
 def _stretch(X: FreeComplex, i: int) -> FreeComplex:
@@ -493,15 +474,11 @@ def _homology_series(X: FreeComplex, i: int) -> HilbertSeries:
 @ring_memo
 def _homology(X: FreeComplex, i: int) -> ModulePresentation:
     qr = X.ring
-    Xi = X.term(i)
-    if Xi.rank == 0:
+    if X.term(i).rank == 0:
         return ModulePresentation.free(qr, [])
-    if X.term(i - 1).rank == 0:
-        kappa = GradedMatrix.identity(qr, Xi)
-    else:
-        kappa = kernel_matrix(X.diff(i))
-    rels = _sub_rels(kappa, [X.diff(i + 1)])
-    return ModulePresentation(qr, rels)
+    # ker d_i modulo im d_{i+1}: relations on the cycles' generators
+    kappa = kernel_matrix(X.diff(i))
+    return ModulePresentation(qr, kernel_matrix(kappa, [X.diff(i + 1)]))
 
 
 def trusted_homology(X: FreeComplex):
@@ -560,14 +537,12 @@ class HomPresentation(ModulePresentation):
     def express(self, beta: GradedMatrix) -> GradedMatrix:
         """Write columns of beta (elements of N^r in the hom layout) in
         generator coordinates of this presentation."""
-        qr = self.ring
         relblk = kron(self.source_module.gens.dual(),
                       self.target_module.relations)
-        mats = [self.pairing] + ([relblk] if relblk.source.rank else [])
-        sol = lift_matrix(hstack(qr, mats), beta)
+        sol = lift_matrix(self.pairing, beta, [relblk])
         if sol is None:
             raise ArithmeticError("element does not lie in the hom module")
-        return _restrict_rows(sol, self.gens)
+        return sol
 
 
 def _hom_cohomology(d_in: GradedMatrix, d_out: GradedMatrix,
@@ -575,12 +550,15 @@ def _hom_cohomology(d_in: GradedMatrix, d_out: GradedMatrix,
     """Cohomology of Hom(F, N) at F = target(d_out) = source(d_in), for
     free maps d_out: F' -> F and d_in: F -> F'', as (kappa, rels): kappa
     generates the kernel of Hom(d_out, N) inside Hom(F, N), and rels
-    presents it modulo the image of Hom(d_in, N).  Hom and Ext both read
-    their answer here."""
-    kappa = _sub_rels(kron(d_out.transpose(), n.gens),
-                      [kron(d_out.source.dual(), n.relations)])
-    rels = _sub_rels(kappa, [kron(d_out.target.dual(), n.relations),
-                             kron(d_in.transpose(), n.gens)])
+    presents it modulo the image of Hom(d_in, N).  Hom(F, N) is F^* (x)
+    N's generators modulo N's relations, so both are kernels read modulo
+    relation blocks: kappa that of Hom(d_out, N) modulo N's relations on
+    F'^*, rels that of kappa modulo N's relations on F^* and the image of
+    Hom(d_in, N).  Hom and Ext both read their answer here."""
+    kappa = kernel_matrix(kron(d_out.transpose(), n.gens),
+                          [kron(d_out.source.dual(), n.relations)])
+    rels = kernel_matrix(kappa, [kron(d_out.target.dual(), n.relations),
+                                 kron(d_in.transpose(), n.gens)])
     return kappa, rels
 
 
@@ -688,14 +666,9 @@ class ModuleMap:
     def is_surjective(self) -> bool:
         if self.target.gens.rank == 0:
             return True
-        qr = self.source.ring
-        mats = [m for m in (self.matrix, self.target.relations)
-                if m.source.rank]
-        if not mats:
-            return False
-        big = hstack(qr, mats)
-        return lift_matrix(big, GradedMatrix.identity(qr, self.target.gens)) \
-            is not None
+        ones = GradedMatrix.identity(self.source.ring, self.target.gens)
+        return lift_matrix(self.matrix, ones,
+                           [self.target.relations]) is not None
 
     def is_isomorphism(self) -> bool:
         """A degree-0 surjection of graded modules with finite-dimensional

@@ -413,6 +413,37 @@ def test_lift_uses_quotient_relations():
     assert Q.reduce_matrix(m.compose(X)).is_zero()
 
 
+def test_empty_mod_is_the_plain_kernel_and_lift():
+    R = PolyRing(F, ["x", "y"])
+    Q = QuotientRing(R, ["x*y"])
+    m = GradedMatrix(Q, GradedFree.of([1, 1]), GradedFree.of([0]),
+                     {(0, 0): R.variable("x"), (0, 1): R.variable("y")})
+    assert kernel_matrix(m, []) == kernel_matrix(m)
+    assert lift_matrix(m, m, []) == lift_matrix(m, m)
+
+
+def test_kernel_and_lift_modulo_a_submodule():
+    # over k[x,y]/(x^2), (a, b) with a x + b y in (x) are those with b in
+    # (x): R/(x) = k[y] has y regular.  So e_0 and x e_1 generate.  y^2
+    # is no multiple of x, but modulo (y) it is: zero times x
+    R = PolyRing(F, ["x", "y"])
+    Q = QuotientRing(R, ["x^2"])
+    x, y = Q.variable(0), Q.variable(1)
+    tgt = GradedFree.of([0])
+    m = GradedMatrix(Q, GradedFree.of([1, 1]), tgt, {(0, 0): x, (0, 1): y})
+    xs = GradedMatrix(Q, GradedFree.of([1]), tgt, {(0, 0): x})
+    ker = kernel_matrix(m, [xs])
+    assert ker == GradedMatrix(Q, GradedFree.of([1, 2]), m.source,
+                               {(0, 0): Q.one(), (1, 1): x})
+    ys = GradedMatrix(Q, GradedFree.of([1]), tgt, {(0, 0): y})
+    y2 = GradedMatrix(Q, GradedFree.of([2]), tgt, {(0, 0): y * y})
+    assert lift_matrix(xs, y2) is None
+    X = lift_matrix(xs, y2, [ys])
+    assert X == GradedMatrix.zero(Q, y2.source, xs.source)
+    with pytest.raises(ValueError):
+        kernel_matrix(m, [GradedMatrix.zero(Q, tgt, GradedFree.of([1]))])
+
+
 # -- Hilbert series ---------------------------------------------------------
 
 def test_minimalize_monomials():

@@ -10,7 +10,10 @@ generators).  bass_table reads a complete complex through hom_frame, the
 terms, window and truth bounds of hom_complex without its differential.
 None of this changes what is computed, so the code before it, copied
 verbatim below (only the function names are prefixed with old_, as are
-the calls between the copies), is the reference: old and new agree term
+the calls between the copies, and old_hom_cohomology reads its kernels
+modulo the relation blocks by kernel_matrix's mod argument, as
+_hom_cohomology does, where both called modules._sub_rels), is the
+reference: old and new agree term
 for term, entry for entry, twist for twist, in window and truth bounds,
 or both refuse with the same error.
 
@@ -40,8 +43,9 @@ from homcalc.complexes import (
     _hsupp, _resolution_shape, hom_layout, tensor_layout, zero_complex,
 )
 from homcalc.corpus import corpus_problems
+from homcalc.groebner import kernel_matrix
 from homcalc.invariants import residue_field
-from homcalc.modules import ModulePresentation, _sub_rels, resolution
+from homcalc.modules import ModulePresentation, resolution
 from homcalc.ring import GradedFree, GradedMatrix, kron
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -290,9 +294,9 @@ def old_hom_cohomology(d_in: GradedMatrix, d_out: GradedMatrix,
     presents it modulo the image of Hom(d_in, N).  Hom and Ext both read
     their answer here."""
     A = old_hom_induced(d_out, n)
-    kappa = _sub_rels(A, [old_hom_rel_block(d_out.source, n)])
-    rels = _sub_rels(kappa, [old_hom_rel_block(d_out.target, n),
-                             old_hom_induced(d_in, n)])
+    kappa = kernel_matrix(A, [old_hom_rel_block(d_out.source, n)])
+    rels = kernel_matrix(kappa, [old_hom_rel_block(d_out.target, n),
+                                 old_hom_induced(d_in, n)])
     return kappa, rels
 
 

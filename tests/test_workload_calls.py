@@ -1,12 +1,18 @@
 """Every call the corpus run and the seed-1 template rings make, checked.
 
-Two checks run over the shipped corpus and the benchmark's nine template
+Three checks run over the shipped corpus and the benchmark's nine template
 rings in the coordinates its seed 1 draws (perfbench/workloads.py), each
 problem built and all its tasks run as the CLI runs them:
 
 - every kernel_matrix, lift_matrix and interreduce_columns call gives
   exactly what the tuple-keyed kernel of tests/tuple_kernel.py gives on
   the same input (the packed vectors of interreduce_columns unpacked);
+- every kernel read modulo a submodule (kernel_matrix with a nonempty
+  mod) spans the same submodule as the stacked route of
+  tests/stacked_route.py, each lifting through the other; every
+  HomPresentation.express equals the stacked one and solves pairing X =
+  beta modulo the relation block; every ModuleMap.is_surjective agrees
+  with the stacked one;
 - every ModulePresentation and ModuleMap is built on a matrix in normal
   form, the rule their docstrings state: each equals qr.reduce_matrix of
   itself.
@@ -27,7 +33,9 @@ from homcalc import complexes, groebner, modules
 from homcalc.cli import build_problem, run_tasks
 from homcalc.corpus import corpus_problems
 from homcalc.groebner import TermOverPosition, vec_to_column
+from homcalc.ring import GradedMatrix, kron
 
+import stacked_route as sr
 import tuple_kernel as tk
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -53,18 +61,18 @@ def test_kernel_calls_match_tuple_kernel(doc):
     interreduce = groebner.interreduce_columns
     calls, bad = [], []
 
-    def checked_kernel(m):
-        out = kernel(m)
+    def checked_kernel(m, mod=()):
+        out = kernel(m, mod)
         calls.append("kernel_matrix")
-        if out != tk.old_kernel_matrix(m):
-            bad.append(("kernel_matrix", m))
+        if out != tk.old_kernel_matrix(m, mod):
+            bad.append(("kernel_matrix", m, mod))
         return out
 
-    def checked_lift(m, targets):
-        out = lift(m, targets)
+    def checked_lift(m, targets, mod=()):
+        out = lift(m, targets, mod)
         calls.append("lift_matrix")
-        if out != tk.old_lift_matrix(m, targets):
-            bad.append(("lift_matrix", m, targets))
+        if out != tk.old_lift_matrix(m, targets, mod):
+            bad.append(("lift_matrix", m, targets, mod))
         return out
 
     def checked_interreduce(qr, free, vecs):
@@ -77,10 +85,10 @@ def test_kernel_calls_match_tuple_kernel(doc):
             bad.append(("interreduce_columns", free, cols))
         return out
 
-    patches = [(mod, "kernel_matrix", checked_kernel)
-               for mod in (groebner, modules, complexes)]
-    patches += [(mod, "lift_matrix", checked_lift)
-                for mod in (groebner, modules, complexes)]
+    patches = [(owner, "kernel_matrix", checked_kernel)
+               for owner in (groebner, modules, complexes)]
+    patches += [(owner, "lift_matrix", checked_lift)
+                for owner in (groebner, modules, complexes)]
     patches.append((groebner, "interreduce_columns", checked_interreduce))
     _run(doc, patches)
     assert "kernel_matrix" in calls
@@ -108,4 +116,56 @@ def test_presentations_and_maps_are_normal_forms(doc):
     _run(doc, [(MP, "__init__", checked_presentation),
                (MM, "__init__", checked_map)])
     assert seen
+    assert bad == []
+
+
+def _spans_equal(a: GradedMatrix, b: GradedMatrix) -> bool:
+    """Whether the columns of a and b generate the same submodule of
+    their common target: each lifts through the other."""
+    lift = groebner.lift_matrix
+    return (a.target == b.target and lift(a, b) is not None
+            and lift(b, a) is not None)
+
+
+def _difference(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    zero = a.ring.zero()
+    return GradedMatrix(a.ring, a.source, a.target, {
+        k: a.entries.get(k, zero) - b.entries.get(k, zero)
+        for k in set(a.entries) | set(b.entries)})
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda d: d["name"])
+def test_relative_calls_match_stacked_route(doc):
+    kernel = groebner.kernel_matrix
+    HP, MM = modules.HomPresentation, modules.ModuleMap
+    express, is_surjective = HP.express, MM.is_surjective
+    bad = []
+
+    def checked_kernel(m, mod=()):
+        out = kernel(m, mod)
+        if mod and not _spans_equal(out, sr.old_sub_rels(m, mod)):
+            bad.append(("kernel_matrix", m, mod))
+        return out
+
+    def checked_express(self, beta):
+        out = express(self, beta)
+        relblk = kron(self.source_module.gens.dual(),
+                      self.target_module.relations)
+        rest = _difference(beta, self.pairing.compose(out))
+        if out != sr.old_express(self, beta) or \
+                groebner.lift_matrix(relblk, rest) is None:
+            bad.append(("express", self, beta))
+        return out
+
+    def checked_is_surjective(self):
+        out = is_surjective(self)
+        if out != sr.old_is_surjective(self):
+            bad.append(("is_surjective", self))
+        return out
+
+    patches = [(owner, "kernel_matrix", checked_kernel)
+               for owner in (groebner, modules, complexes)]
+    patches += [(HP, "express", checked_express),
+                (MM, "is_surjective", checked_is_surjective)]
+    _run(doc, patches)
     assert bad == []

@@ -12,6 +12,8 @@ here as old_vec_axpy and old_expr_axpy.  PolyRing.mono_div,
 PolyRing.mono_lcm, PolyRing.mono_mul and the coefficient of
 PolyRing.monomial, which the packed kernel no longer uses, are the module
 functions mono_div, mono_lcm, mono_mul and monomial here.
+old_kernel_matrix and old_lift_matrix take the engine's later mod
+argument, and old_kernel_matrix its early exits.
 tests/test_kernel_reference.py runs the packed kernel against it.
 """
 
@@ -532,14 +534,25 @@ def old_padding_vectors(qr: QuotientRing, rank: int):
     return pads
 
 
-def old_kernel_matrix(m: GradedMatrix) -> GradedMatrix:
-    """Generators of ker(m) for m over a QuotientRing."""
+def old_kernel_matrix(m: GradedMatrix, mod=()) -> GradedMatrix:
+    """Generators of ker(m) for m over a QuotientRing, read modulo the
+    images of the matrices in mod (their columns go between m's and the
+    padding).  A map from zero or into zero takes the engine's early exit,
+    which the stacked route took before it (tests/stacked_route.py): the
+    zero matrix, or the identity in the source's order, where the syzygies
+    below would list its columns ascending by lead."""
     qr = m.ring
+    if m.source.rank == 0:
+        return GradedMatrix.zero(qr, GradedFree.of([]), m.source)
+    if m.target.rank == 0:
+        return GradedMatrix.identity(qr, m.source)
     P = qr.ambient
     cols = [old_vec_from_column(c) for c in m.columns()]
+    rest = [old_vec_from_column(c) for d in mod for c in d.columns()]
     pads = old_padding_vectors(qr, m.target.rank)
     order = old_TermOverPosition(P, m.target.twists)
-    syz = old_syzygy_generators(cols + pads, P, order, padded=len(pads))
+    syz = old_syzygy_generators(cols + rest + pads, P, order,
+                                padded=len(pads))
     ncols = len(cols)
     raw = []
     for s in syz:
@@ -580,8 +593,10 @@ def old_interreduce_columns(qr: QuotientRing, free: GradedFree, cols):
     return out
 
 
-def old_lift_matrix(m: GradedMatrix, targets: GradedMatrix):
-    """Solve m X = targets over the quotient ring; None when unsolvable.
+def old_lift_matrix(m: GradedMatrix, targets: GradedMatrix, mod=()):
+    """Solve m X = targets over the quotient ring, modulo the images of
+    the matrices in mod (their columns go between m's and the padding);
+    None when unsolvable.
 
     targets.target must equal m.target.  The result X maps
     targets.source -> m.source.
@@ -591,9 +606,11 @@ def old_lift_matrix(m: GradedMatrix, targets: GradedMatrix):
     qr = m.ring
     P = qr.ambient
     cols = [old_vec_from_column(c) for c in m.columns()]
+    rest = [old_vec_from_column(c) for d in mod for c in d.columns()]
     pads = old_padding_vectors(qr, m.target.rank)
     order = old_TermOverPosition(P, m.target.twists)
-    gb = old_reduced_gb(cols + pads, P, order, track=True, padded=len(pads))
+    gb = old_reduced_gb(cols + rest + pads, P, order, track=True,
+                        padded=len(pads))
     ncols = len(cols)
     entries = {}
     for j, col in enumerate(targets.columns()):
