@@ -21,6 +21,12 @@ columns and then by the padding vectors g*e_t for every defining relation
 g and every component t.  The computation runs over P, and the answers
 are projected onto the input columns and normal-formed mod I: they hold
 modulo I*F plus the images of mod.
+
+Certify, don't complete: the inputs of a kernel or a lift are nearly
+always a Groebner basis already.  So syzygy_generators and lift_matrix
+first inter-reduce the inputs with no S-pair queued, and run Buchberger's
+pair loop only when that candidate fails its certificate (see reduced_gb
+and minimal_pairs).  Either way every kernel and lift is the same.
 """
 
 from __future__ import annotations
@@ -310,8 +316,8 @@ def _minus_quotients(expr, quots, exprs, F):
     return expr
 
 
-def reduced_gb(inputs, ring: PolyRing, order, track=False,
-               padded=0) -> GBResult:
+def reduced_gb(inputs, ring: PolyRing, order, track=False, padded=0,
+               pair_loop=True) -> GBResult:
     """Buchberger with normal selection, then one inter-reduction pass.
 
     inputs: list of Vec (zero entries allowed; they are ignored here and
@@ -330,6 +336,21 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
     division pass in index order would leave it), then divides each
     element once by the others.  The leads left never change, so that one
     pass leaves every non-lead term irreducible: the reduced basis.
+
+    pair_loop=False queues no pair: the inputs are pushed and
+    inter-reduced as above, and nothing else.  This candidate is the
+    reduced basis of the inputs' span exactly when (a) every S-vector of
+    minimal_pairs(candidate) and (b) every nonzero input reduces to zero
+    by it.  (a) makes the candidate a Groebner basis of its own span, by
+    Buchberger's criterion over a generating set of the syzygies of the
+    leads (see minimal_pairs).  (b) makes that span the inputs' one: the
+    drop step keeps the span only when the inputs are a Groebner basis,
+    so (a) alone is not enough (x^2, x^2 + y^2 leave x^2 + y^2).  When
+    both hold, the inputs' leads generate the candidate's lead module,
+    the span's, so the inputs are already a Groebner basis.  The pair
+    loop then pushes nothing, and the full run inter-reduces the same
+    pushes: its elements, leads, order and exprs are the candidate's.
+    syzygy_generators and lift_matrix try the candidate first.
     """
     F = ring.field
     guard, lin, unlin = ring.guard, ring.lin, ring.unlin
@@ -381,13 +402,14 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
             pending.add((i, j))
             ticket += 1
 
-    for j in range(len(basis)):
+    for j in range(len(basis) if pair_loop else 0):
         queue_pairs_with(j, min(j, pad_from))
 
     # the product criterion needs every vector confined to one component
     # (leads alone are not enough: coprime-lead S-pairs can leave
-    # uncancelled residue in other components)
-    rank1 = len({t & FIELD_MASK for v in basis for t in v}) <= 1
+    # uncancelled residue in other components); read only with a pair
+    rank1 = bool(pairs) and len({t & FIELD_MASK for v in basis
+                                 for t in v}) <= 1
 
     while pairs:
         m, _, i, j = heapq.heappop(pairs)
@@ -458,27 +480,31 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False,
 # syzygies
 
 
-def schreyer_syzygies(gb: GBResult):
-    """Generators of the syzygy module of gb.elements, from S-pairs.
+def minimal_pairs(gb: GBResult):
+    """The minimal Schreyer pairs of gb.elements, with their S-vectors.
 
-    Each syzygy is a Vec over the index space of gb.elements, x^e e_k
-    packed by index_order(ring, len(gb.elements)).  For i < j
-    with leads in one component, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j
-    minus the quotients of the S-pair's standard expression, where m_ij
-    is the lcm of the leading monomials m_i, m_j.  By Schreyer's theorem
-    (Eisenbud, *Commutative Algebra*, Thm 15.10) the tau_ij form a
-    Groebner basis of the syzygies, with lead (m_ij/m_i) e_i in the
-    order that breaks ties by the smaller index.  So for each i only the
-    tau_ij whose m_ij/m_i is a minimal generator of {m_ij/m_i}_j are kept
-    (of equal ones, the lowest j): their leads generate the same lead
-    module, so they still generate every syzygy.
+    Yields (i, j, si, sj, s) for i < j with leads in one component, where
+    si and sj are the packed shifts of m_ij/m_i and m_ij/m_j, m_ij the lcm
+    of the leading monomials m_i, m_j, and s = x^si g_i - x^sj g_j.  For
+    each i only the pairs whose m_ij/m_i is a minimal generator of
+    {m_ij/m_i}_j come (of equal ones, the lowest j).
+
+    Their sigma_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j generate the
+    syzygies of the leading terms.  All sigma_ij do (Eisenbud,
+    *Commutative Algebra*, Lemma 15.1), and they are a Groebner basis of
+    those syzygies with lead (m_ij/m_i) e_i, in the order that breaks
+    ties by the smaller index (Schreyer's theorem, Thm 15.10, for the
+    leading terms themselves).  The minimal ones have the same lead
+    module, so they generate too.  So the elements are a Groebner basis
+    exactly when every s here reduces to zero by them: Buchberger's
+    criterion over a generating set of the syzygies of the leads
+    (Eisenbud §15.4; Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*, Ch. 2 §9 of the 3rd edition).
     """
     ring, F = gb.ring, gb.ring.field
     guard, order = ring.guard, gb.reducers.order
     elements, leads, by_comp = gb.elements, gb.leads, gb.reducers.by_comp
-    units = index_order(ring, len(elements)).bases
     neg_one = F.neg(F.one)
-    out = []
     for i, (li, _) in enumerate(leads):
         first = {}      # lin(m_ij/m_i) -> lowest j, in position order
         for j, lj in by_comp[li & FIELD_MASK]:
@@ -490,14 +516,46 @@ def schreyer_syzygies(gb: GBResult):
             sj = li + si - leads[j][0]
             s = {t + si: x for t, x in elements[i].items()}
             vec_axpy(s, neg_one, sj, elements[j], F)
-            rem, quots = vec_divide(s, gb.reducers, track=True)
-            if rem:
-                raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
-            syz = {units[i] + si: F.one, units[j] + sj: neg_one}
-            for k, q in quots.items():
-                vec_axpy(syz, neg_one, units[k], q, F)
-            out.append(syz)
+            yield i, j, si, sj, s
+
+
+def schreyer_syzygies(gb: GBResult):
+    """Generators of the syzygy module of gb.elements, from S-pairs; None
+    when an S-vector does not reduce to zero, so gb is not a Groebner
+    basis.
+
+    Each syzygy is a Vec over the index space of gb.elements, x^e e_k
+    packed by index_order(ring, len(gb.elements)).  For each pair of
+    minimal_pairs, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j minus the
+    quotients of the S-vector's standard expression.  By Schreyer's
+    theorem (Eisenbud, *Commutative Algebra*, Thm 15.10) the tau_ij of
+    all pairs form a Groebner basis of the syzygies, with lead
+    (m_ij/m_i) e_i; the minimal pairs keep their lead module, so their
+    tau_ij still generate every syzygy.
+    """
+    F = gb.ring.field
+    units = index_order(gb.ring, len(gb.elements)).bases
+    neg_one = F.neg(F.one)
+    out = []
+    for i, j, si, sj, s in minimal_pairs(gb):
+        rem, quots = vec_divide(s, gb.reducers, track=True)
+        if rem:
+            return None
+        syz = {units[i] + si: F.one, units[j] + sj: neg_one}
+        for k, q in quots.items():
+            vec_axpy(syz, neg_one, units[k], q, F)
+        out.append(syz)
     return out
+
+
+def _non_basis_inputs(gb: GBResult, inputs):
+    """(i, v) for each nonzero input v that is not a basis element up to a
+    scalar, one whose basis expression is a constant times e_i: the
+    inputs that are not plainly in the basis's span."""
+    units = index_order(gb.ring, len(inputs)).bases
+    index = {u: i for i, u in enumerate(units)}
+    in_basis = {index.get(u) for ex in gb.exprs if len(ex) == 1 for u in ex}
+    return [(i, v) for i, v in enumerate(inputs) if v and i not in in_basis]
 
 
 def syzygy_generators(inputs, ring: PolyRing, order, padded=0):
@@ -511,15 +569,38 @@ def syzygy_generators(inputs, ring: PolyRing, order, padded=0):
     is a constant times e_i) has a zero I - U V column, so it is not
     divided again.  The last `padded` inputs are the ideal padding (see
     reduced_gb).
+
+    Certify, don't complete: the basis is first reduced_gb's candidate
+    (pair_loop=False), and its certificate is read off the reductions the
+    syzygies make anyway.  (a) is every S-vector of schreyer_syzygies
+    reducing to zero, (b) every I - U V column's input doing so.  On the
+    first nonzero remainder everything reruns on the full reduced_gb.
+    A certified candidate is the full run's basis, exprs included (see
+    reduced_gb), so the syzygies are the full run's, entry for entry.
     """
+    out = _syzygies(inputs, ring, order, padded, pair_loop=False)
+    if out is None:
+        out = _syzygies(inputs, ring, order, padded, pair_loop=True)
+    return out
+
+
+def _syzygies(inputs, ring, order, padded, pair_loop):
+    """syzygy_generators on reduced_gb(pair_loop=pair_loop); None when
+    the candidate (no pair loop) fails its certificate."""
     F = ring.field
     units = index_order(ring, len(inputs)).bases
-    gb = reduced_gb(inputs, ring, order, track=True, padded=padded)
+    gb = reduced_gb(inputs, ring, order, track=True, padded=padded,
+                    pair_loop=pair_loop)
     out = [{units[i]: F.one} for i, v in enumerate(inputs) if not v]
 
     # transported Schreyer syzygies: s over GB indices -> U s over inputs
+    syz = schreyer_syzygies(gb)
+    if syz is None:
+        if pair_loop:
+            raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
+        return None
     gunits = index_order(ring, len(gb.elements)).bases
-    for s in schreyer_syzygies(gb):
+    for s in syz:
         t = {}
         for u, c in s.items():
             k = u & FIELD_MASK
@@ -528,14 +609,12 @@ def syzygy_generators(inputs, ring: PolyRing, order, padded=0):
             out.append(t)
 
     # inputs re-expressed through the basis: columns of I - U V
-    index = {u: i for i, u in enumerate(units)}
-    in_basis = {index.get(u) for ex in gb.exprs if len(ex) == 1 for u in ex}
-    for i, v in enumerate(inputs):
-        if not v or i in in_basis:
-            continue
+    for i, v in _non_basis_inputs(gb, inputs):
         rem, quots = gb.normal_form(v, track=True)
         if rem:
-            raise ArithmeticError("input does not reduce to zero against its own basis")
+            if pair_loop:
+                raise ArithmeticError("input does not reduce to zero against its own basis")
+            return None
         t = _minus_quotients({units[i]: F.one}, quots, gb.exprs, F)
         if t:
             out.append(t)
@@ -755,19 +834,36 @@ def clean_columns(qr: QuotientRing, free: GradedFree, cols) -> GradedMatrix:
     return columns_matrix(qr, free, interreduce_columns(qr, free, vecs), order)
 
 
+def _lift_gb(inputs, ring, order, padded):
+    """The tracked reduced basis of the inputs: reduced_gb's candidate
+    (pair_loop=False) when it passes its certificate, checked untracked,
+    else the full reduced_gb.  (a): every S-vector of minimal_pairs
+    reduces to zero by it; (b): so does every nonzero input.  A certified
+    candidate is the full run's basis, exprs included (see reduced_gb)."""
+    gb = reduced_gb(inputs, ring, order, track=True, padded=padded,
+                    pair_loop=False)
+    if any(vec_divide(s, gb.reducers)[0] for *_, s in minimal_pairs(gb)) \
+            or any(gb.normal_form(v)[0]
+                   for _, v in _non_basis_inputs(gb, inputs)):
+        return reduced_gb(inputs, ring, order, track=True, padded=padded)
+    return gb
+
+
 def lift_matrix(m: GradedMatrix, targets: GradedMatrix, mod=()):
     """Solve m X = targets over the quotient ring, modulo the images of
     the matrices in mod; None when unsolvable.
 
     targets.target must equal m.target.  The result X maps
-    targets.source -> m.source, its entries normal forms mod I.
+    targets.source -> m.source, its entries normal forms mod I.  The
+    tracked basis comes from _lift_gb, which certifies reduced_gb's
+    candidate before it runs Buchberger's pair loop.
     """
     if targets.target != m.target:
         raise ValueError("lift target mismatch")
     qr = m.ring
     P = qr.ambient
     order, inputs, padded = _inputs(m, mod)
-    gb = reduced_gb(inputs, P, order, track=True, padded=padded)
+    gb = _lift_gb(inputs, P, order, padded)
     # the solution stays in the index order: a normal form mod I does not
     # depend on the twists, so no source twist is packed or refused
     src = index_order(P, m.source.rank)

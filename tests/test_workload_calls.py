@@ -1,12 +1,16 @@
 """Every call the corpus run and the seed-1 template rings make, checked.
 
-Three checks run over the shipped corpus and the benchmark's nine template
+Four checks run over the shipped corpus and the benchmark's nine template
 rings in the coordinates its seed 1 draws (perfbench/workloads.py), each
 problem built and all its tasks run as the CLI runs them:
 
 - every kernel_matrix, lift_matrix and interreduce_columns call gives
   exactly what the tuple-keyed kernel of tests/tuple_kernel.py gives on
   the same input (the packed vectors of interreduce_columns unpacked);
+- every tracked basis a kernel or a lift uses, a certified candidate or
+  a fallback, is the full reduced_gb's (elements, leads, by_comp and
+  exprs), and every syzygy_generators call gives the full run's syzygies
+  (see tests/test_certificate.py);
 - every kernel read modulo a submodule (kernel_matrix with a nonempty
   mod) spans the same submodule as the stacked route of
   tests/stacked_route.py, each lifting through the other; every
@@ -37,6 +41,7 @@ from homcalc.ring import GradedMatrix, kron
 
 import stacked_route as sr
 import tuple_kernel as tk
+from test_certificate import REDUCED_GB, full_run, gb_items, vec_items
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -92,6 +97,46 @@ def test_kernel_calls_match_tuple_kernel(doc):
     patches.append((groebner, "interreduce_columns", checked_interreduce))
     _run(doc, patches)
     assert "kernel_matrix" in calls
+    assert bad == []
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda d: d["name"])
+def test_certified_bases_match_full_run(doc):
+    syzygies, lift_gb = groebner.syzygy_generators, groebner._lift_gb
+    tried, used, bad = [], [], []
+
+    def recorded_gb(*args, **kwargs):
+        out = REDUCED_GB(*args, **kwargs)
+        tried.append(out)
+        return out
+
+    def checked(inputs, ring, order, padded, gb):
+        used.append(gb)
+        full = REDUCED_GB(inputs, ring, order, track=True, padded=padded)
+        if gb_items(gb) != gb_items(full):
+            bad.append(("basis", inputs))
+
+    def checked_syzygies(inputs, ring, order, padded=0):
+        n = len(tried)
+        out = syzygies(inputs, ring, order, padded)
+        checked(inputs, ring, order, padded, tried[-1])
+        if len(tried) - n not in (1, 2):
+            bad.append(("tries", inputs))
+        with full_run():
+            full = syzygies(inputs, ring, order, padded)
+        if vec_items(out) != vec_items(full):
+            bad.append(("syzygy_generators", inputs))
+        return out
+
+    def checked_lift_gb(inputs, ring, order, padded):
+        out = lift_gb(inputs, ring, order, padded)
+        checked(inputs, ring, order, padded, out)
+        return out
+
+    _run(doc, [(groebner, "reduced_gb", recorded_gb),
+               (groebner, "syzygy_generators", checked_syzygies),
+               (groebner, "_lift_gb", checked_lift_gb)])
+    assert used
     assert bad == []
 
 
