@@ -22,11 +22,11 @@ g and every component t.  The computation runs over P, and the answers
 are projected onto the input columns and normal-formed mod I: they hold
 modulo I*F plus the images of mod.
 
-Certify, don't complete: the inputs of a kernel or a lift are nearly
-always a Groebner basis already.  So syzygy_generators and lift_matrix
-first inter-reduce the inputs with no S-pair queued, and run Buchberger's
-pair loop only when that candidate fails its certificate (see reduced_gb
-and minimal_pairs).  Either way every kernel and lift is the same.
+Certify, then complete: the inputs of a kernel or a lift are nearly
+always a Groebner basis already, so _certified_gb keeps reduced_gb's
+candidate, built with no S-pair queued, when its certificate holds, and
+runs Buchberger's pair loop only when it fails.  A kernel's syzygies are
+read off the certificate's own reductions (see _certificate).
 """
 
 from __future__ import annotations
@@ -338,19 +338,12 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False, padded=0,
     pass leaves every non-lead term irreducible: the reduced basis.
 
     pair_loop=False queues no pair: the inputs are pushed and
-    inter-reduced as above, and nothing else.  This candidate is the
-    reduced basis of the inputs' span exactly when (a) every S-vector of
-    minimal_pairs(candidate) and (b) every nonzero input reduces to zero
-    by it.  (a) makes the candidate a Groebner basis of its own span, by
-    Buchberger's criterion over a generating set of the syzygies of the
-    leads (see minimal_pairs).  (b) makes that span the inputs' one: the
-    drop step keeps the span only when the inputs are a Groebner basis,
-    so (a) alone is not enough (x^2, x^2 + y^2 leave x^2 + y^2).  When
-    both hold, the inputs' leads generate the candidate's lead module,
-    the span's, so the inputs are already a Groebner basis.  The pair
-    loop then pushes nothing, and the full run inter-reduces the same
-    pushes: its elements, leads, order and exprs are the candidate's.
-    syzygy_generators and lift_matrix try the candidate first.
+    inter-reduced as above, and nothing else.  When this candidate passes
+    _certified_gb's certificate, it is a Groebner basis of the inputs'
+    span, and its leads are leads of inputs, so the inputs are already a
+    Groebner basis.  The pair loop then pushes nothing, and the full run
+    inter-reduces the same pushes: its elements, leads, order and exprs
+    are the candidate's.
     """
     F = ring.field
     guard, lin, unlin = ring.guard, ring.lin, ring.unlin
@@ -442,11 +435,7 @@ def reduced_gb(inputs, ring: PolyRing, order, track=False, padded=0,
         rem, quots = vec_divide(s, red, track=track)
         if not rem:
             continue
-        expr = {}
-        if track:
-            vec_axpy(expr, one, si, exprs[i], F)
-            vec_axpy(expr, neg_one, sj, exprs[j], F)
-            _minus_quotients(expr, quots, exprs, F)
+        expr = _s_expr(i, j, si, sj, quots, exprs, F) if track else {}
         jnew = push(rem, expr)
         queue_pairs_with(jnew, jnew)
 
@@ -519,106 +508,90 @@ def minimal_pairs(gb: GBResult):
             yield i, j, si, sj, s
 
 
-def schreyer_syzygies(gb: GBResult):
-    """Generators of the syzygy module of gb.elements, from S-pairs; None
-    when an S-vector does not reduce to zero, so gb is not a Groebner
-    basis.
+def _s_expr(i, j, si, sj, quots, exprs, F):
+    """x^si exprs[i] - x^sj exprs[j] minus the quotients' expressions: the
+    expression over the inputs of the remainder of the S-vector x^si g_i -
+    x^sj g_j, for its quotients by a basis whose expressions are exprs."""
+    expr = vec_axpy({}, F.one, si, exprs[i], F)
+    vec_axpy(expr, F.neg(F.one), sj, exprs[j], F)
+    return _minus_quotients(expr, quots, exprs, F)
 
-    Each syzygy is a Vec over the index space of gb.elements, x^e e_k
-    packed by index_order(ring, len(gb.elements)).  For each pair of
-    minimal_pairs, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j minus the
-    quotients of the S-vector's standard expression.  By Schreyer's
-    theorem (Eisenbud, *Commutative Algebra*, Thm 15.10) the tau_ij of
-    all pairs form a Groebner basis of the syzygies, with lead
-    (m_ij/m_i) e_i; the minimal pairs keep their lead module, so their
-    tau_ij still generate every syzygy.
+
+def _certificate(gb: GBResult, inputs, track):
+    """Reduce gb's certificate: None on the first nonzero remainder, else
+    the syzygies of the inputs read off its reductions ([] unless track).
+
+    First the S-vector of each pair of minimal_pairs(gb).  Its expression
+    over the inputs (_s_expr) is the Schreyer syzygy tau_ij = (m_ij/m_i)
+    e_i - (m_ij/m_j) e_j minus the quotients, carried onto the inputs by
+    the basis's expressions U.  The tau_ij of all pairs are a Groebner
+    basis of the syzygies of the basis, with leads (m_ij/m_i) e_i
+    (Schreyer's theorem: Eisenbud, *Commutative Algebra*, Thm 15.10); the
+    minimal ones keep that lead module, so they generate them too.  Then
+    each nonzero input, with quotients V: the column e_i - U V e_i of
+    I - U V, zero and skipped when the input's basis expression is a
+    constant times e_i.  With the unit syzygies of the zero inputs these
+    generate every syzygy a of the inputs: V a is a syzygy of the basis,
+    and a = (I - U V) a + U V a.
     """
     F = gb.ring.field
-    units = index_order(gb.ring, len(gb.elements)).bases
-    neg_one = F.neg(F.one)
     out = []
     for i, j, si, sj, s in minimal_pairs(gb):
-        rem, quots = vec_divide(s, gb.reducers, track=True)
+        rem, quots = vec_divide(s, gb.reducers, track=track)
         if rem:
             return None
-        syz = {units[i] + si: F.one, units[j] + sj: neg_one}
-        for k, q in quots.items():
-            vec_axpy(syz, neg_one, units[k], q, F)
-        out.append(syz)
-    return out
-
-
-def _non_basis_inputs(gb: GBResult, inputs):
-    """(i, v) for each nonzero input v that is not a basis element up to a
-    scalar, one whose basis expression is a constant times e_i: the
-    inputs that are not plainly in the basis's span."""
+        if track:
+            out.append(_s_expr(i, j, si, sj, quots, gb.exprs, F))
     units = index_order(gb.ring, len(inputs)).bases
-    index = {u: i for i, u in enumerate(units)}
-    in_basis = {index.get(u) for ex in gb.exprs if len(ex) == 1 for u in ex}
-    return [(i, v) for i, v in enumerate(inputs) if v and i not in in_basis]
+    in_basis = {u for ex in gb.exprs if len(ex) == 1 for u in ex}
+    for i, v in enumerate(inputs):
+        if not v or units[i] in in_basis:
+            continue
+        rem, quots = gb.normal_form(v, track=track)
+        if rem:
+            return None
+        if track:
+            out.append(_minus_quotients({units[i]: F.one}, quots, gb.exprs,
+                                        F))
+    return [t for t in out if t]
+
+
+def _certified_gb(inputs, ring, order, padded, track):
+    """The tracked reduced basis of the inputs, and the syzygies its
+    _certificate reads off ([] unless track).
+
+    reduced_gb's candidate (pair_loop=False) first, the full run only when
+    the candidate fails its certificate, which holds exactly when the
+    candidate is the reduced basis of the inputs' span.  (a) Every
+    S-vector of minimal_pairs reducing to zero makes it a Groebner basis
+    of its own span, by Buchberger's criterion (see minimal_pairs).
+    (b) Every nonzero input reducing to zero makes that span the inputs'
+    one: the drop step keeps the span only when the inputs are a Groebner
+    basis, so (a) alone is not enough (x^2, x^2 + y^2 leave x^2 + y^2).
+    A certified candidate is the full run's basis, exprs included (see
+    reduced_gb), so every kernel and lift is the same either way.  A full
+    run that fails its certificate is an internal fault.
+    """
+    for pair_loop in (False, True):
+        gb = reduced_gb(inputs, ring, order, track=True, padded=padded,
+                        pair_loop=pair_loop)
+        syz = _certificate(gb, inputs, track)
+        if syz is not None:
+            return gb, syz
+    raise ArithmeticError("a Groebner basis failed its certificate")
 
 
 def syzygy_generators(inputs, ring: PolyRing, order, padded=0):
     """Generators of the syzygy module of the input vectors.
 
     Returns Vecs over the input index space, x^e e_i packed by
-    index_order(ring, len(inputs)): transported Schreyer syzygies of the
-    reduced basis plus the columns of I - U V, where U, V express the
-    basis in the inputs and back.  Zero inputs contribute unit syzygies.
-    An input that is a basis element up to a scalar (its basis expression
-    is a constant times e_i) has a zero I - U V column, so it is not
-    divided again.  The last `padded` inputs are the ideal padding (see
-    reduced_gb).
-
-    Certify, don't complete: the basis is first reduced_gb's candidate
-    (pair_loop=False), and its certificate is read off the reductions the
-    syzygies make anyway.  (a) is every S-vector of schreyer_syzygies
-    reducing to zero, (b) every I - U V column's input doing so.  On the
-    first nonzero remainder everything reruns on the full reduced_gb.
-    A certified candidate is the full run's basis, exprs included (see
-    reduced_gb), so the syzygies are the full run's, entry for entry.
+    index_order(ring, len(inputs)): the unit syzygies of the zero inputs,
+    then the syzygies _certificate reads off the reduced basis.  The last
+    `padded` inputs are the ideal padding (see reduced_gb).
     """
-    out = _syzygies(inputs, ring, order, padded, pair_loop=False)
-    if out is None:
-        out = _syzygies(inputs, ring, order, padded, pair_loop=True)
-    return out
-
-
-def _syzygies(inputs, ring, order, padded, pair_loop):
-    """syzygy_generators on reduced_gb(pair_loop=pair_loop); None when
-    the candidate (no pair loop) fails its certificate."""
-    F = ring.field
     units = index_order(ring, len(inputs)).bases
-    gb = reduced_gb(inputs, ring, order, track=True, padded=padded,
-                    pair_loop=pair_loop)
-    out = [{units[i]: F.one} for i, v in enumerate(inputs) if not v]
-
-    # transported Schreyer syzygies: s over GB indices -> U s over inputs
-    syz = schreyer_syzygies(gb)
-    if syz is None:
-        if pair_loop:
-            raise ArithmeticError("S-pair of a Groebner basis did not reduce to zero")
-        return None
-    gunits = index_order(ring, len(gb.elements)).bases
-    for s in syz:
-        t = {}
-        for u, c in s.items():
-            k = u & FIELD_MASK
-            vec_axpy(t, c, u - gunits[k], gb.exprs[k], F)
-        if t:
-            out.append(t)
-
-    # inputs re-expressed through the basis: columns of I - U V
-    for i, v in _non_basis_inputs(gb, inputs):
-        rem, quots = gb.normal_form(v, track=True)
-        if rem:
-            if pair_loop:
-                raise ArithmeticError("input does not reduce to zero against its own basis")
-            return None
-        t = _minus_quotients({units[i]: F.one}, quots, gb.exprs, F)
-        if t:
-            out.append(t)
-    return out
+    return [{units[i]: ring.field.one} for i, v in enumerate(inputs)
+            if not v] + _certified_gb(inputs, ring, order, padded, True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -834,36 +807,20 @@ def clean_columns(qr: QuotientRing, free: GradedFree, cols) -> GradedMatrix:
     return columns_matrix(qr, free, interreduce_columns(qr, free, vecs), order)
 
 
-def _lift_gb(inputs, ring, order, padded):
-    """The tracked reduced basis of the inputs: reduced_gb's candidate
-    (pair_loop=False) when it passes its certificate, checked untracked,
-    else the full reduced_gb.  (a): every S-vector of minimal_pairs
-    reduces to zero by it; (b): so does every nonzero input.  A certified
-    candidate is the full run's basis, exprs included (see reduced_gb)."""
-    gb = reduced_gb(inputs, ring, order, track=True, padded=padded,
-                    pair_loop=False)
-    if any(vec_divide(s, gb.reducers)[0] for *_, s in minimal_pairs(gb)) \
-            or any(gb.normal_form(v)[0]
-                   for _, v in _non_basis_inputs(gb, inputs)):
-        return reduced_gb(inputs, ring, order, track=True, padded=padded)
-    return gb
-
-
 def lift_matrix(m: GradedMatrix, targets: GradedMatrix, mod=()):
     """Solve m X = targets over the quotient ring, modulo the images of
     the matrices in mod; None when unsolvable.
 
     targets.target must equal m.target.  The result X maps
-    targets.source -> m.source, its entries normal forms mod I.  The
-    tracked basis comes from _lift_gb, which certifies reduced_gb's
-    candidate before it runs Buchberger's pair loop.
+    targets.source -> m.source, its entries normal forms mod I, read off
+    the tracked basis of _certified_gb.
     """
     if targets.target != m.target:
         raise ValueError("lift target mismatch")
     qr = m.ring
     P = qr.ambient
     order, inputs, padded = _inputs(m, mod)
-    gb = _lift_gb(inputs, P, order, padded)
+    gb = _certified_gb(inputs, P, order, padded, False)[0]
     # the solution stays in the index order: a normal form mod I does not
     # depend on the twists, so no source twist is packed or refused
     src = index_order(P, m.source.rank)

@@ -1,30 +1,33 @@
-"""Certify, don't complete: the candidate basis against the full run.
+"""Certify, then complete: the candidate basis against the full run.
 
-syzygy_generators and lift_matrix first take reduced_gb's candidate (the
-inputs pushed and inter-reduced, no pair queued) and run Buchberger's pair
-loop only when the candidate fails its certificate: (a) every minimal
-Schreyer S-vector and (b) every nonzero input reduces to zero by it.  The
-full run is reduced_gb with the pair loop always on (``full_run``); under
-it the first try is already the full basis, so syzygy_generators and
-lift_matrix give the full run's answers.
+syzygy_generators and lift_matrix take their basis from _certified_gb: it
+takes reduced_gb's candidate (the inputs pushed and inter-reduced, no pair
+queued) and runs Buchberger's pair loop only when the candidate fails its
+certificate: (a) every minimal Schreyer S-vector and (b) every nonzero
+input reduces to zero by it.  The full run is reduced_gb with the pair
+loop always on (``full_run``); under it the first try is already the full
+basis, so syzygy_generators and lift_matrix give the full run's answers.
 
 Two hand cases fall back: x^2, x^2 + y^2 passes (a) and fails (b), and
 x^2, xy + y^2 fails (a), since its basis needs y^3.  On random inputs
-over F_32003 and Q the answers are the full run's, entry for entry.
+over F_32003 and Q the answers are the full run's, entry for entry, and
+every syzygy, evaluated on the inputs in Polynomial arithmetic, is zero.
+A full run that fails its certificate raises, for a kernel and a lift.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
 from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from homcalc import groebner
 from homcalc.field import PrimeField
 from homcalc.groebner import (
-    QuotientRing, TermOverPosition, kernel_matrix, lift_matrix,
-    minimal_pairs, reduced_gb, syzygy_generators, vec_divide,
-    vec_from_column,
+    QuotientRing, TermOverPosition, index_order, kernel_matrix,
+    lift_matrix, minimal_pairs, reduced_gb, syzygy_generators, vec_divide,
+    vec_from_column, vec_to_column,
 )
 from homcalc.ring import GradedFree, GradedMatrix, PolyRing
 
@@ -51,6 +54,19 @@ def gb_items(gb):
 
 def vec_items(vecs):
     return [list(v.items()) for v in vecs]
+
+
+def evaluate(syz, inputs, order, ring):
+    """sum_(i, e) syz[x^e e_i] x^e inputs[i] over the ambient ring, in
+    Polynomial arithmetic, as {row: Polynomial} with zero rows dropped."""
+    index = index_order(ring, len(inputs))
+    cols = [vec_to_column(v, order) for v in inputs]
+    acc = {}
+    for t, c in syz.items():
+        i, e = index.unpack(t)
+        for r, p in cols[i].items():
+            acc[r] = acc.get(r, ring.zero()) + ring.monomial(e).scale(c) * p
+    return {r: p for r, p in acc.items() if not p.is_zero()}
 
 
 def fails_a(gb):
@@ -96,6 +112,7 @@ def check_against_full_run(m, target):
     assert lift is not None
     assert m.compose(lift) == target
     assert m.compose(kernel).is_zero()
+    assert all(evaluate(s, inputs, ORDER, P) == {} for s in syz)
 
 
 def test_candidate_of_x2_and_x2_plus_y2_fails_only_b():
@@ -122,6 +139,21 @@ def test_candidate_of_x2_and_xy_plus_y2_fails_a():
     check_against_full_run(m, row("y^3"))
 
 
+def test_a_full_run_that_fails_its_certificate_raises():
+    """With the pair loop made to return the candidate, x^2, xy + y^2
+    fails its certificate on both tries: an internal fault, raised for a
+    kernel's syzygies and for a lift alike."""
+    m = row("x^2", "x*y + y^2")
+
+    def candidate(*args, **kwargs):
+        return REDUCED_GB(*args, **dict(kwargs, pair_loop=False))
+    with mock.patch.object(groebner, "reduced_gb", candidate):
+        with pytest.raises(ArithmeticError):
+            syzygy_generators(vecs(m), P, ORDER)
+        with pytest.raises(ArithmeticError):
+            lift_matrix(m, row("y^3"))
+
+
 # -- random inputs ------------------------------------------------------------
 
 
@@ -142,8 +174,8 @@ def test_certify_first_matches_full_run(field, quotient, data):
     certified = not fails_a(cand) and not fails_b(cand, inputs)
     event("certified" if certified else "falls back")
     assert certified == (gb_items(cand) == gb_items(full))
-    assert gb_items(groebner._lift_gb(inputs, qr.ambient, order, padded)) \
-        == gb_items(full)
+    assert gb_items(groebner._certified_gb(inputs, qr.ambient, order, padded,
+                                           False)[0]) == gb_items(full)
     # lift targets: m itself, x times m's first column (solvable) and
     # x^2 e_0 (solvable or not)
     x = qr.variable(0)
@@ -153,6 +185,8 @@ def test_certify_first_matches_full_run(field, quotient, data):
                GradedMatrix(qr, GradedFree.of([r0 + 2]), m.target,
                             {(0, 0): qr.reduce(x * x)})]
     syz = syzygy_generators(inputs, qr.ambient, order, padded=padded)
+    # every syzygy vanishes on the inputs, fallback draws included
+    assert all(evaluate(s, inputs, order, qr.ambient) == {} for s in syz)
     kernel = kernel_matrix(m)
     lifts = [lift_matrix(m, t) for t in targets]
     with full_run():

@@ -14,13 +14,14 @@ from homcalc.field import PrimeField, RationalField
 from homcalc.ring import FIELD_MASK, PolyRing, GradedFree, GradedMatrix
 from homcalc.groebner import (
     TermOverPosition, QuotientRing, HilbertSeries,
-    Reducers, reduced_gb, syzygy_generators, schreyer_syzygies,
+    Reducers, reduced_gb, syzygy_generators,
     kernel_matrix, lift_matrix, hilbert_numerator, minimalize_monomials,
     index_order, vec_divide, vec_from_column, vec_to_column, vec_axpy,
 )
 
 from slice_homology import monomials_of_degree, top_degree
 from term_orders import PositionOverTerm
+from test_kernel_reference import schreyer_syzygies
 from tuple_kernel import mono_div, old_vec_axpy, old_vec_term_mul
 
 F = PrimeField(32003)

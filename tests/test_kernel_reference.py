@@ -1,6 +1,6 @@
 """The kernel path against its previous forms.
 
-Two references, both copies of earlier code.  First, the tuple-keyed
+Three references, all copies of earlier code.  First, the tuple-keyed
 kernel from before module terms were packed into ints, in
 tests/tuple_kernel.py: on seeded random matrices over F_32003 and Q,
 over a polynomial ring and a quotient ring, in both term orders, the
@@ -20,6 +20,12 @@ the ring's mono_mul and monomial among them, under their names in
 tests/tuple_kernel.py), is
 the reference: the reduced bases are equal and the two kernels generate
 the same module.
+
+Third, schreyer_syzygies, verbatim from the engine before its kernels
+read each syzygy off the S-vector's expression over the inputs: the
+Schreyer syzygies of a basis over the basis's own indices.  The tests
+here and in tests/test_groebner.py check those against the tuple kernel
+and by evaluation.
 """
 
 from fractions import Fraction
@@ -34,10 +40,10 @@ from homcalc.field import PrimeField, RationalField
 from homcalc.ring import (GradedFree, GradedMatrix, Polynomial, PolyRing,
                          TermRangeError, hstack)
 from homcalc.groebner import (
-    QuotientRing, TermOverPosition, clean_columns, index_order,
-    interreduce_columns, kernel_matrix, lift_matrix, reduced_gb, schreyer_syzygies,
-    syzygy_generators, vec_divide, vec_from_column, vec_scale,
-    vec_to_column,
+    GBResult, QuotientRing, TermOverPosition, clean_columns, index_order,
+    interreduce_columns, kernel_matrix, lift_matrix, minimal_pairs,
+    reduced_gb, syzygy_generators, vec_axpy, vec_divide, vec_from_column,
+    vec_scale, vec_to_column,
 )
 
 import tuple_kernel as tk
@@ -307,6 +313,38 @@ def old_kernel_matrix(m: GradedMatrix) -> GradedMatrix:
             raw.append(red)
     raw = old_interreduce_columns(qr, m.source, raw)
     return GradedMatrix.from_columns(qr, m.source, raw)
+
+
+# -- the Schreyer syzygies over a basis's own indices, verbatim -------------
+
+
+def schreyer_syzygies(gb: GBResult):
+    """Generators of the syzygy module of gb.elements, from S-pairs; None
+    when an S-vector does not reduce to zero, so gb is not a Groebner
+    basis.
+
+    Each syzygy is a Vec over the index space of gb.elements, x^e e_k
+    packed by index_order(ring, len(gb.elements)).  For each pair of
+    minimal_pairs, tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j minus the
+    quotients of the S-vector's standard expression.  By Schreyer's
+    theorem (Eisenbud, *Commutative Algebra*, Thm 15.10) the tau_ij of
+    all pairs form a Groebner basis of the syzygies, with lead
+    (m_ij/m_i) e_i; the minimal pairs keep their lead module, so their
+    tau_ij still generate every syzygy.
+    """
+    F = gb.ring.field
+    units = index_order(gb.ring, len(gb.elements)).bases
+    neg_one = F.neg(F.one)
+    out = []
+    for i, j, si, sj, s in minimal_pairs(gb):
+        rem, quots = vec_divide(s, gb.reducers, track=True)
+        if rem:
+            return None
+        syz = {units[i] + si: F.one, units[j] + sj: neg_one}
+        for k, q in quots.items():
+            vec_axpy(syz, neg_one, units[k], q, F)
+        out.append(syz)
+    return out
 
 
 # -- seeded random matrices -------------------------------------------------

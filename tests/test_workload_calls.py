@@ -102,7 +102,7 @@ def test_kernel_calls_match_tuple_kernel(doc):
 
 @pytest.mark.parametrize("doc", DOCS, ids=lambda d: d["name"])
 def test_certified_bases_match_full_run(doc):
-    syzygies, lift_gb = groebner.syzygy_generators, groebner._lift_gb
+    syzygies, certified_gb = groebner.syzygy_generators, groebner._certified_gb
     tried, used, bad = [], [], []
 
     def recorded_gb(*args, **kwargs):
@@ -110,32 +110,29 @@ def test_certified_bases_match_full_run(doc):
         tried.append(out)
         return out
 
-    def checked(inputs, ring, order, padded, gb):
-        used.append(gb)
-        full = REDUCED_GB(inputs, ring, order, track=True, padded=padded)
-        if gb_items(gb) != gb_items(full):
-            bad.append(("basis", inputs))
-
-    def checked_syzygies(inputs, ring, order, padded=0):
+    def checked_certified_gb(inputs, ring, order, padded, track):
         n = len(tried)
-        out = syzygies(inputs, ring, order, padded)
-        checked(inputs, ring, order, padded, tried[-1])
+        out = certified_gb(inputs, ring, order, padded, track)
+        used.append(out[0])
         if len(tried) - n not in (1, 2):
             bad.append(("tries", inputs))
-        with full_run():
+        full = REDUCED_GB(inputs, ring, order, track=True, padded=padded)
+        if gb_items(out[0]) != gb_items(full):
+            bad.append(("basis", inputs))
+        return out
+
+    def checked_syzygies(inputs, ring, order, padded=0):
+        out = syzygies(inputs, ring, order, padded)
+        with full_run(), mock.patch.object(groebner, "_certified_gb",
+                                           certified_gb):
             full = syzygies(inputs, ring, order, padded)
         if vec_items(out) != vec_items(full):
             bad.append(("syzygy_generators", inputs))
         return out
 
-    def checked_lift_gb(inputs, ring, order, padded):
-        out = lift_gb(inputs, ring, order, padded)
-        checked(inputs, ring, order, padded, out)
-        return out
-
     _run(doc, [(groebner, "reduced_gb", recorded_gb),
                (groebner, "syzygy_generators", checked_syzygies),
-               (groebner, "_lift_gb", checked_lift_gb)])
+               (groebner, "_certified_gb", checked_certified_gb)])
     assert used
     assert bad == []
 
