@@ -519,31 +519,27 @@ def _s_expr(i, j, si, sj, quots, exprs, F):
 
 def _certificate(gb: GBResult, inputs, track):
     """Reduce gb's certificate: None on the first nonzero remainder, else
-    the syzygies of the inputs read off its reductions ([] unless track).
+    the syzygies of the inputs read off its reductions ([] unless track),
+    the Schreyer syzygies first and the columns of I - U V after them.
 
-    First the S-vector of each pair of minimal_pairs(gb).  Its expression
-    over the inputs (_s_expr) is the Schreyer syzygy tau_ij = (m_ij/m_i)
-    e_i - (m_ij/m_j) e_j minus the quotients, carried onto the inputs by
-    the basis's expressions U.  The tau_ij of all pairs are a Groebner
-    basis of the syzygies of the basis, with leads (m_ij/m_i) e_i
-    (Schreyer's theorem: Eisenbud, *Commutative Algebra*, Thm 15.10); the
-    minimal ones keep that lead module, so they generate them too.  Then
-    each nonzero input, with quotients V: the column e_i - U V e_i of
-    I - U V, zero and skipped when the input's basis expression is a
-    constant times e_i.  With the unit syzygies of the zero inputs these
-    generate every syzygy a of the inputs: V a is a syzygy of the basis,
-    and a = (I - U V) a + U V a.
+    Each nonzero input first, with quotients V: the column e_i - U V e_i
+    of I - U V, zero and skipped when the input's basis expression is a
+    constant times e_i.  A failing candidate nearly always fails here, so
+    no S-vector expression is built for it.  Then the S-vector of each
+    pair of minimal_pairs(gb).  Its expression over the inputs (_s_expr)
+    is the Schreyer syzygy tau_ij = (m_ij/m_i) e_i - (m_ij/m_j) e_j minus
+    the quotients, carried onto the inputs by the basis's expressions U.
+    The tau_ij of all pairs are a Groebner basis of the syzygies of the
+    basis, with leads (m_ij/m_i) e_i (Schreyer's theorem: Eisenbud,
+    *Commutative Algebra*, Thm 15.10); the minimal ones keep that lead
+    module, so they generate them too.  With the unit syzygies of the
+    zero inputs these generate every syzygy a of the inputs: V a is a
+    syzygy of the basis, and a = (I - U V) a + U V a.
     """
     F = gb.ring.field
-    out = []
-    for i, j, si, sj, s in minimal_pairs(gb):
-        rem, quots = vec_divide(s, gb.reducers, track=track)
-        if rem:
-            return None
-        if track:
-            out.append(_s_expr(i, j, si, sj, quots, gb.exprs, F))
     units = index_order(gb.ring, len(inputs)).bases
     in_basis = {u for ex in gb.exprs if len(ex) == 1 for u in ex}
+    cols = []
     for i, v in enumerate(inputs):
         if not v or units[i] in in_basis:
             continue
@@ -551,9 +547,16 @@ def _certificate(gb: GBResult, inputs, track):
         if rem:
             return None
         if track:
-            out.append(_minus_quotients({units[i]: F.one}, quots, gb.exprs,
-                                        F))
-    return [t for t in out if t]
+            cols.append(_minus_quotients({units[i]: F.one}, quots, gb.exprs,
+                                         F))
+    out = []
+    for i, j, si, sj, s in minimal_pairs(gb):
+        rem, quots = vec_divide(s, gb.reducers, track=track)
+        if rem:
+            return None
+        if track:
+            out.append(_s_expr(i, j, si, sj, quots, gb.exprs, F))
+    return [t for t in out + cols if t]
 
 
 def _certified_gb(inputs, ring, order, padded, track):
@@ -636,8 +639,8 @@ class QuotientRing:
         self._lead_exps = tuple(order.unpack(lt)[1] for lt, _ in gb.leads)
         if any(all(x == 0 for x in e) for e in self._lead_exps):
             raise ValueError("unit ideal: quotient ring is zero")
-        # derived objects over this ring, filled by modules.ring_memo;
-        # owned here so they die with the ring
+        # derived objects over this ring, filled by modules.ring_memo and
+        # numerator; owned here so they die with the ring
         self.memo = {}
 
     # -- element layer -----------------------------------------------------
@@ -687,8 +690,21 @@ class QuotientRing:
         return standard_monomials(self.lead_ideal_min_gens(), self.ambient)
 
     def hilbert_series(self):
-        numer = hilbert_numerator(self.lead_ideal_min_gens(), self.ambient)
-        return HilbertSeries(self.ambient.weights, numer)
+        """HS(R), its numerator kept under the packed leads of the ideal
+        basis, the key each free component over R has in modules._series."""
+        shifts = tuple(sorted(map(self.ambient.lin, self._lead_exps)))
+        return HilbertSeries(self.weights, self.numerator(shifts))
+
+    def numerator(self, shifts):
+        """hilbert_numerator of the monomial ideal generated by the x^e
+        with lin(e) in shifts, a sorted tuple: one memo entry per ideal,
+        so each distinct lead ideal is unpacked and recursed on once."""
+        key = ("numerator", shifts)
+        out = self.memo.get(key)
+        if out is None:
+            P = self.ambient
+            out = self.memo[key] = hilbert_numerator(map(P.unlin, shifts), P)
+        return out
 
     def krull_dim(self) -> int:
         return self.hilbert_series().dimension()

@@ -21,7 +21,9 @@ vanishing come from Hilbert series instead, with no kernel: middle_series
 reads the homology of A -> B -> C as HS(coker(A -> B)) + HS(coker(B ->
 C)) - HS(C), which ext_series applies along F and homology_series along a
 free complex.  first_ext, the one scan for the first nonzero Ext, and the
-homology readers test zero on the series.
+homology readers test zero on the series.  _series sums one numerator
+per distinct lead ideal, kept in the ring memo, so the many cokernels
+over one ring share their few lead ideals' numerators, R's among them.
 
 Hom modules carry their universal pairing: the presentation remembers
 how each abstract generator acts as an honest matrix F0 -> N, which is
@@ -42,7 +44,7 @@ from .ring import (FIELD_MASK, GradedFree, GradedMatrix, ZERO_FREE, ONE_FREE,
 from .groebner import (QuotientRing, kernel_matrix, lift_matrix, reduced_gb,
                        TermOverPosition, vec_from_column, _padding_vectors,
                        minimalize_monomials, standard_monomials,
-                       hilbert_numerator, HilbertSeries)
+                       HilbertSeries)
 from .complexes import (FreeComplex, from_resolution, minimize_complex,
                         zero_complex, resolve_complex_with_map)
 
@@ -250,13 +252,24 @@ def _component_leads(m: ModulePresentation, gb):
 
 
 def _series(m: ModulePresentation, gb) -> HilbertSeries:
-    """HS(M) from a Groebner basis gb of its relations: the series of
-    each generator's standard monomials, shifted by its twist."""
-    P = m.ring.ambient
-    total = HilbertSeries(P.weights, {})
-    for a, leads in enumerate(_component_leads(m, gb)):
-        hs = HilbertSeries(P.weights, hilbert_numerator(leads, P))
-        total = total.plus(hs.shifted(m.gens.twists[a]))
+    """HS(M) from a Groebner basis gb of its relations: the sum over the
+    generators a of HS(P/L_a) shifted by a's twist, L_a the ideal of the
+    leads in component a.  Components are grouped by the sorted shifts
+    lt - bases[a] of their leads: a shift is lin(e) for a lead x^e e_a,
+    free of the twists, so one key names one monomial ideal over the ring
+    for every module.  Each group adds its ring-memoized numerator
+    (QuotientRing.numerator) times the sum of its twists."""
+    qr, bases = m.ring, gb.reducers.order.bases
+    per = [[] for _ in range(m.gens.rank)]
+    for lt, _ in gb.leads:
+        per[lt & FIELD_MASK].append(lt - bases[lt & FIELD_MASK])
+    groups = {}
+    for a, shifts in enumerate(per):
+        groups.setdefault(tuple(sorted(shifts)), []).append(m.gens.twists[a])
+    total = HilbertSeries(qr.weights, {})
+    for shifts, twists in groups.items():
+        hs = HilbertSeries(qr.weights, qr.numerator(shifts))
+        total = total.plus(hs.times(twists))
     return total
 
 

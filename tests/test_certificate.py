@@ -9,7 +9,9 @@ loop always on (``full_run``); under it the first try is already the full
 basis, so syzygy_generators and lift_matrix give the full run's answers.
 
 Two hand cases fall back: x^2, x^2 + y^2 passes (a) and fails (b), and
-x^2, xy + y^2 fails (a), since its basis needs y^3.  On random inputs
+x^2, xy + y^2 fails (a), since its basis needs y^3.  The inputs are
+reduced first, so the first case builds no S-vector expression before
+the fallback, even with y^3 added to give its candidate a pair.  On random inputs
 over F_32003 and Q the answers are the full run's, entry for entry, and
 every syzygy, evaluated on the inputs in Polynomial arithmetic, is zero.
 A full run that fails its certificate raises, for a kernel and a lift.
@@ -125,6 +127,37 @@ def test_candidate_of_x2_and_x2_plus_y2_fails_only_b():
     assert len(reduced_gb(inputs, P, ORDER, track=True).elements) == 2
     # y^2 = (x^2 + y^2) - x^2 is in the span, but not reduced to zero by
     # the candidate
+    check_against_full_run(m, row("y^2"))
+
+
+@pytest.mark.parametrize("texts", [("x^2", "x^2 + y^2"),
+                                   ("x^2", "x^2 + y^2", "y^3")])
+def test_a_candidate_failing_at_an_input_builds_no_s_expr(texts):
+    """_certificate reduces the inputs before the S-vectors, so a
+    candidate that fails at the input x^2 builds no S-vector expression
+    before the fallback.  With y^3 the candidate {x^2 + y^2, y^3} has a
+    minimal pair, whose S-vector y^5 reduces to zero."""
+    m = row(*texts)
+    inputs = vecs(m)
+    cand = reduced_gb(inputs, P, ORDER, track=True, pair_loop=False)
+    assert len(list(minimal_pairs(cand))) == len(texts) - 2
+    assert not fails_a(cand) and fails_b(cand, inputs)
+    s_expr, built, at_fallback = groebner._s_expr, [], []
+
+    def counted_s_expr(*args):
+        built.append(args)
+        return s_expr(*args)
+
+    def recorded_gb(*args, **kwargs):
+        if kwargs.get("pair_loop", True):
+            at_fallback.append(len(built))
+        return REDUCED_GB(*args, **kwargs)
+    with mock.patch.object(groebner, "_s_expr", counted_s_expr), \
+            mock.patch.object(groebner, "reduced_gb", recorded_gb):
+        syz = syzygy_generators(inputs, P, ORDER)
+    assert at_fallback == [0]
+    with full_run():
+        assert vec_items(syz) == vec_items(syzygy_generators(inputs, P, ORDER))
     check_against_full_run(m, row("y^2"))
 
 

@@ -12,7 +12,9 @@ complexes.  The seeded Groebner basis of each cokernel (_coker_gb) is
 compared with the unseeded one, and each cokernel is built once along a
 scan or walk.  The invariants the series readers rely on are checked too:
 a finite-length Ext^i(k, M) is summed, a pole at t = 1 there is an
-internal fault, and a positive-dimensional Ext or Tor is refused.
+internal fault, and a positive-dimensional Ext or Tor is refused.  The
+numerator of an artinian monomial ideal is checked against a count of
+its standard monomials.
 """
 
 import json
@@ -26,12 +28,16 @@ from hypothesis import strategies as st
 from homcalc import invariants, modules
 from homcalc.cli import build_problem, main, run_tasks
 from homcalc.corpus import corpus_problems
-from homcalc.groebner import HilbertSeries, NotArtinianError
+from homcalc.field import PrimeField
+from homcalc.groebner import (HilbertSeries, NotArtinianError,
+                              hilbert_numerator, minimalize_monomials,
+                              standard_monomials)
 from homcalc.invariants import _ext_mu, ext_dims, residue_field, tor_dims
 from homcalc.modules import (ModulePresentation, _coker_gb, _ext_resolution,
                              _hom_coker, _relations_gb, ext_module,
                              ext_series, first_ext, homology_presentation,
                              homology_series, trusted_homology)
+from homcalc.ring import PolyRing
 
 from ext_reference import presentation_first_ext, presentation_mu
 
@@ -234,3 +240,38 @@ def test_positive_dimension_keeps_its_refusal_text(op):
     assert str(err.value) == "module has positive dimension"
     (entry,) = run_tasks(p)["entries"]
     assert entry["error"] == "NotArtinianError: module has positive dimension"
+
+
+# -- the numerator against a second route ------------------------------------
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    """A weighted polynomial ring in 1-3 variables of weights 1-3, and
+    generators of an artinian monomial ideal: a pure power of every
+    variable, plus up to four further monomials."""
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ring = PolyRing(PrimeField(7), ["x", "y", "z"][:n], weights)
+    pure = [tuple(draw(st.integers(1, 4)) if u == v else 0 for u in range(n))
+            for v in range(n)]
+    more = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    return ring, pure + more
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(artinian_monomial_ideals())
+def test_numerator_counts_the_standard_monomials(case):
+    """HS(P/I) from hilbert_numerator, expanded by HilbertSeries.coeffs,
+    equals the count of standard_monomials in each degree, found by
+    enumerating the box the pure powers bound; k_dimension is their
+    number (ROADMAP item 5's second route for the numerator)."""
+    ring, gens = case
+    hs = HilbertSeries(ring.weights, hilbert_numerator(gens, ring))
+    std = standard_monomials(minimalize_monomials(gens, ring), ring)
+    top = max(map(ring.wdeg, std), default=0)
+    counts = [0] * (top + 3)
+    for e in std:
+        counts[ring.wdeg(e)] += 1
+    assert hs.coeffs(0, top + 2) == counts
+    assert hs.k_dimension() == len(std)
