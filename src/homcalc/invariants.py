@@ -3,11 +3,14 @@ depth, Krull dimension, type, Cohen-Macaulayness, grade, and finiteness
 detectors for projective and injective dimension.
 
 Tables never report outside their certified range.  Modules get the
-cheap exact routes: minimal resolutions for Betti numbers, and for Bass
-numbers three routes tried in turn by _mu (a cut by a regular linear
-form, Rees's lemma, Bruns & Herzog Lemma 3.1.16; the Betti numbers of the
-graded Matlis dual for finite length, ibid. Sec. 3.6; the Hilbert series
-of Ext against k otherwise).  Genuine complexes go through resolution
+cheap exact routes.  Their Betti numbers take one of two: the residue
+field k over a complete intersection or a Golod ring reads them off the
+closed form of its Poincare series (poincare_certificate), and every
+other module off its minimal resolution.  Their Bass numbers take one of
+three, tried in turn by _mu (a cut by a regular linear form, Rees's
+lemma, Bruns & Herzog Lemma 3.1.16; the Betti numbers of the graded
+Matlis dual for finite length, ibid. Sec. 3.6; the Hilbert series of Ext
+against k otherwise).  Genuine complexes go through resolution
 representatives and windowed Hom/tensor complexes, with trust tracked
 degree by degree; their depth and type come from Koszul homology.  Their
 Bass numbers take one of two routes: Foxby's formula from the ranks of a
@@ -17,6 +20,8 @@ walk) sums its Hilbert series, read with no kernel and no presentation.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .ring import PolyRing, Polynomial, GradedFree, GradedMatrix
 from .groebner import QuotientRing
@@ -28,7 +33,7 @@ from .modules import (ModulePresentation, minimal_presentation, resolution,
                       homology_presentation, homology_series,
                       trusted_homology, first_homology, extreme_homology,
                       ring_memo, is_module, resolved,
-                      matlis_dual)
+                      matlis_dual, over_ambient)
 
 
 class ZeroModuleError(ValueError):
@@ -258,10 +263,83 @@ class FinitenessVerdict(Result):
 # Betti and Bass tables
 
 
+CI, GOLOD = "complete intersection", "Golod"
+
+
+@ring_memo
+def poincare_certificate(qr: QuotientRing):
+    """(CI, n, c) or (GOLOD, n, (beta^S_1(R), ..., beta^S_p(R))) when R =
+    S/I, S the polynomial ring on n variables, is a complete intersection
+    of codimension c or a Golod ring with I in m^2; else None.  Either
+    kind fixes the Poincare series P^R_k (see betti_table).
+
+    The minimal resolution of R over S is complete (Hilbert's syzygy
+    theorem); its ranks are mu(I) = beta^S_1, p = pd_S R and each
+    beta^S_i.  I = 0 (R regular, its resolution of k ends) and an I not
+    inside m^2 (some element of its reduced basis has a lone variable as
+    a term, and n is not the embedding dimension) get None.  R is a
+    complete intersection iff mu(I) = n - dim R: homogeneous elements of
+    S, a Cohen-Macaulay ring, form a regular sequence iff the ideal they
+    generate has height their number (Bruns & Herzog, Thm 2.1.2(c), at
+    S's homogeneous maximal ideal).  Otherwise R is Golod if p <= 2: p =
+    n - depth R (Auslander-Buchsbaum), and a ring of codepth at most 2 is
+    a complete intersection or Golod (Scheja, Math. Ann. 155, 1964;
+    Avramov, Infinite free resolutions, 1998, Ch. 5).
+    """
+    n = qr.ambient.n
+    if not qr.ideal_basis or any(sum(e) == 1 for g in qr.ideal_basis
+                                 for e in g.terms):
+        return None
+    res = resolution(over_ambient(qr), n + 1)
+    betas = tuple(res.term(i).rank for i in range(1, res.term_range()[1] + 1))
+    if betas[0] == n - qr.krull_dim():
+        return CI, n, betas[0]
+    return (GOLOD, n, betas) if len(betas) <= 2 else None
+
+
+def _residue_field_ranks(m: ModulePresentation, bound: int):
+    """beta_0, ..., beta_{bound-1} of m from the closed form of P^R_k when
+    m = k(-a) (one minimal generator, length one) and the ring carries a
+    poincare_certificate; else None."""
+    if minimal_presentation(m).gens.rank != 1:
+        return None
+    hs = m.hilbert_series()
+    if hs.dimension() != 0 or hs.k_dimension() != 1:
+        return None
+    cert = poincare_certificate(m.ring)
+    if cert is None:
+        return None
+    kind, n, c = cert
+    den = ({2 * j: (-1) ** j * comb(c, j) for j in range(1, c + 1)}
+           if kind == CI else {i + 1: -b for i, b in enumerate(c, 1)})
+    ranks = []
+    for i in range(bound):
+        ranks.append(comb(n, i) - sum(a * ranks[i - d] for d, a in den.items()
+                                      if d <= i))
+    return ranks
+
+
 def betti_table(x, bound: int) -> InvariantTable:
     """beta_i = rank of the i-th term of the minimized resolution
-    representative."""
+    representative, beta_0 .. beta_{bound-1} unless the resolution ends.
+
+    For the residue field k (up to a shift) over a ring with a
+    poincare_certificate, the ranks are the coefficients of the Poincare
+    series, with no resolution built; the range certified is the
+    resolution route's, as k's resolution over a ring that is not
+    regular never ends.  Total ranks do not depend on the weights.
+    - A complete intersection of codimension c in n variables has
+      P^R_k = (1+t)^n / (1-t^2)^c (Tate, Illinois J. Math. 1, 1957, Thm 6;
+      Avramov, Infinite free resolutions, 1998, Ch. 7).
+    - A Golod ring meets Serre's bound, P^R_k = (1+t)^n / (1 - sum_{i>=1}
+      beta^S_i(R) t^{i+1}) (Golod, Dokl. Akad. Nauk SSSR 144, 1962;
+      Avramov, ibid., Ch. 5).
+    Projective dimension (pd_verdict) still reads the resolution."""
     if is_module(x):
+        ranks = _residue_field_ranks(x, bound) if bound >= 1 else None
+        if ranks is not None:
+            return InvariantTable("betti", dict(enumerate(ranks)),
+                                  (None, bound - 1))
         res = resolution(x, bound)
         hi = bound if res.complete else bound - 1
         vals = {i: res.term(i).rank for i in range(0, hi + 1)}

@@ -721,6 +721,16 @@ def evaluation_map(m: ModulePresentation, c: ModulePresentation) -> ModuleMap:
     return out
 
 
+@ring_memo
+def over_ambient(r: QuotientRing) -> ModulePresentation:
+    """R = S/I as a cyclic module over S, its ambient polynomial ring,
+    kept in R's memo: one S per ring, so what is derived over S (its
+    resolution of R, read by canonical_module and
+    invariants.poincare_certificate) is derived once."""
+    return ModulePresentation.cyclic(QuotientRing(r.ambient, []),
+                                     list(r.ideal_basis))
+
+
 def canonical_module(r: QuotientRing) -> ModulePresentation:
     """The graded canonical module as top nonvanishing Ext over the
     ambient polynomial ring, re-housed over r, generators normalized to
@@ -729,10 +739,9 @@ def canonical_module(r: QuotientRing) -> ModulePresentation:
     Raises NotCohenMacaulayError when some off-codimension Ext over the
     ambient ring is nonzero.
     """
-    S = QuotientRing(r.ambient, [])
     n = r.ambient.n
-    RS = ModulePresentation.cyclic(S, list(r.ideal_basis))
-    SS = ModulePresentation.free(S, [0])
+    RS = over_ambient(r)
+    SS = ModulePresentation.free(RS.ring, [0])
     codim = n - r.krull_dim()
     i = first_ext(RS, SS, 0, codim - 1)
     if i is None:
