@@ -33,7 +33,7 @@ from homcalc.invariants import (CI, GOLOD, _residue_field_ranks, betti_table,
                                 poincare_certificate, residue_field)
 from homcalc.modules import ModulePresentation, canonical_module, resolution
 from homcalc.oracle import oracle_betti, realize, residue_module
-from homcalc.ring import GradedFree, GradedMatrix, PolyRing
+from homcalc.ring import GradedFree, PolyRing, kron
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -232,22 +232,13 @@ def test_codepth_three_gorenstein_ring_declines():
     assert lower[3] < got[3] and got[4] < upper[4]
 
 
-def _direct_sum(m, n):
-    qr = m.ring
-    entries = dict(m.relations.entries)
-    r, c = m.gens.rank, m.relations.source.rank
-    entries.update({(i + r, j + c): p for (i, j), p in n.relations.entries.items()})
-    return ModulePresentation(qr, GradedMatrix(
-        qr, GradedFree.of(m.relations.source.twists + n.relations.source.twists),
-        GradedFree.of(m.gens.twists + n.gens.twists), entries))
-
-
 @pytest.mark.parametrize("which", ["k+k", "R/(x)", "omega"])
 @pytest.mark.parametrize("name", ["ci-point", "fat-point", "det-curve"])
 def test_modules_other_than_k_take_the_resolution(name, which):
     qr = build_problem(DOCS[name]).qr
     k = residue_field(qr)
-    m = {"k+k": lambda: _direct_sum(k, k),
+    m = {"k+k": lambda: ModulePresentation(
+             qr, kron(GradedFree.of([0, 0]), k.relations)),
          "R/(x)": lambda: ModulePresentation.cyclic(qr, ["x"]),
          "omega": lambda: canonical_module(qr)}[which]()
     assert _residue_field_ranks(m, 5) is None
