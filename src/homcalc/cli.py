@@ -62,8 +62,8 @@ from .invariants import (betti_table, bass_table, depth, kdim_complex,
                          WindowInsufficientError)
 from .semidualizing import (NotSemidualizingError,
                             semidualizing_certificate, dualizing_verdict,
-                            gcdim, in_auslander_class,
-                            verify_type_formula, verify_dualizing_criteria,
+                            gcdim, verify_type_formula,
+                            verify_dualizing_criteria,
                             verify_finite_injective_from_homology,
                             verify_ext_vanishing_descent,
                             verify_auslander_reiten,
@@ -457,7 +457,6 @@ _OPS = {
     "gcdim": _Op("gcdim", ("obj", "module")),
     "semidualizing": _Op("semidualizing_certificate", ("obj",)),
     "dualizing": _Op("dualizing_verdict", ("obj",)),
-    "auslander-membership": _Op("in_auslander_class", ("obj", "module")),
     "verify-type-formula": _Op("verify_type_formula", ("obj", "obj")),
     "verify-dualizing-criteria": _Op("verify_dualizing_criteria",
                                      ("obj", "module")),
@@ -585,7 +584,7 @@ def _summary_line(entry):
         if r["status"] == "unknown":
             return f"{head}  unknown >={r['bound']}"
         return f"{head}  {r['status']} ({r['witness']})"
-    if kind in ("gcdim", "membership"):
+    if kind == "gcdim":
         return f"{head}  {r['status']}"
     if kind == "semidualizing":
         return f"{head}  {'ok' if r['ok'] else r['reason']}"

@@ -38,8 +38,8 @@ Block layout.  Hom(P, Y)_t and (F (x) Y)_t are sums of blocks, one per
 term of the first factor, ordered by hom_layout and tensor_layout and,
 inside a block, by ring.kron, the one place the position formula lives:
 every differential here is Kronecker products placed by block_matrix, and
-the canonical chain maps (biduality_rep, gamma_rep, homothety_rep) place
-single entries by the layout.
+the canonical chain maps (biduality_rep, homothety_rep) place single
+entries by the layout.
 
 Sign conventions: d lowers homological degree; (shift X)_v = X_{v-1}
 with differential -d; cone(f)_j = X_{j-1} (+) Y_j with d(a, b) =
@@ -749,33 +749,6 @@ def biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
                 val.scale(neg) if (v * j) % 2 else val
     return ChainMap(P, H, {v: GradedMatrix(qr, f, H.term(v), entries[v])
                            for v, f in P.terms.items()})
-
-
-def gamma_rep(F: FreeComplex, Pc: FreeComplex) -> ChainMap:
-    """Chain map F -> Hom(Pc, Pc (x) F) representing x |-> (p |-> p (x) x),
-    with the Koszul sign (-1)^{|x||p|}.
-
-    Pc is a free resolution representative of the coefficient object; its
-    quasi-isomorphism cone test is the tensor-side membership criterion.
-    """
-    qr = F.ring
-    T = tensor_complex(Pc, F)
-    H = hom_complex(Pc, T)
-    one, neg = qr.one(), qr.field.normalize(-1)
-    comps = {}
-    for v, fv in F.terms.items():
-        entries = {}
-        for j, hoff in hom_layout(Pc, T, v)[0].items():
-            rc = Pc.term(j).rank
-            toff = tensor_layout(Pc, F, j + v)[0][j]
-            val = one.scale(neg) if (v * j) % 2 else one
-            # e_a goes to the generator e_c -> e_c (x) e_a of block j of
-            # H_v, where e_c (x) e_a is generator toff + c * rank F_v + a
-            for c in range(rc):
-                for a in range(fv.rank):
-                    entries[(hoff + (toff + c * fv.rank + a) * rc + c, a)] = val
-        comps[v] = GradedMatrix(qr, fv, H.term(v), entries)
-    return ChainMap(F, H, comps)
 
 
 def homothety_rep(q: ChainMap) -> ChainMap:

@@ -653,9 +653,6 @@ class QuotientRing:
         col = vec_to_column(rem, order)
         return col[0] if col else self.ambient.zero()
 
-    def zero(self):
-        return self.ambient.zero()
-
     def one(self):
         return self.ambient.one()
 
@@ -962,9 +959,6 @@ class HilbertSeries:
     def __init__(self, weights, numer: dict):
         self.weights = tuple(weights)
         self.numer = {d: c for d, c in numer.items() if c}
-
-    def shifted(self, n: int) -> "HilbertSeries":
-        return HilbertSeries(self.weights, {d + n: c for d, c in self.numer.items()})
 
     def plus(self, other: "HilbertSeries") -> "HilbertSeries":
         if other.weights != self.weights:

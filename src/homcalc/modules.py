@@ -220,28 +220,19 @@ def _minimal_presentation(m: ModulePresentation) -> ModulePresentation:
         qr, GradedMatrix.from_columns(qr, gens, cols), minimal=True)
 
 
-def _relations_gb(m: ModulePresentation):
-    """Reduced Groebner basis of the relations plus the ring ideal
-    padding over the ambient ring, in TermOverPosition order: division by
-    it is the normal form in M."""
-    qr = m.ring
-    P = qr.ambient
-    order = TermOverPosition(P, m.gens.twists)
-    cols = [vec_from_column(c, order) for c in m.relations.columns()]
-    pads = _padding_vectors(qr, order)
-    return reduced_gb(cols + pads, P, order, padded=len(pads))
-
-
 @ring_memo
 def _module_gb(m: ModulePresentation):
-    """_relations_gb of a module whose series or normal forms are read
-    (matlis_dual), kept so that Buchberger runs once for both."""
-    return _relations_gb(m)
+    """_coker_gb(m, R), R with no relations: the reduced Groebner basis of
+    the relations plus the ring ideal padding over the ambient ring, in
+    TermOverPosition order, so division by it is the normal form in M.
+    Memoized for a module whose series and normal forms are both read
+    (matlis_dual), so that Buchberger runs once for both."""
+    return _coker_gb(m, ModulePresentation.free(m.ring, [0]))
 
 
 def _component_leads(m: ModulePresentation, gb):
     """Per-generator lead ideals of a Groebner basis gb of M's relations
-    (_relations_gb): the standard monomials of component a times
+    (_module_gb): the standard monomials of component a times
     generator a form a k-basis of M."""
     P, order = m.ring.ambient, gb.reducers.order
     per = [[] for _ in range(m.gens.rank)]
@@ -354,22 +345,29 @@ def _coker_series(c: ModulePresentation,
 
 
 def _coker_gb(c: ModulePresentation, n: ModulePresentation):
-    """_relations_gb(c) of a cokernel whose relations begin with one copy
-    of N's relations per block of N's generators, as _hom_coker lays them
-    out (N = R fits any c).  Buchberger starts from the other columns plus
-    a copy of N's reduced basis per block, shifted to its components, in
+    """The reduced Groebner basis of c's relations plus the ring ideal
+    padding, for a cokernel whose relations begin with one copy of N's
+    relations per block of N's generators, as _hom_coker lays them out (N
+    = R fits any c).  Buchberger starts from the other columns plus a copy
+    of N's reduced basis per block, shifted to its components, in
     reduced_gb's padded tail: TermOverPosition is N's order up to a
     constant twist inside a block, so each copy is a Groebner basis, and
-    leads in different blocks never pair.  The reduced basis of the same
-    submodule is unique, so the result equals _relations_gb(c)."""
+    leads in different blocks never pair.  An N with no relations has R's
+    basis in every component for its copies: the padding itself.  The
+    reduced basis of the same submodule is unique, so the result does not
+    depend on N."""
     P, g0 = c.ring.ambient, n.gens.rank
     blocks = c.gens.rank // max(g0, 1)
     cols = c.relations.columns()[blocks * n.relations.source.rank:]
-    order, ngb = TermOverPosition(P, c.gens.twists), _module_gb(n)
-    nb, cb = ngb.reducers.order.bases, order.bases
-    tail = [{t - nb[t & FIELD_MASK] + cb[a * g0 + (t & FIELD_MASK)]: x
-             for t, x in v.items()}
-            for a in range(blocks) for v in ngb.elements]
+    order = TermOverPosition(P, c.gens.twists)
+    if n.relations.source.rank:
+        ngb = _module_gb(n)
+        nb, cb = ngb.reducers.order.bases, order.bases
+        tail = [{t - nb[t & FIELD_MASK] + cb[a * g0 + (t & FIELD_MASK)]: x
+                 for t, x in v.items()}
+                for a in range(blocks) for v in ngb.elements]
+    else:
+        tail = _padding_vectors(c.ring, order)
     return reduced_gb([vec_from_column(col, order) for col in cols] + tail,
                       P, order, padded=len(tail))
 

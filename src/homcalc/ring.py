@@ -484,10 +484,6 @@ class GradedMatrix:
 
     # access ---------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        p = self.entries.get((i, j))
-        return self.ring.zero() if p is None else p
-
     def columns(self):
         cols = [dict() for _ in range(self.source.rank)]
         for (i, j), p in self.entries.items():

@@ -1,6 +1,6 @@
 """Semidualizing certification, G-dimension with respect to a coefficient
-module, Auslander-class membership, and mechanized verifiers for the
-numerical identities relating type, Betti, and Bass data.
+module, and mechanized verifiers for the numerical identities relating
+type, Betti, and Bass data.
 
 Every verifier returns a four-valued report: PASS and FAIL are only
 issued when all inputs sat inside certified windows; hypothesis
@@ -17,15 +17,14 @@ from __future__ import annotations
 import functools
 
 from .groebner import QuotientRing
-from .complexes import (FreeComplex, cone, hom_complex, tensor_complex, INF,
-                        resolve_complex_with_map, biduality_rep, gamma_rep,
+from .complexes import (FreeComplex, cone, hom_complex, tensor_complex,
+                        resolve_complex_with_map, biduality_rep,
                         homothety_rep, UncertifiedDegreeError)
 from .modules import (ModulePresentation, minimal_presentation, syzygy,
                       hom_modules, tensor_modules, ext_module, ext_series,
                       first_ext, evaluation_map, homothety_map,
-                      homology_presentation, homology_series,
-                      trusted_homology, extreme_homology, ring_memo,
-                      is_module, resolved)
+                      homology_presentation, trusted_homology,
+                      extreme_homology, ring_memo, is_module, resolved)
 from .invariants import (residue_field, depth, type_of, kdim_complex, nu,
                          is_cohen_macaulay, bass_table, betti_table,
                          pd_verdict, id_verdict, grade_wrt, tor_dims, inf_of,
@@ -242,45 +241,6 @@ def gcdim(x, c, bound: int) -> GcdimVerdict:
     if is_module(x) and is_module(c):
         return gcdim_module(x, c, bound)
     return gcdim_complex(x, c, bound)
-
-
-# ---------------------------------------------------------------------------
-# Auslander class
-
-
-class MembershipVerdict(Result):
-    __slots__ = FIELDS = ("status", "witness", "bound")
-    KIND = "membership"
-
-    def __repr__(self):
-        return f"MembershipVerdict({self.status}{self.witness and ': ' + self.witness})"
-
-
-def in_auslander_class(x, c, bound: int) -> MembershipVerdict:
-    """Membership test: the tensor-evaluation map is a quasi-isomorphism
-    in the window and the derived tensor with C stays homologically
-    bounded there."""
-    _require_semidualizing(c, bound)
-    F = resolved(x, bound)
-    Pc = resolved(c, bound)
-    gamma = gamma_rep(F, Pc)
-    ok, t = _cone_clear(cone(gamma))
-    if not ok:
-        return MembershipVerdict(
-            "not-member", f"evaluation cone has homology at degree {t}", bound)
-    T = tensor_complex(Pc, F)
-    if not T.is_zero_complex() and T.true_hi == INF:
-        # no truth ceiling: demand trusted vanishing at the band top
-        tlo, thi = T.term_range()
-        top = T.window.first(thi, tlo - 1, -1)
-        if top is None:
-            return MembershipVerdict(
-                "uncertified", "tensor window empty", bound)
-        if homology_series(T, top).numer:
-            return MembershipVerdict(
-                "uncertified",
-                f"tensor homology reaches the window top at {top}", bound)
-    return MembershipVerdict("member", "", bound)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,17 @@
 validate_complex checks shapes, homogeneity and d o d = 0;
 validate_chain_map checks shapes, homogeneity and d f = f d.  Each raises
 ValueError (or HomogeneityError) on the first failure and returns its
-argument otherwise.
+argument otherwise.  entry reads one entry of a GradedMatrix.
 """
 
 from homcalc.ring import GradedMatrix
+
+
+def entry(m, i, j):
+    """Entry (i, j) of the GradedMatrix m, zero where m stores none; m's
+    ring is a PolyRing or a QuotientRing of one."""
+    p = m.entries.get((i, j))
+    return getattr(m.ring, "ambient", m.ring).zero() if p is None else p
 
 
 def validate_complex(X):

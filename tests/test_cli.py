@@ -60,10 +60,17 @@ def test_parse_inhomogeneous_relation():
     assert "inhomogeneous" in str(e.value)
 
 
-def test_parse_unknown_operation():
-    doc = _dn_doc([{"op": "frobnicate", "args": ["k"]}])
-    with pytest.raises(InputError):
-        build_problem(doc)
+def test_parse_unknown_operation(tmp_path, capsys):
+    # auslander-membership is no operation: refused as any unknown name
+    for op, args in (("frobnicate", ["k"]),
+                     ("auslander-membership", ["k", "R"])):
+        doc = _dn_doc([{"op": op, "args": args}])
+        with pytest.raises(InputError):
+            build_problem(doc)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--input", str(path)]) == 2
+        assert op in capsys.readouterr().err
 
 
 def test_parse_wrong_arity():

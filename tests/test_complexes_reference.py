@@ -4,23 +4,25 @@ against their previous forms.
 minimize_complex now contracts the units of one degree after another on
 the input's own indices and renumbers once at the end, and cone and
 _cone_resolution take their differentials from complexes._cone_diff.
-biduality_rep, gamma_rep and the homothety R -> Hom(P, C) of the complex
+biduality_rep and the homothety R -> Hom(P, C) of the complex
 semidualizing certificate (now complexes.homothety_rep) place their
-entries by the position formulas of hom_layout and tensor_layout, where
-they used inverted hom_index and tensor_index lists.  None of these steps
-changes what is computed, so the code before them, copied verbatim below
-(only the function names are prefixed with old_, the homothety is wrapped
-in a function, the complete= arguments FreeComplex no longer takes are
-dropped, and interreduce_columns, which now takes packed vectors, is
-called with its columns through clean_columns), is the reference: old and new agree term for term, entry
-for entry, in window and truth bounds, and in every chain-map component.
-The inputs are the benchmark's ring templates in random coordinates
-(their X, Y, Z, C, the truncated resolutions K_b of k and Hom(K_b, C), at
-b = 1-4), the resolutions that _cone_resolution builds from them, the
-cones of the identity on all of these, every minimization that the
-resolution and minimal presentation of each corpus module make, and the
-canonical maps over the templates and over a Hom pinned to a floor, where
-the resolution map q is not the identity.
+entries by the position formula of hom_layout, where they used inverted
+hom_index lists.  None of these steps changes what is computed, so the
+code before them, copied verbatim below (only the function names are
+prefixed with old_, the homothety is wrapped in a function, the
+complete= arguments FreeComplex no longer takes are dropped,
+interreduce_columns, which now takes packed vectors, is called with its
+columns through clean_columns, and GradedMatrix.entry, now a test
+helper, is called as entry(m, i, j)), is the reference: old and new
+agree term for term, entry for entry, in window and truth bounds, and in
+every chain-map component.  The inputs are the benchmark's ring
+templates in random coordinates (their X, Y, Z, C, the truncated
+resolutions K_b of k and Hom(K_b, C), at b = 1-4), the resolutions that
+_cone_resolution builds from them, the cones of the identity on all of
+these, every minimization that the resolution and minimal presentation
+of each corpus module make, and the canonical maps over the templates
+and over a Hom pinned to a floor, where the resolution map q is not the
+identity.
 """
 
 import sys
@@ -36,9 +38,9 @@ from homcalc import complexes, modules
 from homcalc.cli import build_problem
 from homcalc.complexes import (
     NEG_INF, ChainMap, FreeComplex, TrustWindow, UncertifiedDegreeError,
-    _cone_resolution, biduality_rep, cone, gamma_rep, hom_complex,
+    _cone_resolution, biduality_rep, cone, hom_complex,
     from_resolution, homothety_rep, minimize_complex, module_as_complex,
-    resolve_complex_with_map, tensor_complex,
+    resolve_complex_with_map,
 )
 from homcalc.corpus import corpus_problems
 from homcalc.field import PrimeField
@@ -47,6 +49,8 @@ from homcalc.groebner import (QuotientRing, clean_columns, kernel_matrix,
 from homcalc.invariants import residue_field
 from homcalc.modules import minimal_presentation, resolution
 from homcalc.ring import ZERO_FREE, GradedFree, GradedMatrix, PolyRing
+
+from chain_checks import entry
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -248,19 +252,6 @@ def old_hom_index(P: FreeComplex, Y: FreeComplex, t: int):
     return out
 
 
-def old_tensor_index(F: FreeComplex, Y: FreeComplex, t: int):
-    """Flat index layout of (F (x) Y)_t: list of (i, a, b) triples."""
-    fb, ft = F.term_range()
-    out = []
-    for i in range(fb, ft + 1):
-        rf, ry = F.term(i).rank, Y.term(t - i).rank
-        if rf and ry:
-            for a in range(rf):
-                for b in range(ry):
-                    out.append((i, a, b))
-    return out
-
-
 def old_biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
                       floor=None) -> ChainMap:
     """Chain map P -> Hom(Q, C) representing x |-> (f |-> f(x)), where
@@ -314,7 +305,7 @@ def old_biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
                 key = lay.get((v, a, b))
                 if key is None:
                     continue
-                val = qj.entry(key, c)
+                val = entry(qj, key, c)
                 if val.is_zero():
                     continue
                 if sgn < 0:
@@ -326,63 +317,6 @@ def old_biduality_rep(P: FreeComplex, C: FreeComplex, bound: int,
     return ChainMap(P, H, comps)
 
 
-def old_gamma_rep(F: FreeComplex, Pc: FreeComplex) -> ChainMap:
-    """Chain map F -> Hom(Pc, Pc (x) F) representing x |-> (p |-> p (x) x),
-    with the Koszul sign (-1)^{|x||p|}.
-
-    Pc is a free resolution representative of the coefficient object; its
-    quasi-isomorphism cone test is the tensor-side membership criterion.
-    """
-    qr = F.ring
-    Fld = qr.field
-    T = tensor_complex(Pc, F)
-    H = hom_complex(Pc, T)
-    tflat = {}
-
-    def t_layout(u):
-        if u not in tflat:
-            tflat[u] = {trip: pos for pos, trip in enumerate(old_tensor_index(Pc, F, u))}
-        return tflat[u]
-
-    hflat = {}
-
-    def h_layout(v):
-        if v not in hflat:
-            hflat[v] = {trip: pos for pos, trip in enumerate(old_hom_index(Pc, T, v))}
-        return hflat[v]
-
-    comps = {}
-    lo, hi = F.term_range()
-    cb, ct = Pc.term_range()
-    for v in range(lo, hi + 1):
-        rf = F.term(v).rank
-        hv = H.term(v)
-        if rf == 0 or hv.rank == 0:
-            continue
-        entries = {}
-        hl = h_layout(v)
-        for j in range(cb, ct + 1):
-            rc = Pc.term(j).rank
-            if rc == 0:
-                continue
-            tl = t_layout(j + v)
-            sgn = -1 if (v * j) % 2 else 1
-            val = qr.one() if sgn > 0 else qr.one().scale(Fld.normalize(-1))
-            for c in range(rc):
-                for a in range(rf):
-                    tpos = tl.get((j, c, a))
-                    if tpos is None:
-                        continue
-                    pos = hl.get((j, c, tpos))
-                    if pos is None:
-                        continue
-                    entries[(pos, a)] = val
-        m = GradedMatrix(qr, F.term(v), hv, entries)
-        if not m.is_zero():
-            comps[v] = m
-    return ChainMap(F, H, comps)
-
-
 def old_homothety_chi(c, bound):
     qr = c.ring
     P, q = resolve_complex_with_map(c, bound)
@@ -390,7 +324,7 @@ def old_homothety_chi(c, bound):
     col = {}
     for pos, (i, a, b) in enumerate(old_hom_index(P, c, 0)):
         comp = q.component(i)
-        p = comp.entry(b, a)
+        p = entry(comp, b, a)
         if not p.is_zero():
             col[(pos, 0)] = p
     R1 = module_as_complex(qr, GradedFree.of([0]))
@@ -532,9 +466,6 @@ def test_canonical_maps_match_the_old_code(template, a, c, name, b):
     C = p.complexes["C"]
     X = dict(p.complexes, K=resolution(residue_field(p.qr), b))[name]
     check_same_map(biduality_rep, old_biduality_rep, X, C, b)
-    check_same_map(gamma_rep, old_gamma_rep, X, C)
-    # C's terms have rank one; X as the coefficient has larger ranks
-    check_same_map(gamma_rep, old_gamma_rep, C, X)
     check_same_map(new_homothety_chi, old_homothety_chi, X, b)
 
 

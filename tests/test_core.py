@@ -14,6 +14,7 @@ from homcalc.ring import (
     MixedRingError, TermRangeError, hstack, kron,
 )
 
+from chain_checks import entry
 from slice_homology import rref, rank, generic_rref, monomials_of_degree
 from tuple_kernel import mono_mul
 
@@ -350,7 +351,7 @@ def test_block_and_hstack_shapes():
     m = GradedMatrix(R, GradedFree.of([1]), GradedFree.of([0]), {(0, 0): x})
     hs = hstack(R, [m, m])
     assert hs.source.rank == 2 and hs.target.rank == 1
-    assert hs.entry(0, 0) == x and hs.entry(0, 1) == x
+    assert entry(hs, 0, 0) == x and entry(hs, 0, 1) == x
     hs.validate_homogeneous()
 
 

@@ -19,6 +19,7 @@ from homcalc.groebner import (
     index_order, vec_divide, vec_from_column, vec_to_column, vec_axpy,
 )
 
+from chain_checks import entry
 from slice_homology import monomials_of_degree, top_degree
 from term_orders import PositionOverTerm
 from test_kernel_reference import schreyer_syzygies
@@ -369,7 +370,7 @@ def test_kernel_of_multiplication_map():
                      {(0, 0): R.variable(0)})
     ker = kernel_matrix(m)
     assert ker.source.rank == 1
-    assert repr(ker.entry(0, 0)) == "x"
+    assert repr(entry(ker, 0, 0)) == "x"
     assert ker.source.twists == (2,)
 
 
@@ -497,7 +498,7 @@ def test_hilbert_semigroup_345():
 def test_hilbert_shift_and_sum():
     R = PolyRing(F, ["x"])
     hs = HilbertSeries(R.weights, {0: 1})  # k[x]
-    sh = hs.shifted(2)
+    sh = hs.times([2])
     assert sh.coeffs(0, 4) == [0, 0, 1, 1, 1]
     assert hs.plus(sh).coeffs(0, 3) == [1, 1, 2, 2]
 

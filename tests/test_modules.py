@@ -24,6 +24,7 @@ from homcalc.modules import (
     extreme_homology,
 )
 
+from chain_checks import entry
 from slice_homology import monomials_of_degree
 
 F = PrimeField(7)
@@ -245,7 +246,7 @@ def generator_as_map(h, j):
     entries = {}
     for a in range(h.source_module.gens.rank):
         for b in range(g0):
-            p = h.pairing.entry(a * g0 + b, j)
+            p = entry(h.pairing, a * g0 + b, j)
             if not p.is_zero():
                 entries[(b, a)] = p
     tw = h.gens.twists[j]

@@ -1,6 +1,6 @@
-"""Semidualizing certification, G-dimension, Auslander class, and the
-identity verifiers.  Expected values for the weighted semigroup ring
-fixtures were computed once at higher bounds and frozen here."""
+"""Semidualizing certification, G-dimension, and the identity verifiers.
+Expected values for the weighted semigroup ring fixtures were computed
+once at higher bounds and frozen here."""
 
 import pytest
 
@@ -16,8 +16,7 @@ from homcalc.invariants import (residue_field, depth, grade_wrt,
                                 WindowInsufficientError)
 from homcalc.semidualizing import (
     semidualizing_certificate, dualizing_verdict, gcdim, gcdim_module,
-    gcdim_complex,
-    in_auslander_class, verify_type_formula,
+    gcdim_complex, verify_type_formula,
     verify_dualizing_criteria, verify_finite_injective_from_homology,
     verify_ext_vanishing_descent, verify_auslander_reiten,
     verify_betti_bass_convolution, verify_generator_count_formula,
@@ -283,34 +282,6 @@ def test_type_formula_cone_coefficient_at_bound_one_is_no_internal_fault(
     for bound in (3, 2, 1):
         assert verify_type_formula(R, cone(mult), bound).verdict in (
             HYPOTHESES_NOT_MET, UNCERTIFIED)
-
-
-# -- Auslander class --------------------------------------------------------
-
-def test_auslander_ring_is_member():
-    assert in_auslander_class(R_DN, R_DN, 4).status == "member"
-
-
-def test_auslander_free_complex_is_member():
-    X = module_as_complex(DN, GradedFree.of([0, 1]))
-    assert in_auslander_class(X, R_DN, 4).status == "member"
-
-
-def test_auslander_finite_pd_member_of_omega_class():
-    m = ModulePresentation.cyclic(SG, ["a"])
-    assert in_auslander_class(m, OMEGA, 3).status == "member"
-
-
-def test_auslander_k_over_semigroup_not_certified():
-    # Tor_i(omega, k) never vanishes, so boundedness of the tensor can
-    # never be certified at any finite bound; the verdict must refuse
-    # rather than claim membership
-    v = in_auslander_class(residue_field(SG), OMEGA, 3)
-    assert v.status == "uncertified"
-
-
-def test_auslander_k_over_gorenstein_member():
-    assert in_auslander_class(residue_field(DN), R_DN, 4).status == "member"
 
 
 # -- G-perfection -----------------------------------------------------------

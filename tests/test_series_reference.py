@@ -5,8 +5,9 @@ components, taken from the ring memo (QuotientRing.numerator), and
 QuotientRing.hilbert_series reads R's numerator from the same memo.
 Before that, _series computed one hilbert_numerator per generator and
 the ring one per call.  old_series and old_ring_series below are that
-code, verbatim except for their names and the ring method taking its
-ring as the first argument.
+code, verbatim except for their names, the ring method taking its ring
+as the first argument, and HilbertSeries.shifted(a), since removed,
+written as its equal times([a]).
 
 Over the shipped corpus and the benchmark's nine template rings in the
 coordinates its seed 1 draws (perfbench/workloads.py), every problem
@@ -31,7 +32,7 @@ def old_series(m, gb) -> HilbertSeries:
     total = HilbertSeries(P.weights, {})
     for a, leads in enumerate(_component_leads(m, gb)):
         hs = HilbertSeries(P.weights, hilbert_numerator(leads, P))
-        total = total.plus(hs.shifted(m.gens.twists[a]))
+        total = total.plus(hs.times([m.gens.twists[a]]))
     return total
 
 

@@ -5,14 +5,16 @@ method of src/ sets on self is read there.
 
 A use is a read of a name (``ast.Name``), of an attribute
 (``ast.Attribute``), or a string constant that is an identifier, since
-the CLI's operation table names its functions by string.  A parameter is
-set by a call to a function of its name that passes it by keyword, passes
-enough positional arguments to reach it, or unpacks ``*``/``**``
-arguments; a constructor's parameters are set through calls to its
-class.  Dunders are exempt, as are the independent routes kept to
-cross-check the engine (the oracle's public names and parameters), the
-entry point, and the parameters in
-KEPT_PARAMS.  Code that only tests call belongs next to those tests.
+the CLI's operation table names its functions by string.  A def in a
+class body is reached only as an attribute or by string, so a bare-name
+read does not use it: a local variable of a method's name does not hide
+the method.  A parameter is set by a call to a function of its name that
+passes it by keyword, passes enough positional arguments to reach it, or
+unpacks ``*``/``**`` arguments; a constructor's parameters are set
+through calls to its class.  Dunders are exempt, as are the independent
+routes kept to cross-check the engine (the oracle's public names and
+parameters), the entry point, and the parameters in KEPT_PARAMS.  Code
+that only tests call belongs next to those tests.
 
 An attribute is read by an attribute load of its name or by an
 identifier string, as a ``FIELDS`` entry that the serializer reads with
@@ -21,17 +23,19 @@ count.  Attributes that callers outside src/ read, as entries of KEPT,
 are named ``Class.attribute``.
 
 Blind spot: both checks match by name, not by object.  A method counts
-as used when any read of its name occurs, so one whose name another
-definition, a variable or an operation shares goes unseen: that is how
+as used when any attribute read of its name occurs, so one whose name
+another definition or an operation shares goes unseen: that is how
 ``GradedMatrix.column`` (read as ``ParseError``'s ``column`` argument),
 ``GBResult.contains`` (as ``TrustWindow.contains``), ``ModuleMap.compose``
 (as ``GradedMatrix.compose``), ``Resolution.certified``/``betti`` (as
 ``InvariantTable.certified`` and the "betti" operation),
 ``FreeComplex.validate`` and ``ChainMap.validate`` (as
 ``ModuleMap.validate``), ``GradedMatrix.scale`` (as ``Polynomial.scale``),
-``QuotientRing.is_zero`` (as ``Polynomial.is_zero``) and
-``GradedMatrix.add``/``negate`` (read only by ``ChainMap.validate``, and
-``add`` as ``set.add``) outlived their last caller.  Likewise a parameter counts as set when a call to any
+``QuotientRing.is_zero`` (as ``Polynomial.is_zero``),
+``QuotientRing.zero`` (as ``PolyRing.zero``), ``HilbertSeries.shifted``
+(as ``GradedFree.shifted``) and ``GradedMatrix.add``/``negate`` (read
+only by ``ChainMap.validate``, and ``add`` as ``set.add``) outlived their
+last caller.  Likewise a parameter counts as set when a call to any
 function of that name sets it.
 """
 
@@ -73,16 +77,17 @@ def _trees():
 
 
 def _uses(tree):
-    out = Counter()
+    """(bare-name reads, attribute reads and identifier strings)."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            out[node.value] += 1
-    return out
+            attrs[node.value] += 1
+    return names, attrs
 
 
 def _definitions(tree):
@@ -94,17 +99,31 @@ def _definitions(tree):
                 yield node
 
 
+def _methods(tree):
+    """ids of the defs in a class body: no bare name reaches them."""
+    return {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def unused_definitions():
     trees = _trees()
-    total = Counter()
+    names, attrs = Counter(), Counter()
     for tree in trees.values():
-        total += _uses(tree)
+        n, a = _uses(tree)
+        names += n
+        attrs += a
     found = []
     for f, tree in trees.items():
         if f.parent != SRC:
             continue
+        methods = _methods(tree)
         for node in _definitions(tree):
-            if total[node.name] - _uses(node)[node.name] <= 0:
+            own_names, own_attrs = _uses(node)
+            uses = attrs[node.name] - own_attrs[node.name]
+            if id(node) not in methods:
+                uses += names[node.name] - own_names[node.name]
+            if uses <= 0:
                 found.append((f.stem, node.name))
     return found
 

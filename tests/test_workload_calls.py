@@ -170,7 +170,7 @@ def _spans_equal(a: GradedMatrix, b: GradedMatrix) -> bool:
 
 
 def _difference(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    zero = a.ring.zero()
+    zero = a.ring.ambient.zero()
     return GradedMatrix(a.ring, a.source, a.target, {
         k: a.entries.get(k, zero) - b.entries.get(k, zero)
         for k in set(a.entries) | set(b.entries)})
