@@ -19,10 +19,12 @@ The window calculus below is conservative.  Hom and tensor windows come
 from the hypercohomology spectral sequences: an untrusted band appears
 wherever a garbage homology degree of one factor can pair with a cell of
 the other, and wherever cells missing from a truncated resolution can
-pair with true homology.  Degrees never silently leave the window;
-consumers must check membership before reading homology, which the
-readers in modules do for them (trusted_homology, first_homology); every
-walk goes through TrustWindow.run, which stops at an untrusted degree.
+pair with true homology.  _pairing_window states these bands and the
+truth bounds once, for Hom and tensor alike.  Degrees never silently
+leave the window; consumers must check membership before reading
+homology, which the readers in modules do for them (trusted_homology,
+first_homology); every walk goes through TrustWindow.run, which stops at
+an untrusted degree.
 
 Floor proviso.  The resolution-shaped factor of a Hom or tensor must be
 trusted at its bottom cell; the window part containing that cell sets
@@ -126,18 +128,7 @@ class TrustWindow:
 
     def minus_band(self, lo, hi) -> "TrustWindow":
         """Remove the closed band [lo, hi]."""
-        if lo > hi:
-            return self
-        out = []
-        for plo, phi in self.parts:
-            if phi < lo or hi < plo:
-                out.append((plo, phi))
-                continue
-            if plo < lo:
-                out.append((plo, lo - 1))
-            if hi < phi:
-                out.append((hi + 1, phi))
-        return TrustWindow(out)
+        return self.intersect(TrustWindow.interval(lo, hi).complement())
 
     def __eq__(self, other):
         return isinstance(other, TrustWindow) and other.parts == self.parts
@@ -356,25 +347,6 @@ def cone(f: ChainMap) -> FreeComplex:
 # Hom and tensor
 
 
-def _resolution_shape(P: FreeComplex):
-    """(bottom_term, top_term, trusted_cells_top, floor) for a hom or
-    tensor factor.
-
-    P's window must contain its bottom cell; the window part holding that
-    cell gives the ceiling below which cells of P agree with an honest
-    resolution, and its floor is where that claim stops.  When the floor
-    is finite and P.true_lo does not reach it, the cells themselves may
-    shift as the resolution bound grows (deeper homology adds covers at
-    every degree), and the callers must discard the affected band.
-    """
-    pb, pt = P.term_range()
-    for lo, hi in P.window.parts:
-        if lo <= pb <= hi:
-            return pb, pt, hi, lo
-    raise UncertifiedDegreeError(
-        "resolution factor is not trusted at its bottom cell")
-
-
 def _hsupp(Y: FreeComplex) -> TrustWindow:
     """Degrees where homology of the representative or of the true object
     may be nonzero: true support inside the window, anything in the hull
@@ -385,6 +357,55 @@ def _hsupp(Y: FreeComplex) -> TrustWindow:
     return Y.window.intersect(truth).union(Y.window.complement().intersect(poss))
 
 
+def _pairing_window(P: FreeComplex, Y: FreeComplex, s: int):
+    """(window, true_lo, true_hi) of Hom(P, Y) for s = -1 and of P (x) Y
+    for s = 1, where degree t pairs cell P_i with degree h of Y at
+    t = h + s*i: the one statement of the band rule.
+
+    P plays the resolution.  Its window must contain its bottom cell; the
+    window part holding that cell runs from a floor to the ceiling below
+    which P's cells agree with an honest resolution.  A degree t is
+    untrusted where it pairs
+    * garbage homology of Y (untrusted, inside the possible range) with
+      any cell of P;
+    * a cell above the ceiling with any homology of Y (_hsupp);
+    * a cell missing above the top of an incomplete P with Y's truth
+      range;
+    * under an unproven floor (finite, and P.true_lo does not reach it),
+      any cell up to the top with any homology of Y: the cells themselves
+      may shift as the resolution bound grows (deeper homology adds
+      covers at every degree).
+    The truth bounds are Y's plus s*[P.true_lo, top], top infinite when P
+    is incomplete.
+    """
+    pb, pt = P.term_range()
+    part = next((p for p in P.window.parts if p[0] <= pb <= p[1]), None)
+    if part is None:
+        raise UncertifiedDegreeError(
+            "resolution factor is not trusted at its bottom cell")
+    floor, ceiling = part
+
+    def through(lo, hi):
+        # the cells [lo, hi] of P as the shifts t - h they put on Y
+        return (lo, hi) if s > 0 else (-hi, -lo)
+
+    def cut(cells, homology):
+        # the degrees where those cells meet the parts of Y's homology
+        lo, hi = through(*cells)
+        return [(hlo + lo, hhi + hi) for hlo, hhi in homology]
+
+    bands = cut((pb, pt), Y.window.complement().intersect(
+        TrustWindow.interval(*Y.possible_range())).parts)
+    if ceiling < pt:
+        bands += cut((ceiling + 1, pt), _hsupp(Y).parts)
+    if not P.complete:
+        bands += cut((pt + 1, INF), [(Y.true_lo, Y.true_hi)])
+    if floor != NEG_INF and P.true_lo < floor:
+        bands += cut((NEG_INF, pt), _hsupp(Y).parts)
+    lo, hi = through(P.true_lo, pt if P.complete else INF)
+    return TrustWindow(bands).complement(), Y.true_lo + lo, Y.true_hi + hi
+
+
 def hom_frame(P: FreeComplex, Y: FreeComplex):
     """Hom(P, Y) with no differential, and its layout: (H, offsets), H
     holding hom_complex(P, Y)'s terms, window and truth bounds, and
@@ -392,37 +413,15 @@ def hom_frame(P: FreeComplex, Y: FreeComplex):
     qr = P.ring
     if qr != Y.ring:
         raise ValueError("hom over different rings")
-    pb, pt, pwhi, pfloor = _resolution_shape(P)
-    yb, yt = Y.term_range()
+    win, true_lo, true_hi = _pairing_window(P, Y, -1)
     if P.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr), {}
-
+    (pb, pt), (yb, yt) = P.term_range(), Y.term_range()
     terms, offsets = {}, {}
     for t in range(yb - pt, yt - pb + 1):
         offs, twists = hom_layout(P, Y, t)
         if twists:
             terms[t], offsets[t] = GradedFree.of(twists), offs
-
-    # untrusted bands from the hypercohomology pairing (module docstring):
-    # garbage homology of Y against cells of P, garbage cells of P against
-    # any homology of Y, missing high cells against true homology of Y
-    plo, phi = Y.possible_range()
-    win = TrustWindow.all()
-    garbage_y = Y.window.complement().intersect(TrustWindow.interval(plo, phi))
-    for glo, ghi in garbage_y.parts:
-        win = win.minus_band(glo - pt, ghi - pb)
-    if pwhi < pt:
-        for hlo, hhi in _hsupp(Y).parts:
-            win = win.minus_band(hlo - pt, hhi - (pwhi + 1))
-    if not P.complete:
-        win = win.minus_band(NEG_INF, Y.true_hi - pt - 1)
-    if pfloor != NEG_INF and P.true_lo < pfloor:
-        # unproven floor: every cell of P is suspect, as is anything a
-        # deeper (higher-bound) resolution could reach
-        for hlo, hhi in _hsupp(Y).union(garbage_y).parts:
-            win = win.minus_band(hlo - pt, INF)
-    true_hi = Y.true_hi - P.true_lo
-    true_lo = (Y.true_lo - pt) if P.complete else NEG_INF
     return FreeComplex(qr, terms, {}, win, true_lo, true_hi), offsets
 
 
@@ -467,11 +466,10 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     qr = F.ring
     if qr != Y.ring:
         raise ValueError("tensor over different rings")
-    fb, ft, fwhi, ffloor = _resolution_shape(F)
-    yb, yt = Y.term_range()
+    win, true_lo, true_hi = _pairing_window(F, Y, 1)
     if F.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
-
+    (fb, ft), (yb, yt) = F.term_range(), Y.term_range()
     terms, offsets, diffs = {}, {}, {}
     for t in range(fb + yb, ft + yt + 1):
         offs, twists = tensor_layout(F, Y, t)
@@ -491,22 +489,6 @@ def tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
                 blocks.append((tgt_off[i], base, F.term(i),
                                signed[i % 2][t - i]))
         diffs[t] = block_matrix(qr, terms[t], terms[t - 1], blocks)
-
-    plo, phi = Y.possible_range()
-    win = TrustWindow.all()
-    garbage_y = Y.window.complement().intersect(TrustWindow.interval(plo, phi))
-    for glo, ghi in garbage_y.parts:
-        win = win.minus_band(glo + fb, ghi + ft)
-    if fwhi < ft:
-        for hlo, hhi in _hsupp(Y).parts:
-            win = win.minus_band(hlo + fwhi + 1, hhi + ft)
-    if not F.complete:
-        win = win.minus_band(Y.true_lo + ft + 1, INF)
-    if ffloor != NEG_INF and F.true_lo < ffloor:
-        for hlo, hhi in _hsupp(Y).union(garbage_y).parts:
-            win = win.minus_band(NEG_INF, hhi + ft)
-    true_lo = F.true_lo + Y.true_lo
-    true_hi = (ft + Y.true_hi) if F.complete else INF
     return FreeComplex(qr, terms, diffs, win, true_lo, true_hi)
 
 

@@ -675,12 +675,7 @@ class QuotientRing:
         return minimalize_monomials(self._lead_exps, self.ambient)
 
     def is_artinian(self) -> bool:
-        gens = self.lead_ideal_min_gens()
-        for v in range(self.ambient.n):
-            if not any(e[v] > 0 and all(e[u] == 0 for u in range(self.ambient.n) if u != v)
-                       for e in gens):
-                return False
-        return True
+        return self.krull_dim() == 0
 
     def std_monomials(self):
         """All monomials outside the leading-term ideal (artinian only)."""

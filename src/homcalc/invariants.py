@@ -157,10 +157,11 @@ def _ring_cut(qr: QuotientRing, j: int, l) -> QuotientRing | None:
 def _module_cut(m: ModulePresentation) -> ModulePresentation | None:
     """M/xM over R/xR for the first candidate x regular on both R and M,
     or None.  x is M-regular iff the Hilbert numerators of M/xM (over the
-    cut ring) and of M are equal, as for the ring in _ring_cut.  Artinian
-    rings and modules of dimension 0 (depth 0) have no such x."""
+    cut ring) and of M are equal, as for the ring in _ring_cut.  Modules of
+    dimension 0 (depth 0), among them every module over an artinian ring,
+    have no such x."""
     qr = m.ring
-    if qr.is_artinian() or m.hilbert_series().dimension() <= 0:
+    if m.hilbert_series().dimension() <= 0:
         return None
     rels = m.relations
     for j, l in _candidates(qr):

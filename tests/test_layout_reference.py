@@ -8,21 +8,28 @@ formula: _hom_free, _hom_rel_block and _hom_induced are now
 kron(F^*, N's generators), kron(F^*, N's relations) and kron(d^T, N's
 generators).  bass_table reads a complete complex through hom_frame, the
 terms, window and truth bounds of hom_complex without its differential.
+Both constructions read their window and truth bounds off one band
+rule, complexes._pairing_window, where each cut the bands itself by
+TrustWindow.minus_band and took its factor's shape from
+_resolution_shape; minus_band is now an intersection with a complement.
 None of this changes what is computed, so the code before it, copied
 verbatim below (only the function names are prefixed with old_, as are
-the calls between the copies, and old_hom_cohomology reads its kernels
-modulo the relation blocks by kernel_matrix's mod argument, as
+the calls between the copies, the old copies call old_minus_band(win, ...)
+where they called win.minus_band(...), and old_hom_cohomology reads its
+kernels modulo the relation blocks by kernel_matrix's mod argument, as
 _hom_cohomology does, where both called modules._sub_rels), is the
 reference: old and new agree term
 for term, entry for entry, twist for twist, in window and truth bounds,
-or both refuse with the same error.
+or both refuse with the same error.  minus_band itself is drawn against
+old_minus_band by Hypothesis.
 
 The inputs are the benchmark's ring templates in random coordinates
 (their X, Y, Z, C, the truncated resolutions K_b of k and Hom(K_b, C), at
 b = 1-4, drawn as tests/test_complexes_reference.py draws them) and every
 call that running the benchmark's tasks on each template and the corpus
 makes to the functions compared, including every Hom, Ext and tensor
-presentation of the corpus modules.
+presentation of the corpus modules.  No workload makes a factor with an
+unproven floor, so that band is checked on a hand-made factor.
 """
 
 import sys
@@ -40,7 +47,7 @@ from homcalc import semidualizing as sd
 from homcalc.cli import build_problem, run_tasks
 from homcalc.complexes import (
     INF, NEG_INF, ChainMap, FreeComplex, TrustWindow, UncertifiedDegreeError,
-    _hsupp, _resolution_shape, hom_layout, tensor_layout, zero_complex,
+    _hsupp, hom_layout, module_as_complex, tensor_layout, zero_complex,
 )
 from homcalc.corpus import corpus_problems
 from homcalc.groebner import kernel_matrix
@@ -48,11 +55,48 @@ from homcalc.invariants import residue_field
 from homcalc.modules import ModulePresentation, resolution
 from homcalc.ring import GradedFree, GradedMatrix, kron
 
+from test_complexes import DN, kres
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
 # -- the previous code, verbatim --------------------------------------------
+
+
+def old_minus_band(self, lo, hi) -> "TrustWindow":
+    """Remove the closed band [lo, hi]."""
+    if lo > hi:
+        return self
+    out = []
+    for plo, phi in self.parts:
+        if phi < lo or hi < plo:
+            out.append((plo, phi))
+            continue
+        if plo < lo:
+            out.append((plo, lo - 1))
+        if hi < phi:
+            out.append((hi + 1, phi))
+    return TrustWindow(out)
+
+
+def old_resolution_shape(P: FreeComplex):
+    """(bottom_term, top_term, trusted_cells_top, floor) for a hom or
+    tensor factor.
+
+    P's window must contain its bottom cell; the window part holding that
+    cell gives the ceiling below which cells of P agree with an honest
+    resolution, and its floor is where that claim stops.  When the floor
+    is finite and P.true_lo does not reach it, the cells themselves may
+    shift as the resolution bound grows (deeper homology adds covers at
+    every degree), and the callers must discard the affected band.
+    """
+    pb, pt = P.term_range()
+    for lo, hi in P.window.parts:
+        if lo <= pb <= hi:
+            return pb, pt, hi, lo
+    raise UncertifiedDegreeError(
+        "resolution factor is not trusted at its bottom cell")
 
 
 def old_hstack(ring, mats):
@@ -120,7 +164,7 @@ def old_hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if qr != Y.ring:
         raise ValueError("hom over different rings")
     Fld = qr.field
-    pb, pt, pwhi, pfloor = _resolution_shape(P)
+    pb, pt, pwhi, pfloor = old_resolution_shape(P)
     yb, yt = Y.term_range()
     if P.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
@@ -166,17 +210,17 @@ def old_hom_complex(P: FreeComplex, Y: FreeComplex) -> FreeComplex:
     win = TrustWindow.all()
     garbage_y = Y.window.complement().intersect(TrustWindow.interval(plo, phi))
     for glo, ghi in garbage_y.parts:
-        win = win.minus_band(glo - pt, ghi - pb)
+        win = old_minus_band(win, glo - pt, ghi - pb)
     if pwhi < pt:
         for hlo, hhi in _hsupp(Y).parts:
-            win = win.minus_band(hlo - pt, hhi - (pwhi + 1))
+            win = old_minus_band(win, hlo - pt, hhi - (pwhi + 1))
     if not P.complete:
-        win = win.minus_band(NEG_INF, Y.true_hi - pt - 1)
+        win = old_minus_band(win, NEG_INF, Y.true_hi - pt - 1)
     if pfloor != NEG_INF and P.true_lo < pfloor:
         # unproven floor: every cell of P is suspect, as is anything a
         # deeper (higher-bound) resolution could reach
         for hlo, hhi in _hsupp(Y).union(garbage_y).parts:
-            win = win.minus_band(hlo - pt, INF)
+            win = old_minus_band(win, hlo - pt, INF)
     true_hi = Y.true_hi - P.true_lo
     true_lo = (Y.true_lo - pt) if P.complete else NEG_INF
     return FreeComplex(qr, terms, diffs, win, true_lo, true_hi)
@@ -192,7 +236,7 @@ def old_tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     if qr != Y.ring:
         raise ValueError("tensor over different rings")
     Fld = qr.field
-    fb, ft, fwhi, ffloor = _resolution_shape(F)
+    fb, ft, fwhi, ffloor = old_resolution_shape(F)
     yb, yt = Y.term_range()
     if F.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(qr)
@@ -235,15 +279,15 @@ def old_tensor_complex(F: FreeComplex, Y: FreeComplex) -> FreeComplex:
     win = TrustWindow.all()
     garbage_y = Y.window.complement().intersect(TrustWindow.interval(plo, phi))
     for glo, ghi in garbage_y.parts:
-        win = win.minus_band(glo + fb, ghi + ft)
+        win = old_minus_band(win, glo + fb, ghi + ft)
     if fwhi < ft:
         for hlo, hhi in _hsupp(Y).parts:
-            win = win.minus_band(hlo + fwhi + 1, hhi + ft)
+            win = old_minus_band(win, hlo + fwhi + 1, hhi + ft)
     if not F.complete:
-        win = win.minus_band(Y.true_lo + ft + 1, INF)
+        win = old_minus_band(win, Y.true_lo + ft + 1, INF)
     if ffloor != NEG_INF and F.true_lo < ffloor:
         for hlo, hhi in _hsupp(Y).union(garbage_y).parts:
-            win = win.minus_band(NEG_INF, hhi + ft)
+            win = old_minus_band(win, NEG_INF, hhi + ft)
     true_lo = F.true_lo + Y.true_lo
     true_hi = (ft + Y.true_hi) if F.complete else INF
     return FreeComplex(qr, terms, diffs, win, true_lo, true_hi)
@@ -500,3 +544,41 @@ def test_corpus_matches_the_old_code(doc):
                     modules.ext_series(m, n, i)
     assert not [e for e in run["entries"] if e.get("internal")]
     checks.verify("_hom_cohomology", "_hom_coker", "tensor_modules", "hstack")
+
+
+# -- the band rule on its own -----------------------------------------------
+
+
+#: part and band ends as the engine makes them: -inf only on the left,
+#: inf only on the right
+LO = st.one_of(st.integers(-6, 6), st.just(NEG_INF))
+HI = st.one_of(st.integers(-6, 6), st.just(INF))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(LO, HI), max_size=4),
+       st.one_of(st.tuples(LO, HI), st.just((NEG_INF, INF))))
+def test_minus_band_matches_the_old_loop(parts, band):
+    """Windows with infinite ends, bands with lo > hi and bands that
+    cover everything."""
+    w = TrustWindow(parts)
+    assert w.minus_band(*band).parts == old_minus_band(w, *band).parts
+
+
+def test_unproven_floor_collapses_hom_and_tensor_windows():
+    """A factor trusted only on a finite interval, with no certificate that
+    the true object vanishes below it, certifies no degree its cells (or
+    deeper cells at a higher bound) could reach, in tensor as in Hom
+    (tests/test_complexes.py::test_hom_unproven_floor_collapses_window);
+    certifying the floor restores the usual truncation windows.  No
+    workload reaches this band."""
+    Pk, R = kres(DN, 3), module_as_complex(DN, GradedFree.of([0]))
+    for true_lo, in_tensor, in_hom in ((NEG_INF, [], []),
+                                       (0, range(-4, 3), range(-2, 5))):
+        P = FreeComplex(DN, dict(Pk.terms), dict(Pk.diffs),
+                        TrustWindow([(0, 2)]), true_lo, 0)
+        T, H = complexes.tensor_complex(P, R), complexes.hom_complex(P, R)
+        assert same_complex(T, old_tensor_complex(P, R), (P, R))
+        assert same_complex(H, old_hom_complex(P, R), (P, R))
+        assert [t for t in range(-4, 5) if T.window.contains(t)] == list(in_tensor)
+        assert [t for t in range(-4, 5) if H.window.contains(t)] == list(in_hom)
