@@ -24,9 +24,10 @@ A problem file is a single JSON document with polynomial strings:
 The module names "k" and "R" are predeclared (residue field and rank-one
 free).  Maps are multiplication by a homogeneous element on a free
 complex concentrated in degree zero; their cones provide two-term test
-complexes.  Every name must be declared before it is referenced, all
-polynomials must be homogeneous for the declared weights, and a task may
-omit "bound" to inherit the runner default.
+complexes.  Every name must be declared before it is referenced, no
+complex may take a module's name (k and R included), all polynomials
+must be homogeneous for the declared weights, and a task may omit
+"bound" to inherit the runner default.
 
 Reports are emitted as canonical JSON (sorted keys, no timing data), so
 two runs of the same problem file are byte-identical; the text format
@@ -240,6 +241,8 @@ def _build_map(qr, spec, name):
 
 def _build_complex(modules, complexes, maps, name, spec, default_bound):
     where = f"complex '{name}'"
+    if name in modules:
+        raise InputError(f"{where}: name already declared as a module")
     _expect(spec, dict, where)
     if "module" in spec:
         base = _ref(spec["module"], modules, where)

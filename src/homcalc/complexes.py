@@ -126,10 +126,6 @@ class TrustWindow:
             out.append((cur, INF))
         return TrustWindow(out)
 
-    def minus_band(self, lo, hi) -> "TrustWindow":
-        """Remove the closed band [lo, hi]."""
-        return self.intersect(TrustWindow.interval(lo, hi).complement())
-
     def __eq__(self, other):
         return isinstance(other, TrustWindow) and other.parts == self.parts
 
@@ -264,7 +260,7 @@ def from_resolution(ring, matrices, complete) -> FreeComplex:
     if complete:
         window = TrustWindow.all()
     else:
-        window = TrustWindow.all().minus_band(B, B)
+        window = TrustWindow.interval(B, B).complement()
     return FreeComplex(ring, terms, diffs, window, 0, 0)
 
 

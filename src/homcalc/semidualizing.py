@@ -111,14 +111,10 @@ def dualizing_verdict(c, bound: int) -> DualizingVerdict:
     dimension.  The finite-G-dimension-of-k signal is computed alongside
     as a cross-check; the two agree on every corpus ring."""
     cert = semidualizing_certificate(c, bound)
-    qr = c.ring
     idv = id_verdict(c, bound)
-    gk = None
-    if cert.ok:
-        k = residue_field(qr)
-        gk = gcdim(k, c, bound)
     if not cert.ok:
-        return DualizingVerdict(False, cert.verdict(), idv.status, gk)
+        return DualizingVerdict(False, cert.verdict(), idv.status, None)
+    gk = gcdim(residue_field(c.ring), c, bound)
     if not idv.is_finite_certified():
         return DualizingVerdict(
             False, f"injective dimension {idv.status} at bound {bound}",
@@ -147,9 +143,6 @@ class GcdimVerdict(Result):
     @staticmethod
     def uncertified(bound, witness=""):
         return GcdimVerdict("uncertified", None, witness, bound, None)
-
-    def is_finite(self):
-        return self.status == "finite"
 
     def __repr__(self):
         if self.status == "finite":
@@ -276,6 +269,29 @@ def _semidualizing_hypothesis(c, hyps, bound):
         _require(hyps, [cert.verdict()])
 
 
+#: how a FinitenessVerdict or GcdimVerdict status reads as a hypothesis;
+#: any other status reads "uncertified"
+_READINGS = {"finite-certified": "met", "finite": "met", "infinite": "failed"}
+
+
+def _finite_hypothesis(hyps, notes, key, v, note):
+    """Read the verdict v (None when there is none to read) into
+    hyps[key] by its status, adding the note unless it reads "met".
+    Returns whether it does."""
+    hyps[key] = _READINGS.get(getattr(v, "status", None), "uncertified")
+    if hyps[key] != "met":
+        notes.append(note)
+    return hyps[key] == "met"
+
+
+def _vanishing_hypothesis(hyps, notes, key, i, note):
+    """hyps[key] fails, with the note, when i, the first index found not
+    to vanish, is not None."""
+    if i is not None:
+        hyps[key] = "failed"
+        notes.append(note)
+
+
 def _verifier(fn):
     """The one place a VerificationReport is built.
 
@@ -310,10 +326,9 @@ def _top_ext(x, c, hyps, bound):
     C and e = g - inf C, a zero Ext^e counting as nu = 0.  Aborts with
     HYPOTHESES-NOT-MET when g is not certified finite."""
     v = gcdim(x, c, bound)
-    if not v.is_finite():
-        hyps["finite-gcdim"] = \
-            "failed" if v.status == "infinite" else "uncertified"
-        _require(hyps, [repr(v)])
+    notes = []
+    if not _finite_hypothesis(hyps, notes, "finite-gcdim", v, repr(v)):
+        _require(hyps, notes)
     e = v.g - inf_of(c)
     try:
         nu_ext = nu(ext_presentation(x, c, e, bound))
@@ -385,13 +400,9 @@ def verify_finite_injective_from_homology(x: FreeComplex,
     ceilings = []
     for i in trusted_homology(x):
         v = id_verdict(homology_presentation(x, i), bound)
-        key = f"finite-id-H{i}"
-        if v.is_finite_certified():
-            hyps[key] = "met"
+        if _finite_hypothesis(hyps, notes, f"finite-id-H{i}", v,
+                              f"H_{i}: {v!r}"):
             ceilings.append(v.n - i)
-        else:
-            hyps[key] = "uncertified"
-            notes.append(f"H_{i}: {v!r}")
     if not hyps:
         hyps["finite-id-homology"] = "met"   # exact complex: vacuous
     _require(hyps, notes)
@@ -416,17 +427,15 @@ def verify_ext_vanishing_descent(m: ModulePresentation, n: ModulePresentation,
     notes = []
     hyps = {"ext-tail-vanishes": "met", "finite-id-of-ext": "met"}
     i = first_ext(m, n, tail, bound)
-    if i is not None:
-        hyps["ext-tail-vanishes"] = "failed"
-        notes.append(f"Ext^{i}(M, N) != 0")
-    else:
+    _vanishing_hypothesis(hyps, notes, "ext-tail-vanishes", i,
+                          f"Ext^{i}(M, N) != 0")
+    if i is None:
         for i in range(0, tail):
             if not ext_series(m, n, i).numer:
                 continue
             v = id_verdict(ext_module(m, n, i), bound)
-            if not v.is_finite_certified():
-                hyps["finite-id-of-ext"] = "uncertified"
-                notes.append(f"id of Ext^{i}(M, N): {v!r}")
+            if not _finite_hypothesis(hyps, notes, "finite-id-of-ext", v,
+                                      f"id of Ext^{i}(M, N): {v!r}"):
                 break
     _require(hyps, notes)
     pv = pd_verdict(m, bound)
@@ -456,15 +465,11 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
     notes = []
     hyps = {"self-ext-vanishes": "met", "ext-against-ring-vanishes": "met",
             "finite-id-of-hom": "met"}
-    failed = []
-    for key, n, name in (("self-ext-vanishes", m, "M"),
-                         ("ext-against-ring-vanishes", r, "R")):
-        i = first_ext(m, n, 1, bound)
-        if i is not None:
-            hyps[key] = "failed"
-            failed.append((i, f"Ext^{i}(M, {name}) != 0"))
+    found = [(first_ext(m, m, 1, bound), "self-ext-vanishes", "M"),
+             (first_ext(m, r, 1, bound), "ext-against-ring-vanishes", "R")]
     # notes ascend by index, Ext(M, M) first on a tie (a stable sort)
-    notes += [note for _, note in sorted(failed, key=lambda f: f[0])]
+    for i, key, name in sorted(found, key=lambda f: f[0] or 0):
+        _vanishing_hypothesis(hyps, notes, key, i, f"Ext^{i}(M, {name}) != 0")
     hom = hom_modules(m, r if mode == "hom-MR" else m)
     if hom.is_zero_module():
         # no injective dimension to read on Hom = 0; a failed Ext
@@ -472,9 +477,7 @@ def verify_auslander_reiten(m: ModulePresentation, mode: str,
         notes.append("Hom is zero")
         _require(hyps, notes)
     hv = id_verdict(hom, bound)
-    if not hv.is_finite_certified():
-        hyps["finite-id-of-hom"] = "uncertified"
-        notes.append(f"id Hom: {hv!r}")
+    _finite_hypothesis(hyps, notes, "finite-id-of-hom", hv, f"id Hom: {hv!r}")
     # independent convolution check, meaningful once Ext^{>0}(M, R) = 0
     conv = None
     if hyps["ext-against-ring-vanishes"] == "met":
@@ -516,9 +519,8 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
         s = degrees[0]
         ht = homology_presentation(T, s)
         hv = id_verdict(ht, bound)
-        if not hv.is_finite_certified():
-            hyps["finite-id-of-tensor"] = "uncertified"
-            notes.append(f"id of tensor homology: {hv!r}")
+        _finite_hypothesis(hyps, notes, "finite-id-of-tensor", hv,
+                           f"id of tensor homology: {hv!r}")
         mu_t = bass_table(ht, bound)
         tensor_mu = lambda u: mu_t.value(u + s)
         support = [u - s for u in mu_t.nonzero_indices()]
@@ -526,9 +528,9 @@ def verify_betti_bass_convolution(x, c, bound: int) -> VerificationReport:
         tensor_mu = lambda u: 0
         support = []
     else:
-        hyps["finite-id-of-tensor"] = "uncertified"
-        notes.append("tensor homology spread across degrees "
-                     f"{degrees}; no module-route certificate")
+        _finite_hypothesis(hyps, notes, "finite-id-of-tensor", None,
+                           "tensor homology spread across degrees "
+                           f"{degrees}; no module-route certificate")
     _require(hyps, notes)
     bt = betti_table(x, bound)
     bc = bass_table(c, bound)
@@ -565,15 +567,13 @@ def verify_generator_count_formula(m: ModulePresentation,
     hyps = {"semidualizing": "met", "tor-vanishes": "met",
             "finite-id-of-tensor": "met"}
     _semidualizing_hypothesis(c, hyps, bound)
-    bad = [i for i, v in tor_dims(c, m, 1, bound).items() if v]
-    if bad:
-        hyps["tor-vanishes"] = "failed"
-        notes.append(f"Tor_{min(bad)}(C, M) != 0")
+    i = next((j for j, v in tor_dims(c, m, 1, bound).items() if v), None)
+    _vanishing_hypothesis(hyps, notes, "tor-vanishes", i,
+                          f"Tor_{i}(C, M) != 0")
     t = tensor_modules(c, m)
     tv = id_verdict(t, bound)
-    if not tv.is_finite_certified():
-        hyps["finite-id-of-tensor"] = "uncertified"
-        notes.append(f"id of C tensor M: {tv!r}")
+    _finite_hypothesis(hyps, notes, "finite-id-of-tensor", tv,
+                       f"id of C tensor M: {tv!r}")
     _require(hyps, notes)
     d = m.ring.krull_dim()
     left = nu(m)

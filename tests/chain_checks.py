@@ -3,9 +3,11 @@
 validate_complex checks shapes, homogeneity and d o d = 0;
 validate_chain_map checks shapes, homogeneity and d f = f d.  Each raises
 ValueError (or HomogeneityError) on the first failure and returns its
-argument otherwise.  entry reads one entry of a GradedMatrix.
+argument otherwise.  entry reads one entry of a GradedMatrix, and
+minus_band cuts a band out of a TrustWindow.
 """
 
+from homcalc.complexes import TrustWindow
 from homcalc.ring import GradedMatrix
 
 
@@ -14,6 +16,11 @@ def entry(m, i, j):
     ring is a PolyRing or a QuotientRing of one."""
     p = m.entries.get((i, j))
     return getattr(m.ring, "ambient", m.ring).zero() if p is None else p
+
+
+def minus_band(w, lo, hi):
+    """The TrustWindow w without the closed band [lo, hi]."""
+    return w.intersect(TrustWindow.interval(lo, hi).complement())
 
 
 def validate_complex(X):

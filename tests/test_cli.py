@@ -431,6 +431,22 @@ def test_main_malformed_file_is_input_error(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["M", "R", "k"])
+def test_complex_named_like_a_module_is_refused(tmp_path, capsys, name):
+    # a task argument naming both reads the module: betti(R) answered
+    # {0: 1} for the free module R, not for the resolution of M
+    doc = _dn_doc([{"op": "betti", "args": [name]}])
+    doc["modules"] = {"M": {"cyclic": ["x"]}}
+    doc["complexes"] = {name: {"module": "M", "bound": 3}}
+    message = f"complex '{name}': name already declared as a module"
+    with pytest.raises(InputError, match=message):
+        build_problem(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_complex_argument_kind_is_checked(tmp_path, capsys):
     # verify-finite-injective takes a complex; a module name used to end
     # in KeyError: 'k' and exit 3

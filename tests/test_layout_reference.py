@@ -11,7 +11,8 @@ terms, window and truth bounds of hom_complex without its differential.
 Both constructions read their window and truth bounds off one band
 rule, complexes._pairing_window, where each cut the bands itself by
 TrustWindow.minus_band and took its factor's shape from
-_resolution_shape; minus_band is now an intersection with a complement.
+_resolution_shape; minus_band is now chain_checks.minus_band, an
+intersection with a complement, beside the tests that read it.
 None of this changes what is computed, so the code before it, copied
 verbatim below (only the function names are prefixed with old_, as are
 the calls between the copies, the old copies call old_minus_band(win, ...)
@@ -55,6 +56,7 @@ from homcalc.invariants import residue_field
 from homcalc.modules import ModulePresentation, resolution
 from homcalc.ring import GradedFree, GradedMatrix, kron
 
+from chain_checks import minus_band
 from test_complexes import DN, kres
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -562,7 +564,7 @@ def test_minus_band_matches_the_old_loop(parts, band):
     """Windows with infinite ends, bands with lo > hi and bands that
     cover everything."""
     w = TrustWindow(parts)
-    assert w.minus_band(*band).parts == old_minus_band(w, *band).parts
+    assert minus_band(w, *band).parts == old_minus_band(w, *band).parts
 
 
 def test_unproven_floor_collapses_hom_and_tensor_windows():

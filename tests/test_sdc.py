@@ -84,14 +84,14 @@ def test_dualizing_canonical_module():
     dv = dualizing_verdict(OMEGA, 3)
     assert dv.dualizing
     assert dv.id_status == "finite-certified"
-    assert dv.gcdim_of_k.is_finite()
+    assert dv.gcdim_of_k.status == "finite"
     assert dv.gcdim_of_k.g == 1          # depth R - depth k over SG
 
 
 def test_dualizing_gorenstein_ring():
     dv = dualizing_verdict(R_CI, 4)
     assert dv.dualizing
-    assert dv.gcdim_of_k.is_finite() and dv.gcdim_of_k.g == 0
+    assert dv.gcdim_of_k.status == "finite" and dv.gcdim_of_k.g == 0
 
 
 def test_dualizing_fails_non_gorenstein():
@@ -106,7 +106,7 @@ def test_dualizing_complex_coefficient_takes_module_route_for_k():
     c = module_as_complex(DN, GradedFree.of([0]))
     dv = dualizing_verdict(c, 2)
     gk = gcdim(residue_field(DN), c, 2)
-    assert dv.gcdim_of_k.is_finite() and dv.gcdim_of_k.g == 0
+    assert dv.gcdim_of_k.status == "finite" and dv.gcdim_of_k.g == 0
     assert (dv.gcdim_of_k.status, dv.gcdim_of_k.g) == (gk.status, gk.g)
 
 
@@ -114,14 +114,14 @@ def test_dualizing_agrees_with_gcdim_of_k():
     # dualizing iff the residue field has finite G-dimension wrt C
     for c in (R_DN, R_CI, R_NG, R_SG):
         dv = dualizing_verdict(c, 3)
-        assert dv.dualizing == dv.gcdim_of_k.is_finite()
+        assert dv.dualizing == (dv.gcdim_of_k.status == "finite")
 
 
 # -- G-dimension, module route ----------------------------------------------
 
 def test_gcdim_k_over_gorenstein():
     v = gcdim_module(residue_field(DN), R_DN, 4)
-    assert v.is_finite() and v.g == 0
+    assert v.status == "finite" and v.g == 0
     assert v.g == depth(R_DN) - depth(residue_field(DN))
 
 
@@ -134,19 +134,19 @@ def test_gcdim_k_over_non_gorenstein_infinite():
 def test_gcdim_free_module():
     m = ModulePresentation.free(HY, [0, 2])
     v = gcdim_module(m, R_HY, 4)
-    assert v.is_finite() and v.g == 0
+    assert v.status == "finite" and v.g == 0
 
 
 def test_gcdim_mcm_over_hypersurface():
     m = ModulePresentation.cyclic(HY, ["x"])
     v = gcdim_module(m, R_HY, 4)
-    assert v.is_finite() and v.g == 0
+    assert v.status == "finite" and v.g == 0
 
 
 def test_gcdim_perfect_quotient():
     m = ModulePresentation.cyclic(HY, ["x + y"])
     v = gcdim_module(m, R_HY, 4)
-    assert v.is_finite() and v.g == 1
+    assert v.status == "finite" and v.g == 1
 
 
 def test_gcdim_zero_module_rejected():
@@ -159,7 +159,7 @@ def test_gcdim_wrt_dualizing_always_finite():
     # with a dualizing coefficient every module has finite G-dimension
     for m in (R_SG, ModulePresentation.cyclic(SG, ["a"])):
         v = gcdim_module(m, OMEGA, 3)
-        assert v.is_finite()
+        assert v.status == "finite"
         assert v.g == depth(R_SG) - depth(m)
 
 
@@ -167,25 +167,25 @@ def test_gcdim_wrt_dualizing_always_finite():
 
 def test_gcdim_complex_of_coefficient_itself():
     v = gcdim_complex(resolution(R_DN, 5), R_DN, 5)
-    assert v.is_finite() and v.g == 0 and v.inf_rhom == 0
+    assert v.status == "finite" and v.g == 0 and v.inf_rhom == 0
 
 
 def test_gcdim_complex_residue_field():
     v = gcdim_complex(resolution(residue_field(DN), 5), R_DN, 5)
-    assert v.is_finite() and v.g == 0
+    assert v.status == "finite" and v.g == 0
 
 
 def test_gcdim_complex_shift():
     X = resolution(residue_field(DN), 5)
     for n in (-1, 2):
         v = gcdim_complex(shift_complex(X, n), R_DN, 5)
-        assert v.is_finite() and v.g == n
+        assert v.status == "finite" and v.g == n
 
 
 def test_gcdim_complex_mcm_module():
     m = ModulePresentation.cyclic(HY, ["x"])
     v = gcdim_complex(resolution(m, 5), R_HY, 5)
-    assert v.is_finite() and v.g == 0 and v.inf_rhom == 0
+    assert v.status == "finite" and v.g == 0 and v.inf_rhom == 0
 
 
 def test_gcdim_routes_agree():
@@ -194,7 +194,7 @@ def test_gcdim_routes_agree():
     for m, c in pairs:
         vm = gcdim_module(m, c, 5)
         vc = gcdim_complex(resolution(m, 5), c, 5)
-        assert vm.is_finite() and vc.is_finite()
+        assert vm.status == "finite" and vc.status == "finite"
         assert vm.g == vc.g
 
 
@@ -259,7 +259,7 @@ def test_gcdim_cone_at_bound_one_is_no_internal_fault():
                                      GradedFree.of([0]), {(0, 0): x})})
     cn = cone(mult)
     v = gcdim(cn, R_DN, 1)     # bound 2 reads finite g = 1
-    assert v.status == "uncertified" or (v.is_finite() and v.g == 1)
+    assert v.status == "uncertified" or (v.status == "finite" and v.g == 1)
     assert verify_type_formula(cn, R_DN, 1).verdict in (PASS, UNCERTIFIED)
 
 
@@ -290,7 +290,7 @@ def test_type_formula_cone_coefficient_at_bound_one_is_no_internal_fault(
 def is_g_perfect(m, c, bound):
     """Grade equals G-dimension."""
     v = gcdim_module(m, c, bound)
-    if not v.is_finite():
+    if v.status != "finite":
         raise ValueError(f"G-dimension not certified finite: {v}")
     return grade_wrt(m, c, bound) == v.g
 

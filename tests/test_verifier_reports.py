@@ -320,6 +320,49 @@ def test_verifier_report_matches_golden(name):
     assert outcome(name) == _golden()[name]
 
 
+# -- the two hypothesis rules -----------------------------------------------
+
+
+@pytest.mark.parametrize("v, reading", [
+    (FinitenessVerdict.finite_certified(2, "w"), "met"),
+    (FinitenessVerdict.finite_likely(2, "w"), "uncertified"),
+    (FinitenessVerdict.unknown_at_least(3, "w"), "uncertified"),
+    # the status a certified infinite pd or id would carry
+    (FinitenessVerdict("infinite", None, None, "w"), "failed"),
+    (sd.GcdimVerdict.finite(0, 3), "met"),
+    (sd.GcdimVerdict.infinite("w", 3), "failed"),
+    (sd.GcdimVerdict.uncertified(3), "uncertified"),
+    (None, "uncertified"),
+], ids=lambda x: x if isinstance(x, str) or x is None
+    else f"{x.KIND}-{x.status}")
+def test_finite_hypothesis_reads_every_status(v, reading):
+    hyps, notes = {"other": "met"}, ["earlier"]
+    met = sd._finite_hypothesis(hyps, notes, "key", v, "note")
+    assert hyps == {"other": "met", "key": reading}
+    assert met == (reading == "met")
+    assert notes == ["earlier"] + ([] if met else ["note"])
+
+
+@pytest.mark.parametrize("i", [None, 0, 2])
+def test_vanishing_hypothesis_fails_on_a_found_index(i):
+    hyps, notes = {"key": "met"}, ["earlier"]
+    sd._vanishing_hypothesis(hyps, notes, "key", i, "note")
+    assert hyps == {"key": "met" if i is None else "failed"}
+    assert notes == ["earlier"] + ([] if i is None else ["note"])
+
+
+@pytest.mark.parametrize("mode", ["hom-MR", "hom-MM"])
+def test_auslander_reiten_notes_on_a_tie_put_self_ext_first(mode):
+    # both Ext hypotheses fail first at index 1
+    r = sd.verify_auslander_reiten(k(NG), mode, 3)
+    assert r.verdict == sd.HYPOTHESES_NOT_MET
+    assert r.hypotheses == {"self-ext-vanishes": "failed",
+                            "ext-against-ring-vanishes": "failed",
+                            "finite-id-of-hom": "uncertified"}
+    assert r.notes[:2] == ["Ext^1(M, M) != 0", "Ext^1(M, R) != 0"]
+    assert len(r.notes) == 3 and r.notes[2].startswith("id Hom: ")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     doc = {name: outcome(name) for name in sorted(CASES)}
     GOLDEN.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
